@@ -31,26 +31,21 @@ from .errors import (
     RegistryError,
     VectorFileError,
 )
-from .gf3 import Code, Gf3Vector
+from .gf3 import Gf3Vector
 from .gleason import alpha_constraint, near_extremal_family
-from .nega import CodeSpec, build_generator, self_dual_violations
+from .nega import CodeSpec, build_generator
 from .registry import Registry, RegistryEntry, ingest_vector_file, load_registry
 from .search import (
     Finding,
     SearchPlan,
-    beta_set_matches,
+    make_finding,
     neighbor,
     neighbor_sweep,
     novelty_report,
     run_search,
 )
-from .weights import (
-    ExtremalityClass,
-    classify,
-    count_weight,
-    full_distribution,
-    min_weight,
-)
+from .verify import check_deep_guard, verify_entry
+from .weights import count_weight, min_weight
 
 
 class _Usage(Exception):
@@ -68,101 +63,6 @@ def _say(text: str):
 # -- verify -----------------------------------------------------------------
 
 
-def _class_word(c: ExtremalityClass) -> str:
-    return {
-        ExtremalityClass.EXTREMAL: "extremal",
-        ExtremalityClass.NEAR_EXTREMAL: "near-extremal",
-        ExtremalityClass.NEITHER: "neither extremal nor near-extremal",
-    }[c]
-
-
-def _gleason_check(code: Code, d: int, alpha: int, cls: ExtremalityClass,
-                   deep: bool, allow_long: bool) -> str | None:
-    """Cross-check the measured counts against the enumerator family.
-
-    Returns a verdict string, or None when no family applies at this
-    length/class.  deep compares the complete distribution; the default
-    checks what is cheap: the admissible-count range for near-extremal
-    codes, the forced count at d for extremal ones.
-    """
-    n = code.n
-    if n % 12 or cls is ExtremalityClass.NEITHER:
-        return None
-    family = near_extremal_family(n)
-    expected_alpha = 0 if cls is ExtremalityClass.EXTREMAL else alpha
-    if deep:
-        dist = full_distribution(code, allow_long=allow_long)
-        poly = family.at(expected_alpha)
-        ok = all(dist.counts.get(e, 0) == c for e, c in poly.items()) and all(
-            c == 0 for w, c in dist.counts.items() if w not in poly.coeffs
-        )
-        return "Gleason-consistent (full distribution)" if ok else "GLEASON MISMATCH"
-    if cls is ExtremalityClass.EXTREMAL:
-        want = family.at(0).coefficient(d)
-        return "Gleason-consistent" if alpha == want else "GLEASON MISMATCH"
-    try:
-        rng = alpha_constraint(n)
-    except ValueError:
-        return None
-    return "Gleason-consistent" if rng.contains_alpha(alpha) else "GLEASON MISMATCH"
-
-
-def _verify_spec_entry(entry: RegistryEntry, deep: bool, allow_long: bool) -> tuple[bool, str]:
-    assert entry.spec is not None
-    bad = self_dual_violations(entry.spec)
-    if bad:
-        pairs = ", ".join(f"({i},{j})" for i, j in bad)
-        return False, f"FAIL: not self-dual; failing block identities at {pairs}"
-    code = build_generator(entry.spec)
-    d = min_weight(code)
-    alpha = count_weight(code, d)
-    cls = classify(code)
-    parts = ["self-dual", f"d={d}", f"alpha={alpha}"]
-    ok = True
-    if alpha % 8 == 0:
-        parts.append(f"beta={alpha // 8}")
-    parts.append(_class_word(cls))
-    if entry.expected_d is not None and d != entry.expected_d:
-        ok = False
-        parts.append(f"FAIL: expected d={entry.expected_d}")
-    if entry.expected_beta is not None and alpha != 8 * entry.expected_beta:
-        ok = False
-        parts.append(f"FAIL: expected beta={entry.expected_beta}")
-    verdict = _gleason_check(code, d, alpha, cls, deep, allow_long)
-    if verdict is not None:
-        parts.append(verdict)
-        ok = ok and not verdict.startswith("GLEASON")
-    return ok, ", ".join(parts)
-
-
-def _verify_neighbor_entry(entry: RegistryEntry, registry: Registry,
-                           deep: bool, allow_long: bool) -> tuple[bool, str]:
-    assert entry.x is not None and entry.parent is not None
-    parent = registry.entry(entry.parent)
-    if parent.spec is None:
-        return False, f"FAIL: parent {entry.parent} is not a code spec"
-    code = neighbor(build_generator(parent.spec), entry.x)
-    d = min_weight(code)
-    alpha = count_weight(code, d)
-    cls = classify(code)
-    parts = [f"neighbor of {entry.parent}", f"d={d}", f"alpha={alpha}"]
-    ok = True
-    if alpha % 8 == 0:
-        parts.append(f"beta={alpha // 8}")
-    parts.append(_class_word(cls))
-    if entry.expected_d is not None and d != entry.expected_d:
-        ok = False
-        parts.append(f"FAIL: expected d={entry.expected_d}")
-    if entry.expected_beta is not None and alpha != 8 * entry.expected_beta:
-        ok = False
-        parts.append(f"FAIL: expected beta={entry.expected_beta}")
-    verdict = _gleason_check(code, d, alpha, cls, deep, allow_long)
-    if verdict is not None:
-        parts.append(verdict)
-        ok = ok and not verdict.startswith("GLEASON")
-    return ok, ", ".join(parts)
-
-
 def cmd_verify(args) -> int:
     registry = load_registry()
     todo: list[RegistryEntry] = []
@@ -175,14 +75,14 @@ def cmd_verify(args) -> int:
     if not todo:
         raise _Usage("nothing to verify: pass --registry LABEL, --file PATH or --all")
 
+    if args.deep:
+        check_deep_guard(todo, allow_long=args.allow_long)
+
     all_ok = True
     for entry in todo:
-        if entry.kind == "neighbor-vector":
-            ok, text = _verify_neighbor_entry(entry, registry, args.deep, args.allow_long)
-        else:
-            ok, text = _verify_spec_entry(entry, args.deep, args.allow_long)
-        all_ok = all_ok and ok
-        print(f"{entry.label}: {text}", flush=True)
+        report = verify_entry(entry, registry, deep=args.deep, allow_long=args.allow_long)
+        all_ok = all_ok and report.ok
+        print(f"{entry.label}: {report.summary()}", flush=True)
     return 0 if all_ok else 1
 
 
@@ -329,18 +229,14 @@ def cmd_neighbor(args) -> int:
 
     ncode = neighbor(code, x)
     d = min_weight(ncode)
-    alpha = count_weight(ncode, d)
-    beta = alpha // 8 if alpha % 8 == 0 else None
-    sets = beta_set_matches(registry, ncode.n, beta)
-    finding = Finding(
-        kind="neighbor", n=ncode.n, d=d, alpha=alpha, beta=beta,
-        novelty=not sets, sets=sets, x=tuple(x.entries()), parent=parent_label,
-    )
+    finding = make_finding(registry, "neighbor", ncode.n, d, count_weight(ncode, d),
+                           x=tuple(x.entries()), parent=parent_label)
     _emit(finding.to_record())
-    known = ", ".join(sets) if sets else "none"
+    known = ", ".join(finding.sets) if finding.sets else "none"
+    beta = finding.beta if finding.beta is not None else "n/a"
     _say(
-        f"neighbor of {parent_label}: d={d}, alpha={alpha}, "
-        f"beta={beta if beta is not None else 'n/a'}, matching sets: {known}"
+        f"neighbor of {parent_label}: d={d}, alpha={finding.alpha}, "
+        f"beta={beta}, matching sets: {known}"
     )
     return 0
 
@@ -376,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="process share I of N round-robin shares (default 0/1)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", type=Path,
-                   help="cursor file for resumable runs (single worker only)")
+                   help="cursor file for resumable exhaustive runs (single worker "
+                        "only; refused in sampled mode)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gleason", help="print the enumerator family for a length")

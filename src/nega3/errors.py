@@ -21,11 +21,6 @@ class GuardError(Nega3Error, RuntimeError):
         self.estimate = estimate
 
 
-class SelfDualLengthError(Nega3Error, ValueError):
-    """Raised when a request asks for self-dual codes of a length where
-    none exist (ternary self-dual codes require length divisible by 4)."""
-
-
 class RegistryError(Nega3Error, RuntimeError):
     """The bundled data files failed an integrity or consistency check."""
 

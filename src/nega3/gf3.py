@@ -53,10 +53,6 @@ class Gf3Vector:
         self._hi = hi
 
     @classmethod
-    def from_entries(cls, entries: Iterable[int]) -> "Gf3Vector":
-        return cls(entries)
-
-    @classmethod
     def zeros(cls, n: int) -> "Gf3Vector":
         return _mk(n, 0, 0)
 
@@ -157,10 +153,6 @@ class Gf3Vector:
         return f"Gf3Vector([{''.join(str(e) for e in self)}])"
 
 
-def dot(a: Gf3Vector, b: Gf3Vector) -> Gf3:
-    return a.dot(b)
-
-
 class Gf3Matrix:
     """A matrix over GF(3) stored as a tuple of packed row vectors."""
 
@@ -186,10 +178,6 @@ class Gf3Matrix:
     def identity(cls, n: int) -> "Gf3Matrix":
         return cls([_mk(n, 1 << i, 0) for i in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Gf3Matrix":
-        return cls([Gf3Vector.zeros(ncols) for _ in range(nrows)], ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -200,19 +188,6 @@ class Gf3Matrix:
 
     def entry(self, i: int, j: int) -> Gf3:
         return self.rows[i][j]
-
-    def transpose(self) -> "Gf3Matrix":
-        cols = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self._ncols)]
-        return Gf3Matrix.from_entries(cols) if cols else Gf3Matrix([], self.nrows)
-
-    def mul(self, other: "Gf3Matrix") -> "Gf3Matrix":
-        if self._ncols != other.nrows:
-            raise LengthMismatchError(f"{self._ncols} != {other.nrows}")
-        bt = other.transpose()
-        return Gf3Matrix(
-            [Gf3Vector(r.dot(c) for c in bt.rows) for r in self.rows],
-            other.ncols,
-        )
 
     def gram(self) -> "Gf3Matrix":
         """self times its own transpose."""
@@ -312,10 +287,6 @@ class Code:
         self.pivots = tuple(pivots)
         self._cache: dict = {}
 
-    @classmethod
-    def from_rows(cls, n: int, rows: Sequence[Gf3Vector]) -> "Code":
-        return cls(n, rows)
-
     def contains(self, v: Gf3Vector) -> bool:
         if len(v) != self.n:
             raise LengthMismatchError(f"{len(v)} != {self.n}")
@@ -372,7 +343,3 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, k={self.k})"
-
-
-def dual_basis(code: Code) -> Code:
-    return code.dual()

@@ -129,10 +129,6 @@ def build_generator(spec: CodeSpec) -> Code:
 # each identity read in the polynomial ring.
 
 
-def _poly(b: Gf3Vector) -> list[int]:
-    return b.entries()
-
-
 def _conj(p: list[int]) -> list[int]:
     n = len(p)
     return [p[0]] + [(-p[n - i]) % 3 for i in range(1, n)]
@@ -149,23 +145,12 @@ def _mul_nega(a: list[int], b: list[int]) -> list[int]:
     return [(conv[t] - conv[t + n]) % 3 for t in range(n)]
 
 
-def _block_gram_entry(spec: CodeSpec, i: int, j: int) -> list[int]:
-    n = spec.block_size
-    acc = [0] * n
-    bi = spec.blocks(i)
-    bj = spec.blocks(j)
-    for t in range(3):
-        prod = _mul_nega(_poly(bi[t]), _conj(_poly(bj[t])))
-        acc = [(x + y) % 3 for x, y in zip(acc, prod)]
-    return acc
-
-
 def row_pair_gram(block_size: int, a: Gf3Vector, b: Gf3Vector) -> list[int]:
     """The polynomial sum_t a_t * b_t^* for two first rows, reduced mod x^n + 1."""
     acc = [0] * block_size
     for t in range(3):
         prod = _mul_nega(
-            _poly(a.block(t, block_size)), _conj(_poly(b.block(t, block_size)))
+            a.block(t, block_size).entries(), _conj(b.block(t, block_size).entries())
         )
         acc = [(x + y) % 3 for x, y in zip(acc, prod)]
     return acc
@@ -187,7 +172,7 @@ def self_dual_violations(spec: CodeSpec) -> list[tuple[int, int]]:
     bad = []
     for i in range(1, 4):
         for j in range(i, 4):
-            got = _block_gram_entry(spec, i, j)
+            got = row_pair_gram(n, spec.rows[i - 1], spec.rows[j - 1])
             want = [2] + [0] * (n - 1) if i == j else [0] * n
             if got != want:
                 bad.append((i, j))
@@ -198,7 +183,7 @@ def is_self_dual(spec: CodeSpec) -> bool:
     return not self_dual_violations(spec)
 
 
-# -- canonical-form search conditions ---------------------------------------
+# -- f-values: the search order on rows ------------------------------------
 
 
 def f_value(v: Gf3Vector) -> int:
@@ -222,64 +207,6 @@ def vector_from_f(n: int, f: int) -> Gf3Vector:
     if f:
         raise ValueError("value out of range for this length")
     return Gf3Vector(entries)
-
-
-def _leads_with_one(v: Gf3Vector) -> bool:
-    fn = v.first_nonzero()
-    return fn is None or fn[1] == 1
-
-
-def satisfies_conditions(block_size: int, rows: Sequence[Gf3Vector], d: int) -> bool:
-    """Whether a partial spec obeys the canonical-form search constraints.
-
-    ``rows`` is (r1,), (r1, r2) or (r1, r2, r3); only the constraints that
-    mention the supplied rows are evaluated, so the search can prune after
-    choosing r1 alone.  The constraints, for target minimum weight d:
-
-    - every supplied row has weight congruent to 2 mod 3 and at least d - 1;
-    - each width-n block of r1 is zero or starts with 1;
-    - r2 and r3 start with 1;
-    - the f-values of r1's blocks are non-increasing left to right;
-    - f(r1) >= f(r2) >= f(r3);
-    - r2 is orthogonal to the block rows generated by r1, and r3 to the
-      block rows generated by r1 and r2.
-
-    Ties in the f-value orderings are allowed.
-    """
-    if not 1 <= len(rows) <= 3:
-        raise ValueError("rows must contain one, two or three vectors")
-    width = 3 * block_size
-    for r in rows:
-        if len(r) != width:
-            raise LengthMismatchError(f"{len(r)} != {width}")
-        w = r.weight()
-        if w % 3 != 2 or w < d - 1:
-            return False
-    r1 = rows[0]
-    blocks = [r1.block(i, block_size) for i in range(3)]
-    if not all(_leads_with_one(b) for b in blocks):
-        return False
-    fb = [f_value(b) for b in blocks]
-    if not fb[0] >= fb[1] >= fb[2]:
-        return False
-    for r in rows[1:]:
-        if not _leads_with_one(r):
-            return False
-    fs = [f_value(r) for r in rows]
-    if any(fs[i] < fs[i + 1] for i in range(len(fs) - 1)):
-        return False
-    if len(rows) >= 2:
-        span = block_row_vectors(block_size, r1)
-        if any(rows[1].dot(u) for u in span):
-            return False
-    if len(rows) == 3:
-        span = block_row_vectors(block_size, rows[1])
-        if any(rows[2].dot(u) for u in span):
-            return False
-        span = block_row_vectors(block_size, r1)
-        if any(rows[2].dot(u) for u in span):
-            return False
-    return True
 
 
 # -- weight-preserving block transforms --------------------------------------

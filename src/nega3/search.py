@@ -414,8 +414,8 @@ def _sample_spec(
 
 def _iter_sampled(
     plan: SearchPlan, *, want_self_dual: bool, sub: tuple[int, int] = (0, 1)
-) -> Iterator[tuple[int, CodeSpec]]:
-    """Yield (trial, spec) pairs.  Each trial draws from its own generator
+) -> Iterator[CodeSpec]:
+    """Yield one spec per successful trial.  Each trial draws from its own generator
     seeded by (plan seed, trial index), so outcomes do not depend on how
     trials are distributed over partitions or workers."""
     m = plan.block_size
@@ -434,7 +434,7 @@ def _iter_sampled(
         rng = random.Random(f"{plan.seed}:{trial}")
         spec = _sample_spec(pool, m, d, rng, want_self_dual)
         if spec is not None:
-            yield trial, spec
+            yield spec
 
 
 # -- public operations ----------------------------------------------------------
@@ -448,8 +448,7 @@ def enumerate_candidates(plan: SearchPlan) -> Iterator[CodeSpec]:
     order, sampled mode draws with the plan's seeded generator.
     """
     if plan.mode == "sampled":
-        for _trial, spec in _iter_sampled(plan, want_self_dual=False):
-            yield spec
+        yield from _iter_sampled(plan, want_self_dual=False)
         return
     for event in _iter_exhaustive(plan, verified=False):
         if event[0] == "spec":
@@ -465,20 +464,39 @@ def beta_set_matches(registry: Registry, length: int, beta: int | None) -> tuple
     )
 
 
-def _verify_candidate(spec: CodeSpec, plan: SearchPlan, registry: Registry) -> Finding | None:
+def beta_of(alpha: int) -> int | None:
+    """beta = alpha / 8, the count the beta sets hold; None when 8 does not
+    divide alpha."""
+    return alpha // 8 if alpha % 8 == 0 else None
+
+
+def make_finding(registry: Registry, kind: str, n: int, d: int, alpha: int,
+                 **origin) -> Finding:
+    """A finding whose beta, matching beta sets and novelty follow from
+    alpha and the registry; origin is spec=, or x= and parent=."""
+    beta = beta_of(alpha)
+    sets = beta_set_matches(registry, n, beta)
+    return Finding(kind=kind, n=n, d=d, alpha=alpha, beta=beta,
+                   novelty=not sets, sets=sets, **origin)
+
+
+def _candidate_alpha(spec: CodeSpec, plan: SearchPlan) -> int | None:
+    """alpha of the spec's code when its minimum weight is the plan's
+    target, else None."""
     code = build_generator(spec)
     if not code.is_self_dual():
         raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
     d = plan.target_min_weight
     if min_weight(code, abort_below=d) != d:
         return None
-    alpha = count_weight(code, d)
-    beta = alpha // 8 if alpha % 8 == 0 else None
-    sets = beta_set_matches(registry, code.n, beta)
-    return Finding(
-        kind="spec", n=code.n, d=d, alpha=alpha, beta=beta,
-        novelty=not sets, sets=sets, spec=spec,
-    )
+    return count_weight(code, d)
+
+
+def _verify_candidate(spec: CodeSpec, plan: SearchPlan, registry: Registry) -> Finding | None:
+    alpha = _candidate_alpha(spec, plan)
+    if alpha is None:
+        return None
+    return make_finding(registry, "spec", plan.length, plan.target_min_weight, alpha, spec=spec)
 
 
 @dataclass
@@ -570,7 +588,7 @@ def _run_exhaustive_seq(
 
 def _run_sampled_seq(plan: SearchPlan, registry: Registry) -> Iterator[Finding]:
     found: dict[CodeSpec, Finding] = {}
-    for _trial, spec in _iter_sampled(plan, want_self_dual=True):
+    for spec in _iter_sampled(plan, want_self_dual=True):
         if spec in found:
             continue
         finding = _verify_candidate(spec, plan, registry)
@@ -579,43 +597,38 @@ def _run_sampled_seq(plan: SearchPlan, registry: Registry) -> Iterator[Finding]:
     yield from sorted(found.values(), key=Finding.sort_key)
 
 
-def _parallel_worker(args: tuple) -> list[tuple[int, dict]]:
+def _parallel_worker(args: tuple) -> list[tuple[CodeSpec, int]]:
+    """(spec, alpha) for each verified spec of one worker's share.  beta
+    sets and novelty are left to the parent, which holds the registry."""
     plan_dict, w, workers = args
     plan = SearchPlan.from_dict(plan_dict)
-    registry = load_registry()
-    out: list[tuple[int, dict]] = []
     if plan.mode == "sampled":
-        for trial, spec in _iter_sampled(plan, want_self_dual=True, sub=(w, workers)):
-            finding = _verify_candidate(spec, plan, registry)
-            if finding is not None:
-                out.append((trial, finding.to_record()))
+        specs = _iter_sampled(plan, want_self_dual=True, sub=(w, workers))
     else:
-        for event in _iter_exhaustive(plan, verified=True, sub=(w, workers)):
-            if event[0] == "spec":
-                finding = _verify_candidate(event[1], plan, registry)
-                if finding is not None:
-                    out.append((0, finding.to_record()))
+        specs = (event[1] for event in
+                 _iter_exhaustive(plan, verified=True, sub=(w, workers))
+                 if event[0] == "spec")
+    out = []
+    for spec in specs:
+        alpha = _candidate_alpha(spec, plan)
+        if alpha is not None:
+            out.append((spec, alpha))
     return out
 
 
-def _run_parallel(plan: SearchPlan, workers: int) -> Iterator[Finding]:
+def _run_parallel(plan: SearchPlan, workers: int, registry: Registry) -> Iterator[Finding]:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_parallel_worker, (plan.to_dict(), w, workers))
             for w in range(workers)
         ]
-        tagged = [pair for fut in futures for pair in fut.result()]
-    if plan.mode == "sampled":
-        tagged.sort(key=lambda p: p[0])
-        found: dict[CodeSpec, Finding] = {}
-        for _trial, rec in tagged:
-            f = Finding.from_record(rec)
-            assert f.spec is not None
-            found.setdefault(f.spec, f)
-        yield from sorted(found.values(), key=Finding.sort_key)
-    else:
-        findings = [Finding.from_record(rec) for _t, rec in tagged]
-        yield from sorted(findings, key=Finding.sort_key)
+        # a spec drawn by several sampled trials counts once
+        alphas = dict(pair for fut in futures for pair in fut.result())
+    findings = [
+        make_finding(registry, "spec", plan.length, plan.target_min_weight, alpha, spec=spec)
+        for spec, alpha in alphas.items()
+    ]
+    yield from sorted(findings, key=Finding.sort_key)
 
 
 def run_search(
@@ -637,24 +650,27 @@ def run_search(
     is then 6 mod 12, and self-dual codes need length 0 mod 4) return an
     empty stream immediately.
 
-    Checkpointing is supported for single-worker runs: the cursor and the
-    findings so far are written atomically, and a rerun with the same plan
-    and checkpoint file resumes where it stopped.
+    Checkpointing is supported for single-worker exhaustive runs: the cursor
+    and the findings so far are written atomically, and a rerun with the
+    same plan and checkpoint file resumes where it stopped.  A checkpoint
+    with workers > 1 or in sampled mode is refused before any work starts.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if workers > 1 and checkpoint is not None:
         raise ValueError("checkpointing requires workers=1")
+    if plan.mode == "sampled" and checkpoint is not None:
+        raise ValueError("checkpointing applies to exhaustive runs only, not sampled mode")
     if plan.block_size % 2 == 1:
         log.warning(
             "length %d is 6 mod 12; no self-dual code of that length exists, "
             "returning an empty stream", plan.length,
         )
         return iter(())
-    if workers > 1:
-        return _run_parallel(plan, workers)
     if registry is None:
         registry = load_registry()
+    if workers > 1:
+        return _run_parallel(plan, workers, registry)
     if plan.mode == "sampled":
         return _run_sampled_seq(plan, registry)
     path = Path(checkpoint) if checkpoint is not None else None
@@ -729,13 +745,8 @@ def neighbor_sweep(
         ncode = neighbor(c, x)
         if min_weight(ncode, abort_below=d) != d:
             continue
-        alpha = count_weight(ncode, d)
-        beta = alpha // 8 if alpha % 8 == 0 else None
-        sets = beta_set_matches(registry, c.n, beta)
-        yield Finding(
-            kind="neighbor", n=c.n, d=d, alpha=alpha, beta=beta,
-            novelty=not sets, sets=sets, x=tuple(x.entries()), parent=parent_label,
-        )
+        yield make_finding(registry, "neighbor", c.n, d, count_weight(ncode, d),
+                           x=tuple(x.entries()), parent=parent_label)
 
 
 # -- novelty bookkeeping ----------------------------------------------------------

@@ -255,21 +255,31 @@ def min_weight(code: Code, abort_below: int | None = None) -> int:
 
     With ``abort_below`` set, the scan may return early with any codeword
     weight strictly below the threshold (useful to reject candidates); the
-    result is exact whenever it is >= abort_below.
+    result is exact whenever it is >= abort_below.  Exact results are kept
+    in the code's cache, so later queries on the same code cost nothing.
     """
     if code.k == 0:
         raise ValueError("minimum weight of the zero code is undefined")
+    d = code._cache.get("min_weight")
+    if d is None:
+        try:
+            d = _min_weight_scan(code, abort_below)
+        except _Abort as early:
+            return early.weight
+        code._cache["min_weight"] = d
+    return d
+
+
+def _min_weight_scan(code: Code, abort_below: int | None) -> int:
+    """The covering scan behind min_weight; raises _Abort on an early exit."""
     sets = _information_sets(code)
     deficits = [s.deficit for s in sets]
     stats = _ScanStats(abort_below=abort_below)
-    try:
-        for j in range(1, code.k + 1):
-            _scan_level_all(sets, j, stats)
-            assert stats.min_weight is not None
-            if covering_lower_bound(j, deficits) >= stats.min_weight:
-                return stats.min_weight
-    except _Abort as early:
-        return early.weight
+    for j in range(1, code.k + 1):
+        _scan_level_all(sets, j, stats)
+        assert stats.min_weight is not None
+        if covering_lower_bound(j, deficits) >= stats.min_weight:
+            return stats.min_weight
     return stats.min_weight  # every message enumerated
 
 
@@ -302,14 +312,7 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
     enumeration of all 3^k codewords."""
     if code.k == 0:
         return WeightProfile(code.n, {0: 1}, complete=True)
-    if code.k > FULL_DISTRIBUTION_GUARD_K and not allow_long:
-        seconds = 3**code.k / _EVALS_PER_SECOND
-        raise GuardError(
-            f"full distribution of a dimension-{code.k} code sweeps 3^{code.k} "
-            f"= {3**code.k:.2e} codewords (roughly {seconds:.0f}s); "
-            "pass allow_long=True (CLI: --allow-long) to run it",
-            estimate=3**code.k,
-        )
+    _full_distribution_guard(code.k, allow_long)
     half = code.k // 2
     lo_a, hi_a = _span_planes(code.basis[:half], code.n)
     lo_b, hi_b = _span_planes(code.basis[half:], code.n)
@@ -327,6 +330,18 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
     return profile
 
 
+def _full_distribution_guard(k: int, allow_long: bool) -> None:
+    """Refuse a full distribution of a dimension-k code past the guard."""
+    if k > FULL_DISTRIBUTION_GUARD_K and not allow_long:
+        seconds = 3**k / _EVALS_PER_SECOND
+        raise GuardError(
+            f"full distribution of a dimension-{k} code sweeps 3^{k} "
+            f"= {3**k:.2e} codewords (roughly {seconds:.0f}s); "
+            "pass allow_long=True (CLI: --allow-long) to run it",
+            estimate=3**k,
+        )
+
+
 def _span_planes(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Planes of every linear combination of the given rows (3^len rows)."""
     lo = np.zeros((1, _lanes(n)), dtype=np.uint64)
@@ -341,7 +356,8 @@ def _span_planes(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def classify(code: Code) -> ExtremalityClass:
-    """Extremality class of a self-dual code by its minimum weight."""
+    """Extremality class of a self-dual code by its minimum weight (the
+    cached one, when min_weight has already run on this code)."""
     d = min_weight(code)
     bound = ms_bound(code.n)
     if d > bound:

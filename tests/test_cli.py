@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from nega3 import build_generator, is_self_dual, min_weight, read_findings
+from nega3 import verify
 from nega3.cli import main
 
 
@@ -14,6 +15,15 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@pytest.fixture
+def no_code_work(monkeypatch):
+    """Make building or measuring a code during verify fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify did work before its guard refused")
+    monkeypatch.setattr(verify, "build_generator", refuse)
+    monkeypatch.setattr(verify, "min_weight", refuse)
 
 
 class TestVerify:
@@ -72,11 +82,17 @@ class TestVerify:
         assert rc == 0
         assert "Gleason-consistent (full distribution)" in out
 
-    def test_deep_guard_at_length48(self, capsys):
+    def test_deep_guard_at_length48(self, capsys, no_code_work):
         rc, _, err = run_cli(capsys, "verify", "--deep", "--registry", "C48")
         assert rc == 3
         assert "refused (resource guard)" in err
         assert "--allow-long" in err
+        assert "3^24" in err
+
+    def test_deep_all_refuses_before_the_first_line(self, capsys, no_code_work):
+        rc, out, err = run_cli(capsys, "verify", "--deep", "--all")
+        assert rc == 3
+        assert out == ""
         assert "3^24" in err
 
 
@@ -126,6 +142,16 @@ class TestSearch:
         rc, _, err = run_cli(capsys, "search", "--n", "2", "--partition", "x")
         assert rc == 2
         assert "INDEX/TOTAL" in err
+
+    def test_sampled_excludes_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "ck.json"
+        rc, out, err = run_cli(capsys, "search", "--n", "2", "--mode", "sampled",
+                               "--seed", "1", "--budget", "5",
+                               "--checkpoint", str(path))
+        assert rc == 2
+        assert out == ""
+        assert "sampled" in err
+        assert not path.exists()
 
     def test_workers_exclude_checkpoint(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "search", "--n", "2", "--workers", "2",

@@ -10,12 +10,14 @@ from nega3 import (
     Code,
     CodeSpec,
     Finding,
+    GammaSet,
     Gf3Vector,
     LengthMismatchError,
     NeighborCodeError,
     NeighborMembershipError,
     NeighborWeightError,
     NoveltyReport,
+    Registry,
     RegistryError,
     SearchPlan,
     build_generator,
@@ -27,7 +29,6 @@ from nega3 import (
     novelty_report,
     read_findings,
     run_search,
-    satisfies_conditions,
 )
 from nega3.search import _block_pool, _DualSpace
 
@@ -118,8 +119,7 @@ class TestExhaustive:
             assert is_self_dual(f.spec)
             code = build_generator(f.spec)
             assert min_weight(code) == f.d >= 3
-            assert satisfies_conditions(
-                2, [f.spec.r1, f.spec.r2, f.spec.r3], 3)
+            assert naive.conditions(2, [r.entries() for r in f.spec.rows], 3)
 
     def test_output_sorted_by_f_triple(self, n2_results):
         keys = [f.sort_key() for f in n2_results]
@@ -142,6 +142,16 @@ class TestExhaustive:
         plan = SearchPlan(block_size=2)
         par = list(run_search(plan, registry=registry, workers=3))
         assert [_as_key(f) for f in par] == [_as_key(f) for f in n2_results]
+
+    def test_workers_use_callers_registry(self):
+        # beta sets and novelty come from the registry passed in, whatever
+        # the worker count
+        custom = Registry(gamma_sets={"g12": GammaSet("g12", 12, frozenset({1}))})
+        plan = SearchPlan(block_size=2)
+        seq = [f.to_record() for f in run_search(plan, registry=custom)]
+        par = [f.to_record() for f in run_search(plan, registry=custom, workers=2)]
+        assert par == seq
+        assert any(r["sets"] == ["g12"] and not r["novelty"] for r in seq)
 
     def test_candidates_without_verification(self):
         structural, _ = naive.reduced_space_findings(2, 3)
@@ -232,6 +242,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="plan"):
             list(run_search(SearchPlan(block_size=2, target="extremal"),
                             registry=registry, checkpoint=path))
+
+    def test_sampled_with_checkpoint_rejected(self, tmp_path, registry):
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2, mode="sampled", seed=1, budget=5)
+        with pytest.raises(ValueError, match="sampled"):
+            run_search(plan, registry=registry, checkpoint=path)
+        assert not path.exists()
 
     def test_workers_with_checkpoint_rejected(self, tmp_path, registry):
         with pytest.raises(ValueError):
