@@ -2,8 +2,9 @@
 """Exhaust the block-size-2 space and print everything it contains.
 
 Length 12 is small enough to enumerate completely, so it doubles as a
-worked example of the reduced search order: run with -v to see the
-findings stream in ascending (f(r1), f(r2), f(r3)) order.
+worked example of the reduced search order: the findings stream comes out
+in ascending (f(r1), f(r2), f(r3)) order, each followed by its complete
+weight distribution.
 """
 
 import argparse

@@ -270,10 +270,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="number of sampled trials")
     p.add_argument("--partition", default="0/1", metavar="I/N",
                    help="process share I of N round-robin shares (default 0/1)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default 1); at most one per core is started")
     p.add_argument("--checkpoint", type=Path,
-                   help="cursor file for resumable exhaustive runs (single worker "
-                        "only; refused in sampled mode)")
+                   help="log file for a resumable exhaustive run: rerun with the same "
+                        "file, and any --workers, to continue (refused in sampled mode)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gleason", help="print the enumerator family for a length")

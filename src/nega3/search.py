@@ -18,23 +18,28 @@ exits.  run_search additionally prunes rows whose diagonal Gram identity
 fails and r1 choices whose n-row subcode already contains a word below the
 target weight, then verifies each survivor end to end.
 
-Exhaustive runs shard by round-robin over r1 candidates (partition index and
-total), checkpoint their cursor plus all findings atomically, and can fan
-out over worker processes; results are merged in (f(r1), f(r2), f(r3))
-order so the output is identical for any worker count.  Sampled runs derive
-an independent generator per trial from the plan seed, so they too are
-reproducible and shardable.
+A run is a sequence of work units: one r1 in exhaustive mode, keyed by
+f(r1), one trial in sampled mode, each trial drawing from its own generator
+seeded by (plan seed, trial index).  A partition (index, total) takes every
+total-th unit.  Units run inline with one worker or in a process pool with
+more, and one merge builds their findings in unit order, so the output is
+the same for any worker count.  An exhaustive run can keep an append-only
+checkpoint log of its merged units, which a rerun with any worker count
+resumes.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
 import itertools
 import json
 import logging
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -113,17 +118,6 @@ class SearchPlan:
             "partition": list(self.partition),
             "budget": self.budget,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SearchPlan":
-        return cls(
-            block_size=d["block_size"],
-            target=d["target"],
-            mode=d["mode"],
-            seed=d["seed"],
-            partition=tuple(d["partition"]),
-            budget=d["budget"],
-        )
 
 
 @dataclass(frozen=True)
@@ -205,16 +199,17 @@ class _PoolVec(NamedTuple):
     weight: int
 
 
-def _block_pool(m: int) -> list[_PoolVec]:
+@functools.cache
+def _block_pool(m: int) -> tuple[_PoolVec, ...]:
     """All width-m vectors allowed as r1 blocks (zero or leading 1), in
-    ascending f order."""
+    ascending f order.  Cached: every sampled trial draws from it."""
     pool = []
     for f in range(3**m):
         v = vector_from_f(m, f)
         nz = v.first_nonzero()
         if nz is None or nz[1] == 1:
             pool.append(_PoolVec(f, v, v.weight()))
-    return pool
+    return tuple(pool)
 
 
 class _DualSpace:
@@ -279,83 +274,58 @@ def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
     return min_weight(Code(n6, rows), abort_below=d) >= d
 
 
-# -- exhaustive engine ----------------------------------------------------------
+# -- work units -----------------------------------------------------------------
 
 
-def _iter_exhaustive(
-    plan: SearchPlan,
-    *,
-    verified: bool,
-    cursor: tuple[int | None, int | None, int | None] = (None, None, None),
-    sub: tuple[int, int] = (0, 1),
-) -> Iterator[tuple]:
-    """Core enumeration, emitting events:
-
-    ("spec", CodeSpec), ("r1_start", f1), ("r2_done", f1, f2), ("r1_done", f1).
-
-    verified adds the diagonal Gram and minimum-weight prunes (sound:
-    they only drop candidates that could never verify).  cursor resumes
-    from checkpoint state; sub is a worker's round-robin share of this
-    plan's partition.
-    """
+def _units(plan: SearchPlan) -> Iterator[int]:
+    """This run's work units in order: the f(r1) of each r1 in the plan's
+    round-robin share, ascending (exhaustive), or its trial indices
+    (sampled)."""
+    index, total = plan.partition
+    if plan.mode == "sampled":
+        assert plan.budget is not None
+        yield from range(index, plan.budget, total)
+        return
     m = plan.block_size
-    width = 3 * m
     d = plan.target_min_weight
     shift = 3**m
-    index, total = plan.partition
-    r1_done_f, r1_active_f, r2_done_f = cursor
-
-    pool = _block_pool(m)
     rank = 0
-    slot = 0
-    for x, y, z in itertools.combinations_with_replacement(pool, 3):
+    for x, y, z in itertools.combinations_with_replacement(_block_pool(m), 3):
         w = x.weight + y.weight + z.weight
         if w % 3 != 2 or w < d - 1:
             continue
-        mine = rank % total == index
+        if rank % total == index:
+            yield z.f + shift * y.f + shift * shift * x.f  # blocks z, y, x: non-increasing f
         rank += 1
-        if not mine:
+
+
+def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[CodeSpec]:
+    """The specs of one unit that pass the structural constraints: every
+    (r2, r3) of r1 = vector_from_f(3n, unit) in ascending (f(r2), f(r3))
+    order, or the spec drawn by one sampled trial.
+
+    verified adds the diagonal Gram and minimum-weight prunes (sound:
+    they only drop candidates that could never verify).
+    """
+    if plan.mode == "sampled":
+        spec = _sample_spec(plan, unit, verified)
+        if spec is not None:
+            yield spec
+        return
+    m = plan.block_size
+    width = 3 * m
+    d = plan.target_min_weight
+    r1 = vector_from_f(width, unit)
+    if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
+        return
+    span1 = block_row_vectors(m, r1)
+    for r2 in _DualSpace(span1, width).ascending_f(limit=unit):
+        if not _row_passes(r2, d) or (verified and not row_gram_is_two(m, r2)):
             continue
-        ours = slot % sub[1] == sub[0]
-        slot += 1
-        if not ours:
-            continue
-
-        b1, b2, b3 = z, y, x  # non-increasing f left to right
-        f1 = b1.f + shift * b2.f + shift * shift * b3.f
-        if r1_done_f is not None and f1 <= r1_done_f:
-            continue
-        r2_skip = r2_done_f if (r1_active_f is not None and f1 == r1_active_f) else None
-
-        r1 = b1.vec.concat(b2.vec).concat(b3.vec)
-        yield ("r1_start", f1)
-        if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
-            yield ("r1_done", f1)
-            continue
-
-        span1 = block_row_vectors(m, r1)
-        dual1 = _DualSpace(span1, width)
-        for r2 in dual1.ascending_f(limit=f1):
-            if not _row_passes(r2, d):
-                continue
-            f2 = f_value(r2)
-            if r2_skip is not None and f2 <= r2_skip:
-                continue
-            if verified and not row_gram_is_two(m, r2):
-                yield ("r2_done", f1, f2)
-                continue
-            dual2 = _DualSpace(span1 + block_row_vectors(m, r2), width)
-            for r3 in dual2.ascending_f(limit=f2):
-                if not _row_passes(r3, d):
-                    continue
-                if verified and not row_gram_is_two(m, r3):
-                    continue
-                yield ("spec", CodeSpec(m, r1, r2, r3))
-            yield ("r2_done", f1, f2)
-        yield ("r1_done", f1)
-
-
-# -- sampled engine -------------------------------------------------------------
+        dual2 = _DualSpace(span1 + block_row_vectors(m, r2), width)
+        for r3 in dual2.ascending_f(limit=f_value(r2)):
+            if _row_passes(r3, d) and (not verified or row_gram_is_two(m, r3)):
+                yield CodeSpec(m, r1, r2, r3)
 
 
 def _sample_dual(
@@ -378,9 +348,11 @@ def _sample_dual(
     return None
 
 
-def _sample_spec(
-    pool: list[_PoolVec], m: int, d: int, rng: random.Random, want_self_dual: bool
-) -> CodeSpec | None:
+def _sample_spec(plan: SearchPlan, trial: int, want_self_dual: bool) -> CodeSpec | None:
+    m = plan.block_size
+    d = plan.target_min_weight
+    pool = _block_pool(m)
+    rng = random.Random(f"{plan.seed}:{trial}")
     shift = 3**m
     width = 3 * m
     r1 = None
@@ -412,31 +384,6 @@ def _sample_spec(
     return CodeSpec(m, r1, r2, r3)
 
 
-def _iter_sampled(
-    plan: SearchPlan, *, want_self_dual: bool, sub: tuple[int, int] = (0, 1)
-) -> Iterator[CodeSpec]:
-    """Yield one spec per successful trial.  Each trial draws from its own generator
-    seeded by (plan seed, trial index), so outcomes do not depend on how
-    trials are distributed over partitions or workers."""
-    m = plan.block_size
-    d = plan.target_min_weight
-    index, total = plan.partition
-    pool = _block_pool(m)
-    slot = 0
-    assert plan.budget is not None
-    for trial in range(plan.budget):
-        if trial % total != index:
-            continue
-        ours = slot % sub[1] == sub[0]
-        slot += 1
-        if not ours:
-            continue
-        rng = random.Random(f"{plan.seed}:{trial}")
-        spec = _sample_spec(pool, m, d, rng, want_self_dual)
-        if spec is not None:
-            yield spec
-
-
 # -- public operations ----------------------------------------------------------
 
 
@@ -447,12 +394,8 @@ def enumerate_candidates(plan: SearchPlan) -> Iterator[CodeSpec]:
     the plan's partition completely in ascending (f(r1), f(r2), f(r3))
     order, sampled mode draws with the plan's seeded generator.
     """
-    if plan.mode == "sampled":
-        yield from _iter_sampled(plan, want_self_dual=False)
-        return
-    for event in _iter_exhaustive(plan, verified=False):
-        if event[0] == "spec":
-            yield event[1]
+    for unit in _units(plan):
+        yield from _unit_specs(plan, unit, verified=False)
 
 
 def beta_set_matches(registry: Registry, length: int, beta: int | None) -> tuple[str, ...]:
@@ -492,143 +435,153 @@ def _candidate_alpha(spec: CodeSpec, plan: SearchPlan) -> int | None:
     return count_weight(code, d)
 
 
-def _verify_candidate(spec: CodeSpec, plan: SearchPlan, registry: Registry) -> Finding | None:
-    alpha = _candidate_alpha(spec, plan)
-    if alpha is None:
-        return None
-    return make_finding(registry, "spec", plan.length, plan.target_min_weight, alpha, spec=spec)
-
-
-@dataclass
-class _CheckpointState:
-    plan: SearchPlan
-    r1_done_f: int | None = None
-    r1_active_f: int | None = None
-    r2_done_f: int | None = None
-    complete: bool = False
-    findings: list[Finding] = field(default_factory=list)
-
-    def cursor(self) -> tuple[int | None, int | None, int | None]:
-        return (self.r1_done_f, self.r1_active_f, self.r2_done_f)
-
-    def write(self, path: Path):
-        doc = {
-            "version": 1,
-            "plan": self.plan.to_dict(),
-            "r1_done_f": self.r1_done_f,
-            "r1_active_f": self.r1_active_f,
-            "r2_done_f": self.r2_done_f,
-            "complete": self.complete,
-            "findings": [f.to_record() for f in self.findings],
-        }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(doc, indent=1) + "\n")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load_or_new(cls, path: Path | None, plan: SearchPlan) -> "_CheckpointState":
-        if path is None or not path.exists():
-            return cls(plan)
-        doc = json.loads(path.read_text())
-        if doc.get("version") != 1:
-            raise ValueError(f"unknown checkpoint version in {path}")
-        if doc["plan"] != plan.to_dict():
-            raise ValueError(
-                f"checkpoint {path} was written for a different plan: {doc['plan']}"
-            )
-        state = cls(
-            plan,
-            r1_done_f=doc["r1_done_f"],
-            r1_active_f=doc["r1_active_f"],
-            r2_done_f=doc["r2_done_f"],
-            complete=doc["complete"],
-            findings=[Finding.from_record(r) for r in doc["findings"]],
-        )
-        return state
-
-
-def _run_exhaustive_seq(
-    plan: SearchPlan,
-    registry: Registry,
-    checkpoint: Path | None,
-    checkpoint_every: int,
-) -> Iterator[Finding]:
-    state = _CheckpointState.load_or_new(checkpoint, plan)
-    yield from state.findings
-    if state.complete:
-        return
-    since_write = 0
-    for event in _iter_exhaustive(plan, verified=True, cursor=state.cursor()):
-        tag = event[0]
-        if tag == "spec":
-            finding = _verify_candidate(event[1], plan, registry)
-            if finding is not None:
-                state.findings.append(finding)
-                yield finding
-        elif tag == "r1_start":
-            state.r1_active_f = event[1]
-            state.r2_done_f = None
-        elif tag == "r2_done":
-            state.r2_done_f = event[2]
-            since_write += 1
-            if checkpoint is not None and since_write >= checkpoint_every:
-                state.write(checkpoint)
-                since_write = 0
-        elif tag == "r1_done":
-            state.r1_done_f = event[1]
-            state.r1_active_f = None
-            state.r2_done_f = None
-            if checkpoint is not None:
-                state.write(checkpoint)
-                since_write = 0
-    state.complete = True
-    if checkpoint is not None:
-        state.write(checkpoint)
-
-
-def _run_sampled_seq(plan: SearchPlan, registry: Registry) -> Iterator[Finding]:
-    found: dict[CodeSpec, Finding] = {}
-    for spec in _iter_sampled(plan, want_self_dual=True):
-        if spec in found:
-            continue
-        finding = _verify_candidate(spec, plan, registry)
-        if finding is not None:
-            found[spec] = finding
-    yield from sorted(found.values(), key=Finding.sort_key)
-
-
-def _parallel_worker(args: tuple) -> list[tuple[CodeSpec, int]]:
-    """(spec, alpha) for each verified spec of one worker's share.  beta
-    sets and novelty are left to the parent, which holds the registry."""
-    plan_dict, w, workers = args
-    plan = SearchPlan.from_dict(plan_dict)
-    if plan.mode == "sampled":
-        specs = _iter_sampled(plan, want_self_dual=True, sub=(w, workers))
-    else:
-        specs = (event[1] for event in
-                 _iter_exhaustive(plan, verified=True, sub=(w, workers))
-                 if event[0] == "spec")
+def _run_unit(plan: SearchPlan, unit: int) -> list[tuple[CodeSpec, int]]:
+    """(spec, alpha) for each spec of one unit that verifies.  beta sets and
+    novelty are left to the merge, which holds the caller's registry."""
     out = []
-    for spec in specs:
+    for spec in _unit_specs(plan, unit, verified=True):
         alpha = _candidate_alpha(spec, plan)
         if alpha is not None:
             out.append((spec, alpha))
     return out
 
 
-def _run_parallel(plan: SearchPlan, workers: int, registry: Registry) -> Iterator[Finding]:
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_parallel_worker, (plan.to_dict(), w, workers))
-            for w in range(workers)
-        ]
-        # a spec drawn by several sampled trials counts once
-        alphas = dict(pair for fut in futures for pair in fut.result())
-    findings = [
-        make_finding(registry, "spec", plan.length, plan.target_min_weight, alpha, spec=spec)
-        for spec, alpha in alphas.items()
-    ]
-    yield from sorted(findings, key=Finding.sort_key)
+def _map_units(plan: SearchPlan, units: Iterator[int], workers: int) -> Iterator[list]:
+    """_run_unit over the units, results in unit order.
+
+    The pool holds at most one process per worker, per core and per pending
+    unit; with one process the units run inline.  It runs a window of four
+    units per process ahead of the merge, where Executor.map would submit
+    every unit up front: one future per r1, millions at length 36.
+    """
+    head = list(itertools.islice(units, min(workers, os.cpu_count() or 1)))
+    units = itertools.chain(head, units)
+    if len(head) <= 1:
+        for unit in units:
+            yield _run_unit(plan, unit)
+        return
+    with ProcessPoolExecutor(max_workers=len(head)) as pool:
+        window: collections.deque = collections.deque()
+        for unit in units:
+            window.append(pool.submit(_run_unit, plan, unit))
+            if len(window) == 4 * len(head):
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
+def _write_line(path: Path, doc: dict) -> None:
+    """Replace path atomically by one JSON line."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(doc) + "\n")
+    os.replace(tmp, path)
+
+
+class _CheckpointLog:
+    """The append-only checkpoint of an exhaustive run; with no path it
+    records nothing.
+
+    The first line is the header {"version": 2, "plan": ...}.  Each merged
+    unit appends and flushes one line {"unit": f(r1), "findings": [...]}, so
+    a killed run loses only the units not yet merged.  A finished run's log
+    is replaced by the one line {"version": 2, "plan": ..., "complete":
+    true, "findings": [...]}.  Reading validates the header; a final line
+    torn by a kill is dropped, and cut off before the next append.
+    """
+
+    def __init__(self, path: Path | None, plan: SearchPlan):
+        self.path = path
+        self.header = {"version": 2, "plan": plan.to_dict()}
+        self.done: dict[int, list[dict]] = {}
+        self.complete: list[dict] | None = None
+        self._records: list[dict] = []
+        self._end = 0  # bytes up to the end of the last whole line
+        self._file = None
+        if path is None or not path.exists():
+            return
+        data = path.read_bytes()
+        self._end = data.rfind(b"\n") + 1
+        lines = data[: self._end].splitlines()
+        try:
+            header = json.loads(lines[0])
+        except (IndexError, ValueError):
+            header = None
+        if not isinstance(header, dict) or header.get("version") != 2:
+            raise ValueError(f"unknown checkpoint version in {path}")
+        if header.get("plan") != self.header["plan"]:
+            raise ValueError(
+                f"checkpoint {path} was written for a different plan: {header.get('plan')}"
+            )
+        if header.get("complete"):
+            self.complete = header["findings"]
+        for line in lines[1:]:
+            rec = json.loads(line)
+            self.done[rec["unit"]] = rec["findings"]
+
+    def __enter__(self) -> "_CheckpointLog":
+        if self.path is None:
+            return self
+        if self._end:
+            self._file = open(self.path, "a")
+            self._file.truncate(self._end)  # cut a torn last line
+        else:
+            _write_line(self.path, self.header)
+            self._file = open(self.path, "a")
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._file is not None:
+            self._file.close()
+
+    def replay(self, unit: int) -> list[Finding]:
+        records = self.done[unit]
+        self._records.extend(records)
+        return [Finding.from_record(r) for r in records]
+
+    def append(self, unit: int, findings: list[Finding]) -> None:
+        if self._file is None:
+            return
+        records = [f.to_record() for f in findings]
+        self._records.extend(records)
+        self._file.write(json.dumps({"unit": unit, "findings": records}) + "\n")
+        self._file.flush()
+
+    def finish(self) -> None:
+        if self._file is None:
+            return
+        self._file.close()
+        _write_line(self.path, {**self.header, "complete": True, "findings": self._records})
+
+
+def _merge(
+    plan: SearchPlan, registry: Registry, workers: int, ckpt: _CheckpointLog
+) -> Iterator[Finding]:
+    """Findings unit by unit: logged units replayed, the rest run and built
+    with the caller's registry.  Exhaustive findings stream in unit order;
+    sampled ones are deduplicated and sorted at the end."""
+    if ckpt.complete is not None:
+        yield from map(Finding.from_record, ckpt.complete)
+        return
+    found: dict[CodeSpec, Finding] = {}
+    pending = (u for u in _units(plan) if u not in ckpt.done)
+    with ckpt, contextlib.closing(_map_units(plan, pending, workers)) as results:
+        for unit in _units(plan):
+            if unit in ckpt.done:
+                findings = ckpt.replay(unit)
+            else:
+                findings = [
+                    make_finding(registry, "spec", plan.length, plan.target_min_weight,
+                                 alpha, spec=spec)
+                    for spec, alpha in next(results)
+                ]
+                ckpt.append(unit, findings)
+            if plan.mode == "sampled":
+                for f in findings:  # a spec drawn by several trials counts once
+                    found.setdefault(f.spec, f)
+            else:
+                yield from findings
+        ckpt.finish()
+    yield from sorted(found.values(), key=Finding.sort_key)
 
 
 def run_search(
@@ -637,30 +590,31 @@ def run_search(
     registry: Registry | None = None,
     workers: int = 1,
     checkpoint: Path | str | None = None,
-    checkpoint_every: int = 1000,
 ) -> Iterator[Finding]:
     """Search the plan's share of the space and yield verified findings.
 
     Every finding is a self-dual code whose minimum weight equals the
     plan's target exactly, with its weight-d count computed under the
     covering certificate.  Output order is ascending (f(r1), f(r2), f(r3))
-    regardless of mode or worker count.
+    regardless of mode or worker count; exhaustive findings stream as each
+    r1 is merged.
 
     Block sizes with no self-dual codes at all (odd sizes: the code length
     is then 6 mod 12, and self-dual codes need length 0 mod 4) return an
     empty stream immediately.
 
-    Checkpointing is supported for single-worker exhaustive runs: the cursor
-    and the findings so far are written atomically, and a rerun with the
-    same plan and checkpoint file resumes where it stopped.  A checkpoint
-    with workers > 1 or in sampled mode is refused before any work starts.
+    An exhaustive run with a checkpoint logs each merged r1 with its
+    findings.  A rerun with the same plan and file, and any worker count,
+    replays the logged r1 values and computes only the rest, so the stream
+    is the uninterrupted one.  A checkpoint written for another plan or in
+    an unknown format, a checkpoint in sampled mode and workers < 1 are
+    refused when run_search is called, before any work starts.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if workers > 1 and checkpoint is not None:
-        raise ValueError("checkpointing requires workers=1")
     if plan.mode == "sampled" and checkpoint is not None:
         raise ValueError("checkpointing applies to exhaustive runs only, not sampled mode")
+    ckpt = _CheckpointLog(Path(checkpoint) if checkpoint is not None else None, plan)
     if plan.block_size % 2 == 1:
         log.warning(
             "length %d is 6 mod 12; no self-dual code of that length exists, "
@@ -669,12 +623,7 @@ def run_search(
         return iter(())
     if registry is None:
         registry = load_registry()
-    if workers > 1:
-        return _run_parallel(plan, workers, registry)
-    if plan.mode == "sampled":
-        return _run_sampled_seq(plan, registry)
-    path = Path(checkpoint) if checkpoint is not None else None
-    return _run_exhaustive_seq(plan, registry, path, checkpoint_every)
+    return _merge(plan, registry, workers, ckpt)
 
 
 # -- neighbors ------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Exit codes, output formats, and refusal messages of the nega3 command."""
 
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from nega3 import build_generator, is_self_dual, min_weight, read_findings
 from nega3 import verify
 from nega3.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -153,11 +159,49 @@ class TestSearch:
         assert "sampled" in err
         assert not path.exists()
 
-    def test_workers_exclude_checkpoint(self, tmp_path, capsys):
-        rc, _, err = run_cli(capsys, "search", "--n", "2", "--workers", "2",
-                             "--checkpoint", str(tmp_path / "ck.json"))
-        assert rc == 2
-        assert "workers" in err
+    def test_workers_with_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "ck.json"
+        rc, out, _ = run_cli(capsys, "search", "--n", "2", "--workers", "2",
+                             "--checkpoint", str(path))
+        assert rc == 0
+        assert out == run_cli(capsys, "search", "--n", "2")[1]
+        assert json.loads(path.read_text())["complete"]
+
+    def test_kill_and_resume(self, tmp_path, capsys):
+        # shard 0/256 of length 24: 16 r1 units, 468 findings, about 1 s
+        path = tmp_path / "ck.json"
+        argv = ["search", "--n", "4", "--partition", "0/256"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "nega3.cli", *argv, "--checkpoint", str(path)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        ) as child:
+            try:
+                deadline = time.monotonic() + 60
+                while _whole_lines(path) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            finally:
+                child.kill()
+                child.wait(timeout=60)
+        assert child.returncode == -signal.SIGKILL
+        header, *units = path.read_text().splitlines()
+        assert "complete" not in json.loads(header)
+        assert 1 <= len(units) < 16
+
+        rc, resumed, _ = run_cli(capsys, *argv, "--checkpoint", str(path))
+        assert rc == 0
+        rc, whole, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert resumed.splitlines() == whole.splitlines()
+        assert len(whole.splitlines()) == 468
+
+
+def _whole_lines(path):
+    try:
+        return path.read_text().count("\n")
+    except FileNotFoundError:
+        return 0
 
 
 class TestGleason:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from concurrent.futures import Future
 
 import naive
 import pytest
@@ -30,6 +31,7 @@ from nega3 import (
     read_findings,
     run_search,
 )
+from nega3 import search
 from nega3.search import _block_pool, _DualSpace
 
 
@@ -208,40 +210,99 @@ class TestSampled:
         assert len(keys) == len(set(keys))
 
 
+def _records(findings):
+    return [f.to_record() for f in findings]
+
+
+def _log_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestCheckpoint:
     def test_resume_completes_interrupted_run(self, tmp_path, registry):
         path = tmp_path / "ck.json"
         plan = SearchPlan(block_size=2)
-        reference = list(run_search(plan, registry=registry))
+        reference = _records(run_search(plan, registry=registry))
 
         # first pass, interrupted after a slice of the generator
-        gen = run_search(plan, registry=registry, checkpoint=path,
-                         checkpoint_every=1)
-        partial = list(itertools.islice(gen, 2))
+        gen = run_search(plan, registry=registry, checkpoint=path)
+        partial = _records(itertools.islice(gen, 2))
         gen.close()
-        state = json.loads(path.read_text())
-        assert state["version"] == 1
-        assert not state["complete"]
+        assert partial == reference[:2]
+        assert "complete" not in _log_lines(path)[0]
 
-        resumed = list(run_search(plan, registry=registry, checkpoint=path))
-        assert json.loads(path.read_text())["complete"]
-        seen = {_as_key(f) for f in partial} | {_as_key(f) for f in resumed}
-        assert seen == {_as_key(f) for f in reference}
+        resumed = _records(run_search(plan, registry=registry, checkpoint=path))
+        assert resumed == reference
+        (doc,) = _log_lines(path)
+        assert doc["complete"] and doc["findings"] == reference
 
-    def test_finished_checkpoint_short_circuits(self, tmp_path, registry):
+    def test_log_is_header_then_one_line_per_unit(self, tmp_path, registry):
         path = tmp_path / "ck.json"
         plan = SearchPlan(block_size=2)
-        first = list(run_search(plan, registry=registry, checkpoint=path))
-        again = list(run_search(plan, registry=registry, checkpoint=path))
-        assert [_as_key(f) for f in again] == [_as_key(f) for f in first]
+        gen = run_search(plan, registry=registry, checkpoint=path)
+        first = next(gen)
+        header, *units = _log_lines(path)
+        assert header == {"version": 2, "plan": plan.to_dict()}
+        # the first finding's unit is merged, and logged, before it is yielded
+        assert units[-1]["unit"] == first.sort_key()[1]
+        assert units[-1]["findings"][0] == first.to_record()
+        assert all(u["findings"] == [] for u in units[:-1])
+        gen.close()
+
+    def test_torn_last_line_dropped_and_cut(self, tmp_path, registry):
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2)
+        reference = _records(run_search(plan, registry=registry))
+        gen = run_search(plan, registry=registry, checkpoint=path)
+        list(itertools.islice(gen, 2))
+        gen.close()
+        logged = path.read_text()
+        with open(path, "a") as f:
+            f.write('{"unit": 286, "findings": [{"kind": "sp')  # killed mid-write
+
+        # resume for one more unit: the torn piece is gone before the append
+        gen = run_search(plan, registry=registry, checkpoint=path)
+        assert _records(itertools.islice(gen, 3)) == reference[:3]
+        gen.close()
+        text = path.read_text()
+        assert text.startswith(logged)
+        assert [u["unit"] for u in _log_lines(path)[1:]][-2:] == [283, 286]
+
+        resumed = _records(run_search(plan, registry=registry, checkpoint=path))
+        assert resumed == reference
+        assert _log_lines(path)[0]["complete"]
+
+    def test_finished_checkpoint_short_circuits(self, tmp_path, registry, monkeypatch):
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2)
+        first = _records(run_search(plan, registry=registry, checkpoint=path))
+        monkeypatch.setattr(search, "_run_unit", _no_unit_runs)
+        again = _records(run_search(plan, registry=registry, checkpoint=path))
+        assert again == first
 
     def test_plan_mismatch_rejected(self, tmp_path, registry):
         path = tmp_path / "ck.json"
         list(run_search(SearchPlan(block_size=2), registry=registry,
                         checkpoint=path))
         with pytest.raises(ValueError, match="plan"):
-            list(run_search(SearchPlan(block_size=2, target="extremal"),
-                            registry=registry, checkpoint=path))
+            run_search(SearchPlan(block_size=2, target="extremal"),
+                       registry=registry, checkpoint=path)
+
+    @pytest.mark.parametrize("text", [
+        # the single-document format written before the log
+        json.dumps({"version": 1, "plan": SearchPlan(block_size=2).to_dict(),
+                    "r1_done_f": None, "r1_active_f": None, "r2_done_f": None,
+                    "complete": False, "findings": []}, indent=1) + "\n",
+        '{"version": 1}\n',
+        "not a checkpoint",
+        "",
+    ], ids=["v1-document", "v1-line", "no-newline", "empty"])
+    def test_unknown_version_rejected(self, tmp_path, registry, text):
+        path = tmp_path / "ck.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unknown checkpoint version"):
+            run_search(SearchPlan(block_size=2), registry=registry, checkpoint=path)
+        assert path.read_text() == text
 
     def test_sampled_with_checkpoint_rejected(self, tmp_path, registry):
         path = tmp_path / "ck.json"
@@ -250,10 +311,112 @@ class TestCheckpoint:
             run_search(plan, registry=registry, checkpoint=path)
         assert not path.exists()
 
-    def test_workers_with_checkpoint_rejected(self, tmp_path, registry):
-        with pytest.raises(ValueError):
-            run_search(SearchPlan(block_size=2), registry=registry,
-                       checkpoint=tmp_path / "ck.json", workers=2)
+    def test_pool_run_resumes_inline(self, tmp_path, registry):
+        # stopped while two worker processes run units, resumed with one
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2)
+        reference = _records(run_search(plan, registry=registry))
+        gen = run_search(plan, registry=registry, checkpoint=path, workers=2)
+        assert _records(itertools.islice(gen, 3)) == reference[:3]
+        gen.close()
+        resumed = _records(run_search(plan, registry=registry, checkpoint=path,
+                                      workers=1))
+        assert resumed == reference
+
+    def test_inline_run_resumes_in_pool(self, tmp_path, registry):
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2)
+        reference = _records(run_search(plan, registry=registry))
+        gen = run_search(plan, registry=registry, checkpoint=path)
+        list(itertools.islice(gen, 1))
+        gen.close()
+        resumed = _records(run_search(plan, registry=registry, checkpoint=path,
+                                      workers=2))
+        assert resumed == reference
+
+
+def _no_unit_runs(plan, unit):
+    raise AssertionError(f"unit {unit} ran again")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and the
+    units submitted, and runs every call inline, starting no process."""
+
+    def __init__(self, sizes, submitted):
+        self.sizes = sizes
+        self.submitted = submitted
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def submit(self, fn, *args):
+        self.submitted.append(args[1])
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.fixture
+def pool_recorder(monkeypatch):
+    sizes, submitted = [], []
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingPool(sizes, submitted))
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    return sizes, submitted
+
+
+class TestPoolSize:
+    def test_capped_by_cores(self, registry, pool_recorder, n2_results):
+        sizes, _ = pool_recorder
+        found = list(run_search(SearchPlan(block_size=2), registry=registry,
+                                workers=100000))
+        assert sizes == [4]
+        assert _records(found) == _records(n2_results)
+
+    def test_capped_by_pending_units(self, registry, pool_recorder):
+        sizes, _ = pool_recorder
+        # shards i of 4 of the 11 length-12 r1 values hold 3, 3, 3 and 2
+        for index in (1, 3):
+            list(run_search(SearchPlan(block_size=2, partition=(index, 4)),
+                            registry=registry, workers=100000))
+        assert sizes == [3, 2]
+        # one pending unit runs inline
+        list(run_search(SearchPlan(block_size=2, partition=(10, 11)),
+                        registry=registry, workers=100000))
+        assert sizes == [3, 2]
+
+    def test_no_pool_without_pending_units(self, tmp_path, registry, pool_recorder,
+                                           n2_results):
+        sizes, submitted = pool_recorder
+        assert list(run_search(SearchPlan(block_size=2, partition=(15, 16)),
+                               registry=registry, workers=100000)) == []
+        # every unit logged, the run killed before it was marked complete
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2)
+        gen = run_search(plan, registry=registry, checkpoint=path)
+        list(itertools.islice(gen, len(n2_results)))
+        gen.close()
+        assert len(_log_lines(path)) == 1 + 11
+        resumed = list(run_search(plan, registry=registry, checkpoint=path,
+                                  workers=100000))
+        assert _records(resumed) == _records(n2_results)
+        assert sizes == [] and submitted == []
+
+    def test_findings_stream_before_the_last_unit(self, registry, pool_recorder):
+        _, submitted = pool_recorder
+        plan = SearchPlan(block_size=4, partition=(0, 64))
+        gen = run_search(plan, registry=registry, workers=2)
+        first = next(gen)
+        gen.close()
+        assert first.spec is not None
+        assert len(submitted) < 64 == len(list(search._units(plan)))
 
 
 @pytest.fixture(scope="module")
