@@ -9,9 +9,23 @@ code falls short of full on block i.  The run stops when that bound meets
 the best weight seen (for minima) or strictly passes the queried weight
 (for counts), which certifies the answer without visiting all 3^k words.
 
-The expansion itself is vectorized: packed bit planes of whole batches of
-row combinations are walked through the 2^j sign patterns in Gray-code
-order, so each successive pattern costs one bit-sliced vector addition.
+The expansion is vectorized and visits each word the covering needs at
+most once up to sign:
+
+- Supports come from numpy tables of row combinations, streamed in
+  lexicographic order in chunks of at most 65,536 rows.
+- Each message's first coefficient is fixed to 1 and the other j - 1 walk
+  their sign patterns in Gray-code order, one bit-sliced vector addition
+  per pattern.  A word c stands for itself and -c, which shares its weight.
+- Counts need no record of words seen.  A word's message support under a
+  systematic matrix is its weight on that matrix's pivots, so a word is
+  counted only at the first (level, matrix) pair that visits it: the
+  matrix, first in order, on whose pivots its weight is least.
+- Orbit path: when sigma, the simultaneous negashift of the code's six
+  blocks, is an automorphism and every matrix's pivots are whole blocks (as
+  for the (I | M) codes of negacirculant blocks), sigma acts on messages as
+  the blockwise negashift.  Only supports least among their rotations are
+  walked, each weighted by its orbit size.
 
 Full distributions take a different route: the basis is split in half, all
 3^(k - k//2) sums of one half are tabulated, and the table is swept once per
@@ -21,19 +35,22 @@ sum of the other half.  Counts use 64-bit integers throughout and are exact.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from .errors import GuardError, InternalInconsistencyError
-from .gf3 import Code
+from .gf3 import Code, _mk
 
 _LANE_BITS = 64
 _MASK64 = (1 << 64) - 1
 
-# rough throughput used only for guard messages, in codewords per second
-_EVALS_PER_SECOND = 2e7
+# full_distribution throughput, in codewords per second, used only for guard
+# messages: the 3^18 words of the length-36 code C1 take 2.7-3.9 s on one
+# core of a 2-vCPU Xeon VM (1.0e8-1.3e8 words/s)
+_EVALS_PER_SECOND = 1.3e8
 
 FULL_DISTRIBUTION_GUARD_K = 20
 
@@ -84,16 +101,15 @@ def _lanes(n: int) -> int:
     return (n + _LANE_BITS - 1) // _LANE_BITS
 
 
+def _split_lanes(x: int, num_lanes: int) -> list[int]:
+    return [(x >> (_LANE_BITS * lane)) & _MASK64 for lane in range(num_lanes)]
+
+
 def _pack_rows(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     num_lanes = _lanes(n)
-    lo = np.zeros((len(rows), num_lanes), dtype=np.uint64)
-    hi = np.zeros((len(rows), num_lanes), dtype=np.uint64)
-    for i, r in enumerate(rows):
-        xlo, xhi = r._lo, r._hi
-        for lane in range(num_lanes):
-            lo[i, lane] = (xlo >> (_LANE_BITS * lane)) & _MASK64
-            hi[i, lane] = (xhi >> (_LANE_BITS * lane)) & _MASK64
-    return lo, hi
+    lo = np.array([_split_lanes(r._lo, num_lanes) for r in rows], dtype=np.uint64)
+    hi = np.array([_split_lanes(r._hi, num_lanes) for r in rows], dtype=np.uint64)
+    return lo.reshape(len(rows), num_lanes), hi.reshape(len(rows), num_lanes)
 
 
 def _add_planes(alo, ahi, blo, bhi):
@@ -113,6 +129,8 @@ class _InfoSet:
     lo: np.ndarray  # (k, lanes)
     hi: np.ndarray
     deficit: int
+    pivots: list[int]  # pivot column of each row
+    pivot_mask: np.ndarray  # (lanes,) the pivot columns as bits
 
 
 def _information_sets(code: Code) -> list[_InfoSet]:
@@ -134,10 +152,50 @@ def _information_sets(code: Code) -> list[_InfoSet]:
         if not new_pivots:
             break
         lo, hi = _pack_rows(reduced[: code.k], code.n)
-        sets.append(_InfoSet(lo, hi, deficit=code.k - len(new_pivots)))
+        mask = np.array(_split_lanes(sum(1 << p for p in pivots), _lanes(code.n)), dtype=np.uint64)
+        sets.append(_InfoSet(lo, hi, code.k - len(new_pivots), pivots, mask))
         used.update(new_pivots)
     code._cache["infosets"] = sets
     return sets
+
+
+def _orbit_width(code: Code) -> int:
+    """Block width b = n/6 when the scan may visit one support per orbit of
+    sigma, the simultaneous negashift of the code's six width-b blocks;
+    0 when it may not.
+
+    That takes two things.  Sigma must be an automorphism of the code, and
+    every information set's pivots must be whole width-b blocks, each in
+    column order.  Then sigma maps the word of message m to the word of the
+    blockwise negashift of m, and keeps both its weight and its weight on
+    every set's pivots.  The first set is the code's own reduced basis, so
+    sigma is an automorphism exactly when it maps each basis row to plus or
+    minus the row whose pivot is the rotated pivot.  The self-dual (I | M)
+    codes of negacirculant blocks pass: sigma is an automorphism of every
+    (I | M) code, and their information sets are the two halves.
+    """
+    b = code.n // 6
+    # supports are held as 64-bit masks
+    if code.n % 6 or b < 2 or code.k > 64:
+        return 0
+    if not all(_whole_blocks(s.pivots, b) for s in _information_sets(code)):
+        return 0
+    top = sum(1 << (g * b + b - 1) for g in range(6))
+    rows = code.basis
+    for i, r in enumerate(rows):
+        image = _mk(code.n, ((r._lo & ~top) << 1) | ((r._hi & top) >> (b - 1)),
+                    ((r._hi & ~top) << 1) | ((r._lo & top) >> (b - 1)))
+        target = rows[i - i % b + (i + 1) % b]
+        if image != target and image != -target:
+            return 0
+    return b
+
+
+def _whole_blocks(pivots: list[int], b: int) -> bool:
+    """Whether the pivots are whole width-b blocks, each in column order."""
+    return len(pivots) % b == 0 and all(
+        p % b == 0 and pivots[i : i + b] == list(range(p, p + b))
+        for i, p in zip(range(0, len(pivots), b), pivots[::b]))
 
 
 def covering_lower_bound(level: int, deficits: list[int]) -> int:
@@ -147,9 +205,11 @@ def covering_lower_bound(level: int, deficits: list[int]) -> int:
 
 
 def enumeration_cost(k: int, level: int) -> int:
-    """Codeword evaluations one systematic matrix needs through the level."""
-    from math import comb
+    """Codewords one systematic matrix certifies through the level: the
+    C(k, j) 2^j words of message support j, summed over j <= level.
 
+    The scan evaluates fewer: one word of each pair c, -c, and on the orbit
+    path one support per negashift orbit."""
     return sum(comb(k, j) * (1 << j) for j in range(1, min(level, k) + 1))
 
 
@@ -163,7 +223,8 @@ def levels_needed_for_count(code: Code, w: int) -> int:
 
 
 def count_cost(code: Code, w: int) -> int:
-    """Codeword evaluations needed to count weight-w words with certificates."""
+    """Codewords the covering certifies when counting weight-w words (see
+    enumeration_cost); the scan evaluates fewer."""
     sets = _information_sets(code)
     level = levels_needed_for_count(code, w)
     return len(sets) * enumeration_cost(code.k, level)
@@ -171,83 +232,137 @@ def count_cost(code: Code, w: int) -> int:
 
 # -- level scans ---------------------------------------------------------------
 
+_CHUNK = 1 << 16  # most combinations, hence rows per batch, held at once
+
 
 class _Abort(Exception):
     def __init__(self, weight: int):
         self.weight = weight
 
 
-class _ScanStats:
-    """Accumulates results of codeword visits during a level scan."""
-
-    def __init__(self, target: int | None = None, abort_below: int | None = None):
-        self.min_weight: int | None = None
-        self.target = target
-        self.abort_below = abort_below
-        self.matched: set[tuple[int, int]] = set()
-
-    def visit(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        w = _weights_of(lo, hi)
-        batch_min = int(w.min())
-        if self.min_weight is None or batch_min < self.min_weight:
-            self.min_weight = batch_min
-            if self.abort_below is not None and batch_min < self.abort_below:
-                raise _Abort(batch_min)
-        if self.target is not None:
-            for i in np.flatnonzero(w == self.target):
-                self.matched.add(_canonical_key(lo[i], hi[i]))
+def _lex_table(m: int, j: int) -> np.ndarray:
+    """All j-subsets of range(m) in lexicographic order, one per row."""
+    # the subsets with first element a are a followed by the last
+    # C(m - 1 - a, j - 1) rows of the (j - 1)-subsets of range(m - 1), plus 1;
+    # so the table grows from the 0-subsets of range(m - j) one column at a
+    # time, and no intermediate table is larger than the result
+    table = np.zeros((1, 0), dtype=np.intp)
+    for t in range(1, j + 1):
+        span = m - j + t  # the table holds the (t - 1)-subsets of range(span - 1)
+        size = len(table)
+        counts = [comb(span - 1 - a, t - 1) for a in range(span - t + 1)]
+        rows = np.concatenate([np.arange(size - c, size) for c in counts])
+        first = np.repeat(np.arange(len(counts)), counts)
+        table = np.column_stack([first, table[rows] + 1])
+    return table
 
 
-def _canonical_key(lo_lanes: np.ndarray, hi_lanes: np.ndarray) -> tuple[int, int]:
-    """Key identifying a codeword up to sign: planes as ints, leading entry
-    normalized to 1."""
-    lo = hi = 0
-    for lane in range(len(lo_lanes) - 1, -1, -1):
-        lo = (lo << _LANE_BITS) | int(lo_lanes[lane])
-        hi = (hi << _LANE_BITS) | int(hi_lanes[lane])
-    nz = lo | hi
-    if nz & (-nz) & hi:
-        lo, hi = hi, lo
-    return lo, hi
-
-
-def _combo_chunks(k: int, j: int, chunk: int = 1 << 16):
-    it = itertools.combinations(range(k), j)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
-
-
-def _scan_level(iset: _InfoSet, j: int, stats: _ScanStats) -> None:
-    """Visit every codeword whose message support has size exactly j."""
-    k = iset.lo.shape[0]
-    if j > k:
+def _lex_pieces(k: int, j: int, start: int, limit: int):
+    """Consecutive runs, of at most limit rows each, of the lexicographic
+    j-subsets of range(start, k)."""
+    if comb(k - start, j) <= limit:
+        yield _lex_table(k - start, j) + start
         return
+    for a in range(start, k - j + 1):
+        for piece in _lex_pieces(k, j - 1, a + 1, limit):
+            yield np.column_stack([np.full(len(piece), a), piece])
+
+
+def _combo_chunks(k: int, j: int, chunk: int = _CHUNK):
+    """The j-subsets of range(k) in itertools.combinations order, as index
+    arrays of at most chunk rows; the whole table is never built."""
+    pending: list[np.ndarray] = []
+    size = 0
+    for piece in _lex_pieces(k, j, 0, chunk):
+        pending.append(piece)
+        size += len(piece)
+        if size >= chunk:
+            block = np.concatenate(pending)
+            whole = size - size % chunk
+            for s in range(0, whole, chunk):
+                yield block[s : s + chunk]
+            pending, size = [block[whole:]], size - whole
+    if size:
+        yield np.concatenate(pending)
+
+
+def _orbit_reps(combos: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of combos whose support, as a bit mask, is least among its
+    rotations within each width-wide block, with the size of each one's
+    rotation orbit."""
+    masks = np.bitwise_or.reduce(np.uint64(1) << combos.astype(np.uint64), axis=1)
+    top = np.uint64(sum(1 << (g * width + width - 1) for g in range(k // width)))
+    rest = ~top
+    one, wrap = np.uint64(1), np.uint64(width - 1)
+    rot = masks
+    least = np.ones(len(masks), dtype=bool)
+    size = np.full(len(masks), width, dtype=np.uint8)
+    for r in range(1, width):
+        rot = ((rot & rest) << one) | ((rot & top) >> wrap)
+        least &= masks <= rot
+        size[(rot == masks) & (size == width)] = r
+    return combos[least], size[least]
+
+
+def _supports(k: int, j: int, width: int):
+    """The j-subsets of range(k) that _words walks, as chunks (combos, mult).
+
+    Tables that keep at most about one chunk of rows are cached: all codes
+    of one length share them, and building a table costs more than walking
+    it once.  Larger ones are streamed."""
+    if comb(k, j) <= _CHUNK * max(width, 1):
+        return _cached_supports(k, j, width)
+    return _support_chunks(k, j, width)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_supports(k: int, j: int, width: int) -> tuple:
+    chunks = tuple((combos.astype(np.min_scalar_type(k)), mult)
+                   for combos, mult in _support_chunks(k, j, width))
+    for combos, mult in chunks:  # shared by every later caller
+        combos.flags.writeable = mult.flags.writeable = False
+    return chunks
+
+
+def _support_chunks(k: int, j: int, width: int):
     for combos in _combo_chunks(k, j):
+        if not width:
+            yield combos, np.ones(len(combos), dtype=np.uint8)
+            continue
+        combos, mult = _orbit_reps(combos, k, width)
+        if len(combos):
+            yield combos, mult
+
+
+def _words(iset: _InfoSet, j: int, width: int):
+    """The codewords of the messages of support size j, as batches
+    (lo, hi, mult).
+
+    Each message's first nonzero coefficient is fixed to 1, so a batch holds
+    one word of each pair c, -c, which share their weight and their pivot
+    weights.  The other j - 1 coefficients are walked through their 2^(j-1)
+    sign patterns in Gray-code order, each step one bit-sliced vector
+    addition.  With a width (see _orbit_width) only supports least among
+    their rotations are walked, and mult holds each support's orbit size,
+    the number of supports whose words the batch stands for; otherwise
+    mult is all ones.
+    """
+    for combos, mult in _supports(iset.lo.shape[0], j, width):
         glo = [iset.lo[combos[:, t]] for t in range(j)]
         ghi = [iset.hi[combos[:, t]] for t in range(j)]
-        lo, hi = glo[0].copy(), ghi[0].copy()
+        lo, hi = glo[0], ghi[0]
         for t in range(1, j):
             lo, hi = _add_planes(lo, hi, glo[t], ghi[t])
-        stats.visit(lo, hi)
-        # remaining sign patterns in Gray order: flipping pattern bit t takes
-        # that coefficient from 1 to 2 (add the row) or back (add its
-        # negation, i.e. the row with planes swapped)
-        for i in range(1, 1 << j):
-            t = (i & -i).bit_length() - 1
-            set_now = ((i ^ (i >> 1)) >> t) & 1
-            if set_now:
+        yield lo, hi, mult
+        # flipping pattern bit t - 1 takes coefficient t from 1 to 2 (add the
+        # row) or back (add its negation, i.e. the row with planes swapped)
+        for i in range(1, 1 << (j - 1)):
+            t = (i & -i).bit_length()
+            if ((i ^ (i >> 1)) >> (t - 1)) & 1:
                 lo, hi = _add_planes(lo, hi, glo[t], ghi[t])
             else:
                 lo, hi = _add_planes(lo, hi, ghi[t], glo[t])
-            stats.visit(lo, hi)
-
-
-def _scan_level_all(sets: list[_InfoSet], j: int, stats: _ScanStats) -> None:
-    for s in sets:
-        _scan_level(s, j, stats)
+            yield lo, hi, mult
 
 
 def min_weight(code: Code, abort_below: int | None = None) -> int:
@@ -273,24 +388,34 @@ def min_weight(code: Code, abort_below: int | None = None) -> int:
 def _min_weight_scan(code: Code, abort_below: int | None) -> int:
     """The covering scan behind min_weight; raises _Abort on an early exit."""
     sets = _information_sets(code)
+    width = _orbit_width(code)
     deficits = [s.deficit for s in sets]
-    stats = _ScanStats(abort_below=abort_below)
+    best = code.n + 1
     for j in range(1, code.k + 1):
-        _scan_level_all(sets, j, stats)
-        assert stats.min_weight is not None
-        if covering_lower_bound(j, deficits) >= stats.min_weight:
-            return stats.min_weight
-    return stats.min_weight  # every message enumerated
+        for s in sets:
+            for lo, hi, _ in _words(s, j, width):
+                w = int(_weights_of(lo, hi).min())
+                if w < best:
+                    best = w
+                    if abort_below is not None and w < abort_below:
+                        raise _Abort(w)
+        if covering_lower_bound(j, deficits) >= best:
+            return best
+    return best  # every message enumerated
 
 
 def count_weight(code: Code, w: int) -> int:
     """Exact number of codewords of weight w.
 
     Runs the covering enumeration until its bound strictly exceeds w, so
-    every weight-w word has been seen; words found through several
-    systematic matrices are deduplicated by a sign-normalized key.  When a
-    straight sweep of all 3^k codewords is cheaper, delegates to
-    full_distribution instead (both routes are exact).
+    every weight-w word is visited.  A word is counted only at the first
+    (level, information set) pair that visits it: its message support under
+    set i is its weight on set i's pivots, so it is counted under the first
+    set on whose pivots its weight is least.  Each visited word stands for
+    itself and its negation, and on the orbit path for its whole negashift
+    orbit (see _words), so no word is kept or compared.  When a straight
+    sweep of all 3^k codewords is cheaper, delegates to full_distribution
+    instead (both routes are exact).
     """
     if w < 1:
         raise ValueError("count_weight takes a positive weight")
@@ -301,10 +426,18 @@ def count_weight(code: Code, w: int) -> int:
     bz_cost = len(sets) * enumeration_cost(code.k, level)
     if code.k <= 22 and 3**code.k < bz_cost:
         return full_distribution(code, allow_long=True).counts.get(w, 0)
-    stats = _ScanStats(target=w)
+    width = _orbit_width(code)
+    pivot_masks = np.stack([s.pivot_mask for s in sets])
+    total = 0
     for j in range(1, level + 1):
-        _scan_level_all(sets, j, stats)
-    return 2 * len(stats.matched)
+        for i, s in enumerate(sets):
+            for lo, hi, mult in _words(s, j, width):
+                hit = np.flatnonzero(_weights_of(lo, hi) == w)
+                if hit.size:
+                    on_pivots = (lo[hit] | hi[hit])[:, None, :] & pivot_masks
+                    first = np.bitwise_count(on_pivots).sum(axis=-1).argmin(axis=1) == i
+                    total += int(mult[hit[first]].sum())
+    return 2 * total
 
 
 def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:

@@ -87,10 +87,10 @@ class TestFingerprint:
         assert not fingerprint(tetracode).matches(fingerprint(pless_symmetry(5)))
 
 
-@pytest.mark.long
 class TestEquivalenceSignals:
-    """Slow cross-checks between the residue codes and stored builds."""
+    """Cross-checks between the residue codes and stored builds."""
 
+    @pytest.mark.long
     def test_p36_matches_c36(self, registry):
         ours = fingerprint(build_generator(registry.entry("C36").spec), depth="extended")
         theirs = fingerprint(pless_symmetry(17), depth="extended")
@@ -98,6 +98,8 @@ class TestEquivalenceSignals:
         assert dict(ours.deeper_counts) == {15: 1400256, 18: 18452280}
 
     def test_length48_quartet(self, registry):
+        # C48 and C'48 are scanned over negashift orbits, QR48 and Pless(23)
+        # on the generic path
         c48 = fingerprint(build_generator(registry.entry("C48").spec))
         cp48 = fingerprint(build_generator(registry.entry("C'48").spec))
         assert fingerprint(extended_qr48()).matches(c48)

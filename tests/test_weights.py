@@ -1,22 +1,32 @@
 """Minimum-weight engine against full enumeration on small codes."""
 
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import naive
 from nega3 import (
     Code,
+    CodeSpec,
     ExtremalityClass,
     GuardError,
     Gf3Vector,
+    SearchPlan,
+    build_generator,
     classify,
     count_weight,
     full_distribution,
+    is_self_dual,
     min_weight,
     ms_bound,
     near_extremal_weight,
+    weights,
 )
+from nega3.search import _sample_spec
 
 
 def _random_code(rng, n, nrows):
@@ -68,6 +78,80 @@ class TestMinWeight:
         with pytest.raises(ValueError):
             count_weight(c, 0)
         assert count_weight(c, 5) == 0
+
+
+class TestComboChunks:
+    @pytest.mark.parametrize("chunk", [1, 7, 64, weights._CHUNK])
+    def test_lexicographic_across_chunk_boundaries(self, chunk):
+        for k in range(13):
+            for j in range(k + 1):
+                chunks = list(weights._combo_chunks(k, j, chunk))
+                assert all(1 <= len(c) <= chunk for c in chunks)
+                got = [tuple(int(x) for x in row) for c in chunks for row in c]
+                assert got == list(itertools.combinations(range(k), j)), (k, j)
+
+    def test_first_chunk_of_a_large_table(self):
+        # the whole C(30, 9) table would take 982 MB as intp
+        start = time.perf_counter()
+        first = next(weights._combo_chunks(30, 9))
+        assert time.perf_counter() - start < 2.0
+        assert len(first) <= weights._CHUNK
+        want = itertools.islice(itertools.combinations(range(30), 9), len(first))
+        assert [tuple(int(x) for x in row) for row in first] == list(want)
+
+
+def _permuted(code, rng):
+    """The code with its columns shuffled: the same weights, but no longer
+    invariant under the blockwise negashift, so scanned on the generic path."""
+    perm = list(range(code.n))
+    while True:
+        rng.shuffle(perm)
+        other = Code(code.n, [Gf3Vector([r[p] for p in perm]) for r in code.basis])
+        if not weights._orbit_width(other):
+            return other
+
+
+def _weights_at_d_and_d3(code):
+    d = min_weight(code)
+    return d, count_weight(code, d), count_weight(code, d + 3)
+
+
+def _check_against_generic(code, seed):
+    other = _permuted(code, random.Random(seed))
+    got = _weights_at_d_and_d3(code)
+    assert got == _weights_at_d_and_d3(other)
+    if code.n == 12:
+        dist = naive.distribution([r.entries() for r in code.basis])
+        d = min(w for w in dist if w)
+        assert got == (d, dist[d], dist.get(d + 3, 0))
+
+
+class TestOrbitPath:
+    """Codes scanned over negashift orbits against their column-permuted
+    copies, which the generic path scans."""
+
+    @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
+    def test_random_specs(self, m, seed):
+        # every length-12 spec takes the orbit path, about four in five at
+        # length 24; the rest (singular M) compare two generic scans
+        rng = random.Random(seed)
+        rows = [[rng.randrange(3) for _ in range(3 * m)] for _ in range(3)]
+        _check_against_generic(build_generator(CodeSpec.from_entry_rows(rows)), seed)
+
+    @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
+    def test_random_self_dual_specs(self, m, seed):
+        plan = SearchPlan(m, mode="sampled", seed=seed, budget=1)
+        spec = next(filter(None, (_sample_spec(plan, t, True) for t in itertools.count())))
+        assert is_self_dual(spec)
+        code = build_generator(spec)
+        assert weights._orbit_width(code) == m
+        _check_against_generic(code, seed)
+
+    @pytest.mark.parametrize("label", ["C1", "C2", "C3", "C4", "C36"])
+    def test_stored_length36_specs(self, registry, label):
+        code = registry.entry(label).build()
+        assert weights._orbit_width(code) == 6
+        _check_against_generic(code, 36)
 
 
 class TestFullDistribution:
