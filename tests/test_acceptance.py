@@ -58,7 +58,6 @@ def test_length36_builds_with_certificates(registry):
           f"beta 6,7,10,91 ({elapsed:.1f}s)")
 
 
-@pytest.mark.long
 def test_extremal_builds_and_reference_code_fingerprints(registry):
     t0 = time.time()
     c36 = fingerprint(build_generator(registry.entry("C36").spec),

@@ -90,7 +90,6 @@ class TestFingerprint:
 class TestEquivalenceSignals:
     """Cross-checks between the residue codes and stored builds."""
 
-    @pytest.mark.long
     def test_p36_matches_c36(self, registry):
         ours = fingerprint(build_generator(registry.entry("C36").spec), depth="extended")
         theirs = fingerprint(pless_symmetry(17), depth="extended")

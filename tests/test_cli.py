@@ -88,6 +88,13 @@ class TestVerify:
         assert rc == 0
         assert "Gleason-consistent (full distribution)" in out
 
+    @pytest.mark.long
+    def test_deep_allow_long_c48(self, capsys):
+        # 411 * 3^16 of the 3^24 words over negashift orbits, about 210 s on one core
+        rc, out, _ = run_cli(capsys, "verify", "--deep", "--allow-long", "--registry", "C48")
+        assert rc == 0
+        assert "Gleason-consistent (full distribution)" in out
+
     def test_deep_guard_at_length48(self, capsys, no_code_work):
         rc, _, err = run_cli(capsys, "verify", "--deep", "--registry", "C48")
         assert rc == 3

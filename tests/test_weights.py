@@ -23,6 +23,7 @@ from nega3 import (
     is_self_dual,
     min_weight,
     ms_bound,
+    near_extremal_family,
     near_extremal_weight,
     weights,
 )
@@ -126,9 +127,16 @@ def _check_against_generic(code, seed):
         assert got == (d, dist[d], dist.get(d + 3, 0))
 
 
+def _check_sweep_against_generic(code, seed):
+    got = full_distribution(code).counts
+    assert got == full_distribution(_permuted(code, random.Random(seed))).counts
+    if code.n == 12:
+        assert got == naive.distribution([r.entries() for r in code.basis])
+
+
 class TestOrbitPath:
-    """Codes scanned over negashift orbits against their column-permuted
-    copies, which the generic path scans."""
+    """Codes scanned and swept over negashift orbits against their
+    column-permuted copies, which take the generic path."""
 
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_random_specs(self, m, seed):
@@ -136,7 +144,9 @@ class TestOrbitPath:
         # length 24; the rest (singular M) compare two generic scans
         rng = random.Random(seed)
         rows = [[rng.randrange(3) for _ in range(3 * m)] for _ in range(3)]
-        _check_against_generic(build_generator(CodeSpec.from_entry_rows(rows)), seed)
+        code = build_generator(CodeSpec.from_entry_rows(rows))
+        _check_against_generic(code, seed)
+        _check_sweep_against_generic(code, seed)
 
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_random_self_dual_specs(self, m, seed):
@@ -146,6 +156,7 @@ class TestOrbitPath:
         code = build_generator(spec)
         assert weights._orbit_width(code) == m
         _check_against_generic(code, seed)
+        _check_sweep_against_generic(code, seed)
 
     @pytest.mark.parametrize("label", ["C1", "C2", "C3", "C4", "C36"])
     def test_stored_length36_specs(self, registry, label):
@@ -181,6 +192,60 @@ class TestFullDistribution:
         with pytest.raises(GuardError) as exc:
             full_distribution(c)
         assert exc.value.estimate == 3**21
+
+
+def _negashift_orbits(b):
+    """Every negashift orbit of F_3^b, enumerated one message at a time."""
+    orbits = {}
+    for x in itertools.product(range(3), repeat=b):
+        orbit, y = set(), x
+        while y not in orbit:
+            orbit.add(y)
+            y = ((-y[-1]) % 3,) + y[:-1] if b else y
+        orbits[frozenset(orbit)] = None
+    return list(orbits)
+
+
+def _index(x):
+    return sum(v * 3**t for t, v in enumerate(x))
+
+
+class TestOrbitSweep:
+    """full_distribution over one first-block message per negashift orbit;
+    TestOrbitPath also checks it on random specs."""
+
+    @pytest.mark.parametrize("b", range(2, 11))
+    def test_orbit_sizes_sum_to_the_space(self, b):
+        sizes = weights._negashift_orbit_sizes(b)
+        assert len(sizes) == 3**b
+        assert sizes.sum() == 3**b
+        assert set(sizes[sizes > 0].tolist()) <= {r for r in range(1, 2 * b + 1) if 2 * b % r == 0}
+
+    @pytest.mark.parametrize("b", range(0, 5))
+    def test_orbit_sizes_against_enumeration(self, b):
+        want = [0] * 3**b
+        for orbit in _negashift_orbits(b):
+            want[min(_index(x) for x in orbit)] = len(orbit)
+        assert weights._negashift_orbit_sizes(b).tolist() == want
+
+    def test_first_block_wider_than_half_the_basis(self):
+        # a [12, 2] code with sigma as an automorphism and whole-block pivots,
+        # whose first half (one row) cannot hold the first block
+        rows = [Gf3Vector([1, 0, 1, 0] + [0] * 8), Gf3Vector([0, 1, 0, 1] + [0] * 8)]
+        code = Code(12, rows)
+        assert weights._orbit_width(code) == 2
+        _check_sweep_against_generic(code, 0)
+
+    # words of weight 9: eight times beta for the near-extremal C1-C4, none
+    # for the extremal C36
+    @pytest.mark.parametrize("label,alpha", [
+        ("C1", 48), ("C2", 56), ("C3", 80), ("C4", 728), ("C36", 0)])
+    def test_stored_length36_specs_match_their_family_member(self, registry, label, alpha):
+        code = registry.entry(label).build()
+        assert weights._orbit_width(code) == 6
+        want = near_extremal_family(36).at(alpha)
+        got = full_distribution(code).counts
+        assert [got.get(e, 0) for e in range(37)] == [want.coefficient(e) for e in range(37)]
 
 
 class TestBoundsAndClasses:
