@@ -20,7 +20,7 @@ from .errors import (
     RegistryError,
     VectorFileError,
 )
-from .gf3 import Code, Gf3Matrix, Gf3Vector, rref
+from .gf3 import Code, Gf3Vector
 from .gleason import (
     AlphaConstraint,
     EnumeratorFamily,
@@ -37,11 +37,8 @@ from .nega import (
     block_row_vectors,
     build_generator,
     f_value,
-    generator_matrix,
     is_self_dual,
-    nega_matrix,
     negashift,
-    right_half_matrix,
     row_gram_is_two,
     row_pair_gram,
     self_dual_violations,
@@ -95,7 +92,6 @@ __all__ = [
     "Finding",
     "Fingerprint",
     "GammaSet",
-    "Gf3Matrix",
     "Gf3Vector",
     "GuardError",
     "IntPoly",
@@ -130,7 +126,6 @@ __all__ = [
     "fingerprint",
     "format_vector_record",
     "full_distribution",
-    "generator_matrix",
     "gleason_basis",
     "ingest_vector_file",
     "is_self_dual",
@@ -139,17 +134,14 @@ __all__ = [
     "ms_bound",
     "near_extremal_family",
     "near_extremal_weight",
-    "nega_matrix",
     "negashift",
     "neighbor",
     "neighbor_sweep",
     "novelty_report",
     "pless_symmetry",
     "read_findings",
-    "right_half_matrix",
     "row_gram_is_two",
     "row_pair_gram",
-    "rref",
     "run_search",
     "self_dual_violations",
     "vector_from_f",

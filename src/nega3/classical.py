@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
-from .gf3 import Code, Gf3Matrix, Gf3Vector
+from .gf3 import Code, Gf3Vector
 from .weights import count_weight, min_weight
 
 
@@ -59,9 +59,8 @@ def pless_symmetry(q: int) -> Code:
         for b in range(q):
             row.append(_legendre(b - a, q) % 3)
         entries.append(row)
-    s = Gf3Matrix.from_entries(entries)
-    g = Gf3Matrix.identity(size).hstack(s)
-    code = Code(2 * size, g.rows)
+    rows = [Gf3Vector([int(j == i) for j in range(size)] + row) for i, row in enumerate(entries)]
+    code = Code(2 * size, rows)
     if not code.is_self_dual():
         raise InternalInconsistencyError(f"symmetry construction for q={q} is not self-dual")
     return code

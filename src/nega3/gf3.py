@@ -153,73 +153,6 @@ class Gf3Vector:
         return f"Gf3Vector([{''.join(str(e) for e in self)}])"
 
 
-class Gf3Matrix:
-    """A matrix over GF(3) stored as a tuple of packed row vectors."""
-
-    __slots__ = ("rows", "_ncols")
-
-    def __init__(self, rows: Sequence[Gf3Vector], ncols: int | None = None):
-        rows = tuple(rows)
-        if rows:
-            ncols = len(rows[0])
-            for r in rows:
-                if len(r) != ncols:
-                    raise LengthMismatchError("ragged rows")
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        self.rows = rows
-        self._ncols = ncols
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]]) -> "Gf3Matrix":
-        return cls([Gf3Vector(row) for row in entries])
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf3Matrix":
-        return cls([_mk(n, 1 << i, 0) for i in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return self._ncols
-
-    def entry(self, i: int, j: int) -> Gf3:
-        return self.rows[i][j]
-
-    def gram(self) -> "Gf3Matrix":
-        """self times its own transpose."""
-        return Gf3Matrix(
-            [Gf3Vector(r.dot(s) for s in self.rows) for r in self.rows],
-            self.nrows,
-        )
-
-    def is_zero(self) -> bool:
-        return all(r.is_zero() for r in self.rows)
-
-    def hstack(self, other: "Gf3Matrix") -> "Gf3Matrix":
-        if self.nrows != other.nrows:
-            raise LengthMismatchError("row counts differ")
-        return Gf3Matrix(
-            [a.concat(b) for a, b in zip(self.rows, other.rows)],
-            self._ncols + other.ncols,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Gf3Matrix):
-            return NotImplemented
-        return self._ncols == other._ncols and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self._ncols, self.rows))
-
-    def __repr__(self) -> str:
-        body = ", ".join(repr(r) for r in self.rows)
-        return f"Gf3Matrix([{body}])"
-
-
 def _rref_rows(
     rows: Sequence[Gf3Vector], column_order: Sequence[int] | None = None
 ) -> tuple[list[Gf3Vector], list[int]]:
@@ -256,15 +189,6 @@ def _rref_rows(
         if top == len(work):
             break
     return work, pivots
-
-
-def rref(matrix: Gf3Matrix) -> tuple[Gf3Matrix, int, list[int]]:
-    """Reduced row echelon form with deterministic first-nonzero pivoting.
-
-    Returns (reduced matrix, rank, pivot columns).
-    """
-    work, pivots = _rref_rows(matrix.rows)
-    return Gf3Matrix(work, matrix.ncols), len(pivots), pivots
 
 
 class Code:
@@ -308,12 +232,10 @@ class Code:
             rows.append(Gf3Vector(entries))
         return Code(self.n, rows)
 
-    def gram_is_zero(self) -> bool:
-        rows = self.basis
-        return all(rows[i].dot(rows[j]) == 0 for i in range(len(rows)) for j in range(i, len(rows)))
-
     def is_self_dual(self) -> bool:
-        return 2 * self.k == self.n and self.gram_is_zero()
+        rows = self.basis
+        return 2 * self.k == self.n and all(
+            rows[i].dot(rows[j]) == 0 for i in range(len(rows)) for j in range(i, len(rows)))
 
     def iter_codewords(self) -> Iterator[Gf3Vector]:
         """Every codeword, by an odometer over the basis.  3^k values; the

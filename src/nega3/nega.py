@@ -12,7 +12,14 @@ and transposition corresponds to the substitution x -> -x^(n-1).  Sums and
 products of negacirculants are again negacirculant, so each block of the
 Gram matrix of (I | M) is determined by its first row.  The self-duality
 test below exploits that: it checks nine first-row polynomial identities
-instead of multiplying out full matrices.
+instead of multiplying out full matrices.  Entry j of the first row of a
+block product A B^T is row 0 of A dotted with row j of B, so each identity
+is read off as n packed dot products.
+
+Vectors stay in the two bit planes of Gf3Vector throughout.  One blockwise
+negashift, a few bit operations per plane, shifts every block of a row at
+once; the block rows, the generator rows (e_i | block row i) and the ring
+products are all built from it.
 """
 
 from __future__ import annotations
@@ -21,28 +28,21 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import LengthMismatchError
-from .gf3 import Code, Gf3Matrix, Gf3Vector, _mk
+from .gf3 import Code, Gf3Vector, _mk
+
+
+def _negashift_blocks(v: Gf3Vector, b: int) -> Gf3Vector:
+    """Negashift every width-b block of v at once; b must divide len(v)."""
+    top = ((1 << v._n) - 1) // ((1 << b) - 1) << (b - 1)  # last bit of each block
+    lo, hi = v._lo, v._hi
+    # a block's last entry re-enters at its first position with planes swapped
+    return _mk(v._n, ((lo & ~top) << 1) | ((hi & top) >> (b - 1)),
+               ((hi & ~top) << 1) | ((lo & top) >> (b - 1)))
 
 
 def negashift(v: Gf3Vector) -> Gf3Vector:
     """Shift right by one position; the wrapped entry is negated."""
-    n = len(v)
-    mask = (1 << n) - 1
-    lo, hi = v._lo, v._hi
-    # the bit falling off the top re-enters at position 0 with planes swapped
-    return _mk(
-        n,
-        ((lo << 1) & mask) | (hi >> (n - 1)),
-        ((hi << 1) & mask) | (lo >> (n - 1)),
-    )
-
-
-def nega_matrix(first_row: Gf3Vector) -> Gf3Matrix:
-    """The negacirculant matrix generated by the given first row."""
-    rows = [first_row]
-    for _ in range(len(first_row) - 1):
-        rows.append(negashift(rows[-1]))
-    return Gf3Matrix(rows)
+    return _negashift_blocks(v, len(v))
 
 
 @dataclass(frozen=True)
@@ -89,35 +89,26 @@ class CodeSpec:
 def block_row_vectors(block_size: int, r: Gf3Vector) -> list[Gf3Vector]:
     """The n rows of the 1 x 3 block matrix expanded from r.
 
-    Row j is the concatenation of the j-fold negashift of each block, i.e.
-    row j of (A | B | C) where A, B, C are the negacirculant blocks of r.
+    Row j is the j-fold blockwise negashift of r, i.e. row j of (A | B | C)
+    where A, B, C are the negacirculant blocks of r.
     """
-    blocks = [r.block(i, block_size) for i in range(3)]
-    rows = []
-    for _ in range(block_size):
-        rows.append(blocks[0].concat(blocks[1]).concat(blocks[2]))
-        blocks = [negashift(b) for b in blocks]
+    rows = [r]
+    for _ in range(block_size - 1):
+        rows.append(_negashift_blocks(rows[-1], block_size))
     return rows
 
 
-def right_half_matrix(spec: CodeSpec) -> Gf3Matrix:
-    """The 3n x 3n block matrix M tiled from the spec's nine negacirculants."""
-    rows: list[Gf3Vector] = []
-    for r in spec.rows:
-        rows.extend(block_row_vectors(spec.block_size, r))
-    return Gf3Matrix(rows)
-
-
-def generator_matrix(spec: CodeSpec) -> Gf3Matrix:
-    """The literal generator matrix (I | M)."""
-    m = right_half_matrix(spec)
-    return Gf3Matrix.identity(m.nrows).hstack(m)
+def _systematic_rows(block_size: int, first_rows: Sequence[Gf3Vector]) -> list[Gf3Vector]:
+    """The rows (e_i | block row i) of (I | M) for the block rows expanded
+    from the given first rows, in order."""
+    k = 3 * block_size
+    rights = [v for r in first_rows for v in block_row_vectors(block_size, r)]
+    return [_mk(2 * k, (1 << i) | (v._lo << k), v._hi << k) for i, v in enumerate(rights)]
 
 
 def build_generator(spec: CodeSpec) -> Code:
     """The code spanned by (I | M); always of dimension 3n."""
-    g = generator_matrix(spec)
-    return Code(g.ncols, g.rows)
+    return Code(spec.length, _systematic_rows(spec.block_size, spec.rows))
 
 
 # -- self-duality through the polynomial ring ------------------------------
@@ -126,34 +117,14 @@ def build_generator(spec: CodeSpec) -> Code:
 # b*(x) = b(x^{-1}) with x^{-1} = -x^{n-1}.  (I | M) generates a self-dual
 # code iff the 3 x 3 block Gram matrix of M equals -I, i.e. iff
 #   sum_t r_{i,t} * r_{j,t}^*  =  2 * [i == j]   for 1 <= i <= j <= 3,
-# each identity read in the polynomial ring.
-
-
-def _conj(p: list[int]) -> list[int]:
-    n = len(p)
-    return [p[0]] + [(-p[n - i]) % 3 for i in range(1, n)]
-
-
-def _mul_nega(a: list[int], b: list[int]) -> list[int]:
-    n = len(a)
-    conv = [0] * (2 * n)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-    return [(conv[t] - conv[t + n]) % 3 for t in range(n)]
+# each identity read in the polynomial ring.  The left side is the first row
+# of the block product A B^T of the block rows of r_i and r_j, and entry j of
+# that row is row 0 of A dotted with row j of B.
 
 
 def row_pair_gram(block_size: int, a: Gf3Vector, b: Gf3Vector) -> list[int]:
     """The polynomial sum_t a_t * b_t^* for two first rows, reduced mod x^n + 1."""
-    acc = [0] * block_size
-    for t in range(3):
-        prod = _mul_nega(
-            a.block(t, block_size).entries(), _conj(b.block(t, block_size).entries())
-        )
-        acc = [(x + y) % 3 for x, y in zip(acc, prod)]
-    return acc
+    return [a.dot(v) for v in block_row_vectors(block_size, b)]
 
 
 def row_gram_is_two(block_size: int, r: Gf3Vector) -> bool:

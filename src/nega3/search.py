@@ -54,6 +54,7 @@ from .errors import (
 from .gf3 import Code, Gf3Vector, _rref_rows
 from .nega import (
     CodeSpec,
+    _systematic_rows,
     block_row_vectors,
     build_generator,
     f_value,
@@ -252,12 +253,16 @@ class _DualSpace:
         return v
 
 
+def _weight_passes(w: int, d: int) -> bool:
+    """The row-weight rule: 2 mod 3 and at least d - 1."""
+    return w % 3 == 2 and w >= d - 1
+
+
 def _row_passes(v: Gf3Vector, d: int) -> bool:
     nz = v.first_nonzero()
     if nz is None or nz[1] != 1:
         return False
-    w = v.weight()
-    return w % 3 == 2 and w >= d - 1
+    return _weight_passes(v.weight(), d)
 
 
 def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
@@ -265,13 +270,7 @@ def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
     r1 clears the target weight.  Those rows are (e_i | block row i), so the
     subcode sits inside every completed code; a light word here dooms all of
     them."""
-    n6 = 6 * m
-    rows = []
-    for i, right in enumerate(block_row_vectors(m, spec_r1)):
-        left = [0] * (3 * m)
-        left[i] = 1
-        rows.append(Gf3Vector(left).concat(right))
-    return min_weight(Code(n6, rows), abort_below=d) >= d
+    return min_weight(Code(6 * m, _systematic_rows(m, [spec_r1])), abort_below=d) >= d
 
 
 # -- work units -----------------------------------------------------------------
@@ -291,8 +290,7 @@ def _units(plan: SearchPlan) -> Iterator[int]:
     shift = 3**m
     rank = 0
     for x, y, z in itertools.combinations_with_replacement(_block_pool(m), 3):
-        w = x.weight + y.weight + z.weight
-        if w % 3 != 2 or w < d - 1:
+        if not _weight_passes(x.weight + y.weight + z.weight, d):
             continue
         if rank % total == index:
             yield z.f + shift * y.f + shift * shift * x.f  # blocks z, y, x: non-increasing f
@@ -353,7 +351,6 @@ def _sample_spec(plan: SearchPlan, trial: int, want_self_dual: bool) -> CodeSpec
     d = plan.target_min_weight
     pool = _block_pool(m)
     rng = random.Random(f"{plan.seed}:{trial}")
-    shift = 3**m
     width = 3 * m
     r1 = None
     for _ in range(_SAMPLE_TRIES_R1):
@@ -362,19 +359,17 @@ def _sample_spec(plan: SearchPlan, trial: int, want_self_dual: bool) -> CodeSpec
             key=lambda p: p.f,
             reverse=True,
         )
-        w = sum(p.weight for p in picks)
-        if w % 3 != 2 or w < d - 1:
+        if not _weight_passes(sum(p.weight for p in picks), d):
             continue
         cand = picks[0].vec.concat(picks[1].vec).concat(picks[2].vec)
         if want_self_dual and not row_gram_is_two(m, cand):
             continue
         r1 = cand
-        f1 = picks[0].f + shift * picks[1].f + shift * shift * picks[2].f
         break
     if r1 is None:
         return None
     span1 = block_row_vectors(m, r1)
-    r2 = _sample_dual(_DualSpace(span1, width), rng, f1, m, d, want_self_dual)
+    r2 = _sample_dual(_DualSpace(span1, width), rng, f_value(r1), m, d, want_self_dual)
     if r2 is None:
         return None
     dual2 = _DualSpace(span1 + block_row_vectors(m, r2), width)

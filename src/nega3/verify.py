@@ -103,10 +103,13 @@ def check_deep_guard(entries: Iterable[RegistryEntry], *, allow_long: bool) -> N
     """Raise GuardError, before any work, when a deep verify of one of the
     entries could need a full distribution past the full_distribution
     guard.  Only lengths divisible by 12 have an enumerator family, and
-    every code verified here has dimension length / 2."""
+    every code verified here has dimension length / 2.  The estimate is
+    priced by the path the sweep takes: (I | M) spec codes over negashift
+    orbits of width length / 6, neighbor codes over every word."""
     for entry in entries:
         if entry.length % 12 == 0:
-            _full_distribution_guard(entry.length // 2, allow_long)
+            width = entry.length // 6 if entry.spec is not None else 0
+            _full_distribution_guard(entry.length // 2, width, allow_long)
 
 
 def verify_entry(entry: RegistryEntry, registry: Registry, *, deep: bool,

@@ -43,12 +43,13 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
 from .errors import GuardError, InternalInconsistencyError
-from .gf3 import Code, _mk
+from .gf3 import Code, _rref_rows
+from .nega import _negashift_blocks
 
 _LANE_BITS = 64
 _MASK64 = (1 << 64) - 1
@@ -145,8 +146,6 @@ def _information_sets(code: Code) -> list[_InfoSet]:
     cached = code._cache.get("infosets")
     if cached is not None:
         return cached
-    from .gf3 import _rref_rows
-
     sets: list[_InfoSet] = []
     used: set[int] = set()
     while True:
@@ -187,11 +186,9 @@ def _orbit_width(code: Code) -> int:
         return 0
     if not all(_whole_blocks(s.pivots, b) for s in _information_sets(code)):
         return 0
-    top = sum(1 << (g * b + b - 1) for g in range(6))
     rows = code.basis
     for i, r in enumerate(rows):
-        image = _mk(code.n, ((r._lo & ~top) << 1) | ((r._hi & top) >> (b - 1)),
-                    ((r._hi & ~top) << 1) | ((r._lo & top) >> (b - 1)))
+        image = _negashift_blocks(r, b)
         target = rows[i - i % b + (i + 1) % b]
         if image != target and image != -target:
             return 0
@@ -461,11 +458,11 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
     """
     if code.k == 0:
         return WeightProfile(code.n, {0: 1}, complete=True)
-    _full_distribution_guard(code.k, allow_long)
     half = code.k // 2
     width = _orbit_width(code)
     if width > half:  # the first half must hold the whole first block
         width = 0
+    _full_distribution_guard(code.k, width, allow_long)
     lo_a, hi_a = _span_planes(code.basis[:half], code.n)
     lo_b, hi_b = _span_planes(code.basis[half:], code.n)
     # row i of the first table has first-block digits i mod 3^width
@@ -501,16 +498,35 @@ def _negashift_orbit_sizes(b: int) -> np.ndarray:
     return np.where(least, size, 0)
 
 
-def _full_distribution_guard(k: int, allow_long: bool) -> None:
-    """Refuse a full distribution of a dimension-k code past the guard."""
-    if k > FULL_DISTRIBUTION_GUARD_K and not allow_long:
-        seconds = 3**k / _EVALS_PER_SECOND
-        raise GuardError(
-            f"full distribution of a dimension-{k} code sweeps 3^{k} "
-            f"= {3**k:.2e} codewords (roughly {seconds:.0f}s); "
-            "pass allow_long=True (CLI: --allow-long) to run it",
-            estimate=3**k,
-        )
+def _negashift_orbit_count(b: int) -> int:
+    """The number of nonzero entries of _negashift_orbit_sizes(b), by
+    Burnside without the 3^b table: the r-fold negashift fixes 3^gcd(r, b)
+    messages when r / gcd(r, b), its wraps round each cycle, is even, else 1."""
+    fixed = (3 ** gcd(r, b) if r // gcd(r, b) % 2 == 0 else 1 for r in range(2 * b))
+    return sum(fixed) // (2 * b)
+
+
+def _full_distribution_guard(k: int, width: int, allow_long: bool) -> None:
+    """Refuse a full distribution of a dimension-k code past the guard.
+
+    The message prices the sweep full_distribution would run: with an orbit
+    width b (see _orbit_width) one first-block message per negashift orbit
+    times the 3^(k - b) other messages, else all 3^k words."""
+    if k <= FULL_DISTRIBUTION_GUARD_K or allow_long:
+        return
+    if width:
+        reps = _negashift_orbit_count(width)
+        words = reps * 3 ** (k - width)
+        sweep = f"{reps} x 3^{k - width} = {words:.2e} of its 3^{k} codewords"
+    else:
+        words = 3**k
+        sweep = f"3^{k} = {words:.2e} codewords"
+    raise GuardError(
+        f"full distribution of a dimension-{k} code sweeps {sweep} "
+        f"(roughly {words / _EVALS_PER_SECOND:.0f}s); "
+        "pass allow_long=True (CLI: --allow-long) to run it",
+        estimate=words,
+    )
 
 
 def _span_planes(rows, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,31 @@ def negashift(v):
     return [(-v[-1]) % 3] + list(v[:-1])
 
 
+def nega_conj(p):
+    """p(x^-1) in F_3[x]/(x^n + 1), where x^-1 = -x^(n-1)."""
+    n = len(p)
+    return [p[0]] + [(-p[n - i]) % 3 for i in range(1, n)]
+
+
+def nega_mul(a, b):
+    """The product of a and b in F_3[x]/(x^n + 1), by list convolution."""
+    n = len(a)
+    conv = [0] * (2 * n)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    return [(conv[t] - conv[t + n]) % 3 for t in range(n)]
+
+
+def row_pair_gram(m, a, b):
+    """sum_t a_t * b_t^* over the three width-m blocks of two first rows."""
+    acc = [0] * m
+    for t in range(3):
+        prod = nega_mul(a[t * m:(t + 1) * m], nega_conj(b[t * m:(t + 1) * m]))
+        acc = vadd(acc, prod)
+    return acc
+
+
 def f_value(v):
     return sum(x * 3**i for i, x in enumerate(v))
 

@@ -101,6 +101,8 @@ class TestVerify:
         assert "refused (resource guard)" in err
         assert "--allow-long" in err
         assert "3^24" in err
+        # priced over negashift orbits, as the sweep would run
+        assert "411 x 3^16" in err and "roughly 136s" in err
 
     def test_deep_all_refuses_before_the_first_line(self, capsys, no_code_work):
         rc, out, err = run_cli(capsys, "verify", "--deep", "--all")

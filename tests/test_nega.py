@@ -15,15 +15,13 @@ from nega3 import (
     block_row_vectors,
     build_generator,
     f_value,
-    generator_matrix,
     is_self_dual,
-    nega_matrix,
     negashift,
     self_dual_violations,
     vector_from_f,
 )
 from nega3.gf3 import Gf3Vector
-from nega3.nega import row_gram_is_two, row_pair_gram
+from nega3.nega import _negashift_blocks, _systematic_rows, row_gram_is_two, row_pair_gram
 
 
 def _rand_vec(rng, n):
@@ -32,12 +30,20 @@ def _rand_vec(rng, n):
 
 class TestNegashift:
     def test_reference_example(self):
-        m = nega_matrix(Gf3Vector([0, 1, 2]))
-        assert [r.entries() for r in m.rows] == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        rows = [Gf3Vector([0, 1, 2])]
+        for _ in range(2):
+            rows.append(negashift(rows[-1]))
+        assert [r.entries() for r in rows] == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
     def test_against_reference(self, v):
         assert negashift(Gf3Vector(v)).entries() == naive.negashift(v)
+
+    @given(st.sampled_from([3, 6]), st.integers(1, 8), st.data())
+    def test_blocks_against_reference(self, blocks, b, data):
+        v = data.draw(st.lists(st.integers(0, 2), min_size=blocks * b, max_size=blocks * b))
+        want = [e for i in range(0, len(v), b) for e in naive.negashift(v[i:i + b])]
+        assert _negashift_blocks(Gf3Vector(v), b).entries() == want
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
     def test_period_2n(self, v):
@@ -75,12 +81,22 @@ class TestSpec:
 
     def test_generator_shape(self, registry):
         spec = registry.entry("C1").spec
-        g = generator_matrix(spec)
-        assert (g.nrows, g.ncols) == (18, 36)
+        code = build_generator(spec)
+        assert (len(code.basis), code.n) == (18, 36)
         # left half is the identity
-        for i, r in enumerate(g.rows):
+        for i, r in enumerate(code.basis):
             left = r.entries()[:18]
             assert left == [1 if j == i else 0 for j in range(18)]
+
+    def test_systematic_rows_match_reference(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            m = rng.randrange(1, 6)
+            rows = [_rand_vec(rng, 3 * m) for _ in range(3)]
+            want = naive.spec_generator_rows(m, *rows)
+            for count in (1, 3):
+                got = _systematic_rows(m, [Gf3Vector(r) for r in rows[:count]])
+                assert [v.entries() for v in got] == want[: count * m]
 
     def test_block_rows_match_reference(self):
         rng = random.Random(7)
@@ -137,11 +153,14 @@ class TestSelfDuality:
             assert row_gram_is_two(m, Gf3Vector(r)) == want
 
     def test_row_pair_gram_zero_iff_cross_blocks_orthogonal(self):
+        # every coefficient against the list-convolution ring product, and
+        # zero exactly when the two block rows are orthogonal
         rng = random.Random(17)
         for _ in range(200):
-            m = rng.randrange(1, 5)
+            m = rng.randrange(1, 9)
             a, b = _rand_vec(rng, 3 * m), _rand_vec(rng, 3 * m)
             got = row_pair_gram(m, Gf3Vector(a), Gf3Vector(b))
+            assert got == naive.row_pair_gram(m, a, b)
             ra, rb = naive.block_rows(m, a), naive.block_rows(m, b)
             all_orth = all(naive.vdot(u, v) == 0 for u in ra for v in rb)
             assert (not any(got)) == all_orth

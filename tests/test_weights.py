@@ -228,6 +228,18 @@ class TestOrbitSweep:
             want[min(_index(x) for x in orbit)] = len(orbit)
         assert weights._negashift_orbit_sizes(b).tolist() == want
 
+    @pytest.mark.parametrize("b", range(1, 11))
+    def test_orbit_count_equals_the_table(self, b):
+        assert weights._negashift_orbit_count(b) == (weights._negashift_orbit_sizes(b) > 0).sum()
+
+    def test_guard_prices_the_orbit_sweep(self, registry):
+        code = registry.entry("C48").build()
+        assert weights._orbit_width(code) == 8
+        with pytest.raises(GuardError, match=r"411 x 3\^16 = 1\.77e\+10 of its 3\^24 "
+                           r"codewords \(roughly 136s\)") as exc:
+            full_distribution(code)
+        assert exc.value.estimate == 411 * 3**16
+
     def test_first_block_wider_than_half_the_basis(self):
         # a [12, 2] code with sigma as an automorphism and whole-block pivots,
         # whose first half (one row) cannot hold the first block
