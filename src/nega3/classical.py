@@ -2,10 +2,10 @@
 
 Two families are provided: Pless symmetry codes built from Legendre symbols
 over F_q (q an odd prime, q = 2 mod 3), and the extended length-48
-quadratic residue code obtained from a degree-23 factor of x^47 - 1 over
-GF(3) plus an overall parity coordinate.  Both constructions verify their
-own self-duality and raise if it fails, so a silent convention slip cannot
-produce a wrong benchmark.
+quadratic residue code, spanned by the cyclic shifts of the indicator of
+the non-residues mod 47 plus an overall parity coordinate.  Both
+constructions verify their own self-duality and raise if it fails, so a
+silent convention slip cannot produce a wrong benchmark.
 
 Fingerprints condense a code to its comparison-relevant statistics
 (parameters, minimum weight, word counts at the bottom of the distribution)
@@ -14,7 +14,6 @@ without attempting a full equivalence test.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
@@ -66,118 +65,24 @@ def pless_symmetry(q: int) -> Code:
     return code
 
 
-# -- extended quadratic residue code of length 48 -----------------------------
-#
-# Dense polynomial arithmetic over GF(3), coefficient lists low degree first.
-
-
-def _ptrim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _pmul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % 3
-    return _ptrim(out)
-
-
-def _pmod(a: list[int], m: list[int]) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    lead_inv = 1 if m[-1] == 1 else 2
-    while len(a) - 1 >= dm and _ptrim(a):
-        shift = len(a) - 1 - dm
-        c = (a[-1] * lead_inv) % 3
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % 3
-        _ptrim(a)
-    return a
-
-
-def _pgcd(a: list[int], b: list[int]) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pmod(a, b)
-    if a:
-        inv = 1 if a[-1] == 1 else 2
-        a = [(c * inv) % 3 for c in a]
-    return a
-
-
-def _ppow_mod(base: list[int], e: int, m: list[int]) -> list[int]:
-    result = [1]
-    base = _pmod(base, m)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base), m)
-        base = _pmod(_pmul(base, base), m)
-        e >>= 1
-    return result
-
-
-def _degree23_factors_of_x47_minus_1() -> list[list[int]]:
-    """Both degree-23 irreducible factors of x^47 - 1 over GF(3), in a
-    canonical order.
-
-    x^47 - 1 = (x - 1) h(x) with h = 1 + x + ... + x^46; the multiplicative
-    order of 3 mod 47 is 23, so h splits into two irreducibles of degree 23.
-    They are separated by the standard equal-degree split: for random a(x),
-    gcd(a^((3^23 - 1)/2) - 1, h) is a proper factor about half the time.
-    """
-    h = [1] * 47
-    e = (3**23 - 1) // 2
-    rng = random.Random(1847)
-    while True:
-        a = [rng.randrange(3) for _ in range(46)]
-        p = _ppow_mod(a, e, h)
-        p = _ptrim([(p[0] - 1) % 3] + p[1:] if p else [2])
-        g = _pgcd(p, h)
-        if len(g) - 1 == 23:
-            other = _pdiv_exact(h, g)
-            factors = sorted([g, other], key=tuple)
-            return factors
-
-
-def _pdiv_exact(a: list[int], b: list[int]) -> list[int]:
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    lead_inv = 1 if b[-1] == 1 else 2
-    while len(_ptrim(a)) >= len(b):
-        shift = len(a) - len(b)
-        c = (a[-1] * lead_inv) % 3
-        out[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % 3
-        _ptrim(a)
-    if _ptrim(a):
-        raise InternalInconsistencyError("inexact polynomial division")
-    return out
-
-
 def extended_qr48() -> Code:
     """The extended quadratic residue code of length 48 over GF(3).
 
-    A degree-23 factor g of x^47 - 1 generates a [47, 24] cyclic code; each
-    generator row x^i g is extended with the negated sum of its entries.
-    The two factor choices give equivalent codes; construction picks the one
-    whose extension passes the self-duality check.
+    The 47 cyclic shifts of the indicator of the quadratic non-residues
+    mod 47 span a [47, 24] quadratic residue code (its idempotent view);
+    each is extended with the negated sum of its entries.  The result must
+    be a self-dual [48, 24] code, which is checked.
     """
-    for g in _degree23_factors_of_x47_minus_1():
-        rows = []
-        for i in range(24):
-            coeffs = ([0] * i + g)[:47]
-            coeffs += [0] * (47 - len(coeffs))
-            coeffs.append((-sum(coeffs)) % 3)
-            rows.append(Gf3Vector(coeffs))
-        code = Code(48, rows)
-        if code.is_self_dual():
-            return code
-    raise InternalInconsistencyError("no extension of the length-47 cyclic code is self-dual")
+    q = 47
+    indicator = [int(_legendre(a, q) == -1) for a in range(q)]
+    rows = []
+    for i in range(q):
+        shifted = indicator[-i:] + indicator[:-i]
+        rows.append(Gf3Vector(shifted + [-sum(shifted) % 3]))
+    code = Code(q + 1, rows)
+    if code.k != 24 or not code.is_self_dual():
+        raise InternalInconsistencyError("the extended length-47 QR code is not self-dual")
+    return code
 
 
 # -- fingerprints --------------------------------------------------------------

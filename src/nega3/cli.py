@@ -273,8 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (default 1); at most one per core is started")
     p.add_argument("--checkpoint", type=Path,
-                   help="log file for a resumable exhaustive run: rerun with the same "
-                        "file, and any --workers, to continue (refused in sampled mode)")
+                   help="log file for a resumable run, one line per r1 or trial: rerun "
+                        "with the same file, and any --workers, to continue")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gleason", help="print the enumerator family for a length")

@@ -222,15 +222,7 @@ class Code:
 
     def dual(self) -> "Code":
         """The dual code under the standard inner product."""
-        free = [j for j in range(self.n) if j not in set(self.pivots)]
-        rows = []
-        for f in free:
-            entries = [0] * self.n
-            entries[f] = 1
-            for p, row in zip(self.pivots, self.basis):
-                entries[p] = (-row[f]) % 3
-            rows.append(Gf3Vector(entries))
-        return Code(self.n, rows)
+        return Code(self.n, _dual_rows(self))
 
     def is_self_dual(self) -> bool:
         rows = self.basis
@@ -265,3 +257,26 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, k={self.k})"
+
+
+def _dual_rows(code: Code) -> list[Gf3Vector]:
+    """A basis of the dual of code: for each non-pivot column f, ascending,
+    the row with 1 at f and -basis[p][f] at each pivot column p.
+
+    The non-pivot columns are an information set of the dual, and these
+    rows are already its reduced echelon form with pivots scanned from the
+    right: basis row p is zero left of p and on the other pivots, so row f
+    is zero right of f and on the other non-pivot columns.  Read in
+    reverse, the rows are in that scan's pivot order.
+    """
+    pivots = set(code.pivots)
+    rows = []
+    for f in range(code.n):
+        if f in pivots:
+            continue
+        entries = [0] * code.n
+        entries[f] = 1
+        for p, row in zip(code.pivots, code.basis):
+            entries[p] = (-row[f]) % 3
+        rows.append(Gf3Vector(entries))
+    return rows

@@ -14,18 +14,21 @@ cut the space down hard before any linear algebra happens:
 Dual spaces are echelonized with pivots taken from the high end, which makes
 enumeration by a base-3 odometer over the coefficients visit dual vectors in
 exactly ascending f order; the f-value ceilings then become simple early
-exits.  run_search additionally prunes rows whose diagonal Gram identity
-fails and r1 choices whose n-row subcode already contains a word below the
-target weight, then verifies each survivor end to end.
+exits.  Both modes walk r1 -> r2 -> r3 the same way: exhaustive mode takes
+every admissible row of each dual space, a sampled trial the first
+admissible one of a bounded number of random draws.  run_search
+additionally prunes rows whose diagonal Gram identity fails and (exhaustive)
+r1 choices whose n-row subcode already contains a word below the target
+weight, then verifies each survivor end to end.
 
 A run is a sequence of work units: one r1 in exhaustive mode, keyed by
 f(r1), one trial in sampled mode, each trial drawing from its own generator
 seeded by (plan seed, trial index).  A partition (index, total) takes every
 total-th unit.  Units run inline with one worker or in a process pool with
 more, and one merge builds their findings in unit order, so the output is
-the same for any worker count.  An exhaustive run can keep an append-only
-checkpoint log of its merged units, which a rerun with any worker count
-resumes.
+the same for any worker count.  A run in either mode can keep an
+append-only checkpoint log of its merged units, which a rerun with any
+worker count resumes.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     NeighborWeightError,
     RegistryError,
 )
-from .gf3 import Code, Gf3Vector, _rref_rows
+from .gf3 import Code, Gf3Vector, _dual_rows
 from .nega import (
     CodeSpec,
     _systematic_rows,
@@ -215,13 +218,16 @@ def _block_pool(m: int) -> tuple[_PoolVec, ...]:
 
 class _DualSpace:
     """Dual of a set of rows, echelonized from the high end so that the
-    base-3 coefficient odometer spans dual vectors in ascending f order."""
+    base-3 coefficient odometer spans dual vectors in ascending f order.
+
+    The span's one row reduction gives that basis in closed form: the
+    columns off its pivots are the dual's pivots from the high end (see
+    gf3._dual_rows)."""
 
     def __init__(self, span_rows: Sequence[Gf3Vector], width: int):
-        dual = Code(width, list(span_rows)).dual()
-        rows, pivots = _rref_rows(dual.basis, column_order=range(width - 1, -1, -1))
         self.width = width
-        self.basis = rows[: len(pivots)]  # pivot positions strictly descending
+        # pivot positions strictly descending
+        self.basis = _dual_rows(Code(width, list(span_rows)))[::-1]
 
     def ascending_f(self, limit: int) -> Iterator[Gf3Vector]:
         """Nonzero dual vectors with f-value at most limit, ascending."""
@@ -258,13 +264,6 @@ def _weight_passes(w: int, d: int) -> bool:
     return w % 3 == 2 and w >= d - 1
 
 
-def _row_passes(v: Gf3Vector, d: int) -> bool:
-    nz = v.first_nonzero()
-    if nz is None or nz[1] != 1:
-        return False
-    return _weight_passes(v.weight(), d)
-
-
 def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
     """Whether the subcode spanned by the n full generator rows built from
     r1 clears the target weight.  Those rows are (e_i | block row i), so the
@@ -298,85 +297,66 @@ def _units(plan: SearchPlan) -> Iterator[int]:
 
 
 def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[CodeSpec]:
-    """The specs of one unit that pass the structural constraints: every
-    (r2, r3) of r1 = vector_from_f(3n, unit) in ascending (f(r2), f(r3))
-    order, or the spec drawn by one sampled trial.
+    """The specs of one unit that pass the structural constraints, in
+    ascending (f(r2), f(r3)) order.
 
-    verified adds the diagonal Gram and minimum-weight prunes (sound:
-    they only drop candidates that could never verify).
+    Exhaustive mode takes r1 = vector_from_f(3n, unit) and every admissible
+    r2, r3.  A sampled trial draws r1 from the block pool with the
+    generator seeded by (plan seed, unit), redrawn on a failed weight or
+    Gram check at most _SAMPLE_TRIES_R1 times, then takes the first
+    admissible one of at most _SAMPLE_TRIES_R23 random dual members for
+    r2, and again for r3.
+
+    verified adds the diagonal Gram prune to every row and, in exhaustive
+    mode, the minimum-weight prune of r1 (sound: they only drop candidates
+    that could never verify).
     """
-    if plan.mode == "sampled":
-        spec = _sample_spec(plan, unit, verified)
-        if spec is not None:
-            yield spec
-        return
     m = plan.block_size
     width = 3 * m
     d = plan.target_min_weight
-    r1 = vector_from_f(width, unit)
-    if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
-        return
+    sampled = plan.mode == "sampled"
+    if sampled:
+        rng = random.Random(f"{plan.seed}:{unit}")
+        pool = _block_pool(m)
+        for _ in range(_SAMPLE_TRIES_R1):  # three blocks in non-increasing f order
+            picks = sorted(
+                (pool[rng.randrange(len(pool))] for _ in range(3)),
+                key=lambda p: p.f,
+                reverse=True,
+            )
+            r1 = picks[0].vec.concat(picks[1].vec).concat(picks[2].vec)
+            if _weight_passes(sum(p.weight for p in picks), d) and (
+                    not verified or row_gram_is_two(m, r1)):
+                break
+        else:
+            return
+    else:
+        r1 = vector_from_f(width, unit)
+        if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
+            return
+
+    def admissible(v: Gf3Vector, limit: int) -> bool:
+        """The row predicate: a leading 1 and the row-weight rule, f-value
+        at most limit (sampled; ascending_f stops there), and the Gram
+        identity (verified)."""
+        lead = v.first_nonzero()
+        return (lead is not None and lead[1] == 1 and _weight_passes(v.weight(), d)
+                and (not sampled or f_value(v) <= limit)
+                and (not verified or row_gram_is_two(m, v)))
+
+    def rows(span: list[Gf3Vector], limit: int) -> Iterator[Gf3Vector]:
+        """Admissible rows of the dual of span with f-value at most limit."""
+        space = _DualSpace(span, width)
+        if not sampled:
+            yield from (v for v in space.ascending_f(limit) if admissible(v, limit))
+            return
+        draws = (space.random_member(rng) for _ in range(_SAMPLE_TRIES_R23))
+        yield from itertools.islice((v for v in draws if admissible(v, limit)), 1)
+
     span1 = block_row_vectors(m, r1)
-    for r2 in _DualSpace(span1, width).ascending_f(limit=unit):
-        if not _row_passes(r2, d) or (verified and not row_gram_is_two(m, r2)):
-            continue
-        dual2 = _DualSpace(span1 + block_row_vectors(m, r2), width)
-        for r3 in dual2.ascending_f(limit=f_value(r2)):
-            if _row_passes(r3, d) and (not verified or row_gram_is_two(m, r3)):
-                yield CodeSpec(m, r1, r2, r3)
-
-
-def _sample_dual(
-    space: _DualSpace,
-    rng: random.Random,
-    limit: int,
-    m: int,
-    d: int,
-    want_self_dual: bool,
-) -> Gf3Vector | None:
-    for _ in range(_SAMPLE_TRIES_R23):
-        v = space.random_member(rng)
-        if not _row_passes(v, d):
-            continue
-        if f_value(v) > limit:
-            continue
-        if want_self_dual and not row_gram_is_two(m, v):
-            continue
-        return v
-    return None
-
-
-def _sample_spec(plan: SearchPlan, trial: int, want_self_dual: bool) -> CodeSpec | None:
-    m = plan.block_size
-    d = plan.target_min_weight
-    pool = _block_pool(m)
-    rng = random.Random(f"{plan.seed}:{trial}")
-    width = 3 * m
-    r1 = None
-    for _ in range(_SAMPLE_TRIES_R1):
-        picks = sorted(
-            (pool[rng.randrange(len(pool))] for _ in range(3)),
-            key=lambda p: p.f,
-            reverse=True,
-        )
-        if not _weight_passes(sum(p.weight for p in picks), d):
-            continue
-        cand = picks[0].vec.concat(picks[1].vec).concat(picks[2].vec)
-        if want_self_dual and not row_gram_is_two(m, cand):
-            continue
-        r1 = cand
-        break
-    if r1 is None:
-        return None
-    span1 = block_row_vectors(m, r1)
-    r2 = _sample_dual(_DualSpace(span1, width), rng, f_value(r1), m, d, want_self_dual)
-    if r2 is None:
-        return None
-    dual2 = _DualSpace(span1 + block_row_vectors(m, r2), width)
-    r3 = _sample_dual(dual2, rng, f_value(r2), m, d, want_self_dual)
-    if r3 is None:
-        return None
-    return CodeSpec(m, r1, r2, r3)
+    for r2 in rows(span1, f_value(r1)):
+        for r3 in rows(span1 + block_row_vectors(m, r2), f_value(r2)):
+            yield CodeSpec(m, r1, r2, r3)
 
 
 # -- public operations ----------------------------------------------------------
@@ -473,15 +453,16 @@ def _write_line(path: Path, doc: dict) -> None:
 
 
 class _CheckpointLog:
-    """The append-only checkpoint of an exhaustive run; with no path it
-    records nothing.
+    """The append-only checkpoint of a run; with no path it records nothing.
 
     The first line is the header {"version": 2, "plan": ...}.  Each merged
-    unit appends and flushes one line {"unit": f(r1), "findings": [...]}, so
-    a killed run loses only the units not yet merged.  A finished run's log
-    is replaced by the one line {"version": 2, "plan": ..., "complete":
-    true, "findings": [...]}.  Reading validates the header; a final line
-    torn by a kill is dropped, and cut off before the next append.
+    unit appends and flushes one line {"unit": ..., "findings": [...]}, the
+    unit being f(r1) (exhaustive) or the trial index (sampled), so a killed
+    run loses only the units not yet merged.  A finished run's log is
+    replaced by the one line {"version": 2, "plan": ..., "complete": true,
+    "findings": [...]} holding the merged stream.  Reading validates the
+    header; a final line torn by a kill is dropped, and cut off before the
+    next append.
     """
 
     def __init__(self, path: Path | None, plan: SearchPlan):
@@ -489,7 +470,6 @@ class _CheckpointLog:
         self.header = {"version": 2, "plan": plan.to_dict()}
         self.done: dict[int, list[dict]] = {}
         self.complete: list[dict] | None = None
-        self._records: list[dict] = []
         self._end = 0  # bytes up to the end of the last whole line
         self._file = None
         if path is None or not path.exists():
@@ -528,24 +508,19 @@ class _CheckpointLog:
         if self._file is not None:
             self._file.close()
 
-    def replay(self, unit: int) -> list[Finding]:
-        records = self.done[unit]
-        self._records.extend(records)
-        return [Finding.from_record(r) for r in records]
-
     def append(self, unit: int, findings: list[Finding]) -> None:
         if self._file is None:
             return
         records = [f.to_record() for f in findings]
-        self._records.extend(records)
         self._file.write(json.dumps({"unit": unit, "findings": records}) + "\n")
         self._file.flush()
 
-    def finish(self) -> None:
+    def finish(self, stream: list[Finding]) -> None:
         if self._file is None:
             return
         self._file.close()
-        _write_line(self.path, {**self.header, "complete": True, "findings": self._records})
+        records = [f.to_record() for f in stream]
+        _write_line(self.path, {**self.header, "complete": True, "findings": records})
 
 
 def _merge(
@@ -557,12 +532,13 @@ def _merge(
     if ckpt.complete is not None:
         yield from map(Finding.from_record, ckpt.complete)
         return
-    found: dict[CodeSpec, Finding] = {}
+    stream: list[Finding] = []
+    sampled = plan.mode == "sampled"
     pending = (u for u in _units(plan) if u not in ckpt.done)
     with ckpt, contextlib.closing(_map_units(plan, pending, workers)) as results:
         for unit in _units(plan):
             if unit in ckpt.done:
-                findings = ckpt.replay(unit)
+                findings = [Finding.from_record(r) for r in ckpt.done[unit]]
             else:
                 findings = [
                     make_finding(registry, "spec", plan.length, plan.target_min_weight,
@@ -570,13 +546,14 @@ def _merge(
                     for spec, alpha in next(results)
                 ]
                 ckpt.append(unit, findings)
-            if plan.mode == "sampled":
-                for f in findings:  # a spec drawn by several trials counts once
-                    found.setdefault(f.spec, f)
-            else:
+            stream.extend(findings)
+            if not sampled:
                 yield from findings
-        ckpt.finish()
-    yield from sorted(found.values(), key=Finding.sort_key)
+        if sampled:  # a spec drawn by several trials counts once
+            stream = sorted({f.spec: f for f in stream}.values(), key=Finding.sort_key)
+        ckpt.finish(stream)
+    if sampled:
+        yield from stream
 
 
 def run_search(
@@ -598,17 +575,16 @@ def run_search(
     is then 6 mod 12, and self-dual codes need length 0 mod 4) return an
     empty stream immediately.
 
-    An exhaustive run with a checkpoint logs each merged r1 with its
-    findings.  A rerun with the same plan and file, and any worker count,
-    replays the logged r1 values and computes only the rest, so the stream
-    is the uninterrupted one.  A checkpoint written for another plan or in
-    an unknown format, a checkpoint in sampled mode and workers < 1 are
+    A run with a checkpoint logs each merged unit with its findings: each
+    r1 (exhaustive) or each trial (sampled).  A rerun with the same plan and
+    file, and any worker count, replays the logged units and computes only
+    the rest, so the stream is the uninterrupted one; a complete log
+    replays the finished stream without running a unit.  A checkpoint
+    written for another plan or in an unknown format and workers < 1 are
     refused when run_search is called, before any work starts.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if plan.mode == "sampled" and checkpoint is not None:
-        raise ValueError("checkpointing applies to exhaustive runs only, not sampled mode")
     ckpt = _CheckpointLog(Path(checkpoint) if checkpoint is not None else None, plan)
     if plan.block_size % 2 == 1:
         log.warning(

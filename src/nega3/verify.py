@@ -21,6 +21,7 @@ from .search import beta_of, neighbor
 from .weights import (
     ExtremalityClass,
     _full_distribution_guard,
+    _orbit_shape,
     classify,
     count_weight,
     full_distribution,
@@ -105,11 +106,13 @@ def check_deep_guard(entries: Iterable[RegistryEntry], *, allow_long: bool) -> N
     guard.  Only lengths divisible by 12 have an enumerator family, and
     every code verified here has dimension length / 2.  The estimate is
     priced by the path the sweep takes: (I | M) spec codes over negashift
-    orbits of width length / 6, neighbor codes over every word."""
+    orbits of width length / 6 where their shape allows the orbit path
+    (see weights._orbit_shape), other codes over every word."""
     for entry in entries:
         if entry.length % 12 == 0:
-            width = entry.length // 6 if entry.spec is not None else 0
-            _full_distribution_guard(entry.length // 2, width, allow_long)
+            k = entry.length // 2
+            width = _orbit_shape(entry.length, k) if entry.spec is not None else 0
+            _full_distribution_guard(k, width, allow_long)
 
 
 def verify_entry(entry: RegistryEntry, registry: Registry, *, deep: bool,

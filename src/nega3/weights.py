@@ -165,24 +165,39 @@ def _information_sets(code: Code) -> list[_InfoSet]:
     return sets
 
 
+def _orbit_shape(n: int, k: int) -> int:
+    """The block width b = n/6 of an [n, k] code that may take the orbit
+    path (see _orbit_width), or 0 when its shape rules it out: n not a
+    multiple of 6, b < 2, or k > 64, since supports are held as 64-bit
+    masks."""
+    b = n // 6
+    return 0 if n % 6 or b < 2 or k > 64 else b
+
+
 def _orbit_width(code: Code) -> int:
     """Block width b = n/6 when the scan may visit one support per orbit of
     sigma, the simultaneous negashift of the code's six width-b blocks;
-    0 when it may not.
+    0 when it may not.  Kept in the code's cache.
 
-    That takes two things.  Sigma must be an automorphism of the code, and
-    every information set's pivots must be whole width-b blocks, each in
-    column order.  Then sigma maps the word of message m to the word of the
-    blockwise negashift of m, and keeps both its weight and its weight on
-    every set's pivots.  The first set is the code's own reduced basis, so
-    sigma is an automorphism exactly when it maps each basis row to plus or
-    minus the row whose pivot is the rotated pivot.  The self-dual (I | M)
-    codes of negacirculant blocks pass: sigma is an automorphism of every
-    (I | M) code, and their information sets are the two halves.
+    Past the shape test (_orbit_shape) that takes two things.  Sigma must be
+    an automorphism of the code, and every information set's pivots must be
+    whole width-b blocks, each in column order.  Then sigma maps the word of
+    message m to the word of the blockwise negashift of m, and keeps both
+    its weight and its weight on every set's pivots.  The first set is the
+    code's own reduced basis, so sigma is an automorphism exactly when it
+    maps each basis row to plus or minus the row whose pivot is the rotated
+    pivot.  The self-dual (I | M) codes of negacirculant blocks pass: sigma
+    is an automorphism of every (I | M) code, and their information sets are
+    the two halves.
     """
-    b = code.n // 6
-    # supports are held as 64-bit masks
-    if code.n % 6 or b < 2 or code.k > 64:
+    if "orbit_width" not in code._cache:
+        code._cache["orbit_width"] = _uncached_orbit_width(code)
+    return code._cache["orbit_width"]
+
+
+def _uncached_orbit_width(code: Code) -> int:
+    b = _orbit_shape(code.n, code.k)
+    if not b:
         return 0
     if not all(_whole_blocks(s.pivots, b) for s in _information_sets(code)):
         return 0

@@ -1,5 +1,7 @@
 """Reference codes built from quadratic residues, and fingerprint comparison."""
 
+import hashlib
+
 import pytest
 
 from nega3 import (
@@ -48,6 +50,13 @@ class TestExtendedQR:
         a = extended_qr48()
         b = extended_qr48()
         assert a.basis == b.basis
+
+    def test_reduced_basis_pinned(self):
+        # the reduced basis of the code built from a degree-23 factor of
+        # x^47 - 1, which the non-residue construction must reproduce
+        rows = repr([r.entries() for r in extended_qr48().basis])
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "05c5cd9fbbecb8f1aa6174094e828d3e56cd91a6eb6201c7a7898996339fe55e")
 
 
 @pytest.fixture(scope="module")

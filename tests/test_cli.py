@@ -1,5 +1,6 @@
 """Exit codes, output formats, and refusal messages of the nega3 command."""
 
+import hashlib
 import json
 import os
 import signal
@@ -104,6 +105,18 @@ class TestVerify:
         # priced over negashift orbits, as the sweep would run
         assert "411 x 3^16" in err and "roughly 136s" in err
 
+    def test_deep_guard_prices_long_specs_generically(self, tmp_path, capsys, no_code_work):
+        # a length-132 spec has k = 66, past the orbit path's 64-bit supports,
+        # so its sweep, and the guard's price, is over every word
+        p = tmp_path / "spec132.txt"
+        row = " ".join(["1"] + ["0"] * 65)
+        p.write_text(f"r1: {row}\nr2: {row}\nr3: {row}\n")
+        rc, out, err = run_cli(capsys, "verify", "--deep", "--file", str(p))
+        assert rc == 3
+        assert out == ""
+        assert "sweeps 3^66 = " in err
+        assert " x 3^" not in err
+
     def test_deep_all_refuses_before_the_first_line(self, capsys, no_code_work):
         rc, out, err = run_cli(capsys, "verify", "--deep", "--all")
         assert rc == 3
@@ -158,15 +171,16 @@ class TestSearch:
         assert rc == 2
         assert "INDEX/TOTAL" in err
 
-    def test_sampled_excludes_checkpoint(self, tmp_path, capsys):
-        path = tmp_path / "ck.json"
-        rc, out, err = run_cli(capsys, "search", "--n", "2", "--mode", "sampled",
-                               "--seed", "1", "--budget", "5",
-                               "--checkpoint", str(path))
-        assert rc == 2
-        assert out == ""
-        assert "sampled" in err
-        assert not path.exists()
+    def test_sampled_stream_pinned(self, capsys):
+        # the sha256 of a seeded sampled stream, so that a change to the
+        # sampler's draws cannot pass unseen; drawing r1 from a norm table
+        # (ROADMAP item 1(a)) will change it on purpose
+        rc, out, _ = run_cli(capsys, "search", "--n", "8", "--mode", "sampled",
+                             "--seed", "1", "--budget", "150")
+        assert rc == 0
+        assert len(out.splitlines()) == 7
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d035455e50ac8b44a6f755241bb6efed12a8e7440c6390bdb4f4fb423a939f7f")
 
     def test_workers_with_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "ck.json"
@@ -180,22 +194,7 @@ class TestSearch:
         # shard 0/256 of length 24: 16 r1 units, 468 findings, about 1 s
         path = tmp_path / "ck.json"
         argv = ["search", "--n", "4", "--partition", "0/256"]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(SRC), os.environ.get("PYTHONPATH", "")]))
-        with subprocess.Popen(
-            [sys.executable, "-m", "nega3.cli", *argv, "--checkpoint", str(path)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
-        ) as child:
-            try:
-                deadline = time.monotonic() + 60
-                while _whole_lines(path) < 2 and time.monotonic() < deadline:
-                    time.sleep(0.005)
-            finally:
-                child.kill()
-                child.wait(timeout=60)
-        assert child.returncode == -signal.SIGKILL
-        header, *units = path.read_text().splitlines()
-        assert "complete" not in json.loads(header)
+        units = _killed_run(path, argv)
         assert 1 <= len(units) < 16
 
         rc, resumed, _ = run_cli(capsys, *argv, "--checkpoint", str(path))
@@ -204,6 +203,46 @@ class TestSearch:
         assert rc == 0
         assert resumed.splitlines() == whole.splitlines()
         assert len(whole.splitlines()) == 468
+
+    def test_sampled_kill_and_resume(self, tmp_path, capsys):
+        # killed after some trials are logged, one line per trial in trial
+        # order, then resumed in a pool
+        path = tmp_path / "ck.json"
+        argv = ["search", "--n", "4", "--mode", "sampled", "--seed", "3", "--budget", "200"]
+        units = _killed_run(path, argv)
+        assert 1 <= len(units) < 200
+        assert [u["unit"] for u in units] == list(range(len(units)))
+
+        rc, resumed, _ = run_cli(capsys, *argv, "--workers", "2", "--checkpoint", str(path))
+        assert rc == 0
+        rc, whole, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert resumed.splitlines() == whole.splitlines()
+        assert whole
+
+
+def _killed_run(path, argv):
+    """Run nega3 with argv and a checkpoint at path in a child process,
+    SIGKILL it once a unit is logged, and return the whole logged unit
+    lines (a line torn by the kill is left out)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "nega3.cli", *argv, "--checkpoint", str(path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    ) as child:
+        try:
+            deadline = time.monotonic() + 60
+            while _whole_lines(path) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    text = path.read_text()
+    header, *units = map(json.loads, text[: text.rfind("\n")].splitlines())
+    assert "complete" not in header
+    return units
 
 
 def _whole_lines(path):

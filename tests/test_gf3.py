@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 import naive
 from nega3 import Code, Gf3Vector, LengthMismatchError
-from nega3.gf3 import _rref_rows
+from nega3.gf3 import _dual_rows, _rref_rows
 
 entry = st.integers(min_value=0, max_value=2)
 vec_lists = st.lists(entry, min_size=1, max_size=40)
+
+# spanning rows of width 1..13, from none up to one more row than the width
+spans = st.integers(min_value=1, max_value=13).flatmap(
+    lambda w: st.lists(st.lists(entry, min_size=w, max_size=w), max_size=w + 1).map(
+        lambda rows: (w, [Gf3Vector(r) for r in rows])))
 
 
 def pairs(draw_len=st.integers(min_value=1, max_value=40)):
@@ -145,3 +150,16 @@ class TestCode:
         c = Code(5, [])
         assert c.k == 0
         assert c.dual().k == 5
+
+    @given(spans)
+    def test_dual_rows_are_the_right_first_echelon_form(self, span):
+        # the closed-form dual basis, reversed, against a row reduction of
+        # the dual with columns scanned from the right
+        w, rows = span
+        code = Code(w, rows)
+        dual = _dual_rows(code)
+        assert len(dual) == w - code.k
+        assert all(a.dot(b) == 0 for a in code.basis for b in dual)
+        want, pivots = _rref_rows(code.dual().basis, column_order=range(w - 1, -1, -1))
+        assert dual[::-1] == want[: len(pivots)]
+        assert sorted(pivots + list(code.pivots)) == list(range(w))

@@ -304,12 +304,41 @@ class TestCheckpoint:
             run_search(SearchPlan(block_size=2), registry=registry, checkpoint=path)
         assert path.read_text() == text
 
-    def test_sampled_with_checkpoint_rejected(self, tmp_path, registry):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sampled_stopped_run_resumes(self, tmp_path, registry, monkeypatch, workers):
+        # stopped, as by a kill, once 150 of 400 trials have run, inline or in a
+        # pool, then resumed with the same worker count
         path = tmp_path / "ck.json"
-        plan = SearchPlan(block_size=2, mode="sampled", seed=1, budget=5)
-        with pytest.raises(ValueError, match="sampled"):
-            run_search(plan, registry=registry, checkpoint=path)
-        assert not path.exists()
+        plan = SearchPlan(block_size=2, mode="sampled", seed=7, budget=400)
+        reference = _records(run_search(plan, registry=registry))
+        with monkeypatch.context() as m:
+            m.setattr(search, "_run_unit", _runs_then_stops(150))
+            m.setattr(search, "ProcessPoolExecutor", _RecordingPool([], []))
+            with pytest.raises(_Stopped):
+                list(run_search(plan, registry=registry, checkpoint=path, workers=workers))
+        header, *units = _log_lines(path)
+        assert header == {"version": 2, "plan": plan.to_dict()}
+        assert 0 < len(units) <= 150
+        assert [u["unit"] for u in units] == list(range(len(units)))  # a line per trial
+
+        resumed = _records(run_search(plan, registry=registry, checkpoint=path,
+                                      workers=workers))
+        assert resumed == reference
+        (doc,) = _log_lines(path)
+        assert doc["complete"] and doc["findings"] == reference
+
+    def test_complete_sampled_log_replays(self, tmp_path, registry, monkeypatch):
+        path = tmp_path / "ck.json"
+        # 400 trials over the six length-12 specs: most are found many times
+        plan = SearchPlan(block_size=2, mode="sampled", seed=7, budget=400)
+        first = list(run_search(plan, registry=registry, checkpoint=path))
+        keys = [f.sort_key() for f in first]
+        assert keys == sorted(set(keys))  # sorted, each spec once
+        (doc,) = _log_lines(path)
+        assert doc["complete"] and doc["findings"] == _records(first)
+        monkeypatch.setattr(search, "_run_unit", _no_unit_runs)
+        again = _records(run_search(plan, registry=registry, checkpoint=path))
+        assert again == _records(first)
 
     def test_pool_run_resumes_inline(self, tmp_path, registry):
         # stopped while two worker processes run units, resumed with one
@@ -337,6 +366,22 @@ class TestCheckpoint:
 
 def _no_unit_runs(plan, unit):
     raise AssertionError(f"unit {unit} ran again")
+
+
+class _Stopped(Exception):
+    pass
+
+
+def _runs_then_stops(count):
+    """A _run_unit that runs count units, then raises _Stopped."""
+    run_unit = search._run_unit
+    calls = itertools.count()
+
+    def run(plan, unit):
+        if next(calls) == count:
+            raise _Stopped(unit)
+        return run_unit(plan, unit)
+    return run
 
 
 class _RecordingPool:

@@ -27,7 +27,7 @@ from nega3 import (
     near_extremal_weight,
     weights,
 )
-from nega3.search import _sample_spec
+from nega3.search import _unit_specs
 
 
 def _random_code(rng, n, nrows):
@@ -151,7 +151,8 @@ class TestOrbitPath:
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_random_self_dual_specs(self, m, seed):
         plan = SearchPlan(m, mode="sampled", seed=seed, budget=1)
-        spec = next(filter(None, (_sample_spec(plan, t, True) for t in itertools.count())))
+        spec = next(itertools.chain.from_iterable(
+            _unit_specs(plan, t, verified=True) for t in itertools.count()))
         assert is_self_dual(spec)
         code = build_generator(spec)
         assert weights._orbit_width(code) == m
