@@ -26,7 +26,6 @@ from .gleason import (
     EnumeratorFamily,
     IntPoly,
     alpha_constraint,
-    distribution_from_alpha,
     gleason_basis,
     near_extremal_family,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "classify",
     "count_weight",
     "covering_lower_bound",
-    "distribution_from_alpha",
     "enumerate_candidates",
     "enumeration_cost",
     "extended_qr48",

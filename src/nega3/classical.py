@@ -99,9 +99,6 @@ class Fingerprint:
     alpha: int
     deeper_counts: tuple[tuple[int, int], ...] = ()
 
-    def matches(self, other: "Fingerprint") -> bool:
-        return self == other
-
 
 def fingerprint(code: Code, depth: str = "basic") -> Fingerprint:
     """Summarize a code for cross-construction comparison.

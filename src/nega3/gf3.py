@@ -229,24 +229,6 @@ class Code:
         return 2 * self.k == self.n and all(
             rows[i].dot(rows[j]) == 0 for i in range(len(rows)) for j in range(i, len(rows)))
 
-    def iter_codewords(self) -> Iterator[Gf3Vector]:
-        """Every codeword, by an odometer over the basis.  3^k values; the
-        caller is responsible for keeping k small."""
-        digits = [0] * self.k
-        v = Gf3Vector.zeros(self.n)
-        yield v
-        total = 3**self.k
-        for _ in range(total - 1):
-            i = self.k - 1
-            while True:
-                v = v + self.basis[i]
-                digits[i] += 1
-                if digits[i] < 3:
-                    break
-                digits[i] = 0
-                i -= 1
-            yield v
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
             return NotImplemented

@@ -10,13 +10,14 @@ g4^a * g12^b with 4a + 12b = n, where
 For lengths divisible by 12 the codes of interest have no nonzero words
 below weight n/4, which pins the enumerator down to a one-parameter family
 base + alpha * direction, alpha being the number of words of weight n/4.
-All solving is done over exact rationals; no floating point enters anywhere.
+The basis is unit lower-triangular at weights 0, 3, ..., 3m (m = n/12), so
+the family comes by forward substitution over the integers; no floating
+point or division enters anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalInconsistencyError
@@ -34,29 +35,17 @@ class IntPoly:
     def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.coeffs.items())
 
-    def exponents(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def negative_exponents(self) -> list[int]:
         return sorted(e for e, v in self.coeffs.items() if v < 0)
-
-    def sum_of_coefficients(self) -> int:
-        return sum(self.coeffs.values())
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
             out[e] = out.get(e, 0) + v
         return IntPoly(out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + other.scale(-1)
 
     def scale(self, c: int) -> "IntPoly":
         return IntPoly({e: c * v for e, v in self.coeffs.items()})
@@ -101,35 +90,16 @@ def gleason_basis(n: int) -> list[IntPoly]:
     return [(G4 ** ((n - 12 * b) // 4)) * (G12**b) for b in range(n // 12 + 1)]
 
 
-def _solve_exact(basis: list[IntPoly], targets: dict[int, int]) -> list[Fraction]:
-    """Solve sum_i c_i * basis_i for the prescribed coefficients at the given
-    exponents, over exact rationals.  The system must be square and uniquely
-    solvable."""
-    exps = sorted(targets)
-    m = len(basis)
-    if len(exps) != m:
-        raise InternalInconsistencyError("constraint count does not match basis size")
-    a = [[Fraction(p.coefficient(e)) for p in basis] + [Fraction(targets[e])] for e in exps]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            raise InternalInconsistencyError("singular enumerator system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
-
-
-def _combine(basis: list[IntPoly], coeffs: list[Fraction]) -> IntPoly:
+def _fit(basis: list[IntPoly], want: list[int]) -> IntPoly:
+    """The basis combination whose coefficients at y^0, y^3, ..., y^(3m) are
+    want, by forward substitution: basis[b] is y^(3b) plus higher terms, so
+    adding a multiple of it fixes the coefficient at y^(3b) and leaves the
+    lower ones alone."""
     out = IntPoly()
-    for c, p in zip(coeffs, basis):
-        if c.denominator != 1:
-            raise InternalInconsistencyError(f"non-integral combination weight {c}")
-        out = out + p.scale(c.numerator)
+    for b, p in enumerate(basis):
+        out = out + p.scale(want[b] - out.coefficient(3 * b))
+    if [out.coefficient(3 * b) for b in range(len(basis))] != want:
+        raise InternalInconsistencyError("forward substitution missed its targets")
     return out
 
 
@@ -158,22 +128,7 @@ def near_extremal_family(n: int) -> EnumeratorFamily:
         raise ValueError(f"length {n} is not a positive multiple of 12")
     m = n // 12
     basis = gleason_basis(n)
-    constraints = {3 * j: 0 for j in range(m + 1)}
-    constraints[0] = 1
-    base = _combine(basis, _solve_exact(basis, constraints))
-    constraints = {3 * j: 0 for j in range(m + 1)}
-    constraints[3 * m] = 1
-    direction = _combine(basis, _solve_exact(basis, constraints))
-    return EnumeratorFamily(n, base, direction)
-
-
-def distribution_from_alpha(n: int, alpha: int) -> IntPoly:
-    """The family enumerator evaluated at the given alpha.
-
-    The result may have negative coefficients when alpha is infeasible;
-    inspect IntPoly.negative_exponents to flag those.
-    """
-    return near_extremal_family(n).at(alpha)
+    return EnumeratorFamily(n, _fit(basis, [1] + [0] * m), _fit(basis, [0] * m + [1]))
 
 
 @dataclass(frozen=True)
@@ -189,9 +144,6 @@ class AlphaConstraint:
     def contains_alpha(self, alpha: int) -> bool:
         beta, rem = divmod(alpha, self.divisor)
         return rem == 0 and self.beta_min <= beta <= self.beta_max
-
-    def betas(self) -> range:
-        return range(self.beta_min, self.beta_max + 1)
 
 
 _ALPHA_CONSTRAINTS = {

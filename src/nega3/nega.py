@@ -70,12 +70,6 @@ class CodeSpec:
     def rows(self) -> tuple[Gf3Vector, Gf3Vector, Gf3Vector]:
         return (self.r1, self.r2, self.r3)
 
-    def blocks(self, i: int) -> tuple[Gf3Vector, Gf3Vector, Gf3Vector]:
-        """The three width-n blocks of row i (1-based)."""
-        r = self.rows[i - 1]
-        n = self.block_size
-        return (r.block(0, n), r.block(1, n), r.block(2, n))
-
     @classmethod
     def from_entry_rows(cls, rows: Sequence[Sequence[int]]) -> "CodeSpec":
         if len(rows) != 3:

@@ -135,9 +135,6 @@ class Registry:
     def prior_knowledge_complete(self, length: int) -> bool:
         return length in _COMPLETE_PRIOR_LENGTHS
 
-    def spec_labels(self) -> list[str]:
-        return [e.label for e in self.entries.values() if e.spec is not None]
-
 
 def _data_dir() -> Path:
     override = os.environ.get(_DATA_ENV)

@@ -88,16 +88,6 @@ class WeightProfile:
     counts: dict[int, int] = field(default_factory=dict)
     complete: bool = False
 
-    @property
-    def d(self) -> int | None:
-        positive = [w for w, c in self.counts.items() if w > 0 and c > 0]
-        return min(positive) if positive else None
-
-    @property
-    def alpha(self) -> int | None:
-        d = self.d
-        return self.counts[d] if d is not None else None
-
     def total(self) -> int:
         return sum(self.counts.values())
 
@@ -142,18 +132,16 @@ class _InfoSet:
 
 
 def _information_sets(code: Code) -> list[_InfoSet]:
-    """Systematic bases on greedily chosen disjoint column blocks."""
+    """Systematic bases on greedily chosen disjoint column blocks.  The
+    first is the code's own reduced basis; each later one reduces it with
+    the unused columns scanned first."""
     cached = code._cache.get("infosets")
     if cached is not None:
         return cached
     sets: list[_InfoSet] = []
     used: set[int] = set()
+    reduced, pivots = list(code.basis), list(code.pivots)
     while True:
-        fresh = [c for c in range(code.n) if c not in used]
-        if not fresh:
-            break
-        order = fresh + [c for c in range(code.n) if c in used]
-        reduced, pivots = _rref_rows(code.basis, order)
         new_pivots = [p for p in pivots if p not in used]
         if not new_pivots:
             break
@@ -161,6 +149,11 @@ def _information_sets(code: Code) -> list[_InfoSet]:
         mask = np.array(_split_lanes(sum(1 << p for p in pivots), _lanes(code.n)), dtype=np.uint64)
         sets.append(_InfoSet(lo, hi, code.k - len(new_pivots), pivots, mask))
         used.update(new_pivots)
+        fresh = [c for c in range(code.n) if c not in used]
+        if not fresh:
+            break
+        order = fresh + [c for c in range(code.n) if c in used]
+        reduced, pivots = _rref_rows(code.basis, order)
     code._cache["infosets"] = sets
     return sets
 
@@ -440,11 +433,10 @@ def count_weight(code: Code, w: int) -> int:
         raise ValueError("count_weight takes a positive weight")
     if code.k == 0 or w > code.n:
         return 0
+    if code.k <= 22 and 3**code.k < count_cost(code, w):
+        return full_distribution(code, allow_long=True).counts.get(w, 0)
     level = levels_needed_for_count(code, w)
     sets = _information_sets(code)
-    bz_cost = len(sets) * enumeration_cost(code.k, level)
-    if code.k <= 22 and 3**code.k < bz_cost:
-        return full_distribution(code, allow_long=True).counts.get(w, 0)
     width = _orbit_width(code)
     pivot_masks = np.stack([s.pivot_mask for s in sets])
     total = 0

@@ -3,15 +3,19 @@
 perfbench/run.py reads call counts from spans named after public nega3
 functions.  A renamed or deleted function would silently read 0, so each
 such name is checked against the package here, and so is each gf3.Code
-method that perfbench/tracer.py wraps.
+method that perfbench/tracer.py wraps, and each name perfbench calls
+outside the tracer's spans.
 """
 
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
-from nega3.gf3 import Code
+import nega3
+from nega3 import cli, search, weights
+from nega3.gf3 import Code, Gf3Vector
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,3 +49,28 @@ def test_traced_code_methods_exist():
     assert methods
     for method in methods:
         assert method in Code.__dict__, method
+
+
+def test_observed_and_called_names_exist():
+    # perfbench/run.py::_observers prices count_weight with count_cost and
+    # reads the second positional argument of min_weight and count_weight;
+    # perfbench/workloads.py calls the rest directly
+    assert inspect.isfunction(weights.count_cost)
+    for fn, names in ((weights.min_weight, ["code", "abort_below"]),
+                      (weights.count_weight, ["code", "w"])):
+        params = list(inspect.signature(fn).parameters.values())[:2]
+        assert [p.name for p in params] == names, fn.__name__
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), fn.__name__
+    assert inspect.isclass(nega3.SearchPlan)
+    for fn in (nega3.load_registry, nega3.alpha_constraint, search.run_search, cli.main):
+        assert inspect.isfunction(fn), fn
+
+
+def test_observers_run_on_the_package():
+    obs = Counter()
+    observers = _load("run")._observers(nega3, obs)
+    tetracode = Code(4, [Gf3Vector([1, 0, 1, 1]), Gf3Vector([0, 1, 1, 2])])
+    observers["weights.count_weight"]((tetracode, 3), {}, 8)
+    assert obs["count_weight_words"] == weights.count_cost(tetracode, 3)
+    observers["weights.min_weight"]((tetracode, 4), {}, 3)
+    assert (obs["min_weight_bounded"], obs["min_weight_rejected"]) == (1, 1)

@@ -82,18 +82,18 @@ class TestFingerprint:
     def test_matches_requires_equal_depth(self, tetracode):
         a = fingerprint(tetracode)
         b = fingerprint(tetracode, depth="extended")
-        assert a.matches(fingerprint(tetracode))
-        assert b.matches(fingerprint(tetracode, depth="extended"))
+        assert a == fingerprint(tetracode)
+        assert b == fingerprint(tetracode, depth="extended")
         # strict equality: mixed depths never match, by design
-        assert not a.matches(b)
+        assert a != b
 
     def test_distinguishes_codes(self, registry):
         c1 = fingerprint(build_generator(registry.entry("C1").spec))
         c2 = fingerprint(build_generator(registry.entry("C2").spec))
-        assert not c1.matches(c2)  # alpha 48 vs 56
+        assert c1 != c2  # alpha 48 vs 56
 
     def test_golay_vs_tetracode(self, tetracode):
-        assert not fingerprint(tetracode).matches(fingerprint(pless_symmetry(5)))
+        assert fingerprint(tetracode) != fingerprint(pless_symmetry(5))
 
 
 class TestEquivalenceSignals:
@@ -102,7 +102,7 @@ class TestEquivalenceSignals:
     def test_p36_matches_c36(self, registry):
         ours = fingerprint(build_generator(registry.entry("C36").spec), depth="extended")
         theirs = fingerprint(pless_symmetry(17), depth="extended")
-        assert ours.matches(theirs)
+        assert ours == theirs
         assert dict(ours.deeper_counts) == {15: 1400256, 18: 18452280}
 
     def test_length48_quartet(self, registry):
@@ -110,9 +110,9 @@ class TestEquivalenceSignals:
         # on the generic path
         c48 = fingerprint(build_generator(registry.entry("C48").spec))
         cp48 = fingerprint(build_generator(registry.entry("C'48").spec))
-        assert fingerprint(extended_qr48()).matches(c48)
-        assert fingerprint(pless_symmetry(23)).matches(cp48)
+        assert fingerprint(extended_qr48()) == c48
+        assert fingerprint(pless_symmetry(23)) == cp48
         # the extremal distribution at length 48 is unique, so all four
         # share one fingerprint; weight statistics cannot split the pair
-        assert c48.matches(cp48)
+        assert c48 == cp48
         assert (c48.d, c48.alpha) == (15, 415104)

@@ -314,7 +314,7 @@ class TestNeighbor:
 
     def test_membership_clause(self, capsys, registry):
         code = build_generator(registry.entry("C2").spec)
-        word = next(w for w in code.iter_codewords() if w.weight() > 0)
+        word = code.basis[0]
         digits = " ".join(str(e) for e in word.entries())
         rc, _, err = run_cli(capsys, "neighbor", "--registry", "C2",
                              "--x", digits)

@@ -13,11 +13,12 @@ from nega3 import (
     Code,
     Gf3Vector,
     alpha_constraint,
-    distribution_from_alpha,
     full_distribution,
     gleason_basis,
     near_extremal_family,
 )
+
+LENGTHS = [12, 24, 36, 48, 60, 72, 84, 96, 108, 120, 132, 144]
 
 W36 = {
     0: (1, 0),
@@ -89,27 +90,36 @@ class TestFamilies:
             assert fam.direction.coefficient(e) == direction, (n, e)
         if complete:
             # nothing outside the frozen support
-            assert set(fam.base.exponents()) <= set(table)
-            assert set(fam.direction.exponents()) <= set(table)
+            assert set(fam.base.coeffs) <= set(table)
+            assert set(fam.direction.coeffs) <= set(table)
 
-    @pytest.mark.parametrize("n", [12, 24, 36, 48, 60, 72])
+    @pytest.mark.parametrize("n", LENGTHS)
     def test_coefficient_sums(self, n):
         fam = near_extremal_family(n)
-        assert fam.base.sum_of_coefficients() == 3 ** (n // 2)
-        assert fam.direction.sum_of_coefficients() == 0
+        assert sum(fam.base.coeffs.values()) == 3 ** (n // 2)
+        assert sum(fam.direction.coeffs.values()) == 0
 
-    @pytest.mark.parametrize("n", [12, 24, 36, 48, 60, 72])
+    @pytest.mark.parametrize("n", LENGTHS)
     def test_support_is_multiples_of_three(self, n):
         fam = near_extremal_family(n)
-        for e in fam.base.exponents() + fam.direction.exponents():
+        for e in sorted(fam.base.coeffs) + sorted(fam.direction.coeffs):
             assert e % 3 == 0
             assert 0 <= e <= n
         # no weights strictly between 0 and the class minimum
         low = 3 * (n // 12)
-        for e in fam.base.exponents():
+        for e in sorted(fam.base.coeffs):
             assert e == 0 or e >= low
-        for e in fam.direction.exponents():
+        for e in sorted(fam.direction.coeffs):
             assert e >= low
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_defining_pattern(self, n):
+        # at weights 0, 3, ..., 3m the base reads (1, 0, ..., 0) and the
+        # direction (0, ..., 0, 1)
+        m = n // 12
+        fam = near_extremal_family(n)
+        assert [fam.base.coefficient(3 * j) for j in range(m + 1)] == [1] + [0] * m
+        assert [fam.direction.coefficient(3 * j) for j in range(m + 1)] == [0] * m + [1]
 
     def test_unsupported_length(self):
         with pytest.raises(ValueError):
@@ -118,7 +128,7 @@ class TestFamilies:
             near_extremal_family(0)
 
     def test_distribution_from_alpha(self):
-        poly = distribution_from_alpha(36, 48)
+        poly = near_extremal_family(36).at(48)
         assert poly.coefficient(9) == 48
         assert poly.coefficient(12) == 42840 - 9 * 48
         assert poly.negative_exponents() == []
@@ -136,6 +146,13 @@ class TestBasis:
         fam = near_extremal_family(12)
         golay = fam.at(0)
         assert {e: c for e, c in golay.items()} == {0: 1, 6: 264, 9: 440, 12: 24}
+
+    @pytest.mark.parametrize("n", range(4, 145, 4))
+    def test_unit_lower_triangular(self, n):
+        # basis[b] is y^(3b) plus higher terms, which forward substitution needs
+        basis = gleason_basis(n)
+        for b, p in enumerate(basis):
+            assert [p.coefficient(3 * j) for j in range(b + 1)] == [0] * b + [1], (n, b)
 
     def test_basis_dimensions(self):
         assert len(gleason_basis(12)) == 2

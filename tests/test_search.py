@@ -494,11 +494,7 @@ class TestNeighbor:
             neighbor(not_sd, Gf3Vector([1, 1, 1, 0]))
 
     def test_membership_clause(self, parent):
-        word = None
-        for w in parent.iter_codewords():
-            if w.weight() > 0:
-                word = w
-                break
+        word = parent.basis[0]
         with pytest.raises(NeighborMembershipError, match="neighbor would be"):
             neighbor(parent, word)
 
