@@ -225,9 +225,12 @@ class Code:
         return Code(self.n, _dual_rows(self))
 
     def is_self_dual(self) -> bool:
-        rows = self.basis
-        return 2 * self.k == self.n and all(
-            rows[i].dot(rows[j]) == 0 for i in range(len(rows)) for j in range(i, len(rows)))
+        """Whether the code equals its dual; kept in the code's cache."""
+        if "self_dual" not in self._cache:
+            rows = self.basis
+            self._cache["self_dual"] = 2 * self.k == self.n and all(
+                rows[i].dot(rows[j]) == 0 for i in range(len(rows)) for j in range(i, len(rows)))
+        return self._cache["self_dual"]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
@@ -239,6 +242,19 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, k={self.k})"
+
+
+def _code_from_echelon(n: int, rows: Sequence[Gf3Vector]) -> Code:
+    """Code(n, rows) for rows already in reduced echelon form with pivots
+    0, ..., len(rows) - 1, such as the rows (e_i | block row i) of an
+    (I | M) generator, without the row reduction."""
+    code = object.__new__(Code)
+    code.n = n
+    code.k = len(rows)
+    code.basis = tuple(rows)
+    code.pivots = tuple(range(len(rows)))
+    code._cache = {}
+    return code
 
 
 def _dual_rows(code: Code) -> list[Gf3Vector]:
@@ -256,9 +272,10 @@ def _dual_rows(code: Code) -> list[Gf3Vector]:
     for f in range(code.n):
         if f in pivots:
             continue
-        entries = [0] * code.n
-        entries[f] = 1
+        # -basis[p][f] is 2 where that entry is 1 (plane two) and 1 where it is 2
+        lo, hi = 1 << f, 0
         for p, row in zip(code.pivots, code.basis):
-            entries[p] = (-row[f]) % 3
-        rows.append(Gf3Vector(entries))
+            lo |= (row._hi >> f & 1) << p
+            hi |= (row._lo >> f & 1) << p
+        rows.append(_mk(code.n, lo, hi))
     return rows

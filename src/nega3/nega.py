@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import LengthMismatchError
-from .gf3 import Code, Gf3Vector, _mk
+from .gf3 import Code, Gf3Vector, _code_from_echelon, _mk
 
 
 def _negashift_blocks(v: Gf3Vector, b: int) -> Gf3Vector:
@@ -101,8 +101,9 @@ def _systematic_rows(block_size: int, first_rows: Sequence[Gf3Vector]) -> list[G
 
 
 def build_generator(spec: CodeSpec) -> Code:
-    """The code spanned by (I | M); always of dimension 3n."""
-    return Code(spec.length, _systematic_rows(spec.block_size, spec.rows))
+    """The code spanned by (I | M); always of dimension 3n.  Its rows are
+    already the reduced echelon basis, so no row reduction runs."""
+    return _code_from_echelon(spec.length, _systematic_rows(spec.block_size, spec.rows))
 
 
 # -- self-duality through the polynomial ring ------------------------------
@@ -155,12 +156,10 @@ def f_value(v: Gf3Vector) -> int:
     """The integer whose little-endian base-3 digits are the entries of v.
 
     This is a bijection between GF(3)^len and {0, ..., 3^len - 1}; entry 0
-    (the leftmost) is the least significant digit.
+    (the leftmost) is the least significant digit.  Each bit plane, written
+    in binary and read in base 3, is the numeral of its own digits.
     """
-    f = 0
-    for e in reversed(v.entries()):
-        f = 3 * f + e
-    return f
+    return int(f"{v._lo:b}", 3) + 2 * int(f"{v._hi:b}", 3)
 
 
 def vector_from_f(n: int, f: int) -> Gf3Vector:

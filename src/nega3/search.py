@@ -19,7 +19,10 @@ every admissible row of each dual space, a sampled trial the first
 admissible one of a bounded number of random draws.  run_search
 additionally prunes rows whose diagonal Gram identity fails and (exhaustive)
 r1 choices whose n-row subcode already contains a word below the target
-weight, then verifies each survivor end to end.
+weight, then verifies the survivors end to end: each is built and checked
+self-dual, and one covering scan over all of a unit's codes stacked
+together settles their minimum weights and counts at the target weight
+(weights._settle).
 
 A run is a sequence of work units: one r1 in exhaustive mode, keyed by
 f(r1), one trial in sampled mode, each trial drawing from its own generator
@@ -54,7 +57,7 @@ from .errors import (
     NeighborWeightError,
     RegistryError,
 )
-from .gf3 import Code, Gf3Vector, _dual_rows
+from .gf3 import Code, Gf3Vector, _code_from_echelon, _dual_rows
 from .nega import (
     CodeSpec,
     _systematic_rows,
@@ -65,7 +68,7 @@ from .nega import (
     vector_from_f,
 )
 from .registry import Registry, load_registry
-from .weights import count_weight, min_weight, ms_bound, near_extremal_weight
+from .weights import _settle, min_weight, ms_bound, near_extremal_weight
 
 log = logging.getLogger(__name__)
 
@@ -269,7 +272,8 @@ def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
     r1 clears the target weight.  Those rows are (e_i | block row i), so the
     subcode sits inside every completed code; a light word here dooms all of
     them."""
-    return min_weight(Code(6 * m, _systematic_rows(m, [spec_r1])), abort_below=d) >= d
+    subcode = _code_from_echelon(6 * m, _systematic_rows(m, [spec_r1]))
+    return min_weight(subcode, abort_below=d) >= d
 
 
 # -- work units -----------------------------------------------------------------
@@ -398,27 +402,18 @@ def make_finding(registry: Registry, kind: str, n: int, d: int, alpha: int,
                    novelty=not sets, sets=sets, **origin)
 
 
-def _candidate_alpha(spec: CodeSpec, plan: SearchPlan) -> int | None:
-    """alpha of the spec's code when its minimum weight is the plan's
-    target, else None."""
-    code = build_generator(spec)
-    if not code.is_self_dual():
-        raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
-    d = plan.target_min_weight
-    if min_weight(code, abort_below=d) != d:
-        return None
-    return count_weight(code, d)
-
-
 def _run_unit(plan: SearchPlan, unit: int) -> list[tuple[CodeSpec, int]]:
     """(spec, alpha) for each spec of one unit that verifies.  beta sets and
-    novelty are left to the merge, which holds the caller's registry."""
-    out = []
-    for spec in _unit_specs(plan, unit, verified=True):
-        alpha = _candidate_alpha(spec, plan)
-        if alpha is not None:
-            out.append((spec, alpha))
-    return out
+    novelty are left to the merge, which holds the caller's registry.
+
+    Every admissible spec is built and checked self-dual, then one stacked
+    covering scan (weights._settle) settles d and alpha for all of them."""
+    specs = list(_unit_specs(plan, unit, verified=True))
+    codes = [build_generator(spec) for spec in specs]
+    if not all(code.is_self_dual() for code in codes):
+        raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
+    alphas = _settle(codes, plan.target_min_weight)
+    return [(spec, alpha) for spec, alpha in zip(specs, alphas) if alpha is not None]
 
 
 def _map_units(plan: SearchPlan, units: Iterator[int], workers: int) -> Iterator[list]:
@@ -662,11 +657,10 @@ def neighbor_sweep(
             break
         else:
             raise InternalInconsistencyError("rejection sampling stalled")
-        ncode = neighbor(c, x)
-        if min_weight(ncode, abort_below=d) != d:
-            continue
-        yield make_finding(registry, "neighbor", c.n, d, count_weight(ncode, d),
-                           x=tuple(x.entries()), parent=parent_label)
+        alpha = _settle([neighbor(c, x)], d)[0]
+        if alpha is not None:
+            yield make_finding(registry, "neighbor", c.n, d, alpha,
+                               x=tuple(x.entries()), parent=parent_label)
 
 
 # -- novelty bookkeeping ----------------------------------------------------------

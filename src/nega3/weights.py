@@ -1,13 +1,16 @@
 """Exact minimum weights, counts at a given weight, and full distributions.
 
 Minimum-weight and counting queries run a covering enumeration over several
-systematic generator matrices.  The basis is re-echelonized on successive
-disjoint column blocks; messages of support size 1, 2, ... are expanded for
-each matrix, and once level j is complete every unseen codeword has weight
-at least sum_i max(0, j + 1 - deficit_i), where deficit_i is the rank the
-code falls short of full on block i.  The run stops when that bound meets
-the best weight seen (for minima) or strictly passes the queried weight
-(for counts), which certifies the answer without visiting all 3^k words.
+systematic generator matrices on disjoint column blocks.  A self-dual code
+takes two in closed form: its own reduced basis, and the reduced basis of
+its dual, which is itself, on the complementary columns (gf3._dual_rows).
+Other codes re-echelonize the basis on successive disjoint column blocks.
+Messages of support size 1, 2, ... are expanded for each matrix, and once
+level j is complete every unseen codeword has weight at least
+sum_i max(0, j + 1 - deficit_i), where deficit_i is the rank the code falls
+short of full on block i.  The run stops when that bound meets the best
+weight seen (for minima) or strictly passes the queried weight (for
+counts), which certifies the answer without visiting all 3^k words.
 
 The expansion is vectorized and visits each word the covering needs at
 most once up to sign:
@@ -26,6 +29,13 @@ most once up to sign:
   for the (I | M) codes of negacirculant blocks), sigma acts on messages as
   the blockwise negashift.  Only supports least among their rotations are
   walked, each weighted by its orbit size.
+- Stacks: codes that share n, k, the pivots of every matrix and the orbit
+  width share the support tables too, so the walk runs over their bases
+  stacked as (codes, k, lanes) planes, one numpy call per step for all of
+  them; a single code is a stack of one.  The search settles d and the
+  count at d of all the codes of one work unit in one such scan
+  (_settle), which runs until the bound passes d and drops a code at its
+  first word below d.
 
 Full distributions take a different route, a meet-in-the-middle sweep: the
 basis is split in half, all 3^(k - k//2) sums of the second half are
@@ -48,11 +58,10 @@ from math import comb, gcd
 import numpy as np
 
 from .errors import GuardError, InternalInconsistencyError
-from .gf3 import Code, _rref_rows
+from .gf3 import Code, _dual_rows, _rref_rows
 from .nega import _negashift_blocks
 
 _LANE_BITS = 64
-_MASK64 = (1 << 64) - 1
 
 # full_distribution throughput on the generic path, in codewords per second,
 # used only for guard messages: the 3^18 words of a column-permuted copy of
@@ -99,15 +108,16 @@ def _lanes(n: int) -> int:
     return (n + _LANE_BITS - 1) // _LANE_BITS
 
 
-def _split_lanes(x: int, num_lanes: int) -> list[int]:
-    return [(x >> (_LANE_BITS * lane)) & _MASK64 for lane in range(num_lanes)]
+def _pack(planes: list[int], n: int) -> np.ndarray:
+    """Bit planes of length n as rows of 64-bit lanes, least significant
+    lane first: shape (len(planes), lanes)."""
+    lanes = _lanes(n)
+    data = b"".join(x.to_bytes(8 * lanes, "little") for x in planes)
+    return np.frombuffer(data, dtype="<u8").reshape(len(planes), lanes)
 
 
 def _pack_rows(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    num_lanes = _lanes(n)
-    lo = np.array([_split_lanes(r._lo, num_lanes) for r in rows], dtype=np.uint64)
-    hi = np.array([_split_lanes(r._hi, num_lanes) for r in rows], dtype=np.uint64)
-    return lo.reshape(len(rows), num_lanes), hi.reshape(len(rows), num_lanes)
+    return _pack([r._lo for r in rows], n), _pack([r._hi for r in rows], n)
 
 
 def _add_planes(alo, ahi, blo, bhi):
@@ -132,30 +142,42 @@ class _InfoSet:
 
 
 def _information_sets(code: Code) -> list[_InfoSet]:
-    """Systematic bases on greedily chosen disjoint column blocks.  The
-    first is the code's own reduced basis; each later one reduces it with
-    the unused columns scanned first."""
+    """Systematic bases on disjoint column blocks, kept in the code's cache.
+    The first is the code's own reduced basis."""
     cached = code._cache.get("infosets")
-    if cached is not None:
-        return cached
-    sets: list[_InfoSet] = []
+    if cached is None:
+        cached = code._cache["infosets"] = [
+            _InfoSet(*_pack_rows(rows, code.n), deficit, list(pivots),
+                     _pack([sum(1 << p for p in pivots)], code.n)[0])
+            for rows, pivots, deficit in _systematic_bases(code)]
+    return cached
+
+
+def _systematic_bases(code: Code):
+    """(rows, pivots, deficit) of each information set.
+
+    A self-dual code takes two in closed form: the complement of an
+    information set of C is one of its dual, here C itself, whose reduced
+    basis on those columns is gf3._dual_rows.  Other codes reduce the basis
+    again with the columns not yet used scanned first, for as long as that
+    finds new pivots."""
+    if code.k and code.is_self_dual():
+        yield code.basis, code.pivots, 0
+        pivots = set(code.pivots)
+        yield _dual_rows(code), [c for c in range(code.n) if c not in pivots], 0
+        return
     used: set[int] = set()
-    reduced, pivots = list(code.basis), list(code.pivots)
+    reduced, pivots = code.basis, code.pivots
     while True:
         new_pivots = [p for p in pivots if p not in used]
         if not new_pivots:
-            break
-        lo, hi = _pack_rows(reduced[: code.k], code.n)
-        mask = np.array(_split_lanes(sum(1 << p for p in pivots), _lanes(code.n)), dtype=np.uint64)
-        sets.append(_InfoSet(lo, hi, code.k - len(new_pivots), pivots, mask))
+            return
+        yield reduced[: code.k], pivots, code.k - len(new_pivots)
         used.update(new_pivots)
         fresh = [c for c in range(code.n) if c not in used]
         if not fresh:
-            break
-        order = fresh + [c for c in range(code.n) if c in used]
-        reduced, pivots = _rref_rows(code.basis, order)
-    code._cache["infosets"] = sets
-    return sets
+            return
+        reduced, pivots = _rref_rows(code.basis, fresh + sorted(used))
 
 
 def _orbit_shape(n: int, k: int) -> int:
@@ -245,6 +267,9 @@ def count_cost(code: Code, w: int) -> int:
 # -- level scans ---------------------------------------------------------------
 
 _CHUNK = 1 << 16  # most combinations, hence rows per batch, held at once
+# most codes scanned in one stack: a few dozen already share out the numpy
+# call overhead, and wider stacks would only hold larger batches at once
+_STACK = 64
 
 
 class _Abort(Exception):
@@ -346,35 +371,59 @@ def _support_chunks(k: int, j: int, width: int):
             yield combos, mult
 
 
-def _words(iset: _InfoSet, j: int, width: int):
-    """The codewords of the messages of support size j, as batches
-    (lo, hi, mult).
+def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
+           alive: np.ndarray | None = None):
+    """The codewords of the messages of support size j of a stack of codes,
+    as batches (codes, lo, hi, mult).
 
-    Each message's first nonzero coefficient is fixed to 1, so a batch holds
-    one word of each pair c, -c, which share their weight and their pivot
-    weights.  The other j - 1 coefficients are walked through their 2^(j-1)
-    sign patterns in Gray-code order, each step one bit-sliced vector
-    addition.  With a width (see _orbit_width) only supports least among
-    their rotations are walked, and mult holds each support's orbit size,
-    the number of supports whose words the batch stands for; otherwise
-    mult is all ones.
+    lo and hi hold one systematic basis per code, shaped (codes, k, lanes);
+    the codes share their pivots and orbit width, so one support table
+    serves them all.  A batch holds the words of a run of at most
+    max(1, _CHUNK // codes) supports for the listed stack positions, shaped
+    (len(codes), supports, lanes), so at most _CHUNK rows in all when the
+    stack holds at most _CHUNK codes.  Each message's first nonzero
+    coefficient is fixed to 1, so a batch holds one word of each pair c, -c,
+    which share their weight and their pivot weights.  The other j - 1
+    coefficients are walked through their 2^(j-1) sign patterns in
+    Gray-code order, each step one bit-sliced vector addition.  With a width
+    (see _orbit_width) only supports least among their rotations are
+    walked, and mult holds each support's orbit size, the number of
+    supports whose words the batch stands for; otherwise mult is all ones.
+    A stack position the caller clears in alive leaves the walk at the next
+    batch.
     """
-    for combos, mult in _supports(iset.lo.shape[0], j, width):
-        glo = [iset.lo[combos[:, t]] for t in range(j)]
-        ghi = [iset.hi[combos[:, t]] for t in range(j)]
-        lo, hi = glo[0], ghi[0]
-        for t in range(1, j):
-            lo, hi = _add_planes(lo, hi, glo[t], ghi[t])
-        yield lo, hi, mult
-        # flipping pattern bit t - 1 takes coefficient t from 1 to 2 (add the
-        # row) or back (add its negation, i.e. the row with planes swapped)
-        for i in range(1, 1 << (j - 1)):
-            t = (i & -i).bit_length()
-            if ((i ^ (i >> 1)) >> (t - 1)) & 1:
-                lo, hi = _add_planes(lo, hi, glo[t], ghi[t])
-            else:
-                lo, hi = _add_planes(lo, hi, ghi[t], glo[t])
-            yield lo, hi, mult
+    codes = np.arange(lo.shape[0])
+    for combos, mult in _supports(lo.shape[1], j, width):
+        step = max(1, _CHUNK // len(codes))
+        for s in range(0, len(combos), step):
+            piece = combos[s : s + step]
+            slo, shi = lo[codes], hi[codes]
+            # each column cast once, for both planes
+            rows = [piece[:, t].astype(np.intp) for t in range(j)]
+            glo = [np.take(slo, r, axis=1) for r in rows]
+            ghi = [np.take(shi, r, axis=1) for r in rows]
+            wlo, whi = glo[0], ghi[0]
+            for t in range(1, j):
+                wlo, whi = _add_planes(wlo, whi, glo[t], ghi[t])
+            for i in range(1 << (j - 1)):
+                if i:
+                    # flipping pattern bit t - 1 takes coefficient t from 1
+                    # to 2 (add the row) or back (add its negation, i.e. the
+                    # row with planes swapped)
+                    t = (i & -i).bit_length()
+                    if ((i ^ (i >> 1)) >> (t - 1)) & 1:
+                        wlo, whi = _add_planes(wlo, whi, glo[t], ghi[t])
+                    else:
+                        wlo, whi = _add_planes(wlo, whi, ghi[t], glo[t])
+                if alive is not None and not alive[codes].all():
+                    keep = alive[codes]
+                    codes = codes[keep]
+                    if not len(codes):
+                        return
+                    wlo, whi = wlo[keep], whi[keep]
+                    glo = [g[keep] for g in glo]
+                    ghi = [g[keep] for g in ghi]
+                yield codes, wlo, whi, mult[s : s + step]
 
 
 def min_weight(code: Code, abort_below: int | None = None) -> int:
@@ -398,14 +447,15 @@ def min_weight(code: Code, abort_below: int | None = None) -> int:
 
 
 def _min_weight_scan(code: Code, abort_below: int | None) -> int:
-    """The covering scan behind min_weight; raises _Abort on an early exit."""
+    """The covering scan behind min_weight, over a stack of one; raises
+    _Abort on an early exit."""
     sets = _information_sets(code)
     width = _orbit_width(code)
     deficits = [s.deficit for s in sets]
     best = code.n + 1
     for j in range(1, code.k + 1):
         for s in sets:
-            for lo, hi, _ in _words(s, j, width):
+            for _, lo, hi, _ in _words(s.lo[None], s.hi[None], j, width):
                 w = int(_weights_of(lo, hi).min())
                 if w < best:
                     best = w
@@ -420,12 +470,7 @@ def count_weight(code: Code, w: int) -> int:
     """Exact number of codewords of weight w.
 
     Runs the covering enumeration until its bound strictly exceeds w, so
-    every weight-w word is visited.  A word is counted only at the first
-    (level, information set) pair that visits it: its message support under
-    set i is its weight on set i's pivots, so it is counted under the first
-    set on whose pivots its weight is least.  Each visited word stands for
-    itself and its negation, and on the orbit path for its whole negashift
-    orbit (see _words), so no word is kept or compared.  When a straight
+    every weight-w word is visited (see _stack_counts).  When a straight
     sweep of all 3^k codewords is cheaper, delegates to full_distribution
     instead (both routes are exact).
     """
@@ -435,20 +480,70 @@ def count_weight(code: Code, w: int) -> int:
         return 0
     if code.k <= 22 and 3**code.k < count_cost(code, w):
         return full_distribution(code, allow_long=True).counts.get(w, 0)
-    level = levels_needed_for_count(code, w)
-    sets = _information_sets(code)
-    width = _orbit_width(code)
-    pivot_masks = np.stack([s.pivot_mask for s in sets])
-    total = 0
+    return _stack_counts([code], w, floor=1)[0]
+
+
+def _settle(codes: list[Code], d: int) -> list[int | None]:
+    """For each code, the number of its words of weight d when d is its
+    minimum weight, else None.
+
+    Codes that share n, k, information-set pivots and orbit width, as read
+    off each code, are scanned together in stacks of at most _STACK codes,
+    each stack in one pass over the levels (see _stack_counts) that settles
+    d and the count at once; a code leaves its stack at its first word
+    below d."""
+    stacks: dict[tuple, list[int]] = {}
+    for i, code in enumerate(codes):
+        key = (code.n, code.k, _orbit_width(code),
+               tuple(tuple(s.pivots) for s in _information_sets(code)))
+        stacks.setdefault(key, []).append(i)
+    out: list[int | None] = [None] * len(codes)
+    for members in stacks.values():
+        for s in range(0, len(members), _STACK):
+            part = members[s : s + _STACK]
+            for i, count in zip(part, _stack_counts([codes[i] for i in part], d, floor=d)):
+                out[i] = count or None
+    return out
+
+
+def _stack_counts(codes: list[Code], w: int, floor: int) -> list[int | None]:
+    """The number of weight-w words of each code of a stack, or None for a
+    code with a word of weight below floor, which leaves the stack there.
+
+    The codes share n, k, information-set pivots and orbit width.  The
+    covering scan runs level by level until its bound strictly exceeds w,
+    so every word of weight at most w is visited.  A word is counted only
+    at the first (level, information set) pair that visits it: its message
+    support under set i is its weight on set i's pivots, so it is counted
+    under the first set on whose pivots its weight is least.  Each visited
+    word stands for itself and its negation, and on the orbit path for its
+    whole negashift orbit (see _words), so no word is kept or compared.
+    """
+    if codes[0].k == 0:
+        return [0] * len(codes)
+    head = _information_sets(codes[0])
+    width = _orbit_width(codes[0])
+    level = levels_needed_for_count(codes[0], w)
+    pivot_masks = np.stack([s.pivot_mask for s in head])
+    planes = [(np.stack([_information_sets(c)[i].lo for c in codes]),
+               np.stack([_information_sets(c)[i].hi for c in codes])) for i in range(len(head))]
+    alive = np.ones(len(codes), dtype=bool)
+    drops = floor > 1  # no nonzero word weighs less than 1
+    total = np.zeros(len(codes), dtype=np.int64)
     for j in range(1, level + 1):
-        for i, s in enumerate(sets):
-            for lo, hi, mult in _words(s, j, width):
-                hit = np.flatnonzero(_weights_of(lo, hi) == w)
+        for i, (lo, hi) in enumerate(planes):
+            for stack, wlo, whi, mult in _words(lo, hi, j, width, alive if drops else None):
+                weight = _weights_of(wlo, whi)
+                if drops:
+                    alive[stack[weight.min(axis=1) < floor]] = False
+                hit = np.flatnonzero(weight == w)
                 if hit.size:
-                    on_pivots = (lo[hit] | hi[hit])[:, None, :] & pivot_masks
-                    first = np.bitwise_count(on_pivots).sum(axis=-1).argmin(axis=1) == i
-                    total += int(mult[hit[first]].sum())
-    return 2 * total
+                    lanes = wlo.shape[-1]
+                    words = wlo.reshape(-1, lanes)[hit] | whi.reshape(-1, lanes)[hit]
+                    on_pivots = np.bitwise_count(words[:, None, :] & pivot_masks).sum(axis=-1)
+                    c, r = np.divmod(hit[on_pivots.argmin(axis=1) == i], weight.shape[1])
+                    np.add.at(total, stack[c], mult[r])
+    return [2 * int(t) if a else None for t, a in zip(total, alive)]
 
 
 def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:

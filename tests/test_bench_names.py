@@ -74,3 +74,19 @@ def test_observers_run_on_the_package():
     assert obs["count_weight_words"] == weights.count_cost(tetracode, 3)
     observers["weights.min_weight"]((tetracode, 4), {}, 3)
     assert (obs["min_weight_bounded"], obs["min_weight_rejected"]) == (1, 1)
+
+
+def test_traced_search_counts_each_verified_spec(registry):
+    # search.specs_verified counts nega.build_generator spans under
+    # run_search; the exhaustive-24 shard verifies 1,547 specs, of which
+    # 1,470 are findings
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        plan = nega3.SearchPlan(block_size=4, partition=(0, 64))
+        findings = list(search.run_search(plan, registry=registry))
+    finally:
+        tracer.uninstall()
+    assert len(findings) == 1470
+    assert tracer.calls["nega.build_generator"] == 1547
+    assert tracer.count_under("nega.build_generator", "search.run_search") == 1547

@@ -182,6 +182,15 @@ class TestSearch:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "d035455e50ac8b44a6f755241bb6efed12a8e7440c6390bdb4f4fb423a939f7f")
 
+    def test_exhaustive_stream_pinned(self, capsys):
+        # the shard the exhaustive benchmark workloads search, and the digest
+        # perfbench/expected.json holds for it
+        rc, out, _ = run_cli(capsys, "search", "--n", "4", "--partition", "0/64")
+        assert rc == 0
+        assert len(out.splitlines()) == 1470
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9c7b19f02402ba3da4fa2853c9481b6ffd64d420004762a1312a415e619751e9")
+
     def test_workers_with_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "ck.json"
         rc, out, _ = run_cli(capsys, "search", "--n", "2", "--workers", "2",

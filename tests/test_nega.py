@@ -20,7 +20,7 @@ from nega3 import (
     self_dual_violations,
     vector_from_f,
 )
-from nega3.gf3 import Gf3Vector
+from nega3.gf3 import Code, Gf3Vector, _code_from_echelon
 from nega3.nega import _negashift_blocks, _systematic_rows, row_gram_is_two, row_pair_gram
 
 
@@ -94,6 +94,21 @@ class TestSpec:
                 got = _systematic_rows(m, [Gf3Vector(r) for r in rows[:count]])
                 assert [v.entries() for v in got] == want[: count * m]
 
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32))
+    def test_systematic_code_skips_only_the_reduction(self, m, count, seed):
+        # build_generator and the d-prune take the rows (e_i | block row i)
+        # as the reduced basis as they are
+        rng = random.Random(seed)
+        rows = [Gf3Vector(_rand_vec(rng, 3 * m)) for _ in range(count)]
+        built = _code_from_echelon(6 * m, _systematic_rows(m, rows))
+        reduced = Code(6 * m, _systematic_rows(m, rows))
+        assert (built.n, built.k) == (reduced.n, reduced.k) == (6 * m, count * m)
+        assert built.basis == reduced.basis
+        assert built.pivots == reduced.pivots == tuple(range(count * m))
+        assert built == reduced and hash(built) == hash(reduced)
+        if count == 3:
+            assert build_generator(CodeSpec(m, *rows)) == reduced
+
     def test_block_rows_match_reference(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -165,11 +180,18 @@ class TestSelfDuality:
 
 
 class TestFValue:
-    @given(st.lists(st.integers(0, 2), min_size=1, max_size=20))
+    @given(st.lists(st.integers(0, 2), min_size=0, max_size=40))
     def test_roundtrip(self, v):
         f = f_value(Gf3Vector(v))
         assert f == naive.f_value(v)
         assert vector_from_f(len(v), f).entries() == v
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_zero_and_all_two_vectors(self, n):
+        # every digit 0, then every digit 2, the least and the greatest value
+        assert f_value(Gf3Vector.zeros(n)) == naive.f_value([0] * n) == 0
+        assert f_value(Gf3Vector([2] * n)) == naive.f_value([2] * n) == 3**n - 1
+        assert vector_from_f(n, 3**n - 1) == Gf3Vector([2] * n)
 
     @given(st.integers(min_value=0, max_value=3**10 - 1))
     def test_inverse(self, f):

@@ -13,6 +13,7 @@ from nega3 import (
     Finding,
     GammaSet,
     Gf3Vector,
+    InternalInconsistencyError,
     LengthMismatchError,
     NeighborCodeError,
     NeighborMembershipError,
@@ -154,6 +155,34 @@ class TestExhaustive:
         par = [f.to_record() for f in run_search(plan, registry=custom, workers=2)]
         assert par == seq
         assert any(r["sets"] == ["g12"] and not r["novelty"] for r in seq)
+
+    def test_one_build_per_verified_spec(self, monkeypatch):
+        # a unit builds each verified spec once, through the search module's
+        # binding of nega.build_generator, where the benchmark tracer counts
+        # the specs verified
+        built = []
+        real = search.build_generator
+        monkeypatch.setattr(search, "build_generator",
+                            lambda spec: built.append(spec) or real(spec))
+        plan = SearchPlan(block_size=4, partition=(0, 64))
+        total = 0
+        for unit in search._units(plan):
+            del built[:]
+            found = search._run_unit(plan, unit)
+            assert built == list(search._unit_specs(plan, unit, verified=True))
+            assert {spec for spec, _ in found} <= set(built)
+            total += len(built)
+            if total > 200:
+                break
+        assert total > 200
+
+    def test_a_code_that_is_not_self_dual_is_refused(self, monkeypatch):
+        # the identities are trusted only as far as the built code agrees
+        plan = SearchPlan(block_size=2)
+        unit = next(u for u in search._units(plan) if search._run_unit(plan, u))
+        monkeypatch.setattr(Code, "is_self_dual", lambda code: False)
+        with pytest.raises(InternalInconsistencyError, match="not self-dual"):
+            search._run_unit(plan, unit)
 
     def test_candidates_without_verification(self):
         structural, _ = naive.reduced_space_findings(2, 3)

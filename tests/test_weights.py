@@ -1,5 +1,6 @@
 """Minimum-weight engine against full enumeration on small codes."""
 
+import functools
 import itertools
 import random
 import time
@@ -19,15 +20,20 @@ from nega3 import (
     build_generator,
     classify,
     count_weight,
+    extended_qr48,
     full_distribution,
     is_self_dual,
     min_weight,
     ms_bound,
     near_extremal_family,
     near_extremal_weight,
+    neighbor,
+    pless_symmetry,
     weights,
 )
-from nega3.search import _unit_specs
+from nega3.gf3 import _code_from_echelon, _rref_rows
+from nega3.nega import _systematic_rows
+from nega3.search import _unit_specs, _units
 
 
 def _random_code(rng, n, nrows):
@@ -164,6 +170,184 @@ class TestOrbitPath:
         code = registry.entry(label).build()
         assert weights._orbit_width(code) == 6
         _check_against_generic(code, 36)
+
+
+# an extremal length-24 spec: d = 9, so it has no words of weight 6
+_EXTREMAL24 = CodeSpec.from_entry_rows([
+    [0, 1, 2, 2, 0, 1, 2, 0, 1, 2, 1, 0],
+    [1, 0, 2, 1, 1, 0, 1, 0, 1, 1, 1, 0],
+    [0, 1, 2, 0, 1, 2, 1, 2, 2, 0, 1, 0]])
+
+
+def _self_dual_specs(m, seed, count):
+    """The first count specs of sampled trials from seed on, which pass
+    every identity, so their codes are self-dual."""
+    plan = SearchPlan(m, mode="sampled", seed=seed, budget=1)
+    specs = itertools.chain.from_iterable(
+        _unit_specs(plan, t, verified=True) for t in itertools.count())
+    return list(itertools.islice(specs, count))
+
+
+@functools.cache
+def _self_dual_pool(m):
+    """Self-dual specs of length 6m: all six that the length-12 search
+    verifies, else the first 30 of sampled trials."""
+    if m == 2:
+        plan = SearchPlan(2)
+        return tuple(s for u in _units(plan) for s in _unit_specs(plan, u, verified=True))
+    return tuple(_self_dual_specs(m, 0, 30))
+
+
+def _mixed_stack(m, seed):
+    """Codes of length 6m in a shuffled order: random (I | M) specs, most of
+    them not self-dual and with words below the near-extremal weight,
+    self-dual specs, and at length 24 the extremal spec."""
+    rng = random.Random(seed)
+    specs = [CodeSpec.from_entry_rows([[rng.randrange(3) for _ in range(3 * m)]
+                                       for _ in range(3)]) for _ in range(6)]
+    specs += rng.sample(_self_dual_pool(m), 4)
+    if m == 4:
+        specs.append(_EXTREMAL24)
+    rng.shuffle(specs)
+    return [build_generator(spec) for spec in specs]
+
+
+def _one_by_one(code, d):
+    """What _settle promises for one code, from min_weight and count_weight."""
+    return count_weight(code, d) if min_weight(code) == d else None
+
+
+def _by_enumeration(dist, d):
+    """The same from a full weight distribution."""
+    return dist[d] if min(w for w in dist if w) == d else None
+
+
+class TestStackedScan:
+    """weights._settle, which settles d and A_d of many codes in one stacked
+    scan, against each code scanned alone and against full enumeration."""
+
+    @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
+    def test_mixed_stacks_match_one_code_at_a_time(self, m, seed):
+        codes = _mixed_stack(m, seed)
+        if m == 2:
+            dists = [naive.distribution([r.entries() for r in c.basis]) for c in codes]
+        # the near-extremal weight, and the minimum weights of the codes,
+        # so that codes of every kind have d as their minimum weight
+        for d in sorted({near_extremal_weight(6 * m)} | {min_weight(c) for c in codes}):
+            got = weights._settle(codes, d)
+            assert got == [_one_by_one(c, d) for c in codes], d
+            if m == 2:
+                assert got == [_by_enumeration(dist, d) for dist in dists], d
+
+    def test_a_stack_holds_every_outcome(self):
+        codes = _mixed_stack(4, 3)
+        got = weights._settle(codes, 6)
+        d = [min_weight(c) for c in codes]
+        assert {w < 6 for w in d} == {True, False}  # some codes drop out
+        extremal = d.index(9)  # A_6 = 0, so no count either
+        assert got[extremal] is None
+        assert all((a is not None) == (w == 6) for a, w in zip(got, d))
+        assert sum(a is not None for a in got) >= 3
+
+    @pytest.mark.parametrize("chunk,stack", [(1, 1), (3, 2), (7, 7), (weights._CHUNK, 4)])
+    def test_small_chunks_and_stacks(self, monkeypatch, chunk, stack):
+        codes = _mixed_stack(4, 11) + [build_generator(s) for s in _self_dual_pool(4)[:8]]
+        want = weights._settle(codes, 6)
+        walk = weights._words
+
+        def bounded(lo, hi, j, width, alive=None):
+            for batch in walk(lo, hi, j, width, alive):
+                assert batch[1].shape[0] * batch[1].shape[1] <= chunk
+                yield batch
+
+        monkeypatch.setattr(weights, "_CHUNK", chunk)
+        monkeypatch.setattr(weights, "_STACK", stack)
+        monkeypatch.setattr(weights, "_words", bounded)
+        assert weights._settle(codes, 6) == want
+        assert want == [_one_by_one(c, 6) for c in codes]
+
+
+def _greedy_sets(code):
+    """Information sets by the greedy rule alone: the reduced basis, then
+    reductions with the columns not yet used scanned first."""
+    out, used = [], set()
+    rows, pivots = list(code.basis), list(code.pivots)
+    while True:
+        fresh_pivots = [p for p in pivots if p not in used]
+        if not fresh_pivots:
+            return out
+        out.append((rows[: code.k], pivots, code.k - len(fresh_pivots)))
+        used.update(fresh_pivots)
+        fresh = [c for c in range(code.n) if c not in used]
+        if not fresh:
+            return out
+        rows, pivots = _rref_rows(code.basis, fresh + sorted(used))
+
+
+def _sets(code):
+    return [(list(rows), list(pivots), deficit)
+            for rows, pivots, deficit in weights._systematic_bases(code)]
+
+
+def _check_packed(code):
+    for iset, (rows, pivots, deficit) in zip(weights._information_sets(code), _sets(code)):
+        assert [[int(x) for x in lane] for lane in iset.lo] == [[r._lo] for r in rows]
+        assert [[int(x) for x in lane] for lane in iset.hi] == [[r._hi] for r in rows]
+        assert (iset.pivots, iset.deficit) == (pivots, deficit)
+        assert int(iset.pivot_mask[0]) == sum(1 << p for p in pivots)
+
+
+class TestInformationSets:
+    """The closed-form second basis of self-dual codes against the greedy
+    row reduction it replaces."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_self_dual_specs(self, m):
+        for spec in _self_dual_pool(m):
+            code = build_generator(spec)
+            assert code.is_self_dual()
+            assert _sets(code) == _greedy_sets(code)
+            assert [s[1] for s in _sets(code)] == [list(range(3 * m)), list(range(3 * m, 6 * m))]
+
+    @given(st.integers(0, 2**32))
+    def test_neighbors(self, registry, seed):
+        rng = random.Random(seed)
+        base = build_generator(registry.entry("C2").spec)
+        while True:
+            x = Gf3Vector([rng.randrange(3) for _ in range(36)])
+            if x.weight() % 3 == 0 and not base.contains(x):
+                break
+        code = neighbor(base, x)
+        assert _sets(code) == _greedy_sets(code)
+        assert [s[2] for s in _sets(code)] == [0, 0]
+
+    @pytest.mark.parametrize("q", [None, 5, 11, 17, 23])
+    def test_qr48_and_pless_codes(self, q):
+        code = extended_qr48() if q is None else pless_symmetry(q)
+        assert code.is_self_dual()
+        assert _sets(code) == _greedy_sets(code)
+        _check_packed(code)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_d_prune_subcodes_take_the_greedy_path(self, monkeypatch, m):
+        # the [6m, m] subcodes of the search's d-prune are not self-dual
+        def refuse(code):
+            raise AssertionError("closed form used on a code that is not self-dual")
+
+        monkeypatch.setattr(weights, "_dual_rows", refuse)
+        rng = random.Random(m)
+        for _ in range(10):
+            r1 = Gf3Vector([rng.randrange(3) for _ in range(3 * m)])
+            code = _code_from_echelon(6 * m, _systematic_rows(m, [r1]))
+            assert not code.is_self_dual()
+            assert _sets(code) == _greedy_sets(code)
+            _check_packed(code)
+
+    def test_self_dual_is_cached(self, registry):
+        code = build_generator(registry.entry("C1").spec)
+        assert code.is_self_dual()
+        assert code._cache["self_dual"] is True
+        assert not Code(36, list(code.basis[:17])).is_self_dual()
 
 
 class TestFullDistribution:
