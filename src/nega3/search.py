@@ -16,7 +16,11 @@ enumeration by a base-3 odometer over the coefficients visit dual vectors in
 exactly ascending f order; the f-value ceilings then become simple early
 exits.  Both modes walk r1 -> r2 -> r3 the same way: exhaustive mode takes
 every admissible row of each dual space, a sampled trial the first
-admissible one of a bounded number of random draws.  run_search
+admissible one of a bounded number of random draws.  Those draws are made
+in one numpy batch per row from the words of the trial's Mersenne Twister
+that a loop of scalar random.randrange(3) calls would read, and the
+generator is then advanced past the draws that loop would have made, so a
+sampled run is still a pure function of (plan, seed).  run_search
 additionally prunes rows whose diagonal Gram identity fails and (exhaustive)
 r1 choices whose n-row subcode already contains a word below the target
 weight, then verifies the survivors end to end: each is built and checked
@@ -47,7 +51,9 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     InternalInconsistencyError,
@@ -225,7 +231,8 @@ class _DualSpace:
 
     The span's one row reduction gives that basis in closed form: the
     columns off its pivots are the dual's pivots from the high end (see
-    gf3._dual_rows)."""
+    gf3._dual_rows).  Exhaustive mode walks the odometer; a sampled trial
+    takes its random members in one batch (draws)."""
 
     def __init__(self, span_rows: Sequence[Gf3Vector], width: int):
         self.width = width
@@ -251,20 +258,76 @@ class _DualSpace:
                 return
             yield v
 
-    def random_member(self, rng: random.Random) -> Gf3Vector:
-        v = Gf3Vector.zeros(self.width)
-        for u in self.basis:
-            c = rng.randrange(3)
-            if c == 1:
-                v = v + u
-            elif c == 2:
-                v = v - u
-        return v
+    def draws(self, rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """count random dual members as a (count, width) array of entries,
+        and for each the number of rng's 32-bit words read up to its end.
+
+        Member i is the sum of c_ij * basis[j], one coefficient per basis
+        row, member after member.  A coefficient is the top two bits of one
+        word, redrawn on 3, which is how CPython's random.randrange(3)
+        reads the words, so the batch is what a loop of randrange draws
+        gives.  The words are only peeked: rng is left as it was, for the
+        caller to advance past the draws it used.
+        """
+        t = len(self.basis)
+        need = count * t
+        state = rng.getstate()
+        top = np.empty(0, np.uint8)
+        pos = np.empty(0, np.intp)
+        while len(pos) < need:
+            w = (need - len(pos)) * 4 // 3 + 16  # a quarter of the words are redrawn
+            words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4")
+            top = np.concatenate((top, (words >> 30).astype(np.uint8)))
+            pos = np.flatnonzero(top != 3)
+        rng.setstate(state)
+        coeffs = top[pos[:need]].reshape(count, t).astype(np.int64)
+        basis = np.array([u.entries() for u in self.basis], np.int64).reshape(t, self.width)
+        ends = pos[t - 1:need:t] + 1 if t else np.zeros(count, np.intp)
+        return coeffs @ basis % 3, ends
 
 
 def _weight_passes(w: int, d: int) -> bool:
     """The row-weight rule: 2 mod 3 and at least d - 1."""
     return w % 3 == 2 and w >= d - 1
+
+
+def _may_be_admissible(vals: np.ndarray, d: int, limit: int) -> np.ndarray:
+    """Which rows of a (draws, width) entry array have a leading 1, pass the
+    row-weight rule (_weight_passes) and have f-value at most limit: the
+    necessary part of the row predicate, tested on a whole batch.  f is
+    compared digit by digit from the most significant end, which is exact
+    at every width."""
+    rows = np.arange(len(vals))
+    nz = vals != 0
+    weight = nz.sum(axis=1)
+    lead = vals[rows, nz.argmax(axis=1)]
+    width = vals.shape[1]
+    digits = np.array([limit // 3**i % 3 for i in range(width)])
+    diff = vals != digits
+    top = width - 1 - diff[:, ::-1].argmax(axis=1)  # the highest differing digit
+    f_ok = ~diff.any(axis=1) | (vals[rows, top] < digits[top])
+    return (lead == 1) & (weight % 3 == 2) & (weight >= d - 1) & f_ok
+
+
+def _sample_row(space: _DualSpace, rng: random.Random, d: int, limit: int,
+                admissible: Callable[[Gf3Vector, int], bool]) -> Gf3Vector | None:
+    """The first of _SAMPLE_TRIES_R23 random members of space for which
+    admissible(v, limit) holds, or None.
+
+    The batch prefilter (_may_be_admissible) spares the scalar predicate
+    the draws that cannot pass; it runs on the rest in draw order.  rng
+    ends past the draws up to the one taken, or past all of them: where a
+    loop of scalar randrange draws would leave it.
+    """
+    vals, ends = space.draws(rng, _SAMPLE_TRIES_R23)
+    found, used = None, ends[-1]
+    for i in np.flatnonzero(_may_be_admissible(vals, d, limit)):
+        v = Gf3Vector(vals[i].tolist())
+        if admissible(v, limit):
+            found, used = v, ends[i]
+            break
+    rng.getrandbits(32 * int(used))
+    return found
 
 
 def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
@@ -309,7 +372,8 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
     generator seeded by (plan seed, unit), redrawn on a failed weight or
     Gram check at most _SAMPLE_TRIES_R1 times, then takes the first
     admissible one of at most _SAMPLE_TRIES_R23 random dual members for
-    r2, and again for r3.
+    r2, and again for r3 (_sample_row: one batch of draws each, after
+    which the generator stands where the scalar draws would leave it).
 
     verified adds the diagonal Gram prune to every row and, in exhaustive
     mode, the minimum-weight prune of r1 (sound: they only drop candidates
@@ -354,8 +418,9 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
         if not sampled:
             yield from (v for v in space.ascending_f(limit) if admissible(v, limit))
             return
-        draws = (space.random_member(rng) for _ in range(_SAMPLE_TRIES_R23))
-        yield from itertools.islice((v for v in draws if admissible(v, limit)), 1)
+        row = _sample_row(space, rng, d, limit, admissible)
+        if row is not None:
+            yield row
 
     span1 = block_row_vectors(m, r1)
     for r2 in rows(span1, f_value(r1)):

@@ -62,6 +62,18 @@ def f_value(v):
     return sum(x * 3**i for i, x in enumerate(v))
 
 
+def random_member(basis, width, rng):
+    """A random vector of the span of basis: one rng.randrange(3)
+    coefficient per basis row, in order.  The scalar loop whose draws the
+    sampled search takes in one batch."""
+    v = [0] * width
+    for u in basis:
+        c = rng.randrange(3)
+        if c:
+            v = vadd(v, vscale(u, c))
+    return v
+
+
 def rank(rows):
     """Rank over GF(3) by textbook elimination."""
     rs = [list(r) for r in rows if any(r)]

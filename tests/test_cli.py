@@ -182,6 +182,32 @@ class TestSearch:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "d035455e50ac8b44a6f755241bb6efed12a8e7440c6390bdb4f4fb423a939f7f")
 
+    @pytest.mark.parametrize("n, seed, budget, lines, digest", [
+        ("6", "0", "300", 125,
+         "06da5b4db48d8b6d97c0150a686f28a41ce5e88f0341235efb45cd4f921ded85"),
+        ("4", "3", "400", 102,
+         "6dd72b085dca215a85f0ed395e5d43e10168c3a3f3bbe918934cbdc2fe4d2993"),
+    ], ids=["n6-seed0", "n4-seed3"])
+    def test_more_sampled_streams_pinned(self, capsys, n, seed, budget, lines, digest):
+        rc, out, _ = run_cli(capsys, "search", "--n", n, "--mode", "sampled",
+                             "--seed", seed, "--budget", budget)
+        assert rc == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_length60_witness_rederived(self, capsys):
+        # trial 972 of the seed-1 campaign at n = 10 (row width 30) draws a
+        # d = 15 code whose beta lies in Gamma60,3
+        rc, out, _ = run_cli(capsys, "search", "--n", "10", "--mode", "sampled",
+                             "--seed", "1", "--budget", "1500", "--partition", "972/1000")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b9217f7569e8bd459329dca1bf5a237094fdfefd80b681f84ccd689156a4b7c1")
+        [witness] = read_findings(out.splitlines())
+        assert (witness.n, witness.d, witness.alpha, witness.beta) == (60, 15, 24040, 3005)
+        assert witness.sets == ("Gamma60,3",) and not witness.novelty
+        assert is_self_dual(witness.spec)
+
     def test_exhaustive_stream_pinned(self, capsys):
         # the shard the exhaustive benchmark workloads search, and the digest
         # perfbench/expected.json holds for it

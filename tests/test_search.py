@@ -1,10 +1,16 @@
 """Search planning, enumeration order, sharding, checkpoints, neighbors."""
 
+import hashlib
 import itertools
 import json
+import random
+import runpy
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import naive
+import numpy as np
 import pytest
 
 from nega3 import (
@@ -22,6 +28,7 @@ from nega3 import (
     Registry,
     RegistryError,
     SearchPlan,
+    block_row_vectors,
     build_generator,
     enumerate_candidates,
     is_self_dual,
@@ -237,6 +244,156 @@ class TestSampled:
         found = list(run_search(plan, registry=registry))
         keys = [_as_key(f) for f in found]
         assert len(keys) == len(set(keys))
+
+
+    def test_survey36_stdout_pinned(self, capsys, monkeypatch):
+        # the script and seed the survey-36 benchmark workload runs, whose
+        # own check pins no digest: the sampled survey, then the sweep
+        script = Path(__file__).resolve().parents[1] / "scripts" / "survey36.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--seed", "0", "--budget", "300",
+                                          "--sweep", "200", "--base", "C2"])
+        assert runpy.run_path(str(script), run_name="survey36")["main"]() == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 276
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6747dd23f48314f2af4500a95d07e639ee100f24a4be7fb9766a64d813b818af")
+
+
+def _row_rule(m, d, limit, gram):
+    """The sampled row predicate on plain lists: a leading 1, the row-weight
+    rule, f-value at most limit and, with gram, the diagonal Gram identity."""
+    def accept(v):
+        w = naive.vweight(v)
+        return (any(v) and naive.leads_with_one(v) and w % 3 == 2 and w >= d - 1
+                and naive.f_value(v) <= limit
+                and (not gram or naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1)))
+    return accept
+
+
+class _CountingRandom(random.Random):
+    """A Random that records the bit counts asked of getrandbits."""
+
+    def __init__(self, seed):
+        self.asked = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.asked.append(k)
+        return super().getrandbits(k)
+
+
+def _random_space(m, seed):
+    """The dual space of the block rows of a random width-3m row."""
+    setup = random.Random(seed)
+    r1 = Gf3Vector(setup.randrange(3) for _ in range(3 * m))
+    return _DualSpace(block_row_vectors(m, r1), 3 * m)
+
+
+class TestSampleDraws:
+    """The batch draws of a sampled trial against the scalar loop of
+    naive.random_member draws they replace."""
+
+    @pytest.mark.parametrize("m", [*range(1, 11), 14])
+    def test_batch_replays_scalar_draws(self, m):
+        width = 3 * m
+        space = _random_space(m, f"span:{m}")
+        basis = [u.entries() for u in space.basis]
+        scalar = random.Random(m)
+        ref, states = [], []
+        for _ in range(1024):
+            ref.append(naive.random_member(basis, width, scalar))
+            states.append(scalar.getstate())
+
+        batch = random.Random(m)
+        vals, ends = space.draws(batch, 1024)
+        assert batch.getstate() == random.Random(m).getstate()  # only peeked
+        assert vals.tolist() == ref
+        words, read = random.Random(m), 0
+        for end, state in zip(ends.tolist(), states):
+            words.getrandbits(32 * (end - read))
+            read = end
+            assert words.getstate() == state
+
+        # the first admissible draw, and the generator left after it: with a
+        # hit or a miss expected (Gram identity), and with no draw admissible
+        # although every one passes the prefilter's bounds
+        setup = random.Random(f"rule:{m}")
+        d, limit = setup.randrange(width), setup.randrange(3**width)
+        rules = [(d, limit, _row_rule(m, d, limit, gram)) for gram in (False, True)]
+        rules.append((0, 3**width - 1, lambda v: False))
+        for d, limit, accept in rules:
+            k = next((i for i, v in enumerate(ref) if accept(v)), None)
+            rng = random.Random(m)
+            got = search._sample_row(space, rng, d, limit, lambda v, _: accept(v.entries()))
+            assert got == (None if k is None else Gf3Vector(ref[k]))
+            assert rng.getstate() == states[-1 if k is None else k]
+
+    def test_no_basis_reads_no_words(self):
+        rows = [Gf3Vector([int(i == j) for j in range(6)]) for i in range(6)]
+        space = _DualSpace(rows, 6)
+        assert space.basis == []
+        rng = _CountingRandom(1)
+        vals, ends = space.draws(rng, 1024)
+        assert vals.shape == (1024, 6) and not vals.any() and not ends.any()
+        assert search._sample_row(space, rng, 0, 3**6 - 1, lambda v, _: not v.is_zero()) is None
+        assert rng.getstate() == random.Random(1).getstate()
+        assert not any(rng.asked)
+
+    def test_short_peek_is_extended(self):
+        # the first peek reads about the expected number of words, so a
+        # stream with more 3s than that needs a second
+        space = _random_space(6, "span:peek")
+        basis = [u.entries() for u in space.basis]
+        for seed in range(100):
+            rng = _CountingRandom(seed)
+            vals, ends = space.draws(rng, 1024)
+            if len(rng.asked) > 1:
+                break
+        else:
+            pytest.fail("no seed needed a second peek")
+        scalar = random.Random(seed)
+        assert vals.tolist() == [naive.random_member(basis, 18, scalar) for _ in range(1024)]
+        rng = random.Random(seed)
+        rng.getrandbits(32 * int(ends[-1]))
+        assert rng.getstate() == scalar.getstate()
+
+    @pytest.mark.parametrize("width", [3, 18, 39, 40, 42, 60])
+    def test_prefilter_is_the_row_rule(self, width):
+        # f is compared exactly past int64 (3^40 > 2^63); half the rows
+        # share the limit's high digits, to test the comparison near it
+        rng = random.Random(width)
+        top = [rng.randrange(3) for _ in range(width)]
+        vals = np.array([[rng.choice((0, 0, 1, 2)) for _ in range(width)] for _ in range(200)]
+                        + [top[:i] + [rng.randrange(3)] + top[i + 1:]
+                           for i in (rng.randrange(width) for _ in range(200))]
+                        + [top, [0] * width])
+        limit, d = naive.f_value(top), width // 2
+        accept = _row_rule(None, d, limit, gram=False)
+        assert search._may_be_admissible(vals, d, limit).tolist() == [
+            accept(v) for v in vals.tolist()]
+
+
+class TestMersenneTwisterWords:
+    """The two CPython facts the batch draws rest on."""
+
+    def test_getrandbits_reads_successive_words_little_endian(self):
+        wide, narrow = random.Random(2), random.Random(2)
+        x = wide.getrandbits(32 * 9)
+        words = [narrow.getrandbits(32) for _ in range(9)]
+        assert np.frombuffer(x.to_bytes(36, "little"), "<u4").tolist() == words
+        assert wide.getstate() == narrow.getstate()
+
+    def test_randrange3_is_two_top_bits_redrawn_on_3(self):
+        drawn, bits, words = random.Random(3), random.Random(3), random.Random(3)
+        for _ in range(2000):
+            b = bits.getrandbits(2)
+            while b == 3:
+                b = bits.getrandbits(2)
+            w = words.getrandbits(32) >> 30
+            while w == 3:
+                w = words.getrandbits(32) >> 30
+            assert drawn.randrange(3) == b == w
+        assert drawn.getstate() == bits.getstate() == words.getstate()
 
 
 def _records(findings):
