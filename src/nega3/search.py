@@ -11,12 +11,17 @@ cut the space down hard before any linear algebra happens:
   previous row;
 - every row must have weight congruent to 2 mod 3 and at least d - 1.
 
-Dual spaces are echelonized with pivots taken from the high end, which makes
-enumeration by a base-3 odometer over the coefficients visit dual vectors in
-exactly ascending f order; the f-value ceilings then become simple early
-exits.  Both modes walk r1 -> r2 -> r3 the same way: exhaustive mode takes
-every admissible row of each dual space, a sampled trial the first
-admissible one of a bounded number of random draws.  Those draws are made
+Dual spaces are echelonized with pivots taken from the high end, so that
+counting in base 3 over the coefficients visits dual vectors in exactly
+ascending f order, and an f-value ceiling is a cut in that count, found by
+bisection.  Exhaustive mode builds one dual space per r1, D1, lists its
+members up to f(r1) in numpy batches and keeps the admissible ones, the r2
+list, in one batched test.  The r3 space of an r2 is D1 cut down to the
+rows orthogonal to r2's block rows, so the r3 of the i-th r2 are those of
+the first i + 1 rows of the list whose cross identity with it holds: one
+small product per r2, and no dual space of its own.  A sampled trial takes
+for r2, and then r3, the first admissible one of a bounded number of
+random draws from the dual of the rows above it.  Those draws are made
 in one numpy batch per row from the words of the trial's Mersenne Twister
 that a loop of scalar random.randrange(3) calls would read, and the
 generator is then advanced past the draws that loop would have made, so a
@@ -74,7 +79,7 @@ from .nega import (
     vector_from_f,
 )
 from .registry import Registry, load_registry
-from .weights import _settle, min_weight, ms_bound, near_extremal_weight
+from .weights import _CHUNK, _settle, min_weight, ms_bound, near_extremal_weight
 
 log = logging.getLogger(__name__)
 
@@ -226,37 +231,61 @@ def _block_pool(m: int) -> tuple[_PoolVec, ...]:
 
 
 class _DualSpace:
-    """Dual of a set of rows, echelonized from the high end so that the
-    base-3 coefficient odometer spans dual vectors in ascending f order.
+    """Dual of a set of rows, echelonized from the high end.
 
     The span's one row reduction gives that basis in closed form: the
     columns off its pivots are the dual's pivots from the high end (see
-    gf3._dual_rows).  Exhaustive mode walks the odometer; a sampled trial
-    takes its random members in one batch (draws)."""
+    gf3._dual_rows).  Basis row i ends in a 1 at its pivot, where every
+    other basis row is 0, and the pivots fall strictly with i.  So member
+    number k, whose base-3 digit j is the coefficient of basis[t - 1 - j],
+    has f-value strictly rising in k: the coefficient counter is the f
+    order.  Exhaustive mode takes a prefix of that order in batches
+    (members); a sampled trial takes its random members in one batch
+    (draws)."""
 
     def __init__(self, span_rows: Sequence[Gf3Vector], width: int):
         self.width = width
         # pivot positions strictly descending
         self.basis = _dual_rows(Code(width, list(span_rows)))[::-1]
 
-    def ascending_f(self, limit: int) -> Iterator[Gf3Vector]:
-        """Nonzero dual vectors with f-value at most limit, ascending."""
-        t = len(self.basis)
-        if t == 0:
-            return
-        digits = [0] * t  # digits[j] is the coefficient of basis[t - 1 - j]
+    def member(self, k: int) -> Gf3Vector:
+        """Member number k, for 0 <= k < 3^len(basis)."""
         v = Gf3Vector.zeros(self.width)
-        for _ in range(3**t - 1):
-            j = 0
-            while digits[j] == 2:
-                digits[j] = 0
-                v = v + self.basis[t - 1 - j]  # 2 -> 0 is adding 1 mod 3
-                j += 1
-            digits[j] += 1
-            v = v + self.basis[t - 1 - j]
-            if f_value(v) > limit:
-                return
-            yield v
+        for u in reversed(self.basis):
+            k, c = divmod(k, 3)
+            v = v + u.scale(c)
+        return v
+
+    def count(self, limit: int) -> int:
+        """How many members, the zero member among them, have f-value at
+        most limit >= 0: bisection over the counter, with exact f-values."""
+        lo, hi = 1, 3 ** len(self.basis)  # members below lo pass, from hi on fail
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if f_value(self.member(mid)) <= limit:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def members(self, limit: int) -> Iterator[np.ndarray]:
+        """The members with f-value at most limit, the zero member first,
+        in ascending f order, as (rows, width) int8 entry arrays of at most
+        weights._CHUNK rows each.
+
+        A table holds the combinations of the low basis rows, up to one
+        batch of them; each batch is that table plus one combination of
+        the high basis rows, the batches taken in counter order."""
+        count = self.count(limit)
+        low = np.zeros((1, self.width), np.int8)
+        for u in reversed(self.basis):  # least significant digit first
+            if len(low) >= count or 3 * len(low) > _CHUNK:
+                break
+            row = np.array(u.entries(), np.int8)
+            low = np.concatenate([(low + c * row) % 3 for c in range(3)])
+        for start in range(0, count, len(low)):
+            high = np.array(self.member(start).entries(), np.int8)  # low digits 0
+            yield (low[: count - start] + high) % 3
 
     def draws(self, rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
         """count random dual members as a (count, width) array of entries,
@@ -307,6 +336,31 @@ def _may_be_admissible(vals: np.ndarray, d: int, limit: int) -> np.ndarray:
     top = width - 1 - diff[:, ::-1].argmax(axis=1)  # the highest differing digit
     f_ok = ~diff.any(axis=1) | (vals[rows, top] < digits[top])
     return (lead == 1) & (weight % 3 == 2) & (weight >= d - 1) & f_ok
+
+
+@functools.cache
+def _negashift_table(m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the j-fold blockwise negashift of a width-m-block row takes
+    each entry from, and its sign: shifted[i] = sign[j, i] * row[index[j, i]]
+    for j < m."""
+    pos = np.arange(width) % m
+    j = np.arange(m)[:, None]
+    index = np.arange(width) - pos + (pos - j) % m
+    return index, np.where(pos < j, -1, 1).astype(np.int8)
+
+
+def _row_pair_grams(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """nega.row_pair_gram(m, a[k], b[k]) for every row k of two int8 entry
+    arrays, or of a[k] against b when b is a single row, as an (m, rows)
+    array: entry (j, k) dots a[k] with the j-fold blockwise negashift of
+    b[k] (or b).  The sums of 3m products of absolute value up to 4
+    overflow int8 past m = 10, so they run in int16, or in float32 to use
+    one BLAS product for a single b: both exact below m = 2730."""
+    index, sign = _negashift_table(m, a.shape[-1])
+    shifted = b[..., index] * sign
+    if b.ndim == 1:
+        return np.matmul(shifted, a.T, dtype=np.float32).astype(np.int16) % 3
+    return np.matmul(shifted, a[..., None], dtype=np.int16)[..., 0].T % 3
 
 
 def _sample_row(space: _DualSpace, rng: random.Random, d: int, limit: int,
@@ -368,12 +422,20 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
     ascending (f(r2), f(r3)) order.
 
     Exhaustive mode takes r1 = vector_from_f(3n, unit) and every admissible
-    r2, r3.  A sampled trial draws r1 from the block pool with the
-    generator seeded by (plan seed, unit), redrawn on a failed weight or
-    Gram check at most _SAMPLE_TRIES_R1 times, then takes the first
-    admissible one of at most _SAMPLE_TRIES_R23 random dual members for
-    r2, and again for r3 (_sample_row: one batch of draws each, after
-    which the generator stands where the scalar draws would leave it).
+    r2, r3.  The r3 space of an r2 is the dual D1 of r1's block rows cut
+    down to the rows orthogonal to r2's block rows, under the ceiling
+    f(r2) <= f(r1), and r2 and r3 pass the same row predicate.  So the r3
+    of an r2 are admissible r2 themselves: one batched walk over D1
+    (_DualSpace.members) lists those in ascending f, and the r3 of the
+    i-th are those of the first i + 1 whose cross identity with it,
+    row_pair_gram(r3, r2) = 0, holds.
+
+    A sampled trial draws r1 from the block pool with the generator seeded
+    by (plan seed, unit), redrawn on a failed weight or Gram check at most
+    _SAMPLE_TRIES_R1 times, then takes the first admissible one of at most
+    _SAMPLE_TRIES_R23 random dual members for r2, and again for r3
+    (_sample_row: one batch of draws each, after which the generator
+    stands where the scalar draws would leave it).
 
     verified adds the diagonal Gram prune to every row and, in exhaustive
     mode, the minimum-weight prune of r1 (sound: they only drop candidates
@@ -382,50 +444,56 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
     m = plan.block_size
     width = 3 * m
     d = plan.target_min_weight
-    sampled = plan.mode == "sampled"
-    if sampled:
-        rng = random.Random(f"{plan.seed}:{unit}")
-        pool = _block_pool(m)
-        for _ in range(_SAMPLE_TRIES_R1):  # three blocks in non-increasing f order
-            picks = sorted(
-                (pool[rng.randrange(len(pool))] for _ in range(3)),
-                key=lambda p: p.f,
-                reverse=True,
-            )
-            r1 = picks[0].vec.concat(picks[1].vec).concat(picks[2].vec)
-            if _weight_passes(sum(p.weight for p in picks), d) and (
-                    not verified or row_gram_is_two(m, r1)):
-                break
-        else:
-            return
-    else:
+    if plan.mode == "exhaustive":
         r1 = vector_from_f(width, unit)
         if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
             return
+        limit = f_value(r1)
+        kept = []
+        for vals in _DualSpace(block_row_vectors(m, r1), width).members(limit):
+            vals = vals[_may_be_admissible(vals, d, limit)]
+            if verified:
+                gram = _row_pair_grams(vals, vals, m)
+                vals = vals[(gram[0] == 2) & ~gram[1:].any(axis=0)]
+            kept.append(vals)
+        rows = np.concatenate(kept)
+        vecs = [Gf3Vector(r) for r in rows.tolist()]
+        for i, r2 in enumerate(vecs):
+            cross = _row_pair_grams(rows[: i + 1], rows[i], m)
+            for k in np.flatnonzero(~cross.any(axis=0)):
+                yield CodeSpec(m, r1, r2, vecs[k])
+        return
+
+    rng = random.Random(f"{plan.seed}:{unit}")
+    pool = _block_pool(m)
+    for _ in range(_SAMPLE_TRIES_R1):  # three blocks in non-increasing f order
+        picks = sorted(
+            (pool[rng.randrange(len(pool))] for _ in range(3)),
+            key=lambda p: p.f,
+            reverse=True,
+        )
+        r1 = picks[0].vec.concat(picks[1].vec).concat(picks[2].vec)
+        if _weight_passes(sum(p.weight for p in picks), d) and (
+                not verified or row_gram_is_two(m, r1)):
+            break
+    else:
+        return
 
     def admissible(v: Gf3Vector, limit: int) -> bool:
-        """The row predicate: a leading 1 and the row-weight rule, f-value
-        at most limit (sampled; ascending_f stops there), and the Gram
-        identity (verified)."""
+        """The row predicate: a leading 1, the row-weight rule, f-value at
+        most limit, and the Gram identity (verified)."""
         lead = v.first_nonzero()
         return (lead is not None and lead[1] == 1 and _weight_passes(v.weight(), d)
-                and (not sampled or f_value(v) <= limit)
-                and (not verified or row_gram_is_two(m, v)))
-
-    def rows(span: list[Gf3Vector], limit: int) -> Iterator[Gf3Vector]:
-        """Admissible rows of the dual of span with f-value at most limit."""
-        space = _DualSpace(span, width)
-        if not sampled:
-            yield from (v for v in space.ascending_f(limit) if admissible(v, limit))
-            return
-        row = _sample_row(space, rng, d, limit, admissible)
-        if row is not None:
-            yield row
+                and f_value(v) <= limit and (not verified or row_gram_is_two(m, v)))
 
     span1 = block_row_vectors(m, r1)
-    for r2 in rows(span1, f_value(r1)):
-        for r3 in rows(span1 + block_row_vectors(m, r2), f_value(r2)):
-            yield CodeSpec(m, r1, r2, r3)
+    r2 = _sample_row(_DualSpace(span1, width), rng, d, f_value(r1), admissible)
+    if r2 is None:
+        return
+    space = _DualSpace(span1 + block_row_vectors(m, r2), width)
+    r3 = _sample_row(space, rng, d, f_value(r2), admissible)
+    if r3 is not None:
+        yield CodeSpec(m, r1, r2, r3)
 
 
 # -- public operations ----------------------------------------------------------

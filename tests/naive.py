@@ -62,6 +62,11 @@ def f_value(v):
     return sum(x * 3**i for i, x in enumerate(v))
 
 
+def vector_from_f(f, width):
+    """The width-long vector whose f-value is f."""
+    return [(f // 3**i) % 3 for i in range(width)]
+
+
 def random_member(basis, width, rng):
     """A random vector of the span of basis: one rng.randrange(3)
     coefficient per basis row, in order.  The scalar loop whose draws the
@@ -182,6 +187,89 @@ def conditions(m, rows, d):
         if any(vdot(rows[2], u) for u in span):
             return False
     return True
+
+
+def dual_basis(rows, width):
+    """A basis of the vectors orthogonal to every row, echelonized from the
+    high end: for each non-pivot column c of the reduced rows, highest
+    first, the vector with 1 at c and minus the column's entry of each
+    reduced row at that row's pivot."""
+    reduced, pivots = [], []
+    for r in rows:
+        r = list(r)
+        for p, u in zip(pivots, reduced):
+            if r[p]:
+                r = vadd(r, vscale(u, -r[p] % 3))
+        col = next((c for c, x in enumerate(r) if x), None)
+        if col is None:
+            continue
+        r = vscale(r, r[col])  # 1 and 2 are their own inverses mod 3
+        reduced = [vadd(u, vscale(r, -u[col] % 3)) if u[col] else u for u in reduced]
+        reduced.append(r)
+        pivots.append(col)
+    basis = []
+    for c in reversed(range(width)):
+        if c in pivots:
+            continue
+        v = [0] * width
+        v[c] = 1
+        for p, u in zip(pivots, reduced):
+            v[p] = -u[c] % 3
+        basis.append(v)
+    return basis
+
+
+def ascending_dual(rows, width, limit):
+    """The nonzero vectors orthogonal to every row with f-value at most
+    limit, in ascending f order: a base-3 odometer over the coefficients of
+    dual_basis(rows, width), least significant digit on its last row,
+    stopped at the first vector past limit."""
+    basis = dual_basis(rows, width)
+    t = len(basis)
+    digits = [0] * t
+    v = [0] * width
+    for _ in range(3**t - 1):
+        j = 0
+        while digits[j] == 2:  # 2 -> 0 adds the row once more
+            digits[j] = 0
+            v = vadd(v, basis[t - 1 - j])
+            j += 1
+        digits[j] += 1
+        v = vadd(v, basis[t - 1 - j])
+        if f_value(v) > limit:
+            return
+        yield v
+
+
+def exhaustive_unit(m, r1, d, verified):
+    """The (r1, r2, r3) triples of one exhaustive search unit, in order:
+    r2 runs over the dual of r1's block rows and r3 over the dual of r1's
+    and r2's block rows, each in ascending f order up to the f-value of the
+    row before, keeping the rows with a leading 1 and weight 2 mod 3 and at
+    least d - 1.  verified adds the diagonal Gram identity to every row and
+    drops an r1 whose rows (e_i | block row i) span a word of weight below
+    d."""
+    width = 3 * m
+
+    def gram_is_two(v):
+        return row_pair_gram(m, v, v) == [2] + [0] * (m - 1)
+
+    def admissible(v):
+        w = vweight(v)
+        return (leads_with_one(v) and w % 3 == 2 and w >= d - 1
+                and (not verified or gram_is_two(v)))
+
+    span1 = block_rows(m, r1)
+    if verified:
+        subcode = [[int(j == i) for j in range(width)] + u for i, u in enumerate(span1)]
+        if not gram_is_two(r1) or min_weight(subcode) < d:
+            return
+    for r2 in ascending_dual(span1, width, f_value(r1)):
+        if not admissible(r2):
+            continue
+        for r3 in ascending_dual(span1 + block_rows(m, r2), width, f_value(r2)):
+            if admissible(r3):
+                yield [list(r1), r2, r3]
 
 
 def reduced_space_findings(m, d):

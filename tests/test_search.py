@@ -1,17 +1,21 @@
 """Search planning, enumeration order, sharding, checkpoints, neighbors."""
 
+import functools
 import hashlib
 import itertools
 import json
 import random
 import runpy
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
 import naive
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nega3 import (
     Code,
@@ -37,9 +41,10 @@ from nega3 import (
     neighbor_sweep,
     novelty_report,
     read_findings,
+    row_pair_gram,
     run_search,
 )
-from nega3 import search
+from nega3 import search, weights
 from nega3.search import _block_pool, _DualSpace
 
 
@@ -89,14 +94,14 @@ class TestEnumerationOrder:
         # orthogonal complement of one length-6 row, walked in f order
         rows = [Gf3Vector([1, 1, 0, 2, 0, 2])]
         space = _DualSpace(rows, 6)
-        got = [naive.f_value(v.entries()) for v in space.ascending_f(3 ** 6)]
+        got = [naive.f_value(v) for v in _nonzero_members(space, 3 ** 6)]
         assert got == sorted(got)
         assert len(got) == 3 ** 5 - 1  # nonzero vectors only
 
     def test_dual_space_matches_brute_force(self):
         rows = [Gf3Vector([1, 0, 1, 1, 0, 0]), Gf3Vector([0, 1, 2, 0, 1, 0])]
         space = _DualSpace(rows, 6)
-        ours = [v.entries() for v in space.ascending_f(200)]
+        ours = _nonzero_members(space, 200)
         brute = []
         for entries in itertools.product(range(3), repeat=6):
             w = list(entries)
@@ -106,6 +111,32 @@ class TestEnumerationOrder:
                 brute.append(w)
         brute.sort(key=naive.f_value)
         assert ours == brute
+
+    @pytest.mark.parametrize("limit", [0, 1, 700, 3**7, 3**8 - 1])
+    def test_member_batches_are_the_dual_in_f_order(self, monkeypatch, limit):
+        # batches of at most 100 members: an 81-member table of the low
+        # basis rows plus each combination of the high ones in turn
+        monkeypatch.setattr(search, "_CHUNK", 100)
+        rows = [Gf3Vector([1, 2, 0, 0, 1, 1, 0, 2]), Gf3Vector([0, 1, 1, 2, 0, 0, 1, 0])]
+        space = _DualSpace(rows, 8)
+        batches = list(space.members(limit))
+        assert all(0 < len(b) <= 100 and b.dtype == np.int8 for b in batches)
+        got = np.concatenate(batches).tolist()
+        every = (naive.vector_from_f(f, 8) for f in range(limit + 1))
+        want = [v for v in every if all(naive.vdot(v, r.entries()) == 0 for r in rows)]
+        assert got == want
+        assert [space.member(k).entries() for k in range(len(got))] == want
+        assert space.count(limit) == len(want)
+
+
+def _nonzero_members(space, limit):
+    """The members space.members(limit) lists after the zero member, as
+    entry lists; each batch holds at most weights._CHUNK rows."""
+    batches = list(space.members(limit))
+    assert all(len(b) <= weights._CHUNK for b in batches)
+    zero, *rows = np.concatenate(batches).tolist()
+    assert not any(zero)
+    return rows
 
 
 def _as_key(finding):
@@ -204,6 +235,111 @@ class TestExhaustive:
         with caplog.at_level("WARNING", logger="nega3.search"):
             assert list(run_search(plan, registry=registry)) == []
         assert "no self-dual code" in caplog.text
+
+
+@functools.cache
+def _exhaustive_units(m):
+    return tuple(search._units(SearchPlan(block_size=m)))
+
+
+def _walk(m, unit, verified):
+    plan = SearchPlan(block_size=m)
+    return [[r.entries() for r in spec.rows]
+            for spec in search._unit_specs(plan, unit, verified=verified)]
+
+
+def _reference_walk(m, unit, verified):
+    d = SearchPlan(block_size=m).target_min_weight
+    r1 = naive.vector_from_f(unit, 3 * m)
+    return list(naive.exhaustive_unit(m, r1, d, verified))
+
+
+class TestExhaustiveWalk:
+    """The batched walk of an exhaustive unit against naive.exhaustive_unit,
+    the per-r2 dual-space odometer walk it replaces."""
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @given(data=st.data())
+    def test_units_match_reference_walk(self, m, data):
+        unit = data.draw(st.sampled_from(_exhaustive_units(m)))
+        for verified in (False, True):
+            assert _walk(m, unit, verified) == _reference_walk(m, unit, verified)
+
+    @pytest.mark.parametrize("unit", [
+        43191379,  # D1 holds 59,247 members up to f(r1): one batch and a bit
+        pytest.param(366142422, marks=pytest.mark.long),
+        pytest.param(370927567, marks=pytest.mark.long),
+        pytest.param(382102432, marks=pytest.mark.long),  # 524,146 members, 8,602 r2
+    ])
+    def test_length36_units_match_reference_walk(self, unit):
+        assert _walk(6, unit, True) == _reference_walk(6, unit, True)
+
+    def test_unverified_stream_pinned(self):
+        # no benchmark workload walks the unverified branch
+        digest, count = hashlib.sha256(), 0
+        for spec in enumerate_candidates(SearchPlan(block_size=4, partition=(0, 256))):
+            digest.update((json.dumps([r.entries() for r in spec.rows]) + "\n").encode())
+            count += 1
+        assert count == 7307
+        assert digest.hexdigest() == (
+            "4c6f7028ada48bade7398f779d56f909ef92e8eddfca7107dfe62ccfdf844aaf")
+
+    def test_one_dual_space_per_unit(self, monkeypatch):
+        built = []
+
+        class Counted(_DualSpace):
+            def __init__(self, span_rows, width):
+                built.append(width)
+                super().__init__(span_rows, width)
+
+        monkeypatch.setattr(search, "_DualSpace", Counted)
+        plan = SearchPlan(block_size=4, partition=(0, 256))
+        for unit in search._units(plan):
+            for verified in (False, True):
+                del built[:]
+                specs = list(search._unit_specs(plan, unit, verified=verified))
+                assert built == [12] or (verified and not built and not specs)
+
+    @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
+    def test_count_past_int64(self, delta):
+        # width 42: f-values pass 2^63 from 3^40 on, and the bisection
+        # compares them as Python ints
+        setup = random.Random(14)
+        r = Gf3Vector(setup.randrange(3) for _ in range(42))
+        space = _DualSpace(block_row_vectors(14, r), 42)
+        for limit in (2**63 + delta, setup.randrange(2**62, 2**64)):
+            count = space.count(limit)
+            below, above = space.member(count - 1).entries(), space.member(count).entries()
+            assert naive.f_value(below) <= limit < naive.f_value(above)
+            assert all(naive.vdot(v, u.entries()) == 0
+                       for v in (below, above) for u in block_row_vectors(14, r))
+
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_batched_grams_past_int8(self, m):
+        # dense rows of 2s: 3m products of 4 pass 127 from m = 11 on
+        rng = random.Random(m)
+        rows = [[2] * 3 * m, [2] * (3 * m - 1) + [1], [1] * 3 * m]
+        rows += [[rng.choice((0, 1, 2, 2, 2)) for _ in range(3 * m)] for _ in range(40)]
+        a, vecs = np.array(rows, np.int8), [Gf3Vector(r) for r in rows]
+        got = search._row_pair_grams(a, a, m).T.tolist()
+        assert got == [row_pair_gram(m, v, v) for v in vecs]
+        for i in (0, 1, 7):
+            got = search._row_pair_grams(a, a[i], m).T.tolist()
+            assert got == [row_pair_gram(m, v, vecs[i]) for v in vecs]
+
+    def test_walk_memory_is_bounded(self):
+        # a late length-36 unit: D1 holds 524,146 members up to f(r1), which
+        # as one unbatched table of int64 digits would take about 51 MB; the
+        # batched walk over them all is done before the first spec
+        walk = search._unit_specs(SearchPlan(block_size=6), 382102432, verified=True)
+        tracemalloc.start()
+        try:
+            assert next(walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            walk.close()
+        assert peak < 8 * 2**20
 
 
 class TestSampled:
