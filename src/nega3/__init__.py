@@ -69,8 +69,6 @@ from .weights import (
     WeightProfile,
     classify,
     count_weight,
-    covering_lower_bound,
-    enumeration_cost,
     full_distribution,
     min_weight,
     ms_bound,
@@ -116,9 +114,7 @@ __all__ = [
     "build_generator",
     "classify",
     "count_weight",
-    "covering_lower_bound",
     "enumerate_candidates",
-    "enumeration_cost",
     "extended_qr48",
     "f_value",
     "fingerprint",

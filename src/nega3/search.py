@@ -79,7 +79,7 @@ from .nega import (
     vector_from_f,
 )
 from .registry import Registry, load_registry
-from .weights import _CHUNK, _settle, min_weight, ms_bound, near_extremal_weight
+from .weights import _CHUNK, _clears, _settle, ms_bound, near_extremal_weight
 
 log = logging.getLogger(__name__)
 
@@ -390,7 +390,7 @@ def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
     subcode sits inside every completed code; a light word here dooms all of
     them."""
     subcode = _code_from_echelon(6 * m, _systematic_rows(m, [spec_r1]))
-    return min_weight(subcode, abort_below=d) >= d
+    return _clears(subcode, d)
 
 
 # -- work units -----------------------------------------------------------------

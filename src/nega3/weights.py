@@ -5,12 +5,19 @@ systematic generator matrices on disjoint column blocks.  A self-dual code
 takes two in closed form: its own reduced basis, and the reduced basis of
 its dual, which is itself, on the complementary columns (gf3._dual_rows).
 Other codes re-echelonize the basis on successive disjoint column blocks.
-Messages of support size 1, 2, ... are expanded for each matrix, and once
-level j is complete every unseen codeword has weight at least
-sum_i max(0, j + 1 - deficit_i), where deficit_i is the rank the code falls
-short of full on block i.  The run stops when that bound meets the best
-weight seen (for minima) or strictly passes the queried weight (for
-counts), which certifies the answer without visiting all 3^k words.
+Messages of support size 1, 2, ... are expanded for each matrix, level by
+level and within a level matrix by matrix.  Once matrix i of level j is
+done, every unseen codeword has weight at least
+sum_{s <= i} max(0, j + 1 - deficit_s) + sum_{s > i} max(0, j - deficit_s),
+where deficit_s is the rank the code falls short of full on block s, so the
+bound rises after every matrix, not only after every level.  The run stops
+as soon as that bound strictly passes the weight counted, which certifies
+the answer without visiting all 3^k words.  One scan settles both d and
+A_d: it keeps the least weight seen and the number of words of that weight,
+and restarts the count whenever the least weight falls (min_weight keeps
+both on the code, so count_weight at d reuses the count).  For a self-dual
+code of even d = 2j the two matrices give the bound 2j + 1 after the first
+matrix of level j, so the second, as costly, is never walked.
 
 The expansion is vectorized and visits each word the covering needs at
 most once up to sign:
@@ -19,11 +26,15 @@ most once up to sign:
   lexicographic order in chunks of at most 65,536 rows.
 - Each message's first coefficient is fixed to 1 and the other j - 1 walk
   their sign patterns in Gray-code order, one bit-sliced vector addition
-  per pattern.  A word c stands for itself and -c, which shares its weight.
+  per pattern, done in place in buffers held per chunk.  A word c stands
+  for itself and -c, which shares its weight.
 - Counts need no record of words seen.  A word's message support under a
   systematic matrix is its weight on that matrix's pivots, so a word is
   counted only at the first (level, matrix) pair that visits it: the
-  matrix, first in order, on whose pivots its weight is least.
+  matrix, first in order, on whose pivots its weight is least.  With two
+  matrices on complementary columns, as for self-dual codes, that pair
+  follows from the level and the weight alone.  A batch is searched for
+  words of the weight counted only when its least weight reaches it.
 - Orbit path: when sigma, the simultaneous negashift of the code's six
   blocks, is an automorphism and every matrix's pivots are whole blocks (as
   for the (I | M) codes of negacirculant blocks), sigma acts on messages as
@@ -45,7 +56,9 @@ sigma acts as the negashift of F_3^b, and the words of first-block message r
 have the same histogram as those of its negashift.  So only sums whose
 first-block digits are least in their orbit are swept, each histogram scaled
 by the orbit size: 63 of the 729 first-block messages at length 36, 411 of
-6,561 at length 48.  Counts use 64-bit integers throughout and are exact.
+6,561 at length 48.  The table is lane-major, so each sweep works on whole
+lanes against one word of the row, into reused buffers.  Counts use 64-bit
+integers throughout and are exact.
 """
 
 from __future__ import annotations
@@ -54,6 +67,7 @@ import enum
 import functools
 from dataclasses import dataclass, field
 from math import comb, gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,7 +139,23 @@ def _add_planes(alo, ahi, blo, bhi):
     return t ^ (ahi | bhi), t ^ (alo | blo)
 
 
+def _add_into(lo, hi, blo, bhi, scratch) -> None:
+    """lo, hi += blo, bhi in place (_add_planes without allocating); scratch
+    holds two arrays of their shape."""
+    t, u = scratch
+    np.bitwise_or(lo, bhi, out=t)
+    np.bitwise_or(hi, blo, out=u)
+    np.bitwise_xor(t, u, out=t)
+    np.bitwise_or(hi, bhi, out=u)
+    np.bitwise_or(lo, blo, out=hi)
+    np.bitwise_xor(t, hi, out=hi)
+    np.bitwise_xor(t, u, out=lo)
+
+
 def _weights_of(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Weights of the words of planes shaped (..., lanes)."""
+    if lo.shape[-1] == 1:
+        return np.bitwise_count((lo | hi)[..., 0])
     return np.bitwise_count(lo | hi).sum(axis=-1, dtype=np.int64)
 
 
@@ -232,36 +262,35 @@ def _whole_blocks(pivots: list[int], b: int) -> bool:
         for i, p in zip(range(0, len(pivots), b), pivots[::b]))
 
 
-def covering_lower_bound(level: int, deficits: list[int]) -> int:
-    """Certified weight floor for codewords missed by all expansions of
-    message support size <= level."""
-    return sum(max(0, level + 1 - d) for d in deficits)
+def _passes(deficits: list[int], k: int):
+    """The covering scan's passes in order, each as (j, i, floor): level
+    j = 1 .. k, and within a level the information sets i in order.  floor
+    is the least weight of a word that no pass up to this one has visited.
 
-
-def enumeration_cost(k: int, level: int) -> int:
-    """Codewords one systematic matrix certifies through the level: the
-    C(k, j) 2^j words of message support j, summed over j <= level.
-
-    The scan evaluates fewer: one word of each pair c, -c, and on the orbit
-    path one support per negashift orbit."""
-    return sum(comb(k, j) * (1 << j) for j in range(1, min(level, k) + 1))
-
-
-def levels_needed_for_count(code: Code, w: int) -> int:
-    """Smallest expansion level whose covering bound strictly exceeds w."""
-    deficits = [s.deficit for s in _information_sets(code)]
-    for j in range(1, code.k + 1):
-        if covering_lower_bound(j, deficits) > w:
-            return j
-    return code.k
+    Such a word's message under set s has support at least j + 1 when set s
+    is already done at level j (s <= i), and at least j otherwise.  Its
+    support under s is its weight on s's pivots, of which all but deficit_s
+    lie in no earlier set, so the word weighs at least
+    sum_s max(0, j + [s <= i] - deficit_s): the Brouwer-Zimmermann bound,
+    raised after every set rather than every level."""
+    for j in range(1, k + 1):
+        for i in range(len(deficits)):
+            yield j, i, sum(max(0, j + (s <= i) - d) for s, d in enumerate(deficits))
 
 
 def count_cost(code: Code, w: int) -> int:
-    """Codewords the covering certifies when counting weight-w words (see
-    enumeration_cost); the scan evaluates fewer."""
-    sets = _information_sets(code)
-    level = levels_needed_for_count(code, w)
-    return len(sets) * enumeration_cost(code.k, level)
+    """Codewords the covering certifies when counting weight-w words: the
+    C(k, j) 2^j words of message support j of every (level j, set) pass the
+    scan walks before its bound passes w (see _passes).
+
+    The scan evaluates fewer: one word of each pair c, -c, and on the orbit
+    path one support per negashift orbit."""
+    cost = 0
+    for j, _, floor in _passes([s.deficit for s in _information_sets(code)], code.k):
+        cost += comb(code.k, j) << j
+        if floor > w:
+            break
+    return cost
 
 
 # -- level scans ---------------------------------------------------------------
@@ -270,11 +299,6 @@ _CHUNK = 1 << 16  # most combinations, hence rows per batch, held at once
 # most codes scanned in one stack: a few dozen already share out the numpy
 # call overhead, and wider stacks would only hold larger batches at once
 _STACK = 64
-
-
-class _Abort(Exception):
-    def __init__(self, weight: int):
-        self.weight = weight
 
 
 def _lex_table(m: int, j: int) -> np.ndarray:
@@ -385,26 +409,35 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
     coefficient is fixed to 1, so a batch holds one word of each pair c, -c,
     which share their weight and their pivot weights.  The other j - 1
     coefficients are walked through their 2^(j-1) sign patterns in
-    Gray-code order, each step one bit-sliced vector addition.  With a width
-    (see _orbit_width) only supports least among their rotations are
-    walked, and mult holds each support's orbit size, the number of
-    supports whose words the batch stands for; otherwise mult is all ones.
-    A stack position the caller clears in alive leaves the walk at the next
-    batch.
+    Gray-code order, each step one bit-sliced vector addition in place.
+    With a width (see _orbit_width) only supports least among their
+    rotations are walked, and mult holds each support's orbit size, the
+    number of supports whose words the batch stands for; otherwise mult is
+    all ones.  A stack position the caller clears in alive leaves the walk
+    at the next batch.
+
+    A batch's planes are buffers that the next step overwrites, so read
+    each batch before asking for the next.
     """
     codes = np.arange(lo.shape[0])
+    slo, shi = lo, hi
+    buf = np.empty(0, dtype=np.uint64)
     for combos, mult in _supports(lo.shape[1], j, width):
         step = max(1, _CHUNK // len(codes))
         for s in range(0, len(combos), step):
             piece = combos[s : s + step]
-            slo, shi = lo[codes], hi[codes]
-            # each column cast once, for both planes
-            rows = [piece[:, t].astype(np.intp) for t in range(j)]
-            glo = [np.take(slo, r, axis=1) for r in rows]
-            ghi = [np.take(shi, r, axis=1) for r in rows]
-            wlo, whi = glo[0], ghi[0]
+            # rows 0 .. j-1 of each word's message, low then high planes, and
+            # two scratch arrays; row 0 becomes the running word
+            shape = (2 * j + 2, len(codes), len(piece), lo.shape[2])
+            if buf.shape != shape:
+                buf = np.empty(shape, dtype=np.uint64)
+            for t in range(j):
+                r = piece[:, t].astype(np.intp)  # each column cast once, for both planes
+                np.take(slo, r, axis=1, out=buf[t], mode="clip")
+                np.take(shi, r, axis=1, out=buf[j + t], mode="clip")
+            wlo, whi, scratch = buf[0], buf[j], buf[2 * j :]
             for t in range(1, j):
-                wlo, whi = _add_planes(wlo, whi, glo[t], ghi[t])
+                _add_into(wlo, whi, buf[t], buf[j + t], scratch)
             for i in range(1 << (j - 1)):
                 if i:
                     # flipping pattern bit t - 1 takes coefficient t from 1
@@ -412,17 +445,17 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
                     # row with planes swapped)
                     t = (i & -i).bit_length()
                     if ((i ^ (i >> 1)) >> (t - 1)) & 1:
-                        wlo, whi = _add_planes(wlo, whi, glo[t], ghi[t])
+                        _add_into(wlo, whi, buf[t], buf[j + t], scratch)
                     else:
-                        wlo, whi = _add_planes(wlo, whi, ghi[t], glo[t])
+                        _add_into(wlo, whi, buf[j + t], buf[t], scratch)
                 if alive is not None and not alive[codes].all():
                     keep = alive[codes]
                     codes = codes[keep]
                     if not len(codes):
                         return
-                    wlo, whi = wlo[keep], whi[keep]
-                    glo = [g[keep] for g in glo]
-                    ghi = [g[keep] for g in ghi]
+                    slo, shi = lo[codes], hi[codes]
+                    buf = buf[:, keep]
+                    wlo, whi, scratch = buf[0], buf[j], buf[2 * j :]
                 yield codes, wlo, whi, mult[s : s + step]
 
 
@@ -431,56 +464,40 @@ def min_weight(code: Code, abort_below: int | None = None) -> int:
 
     With ``abort_below`` set, the scan may return early with any codeword
     weight strictly below the threshold (useful to reject candidates); the
-    result is exact whenever it is >= abort_below.  Exact results are kept
-    in the code's cache, so later queries on the same code cost nothing.
+    result is exact whenever it is >= abort_below.  The scan that settles d
+    also counts the words of weight d (see _stack_counts), and exact results
+    keep both in the code's cache, so later queries of d or of that count
+    cost nothing.
     """
     if code.k == 0:
         raise ValueError("minimum weight of the zero code is undefined")
-    d = code._cache.get("min_weight")
-    if d is None:
-        try:
-            d = _min_weight_scan(code, abort_below)
-        except _Abort as early:
-            return early.weight
-        code._cache["min_weight"] = d
-    return d
-
-
-def _min_weight_scan(code: Code, abort_below: int | None) -> int:
-    """The covering scan behind min_weight, over a stack of one; raises
-    _Abort on an early exit."""
-    sets = _information_sets(code)
-    width = _orbit_width(code)
-    deficits = [s.deficit for s in sets]
-    best = code.n + 1
-    for j in range(1, code.k + 1):
-        for s in sets:
-            for _, lo, hi, _ in _words(s.lo[None], s.hi[None], j, width):
-                w = int(_weights_of(lo, hi).min())
-                if w < best:
-                    best = w
-                    if abort_below is not None and w < abort_below:
-                        raise _Abort(w)
-        if covering_lower_bound(j, deficits) >= best:
-            return best
-    return best  # every message enumerated
+    if "min_weight" not in code._cache:
+        scan = _stack_counts([code], code.n, floor=abort_below or 1, least=True)
+        if not scan.kept[0]:
+            return int(scan.weight[0])
+        code._cache["min_weight"] = int(scan.weight[0])
+        code._cache["count_at_min"] = int(scan.count[0])
+    return code._cache["min_weight"]
 
 
 def count_weight(code: Code, w: int) -> int:
     """Exact number of codewords of weight w.
 
-    Runs the covering enumeration until its bound strictly exceeds w, so
-    every weight-w word is visited (see _stack_counts).  When a straight
-    sweep of all 3^k codewords is cheaper, delegates to full_distribution
-    instead (both routes are exact).
+    Once min_weight has settled w as the minimum weight, this is the count
+    its scan kept.  Otherwise it runs the covering enumeration until its bound strictly
+    exceeds w, so every weight-w word is visited (see _stack_counts), or,
+    when a straight sweep of all 3^k codewords is cheaper, delegates to
+    full_distribution instead (both routes are exact).
     """
     if w < 1:
         raise ValueError("count_weight takes a positive weight")
     if code.k == 0 or w > code.n:
         return 0
+    if code._cache.get("min_weight") == w:
+        return code._cache["count_at_min"]
     if code.k <= 22 and 3**code.k < count_cost(code, w):
         return full_distribution(code, allow_long=True).counts.get(w, 0)
-    return _stack_counts([code], w, floor=1)[0]
+    return int(_stack_counts([code], w, floor=1).count[0])
 
 
 def _settle(codes: list[Code], d: int) -> list[int | None]:
@@ -501,49 +518,86 @@ def _settle(codes: list[Code], d: int) -> list[int | None]:
     for members in stacks.values():
         for s in range(0, len(members), _STACK):
             part = members[s : s + _STACK]
-            for i, count in zip(part, _stack_counts([codes[i] for i in part], d, floor=d)):
-                out[i] = count or None
+            scan = _stack_counts([codes[i] for i in part], d, floor=d)
+            for i, count, kept in zip(part, scan.count, scan.kept):
+                out[i] = int(count) if kept and count else None
     return out
 
 
-def _stack_counts(codes: list[Code], w: int, floor: int) -> list[int | None]:
-    """The number of weight-w words of each code of a stack, or None for a
-    code with a word of weight below floor, which leaves the stack there.
+def _clears(code: Code, d: int) -> bool:
+    """Whether the code has no nonzero word of weight below d: a scan that
+    counts weight d - 1 with floor d, so it leaves at the first lighter word
+    and otherwise stops once its bound reaches d."""
+    return bool(_stack_counts([code], d - 1, floor=d).kept[0])
+
+
+class _Scan(NamedTuple):
+    """What _stack_counts found, one entry per code of the stack."""
+
+    weight: np.ndarray  # the weight counted, or the first weight below floor
+    count: np.ndarray  # words of that weight
+    kept: np.ndarray  # False for a code that met a word below floor
+
+
+def _stack_counts(codes: list[Code], w: int, floor: int, least: bool = False) -> _Scan:
+    """The number of weight-w words of each code of a stack, or with least
+    set, its least weight up to w and the number of words of that weight.
+    A code with a word of weight below floor leaves the stack there, with
+    that weight.
 
     The codes share n, k, information-set pivots and orbit width.  The
-    covering scan runs level by level until its bound strictly exceeds w,
-    so every word of weight at most w is visited.  A word is counted only
-    at the first (level, information set) pair that visits it: its message
-    support under set i is its weight on set i's pivots, so it is counted
-    under the first set on whose pivots its weight is least.  Each visited
-    word stands for itself and its negation, and on the orbit path for its
-    whole negashift orbit (see _words), so no word is kept or compared.
+    covering scan walks its (level, set) passes in order (see _passes) until
+    the bound passes the weight counted, so every word of that weight or
+    less is visited; in least mode each code's count restarts whenever its
+    least weight falls.  A word is counted only at the first pass that
+    visits it: its message support under set i is its weight on set i's
+    pivots, so it is counted under the first set on whose pivots its weight
+    is least.  Each visited word stands for itself and its negation, and on
+    the orbit path for its whole negashift orbit (see _words), so no word is
+    kept or compared.
     """
+    size = len(codes)
+    target = np.full(size, w, dtype=np.int64)
+    total = np.zeros(size, dtype=np.int64)
+    kept = np.ones(size, dtype=bool)
     if codes[0].k == 0:
-        return [0] * len(codes)
+        return _Scan(target, total, kept)
     head = _information_sets(codes[0])
     width = _orbit_width(codes[0])
-    level = levels_needed_for_count(codes[0], w)
     pivot_masks = np.stack([s.pivot_mask for s in head])
     planes = [(np.stack([_information_sets(c)[i].lo for c in codes]),
                np.stack([_information_sets(c)[i].hi for c in codes])) for i in range(len(head))]
-    alive = np.ones(len(codes), dtype=bool)
+    # two sets whose pivots split the columns, as for self-dual codes: a word
+    # of weight w met at level j under set i weighs w - j on the other set's
+    # pivots, so set i is the first to meet it exactly when 2j + i <= w
+    split = len(head) == 2 and head[1].deficit == 0 and 2 * codes[0].k == codes[0].n
     drops = floor > 1  # no nonzero word weighs less than 1
-    total = np.zeros(len(codes), dtype=np.int64)
-    for j in range(1, level + 1):
-        for i, (lo, hi) in enumerate(planes):
-            for stack, wlo, whi, mult in _words(lo, hi, j, width, alive if drops else None):
-                weight = _weights_of(wlo, whi)
-                if drops:
-                    alive[stack[weight.min(axis=1) < floor]] = False
-                hit = np.flatnonzero(weight == w)
-                if hit.size:
-                    lanes = wlo.shape[-1]
-                    words = wlo.reshape(-1, lanes)[hit] | whi.reshape(-1, lanes)[hit]
-                    on_pivots = np.bitwise_count(words[:, None, :] & pivot_masks).sum(axis=-1)
-                    c, r = np.divmod(hit[on_pivots.argmin(axis=1) == i], weight.shape[1])
-                    np.add.at(total, stack[c], mult[r])
-    return [2 * int(t) if a else None for t, a in zip(total, alive)]
+    for j, i, unseen in _passes([s.deficit for s in head], codes[0].k):
+        lo, hi = planes[i]
+        for stack, wlo, whi, mult in _words(lo, hi, j, width, kept if drops else None):
+            batch = _weights_of(wlo, whi)
+            low = batch.min(axis=1)
+            if drops:
+                out = low < floor
+                if out.any():
+                    target[stack[out]], kept[stack[out]] = low[out], False
+            if least:
+                fell = low < target[stack]
+                if fell.any():
+                    target[stack[fell]], total[stack[fell]] = low[fell], 0
+            if not (low <= target[stack]).any():
+                continue
+            c, r = np.divmod(np.flatnonzero(batch == target[stack][:, None]), batch.shape[1])
+            if split:
+                first = 2 * j + i <= target[stack[c]]
+            else:
+                words = wlo[c, r] | whi[c, r]
+                on_pivots = np.bitwise_count(words[:, None, :] & pivot_masks).sum(axis=-1)
+                first = on_pivots.argmin(axis=1) == i
+            np.add.at(total, stack[c[first]], mult[r[first]])
+        if not kept.any() or unseen > target[kept].max():
+            break
+    return _Scan(target, 2 * total, kept)
 
 
 def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
@@ -551,12 +605,12 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
 
     The basis is split in half: all 3^(k - k//2) sums of the second half are
     tabulated, and the table is swept once per sum of the first half, each
-    sweep one vector addition and one bincount.  On the orbit path (see
-    _orbit_width) sigma maps the words whose first-block message is r onto
-    those whose first-block message is the negashift of r, so only sums of
-    the first half whose first-block digits are least in their negashift
-    orbit are swept, and each bincount is scaled by that orbit's size; on
-    other codes every sum is swept once.
+    sweep a few whole-lane operations and one bincount (see _sweep).  On the
+    orbit path (see _orbit_width) sigma maps the words whose first-block
+    message is r onto those whose first-block message is the negashift of
+    r, so only sums of the first half whose first-block digits are least in
+    their negashift orbit are swept, and each bincount is scaled by that
+    orbit's size; on other codes every sum is swept once.
     """
     if code.k == 0:
         return WeightProfile(code.n, {0: 1}, complete=True)
@@ -566,13 +620,10 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
         width = 0
     _full_distribution_guard(code.k, width, allow_long)
     lo_a, hi_a = _span_planes(code.basis[:half], code.n)
-    lo_b, hi_b = _span_planes(code.basis[half:], code.n)
+    lo_b, hi_b = (np.ascontiguousarray(p.T) for p in _span_planes(code.basis[half:], code.n))
     # row i of the first table has first-block digits i mod 3^width
     mult = np.resize(_negashift_orbit_sizes(width), lo_a.shape[0])
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for i in np.flatnonzero(mult):
-        lo, hi = _add_planes(lo_a[i], hi_a[i], lo_b, hi_b)
-        counts += mult[i] * np.bincount(_weights_of(lo, hi), minlength=code.n + 1)
+    counts = _sweep(lo_a, hi_a, lo_b, hi_b, mult, code.n)
     profile = WeightProfile(
         code.n,
         {w: int(c) for w, c in enumerate(counts) if c},
@@ -581,6 +632,37 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
     if profile.total() != 3**code.k:
         raise InternalInconsistencyError("distribution total is not 3^k")
     return profile
+
+
+def _sweep(lo_a, hi_a, lo_b, hi_b, mult: np.ndarray, n: int) -> np.ndarray:
+    """The weight histogram of the sums a + b, for a a row of the first
+    table, shaped (rows, lanes), and b a column of the lane-major second
+    table, shaped (lanes, columns); row i's histogram counts mult[i] times,
+    and rows of mult 0 are skipped.
+
+    Only weights are needed, and a + b is zero exactly where b = -a, that
+    is where b's low plane equals a's high plane and b's high plane a's low
+    one.  So each lane of a sum's support is two XORs and an OR against
+    one lane of the row, a scalar, into buffers reused for every row."""
+    columns = lo_b.shape[1]
+    t = np.empty(columns, dtype=np.uint64)
+    u = np.empty(columns, dtype=np.uint64)
+    ones = np.empty(columns, dtype=np.uint8)
+    weight = ones if lo_b.shape[0] == 1 else np.empty(columns, dtype=np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for i in np.flatnonzero(mult):
+        for lane in range(lo_b.shape[0]):
+            np.bitwise_xor(lo_b[lane], hi_a[i, lane], out=t)
+            np.bitwise_xor(hi_b[lane], lo_a[i, lane], out=u)
+            np.bitwise_or(t, u, out=t)
+            np.bitwise_count(t, out=ones)
+            if weight is not ones:
+                if lane:
+                    np.add(weight, ones, out=weight)
+                else:
+                    weight[:] = ones
+        counts += mult[i] * np.bincount(weight, minlength=n + 1)
+    return counts
 
 
 def _negashift_orbit_sizes(b: int) -> np.ndarray:

@@ -84,6 +84,15 @@ class TestVerify:
         assert rc == 2
         assert "line 1" in err
 
+    def test_all_pinned(self, capsys):
+        # every stored build and neighbor, one verdict line each: the lines
+        # perfbench/expected.json holds for the verify-all workload
+        rc, out, _ = run_cli(capsys, "verify", "--all")
+        assert rc == 0
+        assert len(out.splitlines()) == 29
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6031770ede1b531e5cf310df25734b2018c34743f179b20ad768b2a416158224")
+
     def test_deep_c1(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--deep", "--registry", "C1")
         assert rc == 0

@@ -8,6 +8,7 @@ from nega3 import (
     RegistryEntry,
     build_generator,
     classify,
+    count_weight,
     min_weight,
     verify,
     verify_entry,
@@ -17,23 +18,26 @@ from nega3 import (
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Codes passed to the full min_weight scan, in call order."""
+    """Stacks passed to the covering scan (weights._stack_counts), in call
+    order: min_weight, count_weight and _settle all run through it."""
     calls = []
-    real = weights._min_weight_scan
+    real = weights._stack_counts
 
-    def counted(code, abort_below):
-        calls.append(code)
-        return real(code, abort_below)
+    def counted(codes, *args, **kwargs):
+        calls.append(codes)
+        return real(codes, *args, **kwargs)
 
-    monkeypatch.setattr(weights, "_min_weight_scan", counted)
+    monkeypatch.setattr(weights, "_stack_counts", counted)
     return calls
 
 
-@pytest.mark.parametrize("label", ["C1", "x1"])
+@pytest.mark.parametrize("label", ["C1", "x1", "B280"])
 def test_one_scan_per_entry(registry, scans, label):
+    # d, alpha and the class all come from min_weight's one scan
     report = verify_entry(registry.entry(label), registry, deep=False, allow_long=False)
     assert report.ok
-    assert report.d == 9 and report.cls is ExtremalityClass.NEAR_EXTREMAL
+    d = 12 if label == "B280" else 9
+    assert report.d == d and report.cls is ExtremalityClass.NEAR_EXTREMAL
     assert len(scans) == 1
 
 
@@ -46,6 +50,17 @@ def test_min_weight_reuses_only_exact_results(registry, scans):
     other = build_generator(registry.entry("C2").spec)
     assert min_weight(other, abort_below=9) == 9  # not below the bound: exact
     assert min_weight(other) == 9
+    assert len(scans) == 3
+
+
+def test_early_exit_leaves_no_count(registry, scans):
+    code = build_generator(registry.entry("C1").spec)
+    assert min_weight(code, abort_below=12) < 12
+    assert "count_at_min" not in code._cache
+    assert count_weight(code, 9) == 48  # a scan of its own
+    assert len(scans) == 2
+    assert min_weight(code) == 9  # counted at weight 9 only, so one more scan
+    assert count_weight(code, 9) == 48
     assert len(scans) == 3
 
 

@@ -4,9 +4,11 @@ import functools
 import itertools
 import random
 import time
+from math import comb
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import naive
@@ -267,6 +269,93 @@ class TestStackedScan:
         assert want == [_one_by_one(c, 6) for c in codes]
 
 
+def _walked(monkeypatch, code, run):
+    """The (level, set) passes of the covering scans that run() makes on
+    code, in order, with run()'s result.  A pass's set is the information
+    set whose planes it walks."""
+    sets = weights._information_sets(code)
+    walked = []
+    real = weights._words
+
+    def recording(lo, hi, j, width, alive=None):
+        walked.append((j, next(i for i, s in enumerate(sets) if np.array_equal(lo[0], s.lo))))
+        return real(lo, hi, j, width, alive)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(weights, "_words", recording)
+        result = run()
+    return walked, result
+
+
+def _check_scan_against_naive(code, dist):
+    """min_weight, its kept count, count_weight at d and d + 3, the count
+    scan itself at both weights, and the d-prune, against the distribution."""
+    d = min(w for w in dist if w)
+    assert min_weight(code) == d
+    assert code._cache["count_at_min"] == dist[d]
+    for w in (d, d + 3):
+        assert count_weight(code, w) == dist.get(w, 0), w
+        assert weights._stack_counts([code], w, floor=1).count[0] == dist.get(w, 0), w
+    for t in (d - 1, d, d + 1):
+        assert weights._clears(code, t) == (t <= d), t
+
+
+_generic_rows = st.integers(6, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=2, max_size=7))
+
+
+class TestPerSetBound:
+    """The covering scan stops once the bound, raised after every
+    information set, passes the weight it counts; min_weight settles d and
+    A_d in that one scan."""
+
+    def test_b280_ends_after_set_0_of_level_6(self, registry, monkeypatch):
+        code = registry.entry("B280").build()
+        walked, got = _walked(monkeypatch, code, lambda: (min_weight(code), count_weight(code, 12)))
+        assert got == (12, 2240)
+        assert walked == [(j, i) for j in range(1, 6) for i in (0, 1)] + [(6, 0)]
+
+    def test_c1_walks_both_sets_at_level_4(self, registry, monkeypatch):
+        code = registry.entry("C1").build()
+        walked, got = _walked(monkeypatch, code, lambda: (min_weight(code), count_weight(code, 9)))
+        assert got == (9, 48)
+        assert walked == [(j, i) for j in range(1, 5) for i in (0, 1)]
+
+    @pytest.mark.parametrize("label,w", [("C1", 9), ("C1", 12), ("B280", 12), ("B280", 15)])
+    def test_count_cost_prices_the_passes_walked(self, registry, monkeypatch, label, w):
+        code = registry.entry(label).build()
+        walked, _ = _walked(monkeypatch, code, lambda: weights._stack_counts([code], w, floor=1))
+        assert weights.count_cost(code, w) == sum(comb(code.k, j) << j for j, _ in walked)
+
+    @given(_generic_rows)
+    def test_generic_codes_with_deficits(self, rows):
+        code = Code(len(rows[0]), [Gf3Vector(r) for r in rows])
+        assume(code.k and any(s.deficit for s in weights._information_sets(code)))
+        _check_scan_against_naive(code, naive.distribution([r.entries() for r in code.basis]))
+
+    def test_self_dual_specs(self):
+        for spec in _self_dual_pool(2):
+            code = build_generator(spec)
+            _check_scan_against_naive(code, naive.distribution([r.entries() for r in code.basis]))
+        for spec in _self_dual_pool(4)[:10]:
+            _check_scan_against_naive(build_generator(spec), full_distribution(build_generator(spec)).counts)
+
+    @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
+    def test_neighbors(self, m, seed):
+        rng = random.Random(seed)
+        base = build_generator(rng.choice(_self_dual_pool(m)))
+        while True:
+            x = Gf3Vector([rng.randrange(3) for _ in range(6 * m)])
+            if x.weight() % 3 == 0 and not base.contains(x):
+                break
+        code = neighbor(base, x)
+        if m == 2:
+            dist = naive.distribution([r.entries() for r in code.basis])
+        else:
+            dist = full_distribution(neighbor(base, x)).counts
+        _check_scan_against_naive(code, dist)
+
+
 def _greedy_sets(code):
     """Information sets by the greedy rule alone: the reduced basis, then
     reductions with the columns not yet used scanned first."""
@@ -377,6 +466,55 @@ class TestFullDistribution:
         with pytest.raises(GuardError) as exc:
             full_distribution(c)
         assert exc.value.estimate == 3**21
+
+
+def _span_words(rows, n):
+    """Every combination of the rows, as plain lists, in the order of
+    weights._span_planes: coefficient t is digit t of the index in base 3."""
+    words = [[0] * n]
+    for r in rows:
+        words = words + [naive.vadd(w, r) for w in words] + [naive.vadd(w, naive.vscale(r, 2)) for w in words]
+    return words
+
+
+class TestLaneEdges:
+    """The lane-major sweep and the one-lane weights at the 64-column lane
+    edge."""
+
+    @pytest.mark.parametrize("n", [64, 65, 70])
+    def test_generic_path(self, n):
+        rng = random.Random(n)
+        code, _ = _random_code(rng, n, 5)
+        assert not weights._orbit_width(code)
+        assert full_distribution(code).counts == naive.distribution([r.entries() for r in code.basis])
+
+    @pytest.mark.parametrize("n", [64, 65, 70])
+    def test_orbit_path_sweep(self, n):
+        # the orbit path sweeps only first-half rows of nonzero mult, each
+        # histogram scaled by its mult; no orbit-path code has a lane edge
+        # at a dimension naive enumeration reaches (n = 66 needs k >= 22),
+        # so the sweep gets a mult with zeros here directly
+        rng = random.Random(n)
+        first = [[rng.randrange(3) for _ in range(n)] for _ in range(3)]
+        second = [[rng.randrange(3) for _ in range(n)] for _ in range(3)]
+        lo_a, hi_a = weights._span_planes([Gf3Vector(r) for r in first], n)
+        lo_b, hi_b = weights._span_planes([Gf3Vector(r) for r in second], n)
+        mult = np.array([rng.choice([0, 1, 2, 5]) for _ in range(len(lo_a))], dtype=np.int64)
+        got = weights._sweep(lo_a, hi_a, lo_b.T.copy(), hi_b.T.copy(), mult, n)
+        want = [0] * (n + 1)
+        for a, m in zip(_span_words(first, n), mult):
+            for b in _span_words(second, n):
+                want[naive.vweight(naive.vadd(a, b))] += int(m)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_weights_of_against_the_summed_form(self, lanes):
+        gen = np.random.default_rng(lanes)
+        lo = gen.integers(0, 2**64, size=(3, 50, lanes), dtype=np.uint64)
+        hi = gen.integers(0, 2**64, size=(3, 50, lanes), dtype=np.uint64) & ~lo
+        want = np.bitwise_count(lo | hi).sum(axis=-1)
+        assert weights._weights_of(lo, hi).tolist() == want.tolist()
+        assert weights._weights_of(lo[0], hi[0]).tolist() == want[0].tolist()
 
 
 def _negashift_orbits(b):
