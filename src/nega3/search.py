@@ -29,18 +29,21 @@ sampled run is still a pure function of (plan, seed).  run_search
 additionally prunes rows whose diagonal Gram identity fails and (exhaustive)
 r1 choices whose n-row subcode already contains a word below the target
 weight, then verifies the survivors end to end: each is built and checked
-self-dual, and one covering scan over all of a unit's codes stacked
-together settles their minimum weights and counts at the target weight
-(weights._settle).
+self-dual, and one covering scan over all the codes of a group of units
+stacked together settles their minimum weights and counts at the target
+weight (weights._settle).
 
 A run is a sequence of work units: one r1 in exhaustive mode, keyed by
 f(r1), one trial in sampled mode, each trial drawing from its own generator
 seeded by (plan seed, trial index).  A partition (index, total) takes every
-total-th unit.  Units run inline with one worker or in a process pool with
-more, and one merge builds their findings in unit order, so the output is
-the same for any worker count.  A run in either mode can keep an
-append-only checkpoint log of its merged units, which a rerun with any
-worker count resumes.
+total-th unit.  Units run in groups, one r1 or weights._STACK consecutive
+trials, each group's codes settled in one scan; groups run inline with one
+worker or in a process pool with more, and one merge builds the findings in
+unit order, so the output is the same for any worker count.  A run in
+either mode can keep an append-only checkpoint log of its merged units, one
+line per unit, which a rerun with any worker count resumes.  A neighbor
+sweep likewise settles its neighbors a window of weights._STACK seeds at a
+time.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ from .nega import (
     vector_from_f,
 )
 from .registry import Registry, load_registry
-from .weights import _CHUNK, _clears, _settle, ms_bound, near_extremal_weight
+from .weights import _CHUNK, _STACK, _clears, _settle, ms_bound, near_extremal_weight
 
 log = logging.getLogger(__name__)
 
@@ -309,10 +312,12 @@ class _DualSpace:
             top = np.concatenate((top, (words >> 30).astype(np.uint8)))
             pos = np.flatnonzero(top != 3)
         rng.setstate(state)
-        coeffs = top[pos[:need]].reshape(count, t).astype(np.int64)
-        basis = np.array([u.entries() for u in self.basis], np.int64).reshape(t, self.width)
+        coeffs = top[pos[:need]].reshape(count, t)
+        basis = np.array([u.entries() for u in self.basis], np.int8).reshape(t, self.width)
         ends = pos[t - 1:need:t] + 1 if t else np.zeros(count, np.intp)
-        return coeffs @ basis % 3, ends
+        # one BLAS product: its sums are at most 4t, exact in float32 and int16
+        vals = np.matmul(coeffs, basis, dtype=np.float32).astype(np.int16) % 3
+        return vals.astype(np.int8), ends
 
 
 def _weight_passes(w: int, d: int) -> bool:
@@ -364,18 +369,25 @@ def _row_pair_grams(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def _sample_row(space: _DualSpace, rng: random.Random, d: int, limit: int,
-                admissible: Callable[[Gf3Vector, int], bool]) -> Gf3Vector | None:
+                admissible: Callable[[Gf3Vector, int], bool],
+                gram: int = 0) -> Gf3Vector | None:
     """The first of _SAMPLE_TRIES_R23 random members of space for which
     admissible(v, limit) holds, or None.
 
     The batch prefilter (_may_be_admissible) spares the scalar predicate
-    the draws that cannot pass; it runs on the rest in draw order.  rng
-    ends past the draws up to the one taken, or past all of them: where a
-    loop of scalar randrange draws would leave it.
+    the draws that cannot pass, and with gram = m > 0 so does the batched
+    diagonal Gram identity for block size m, for a predicate that demands
+    it; the predicate runs on the rest in draw order.  rng ends past the
+    draws up to the one taken, or past all of them: where a loop of scalar
+    randrange draws would leave it.
     """
     vals, ends = space.draws(rng, _SAMPLE_TRIES_R23)
     found, used = None, ends[-1]
-    for i in np.flatnonzero(_may_be_admissible(vals, d, limit)):
+    passing = np.flatnonzero(_may_be_admissible(vals, d, limit))
+    if gram and len(passing):
+        grams = _row_pair_grams(vals[passing], vals[passing], gram)
+        passing = passing[(grams[0] == 2) & ~grams[1:].any(axis=0)]
+    for i in passing:
         v = Gf3Vector(vals[i].tolist())
         if admissible(v, limit):
             found, used = v, ends[i]
@@ -486,12 +498,13 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
         return (lead is not None and lead[1] == 1 and _weight_passes(v.weight(), d)
                 and f_value(v) <= limit and (not verified or row_gram_is_two(m, v)))
 
+    gram = m if verified else 0
     span1 = block_row_vectors(m, r1)
-    r2 = _sample_row(_DualSpace(span1, width), rng, d, f_value(r1), admissible)
+    r2 = _sample_row(_DualSpace(span1, width), rng, d, f_value(r1), admissible, gram)
     if r2 is None:
         return
     space = _DualSpace(span1 + block_row_vectors(m, r2), width)
-    r3 = _sample_row(space, rng, d, f_value(r2), admissible)
+    r3 = _sample_row(space, rng, d, f_value(r2), admissible, gram)
     if r3 is not None:
         yield CodeSpec(m, r1, r2, r3)
 
@@ -535,42 +548,50 @@ def make_finding(registry: Registry, kind: str, n: int, d: int, alpha: int,
                    novelty=not sets, sets=sets, **origin)
 
 
-def _run_unit(plan: SearchPlan, unit: int) -> list[tuple[CodeSpec, int]]:
-    """(spec, alpha) for each spec of one unit that verifies.  beta sets and
-    novelty are left to the merge, which holds the caller's registry.
+def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, int]]]:
+    """For each of a group of units, (spec, alpha) for each of its specs
+    that verifies.  beta sets and novelty are left to the merge, which holds
+    the caller's registry.
 
-    Every admissible spec is built and checked self-dual, then one stacked
-    covering scan (weights._settle) settles d and alpha for all of them."""
-    specs = list(_unit_specs(plan, unit, verified=True))
-    codes = [build_generator(spec) for spec in specs]
+    Every admissible spec of the group is built and checked self-dual, then
+    one stacked covering scan (weights._settle) settles d and alpha for all
+    of them, and the alphas are split back per unit."""
+    specs = [list(_unit_specs(plan, unit, verified=True)) for unit in units]
+    codes = [build_generator(spec) for spec in itertools.chain.from_iterable(specs)]
     if not all(code.is_self_dual() for code in codes):
         raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
-    alphas = _settle(codes, plan.target_min_weight)
-    return [(spec, alpha) for spec, alpha in zip(specs, alphas) if alpha is not None]
+    alphas = iter(_settle(codes, plan.target_min_weight))
+    return [[(spec, alpha) for spec, alpha in zip(group, alphas) if alpha is not None]
+            for group in specs]
 
 
 def _map_units(plan: SearchPlan, units: Iterator[int], workers: int) -> Iterator[list]:
-    """_run_unit over the units, results in unit order.
+    """The results of _run_units over the units, one per unit, in unit
+    order.
 
-    The pool holds at most one process per worker, per core and per pending
-    unit; with one process the units run inline.  It runs a window of four
-    units per process ahead of the merge, where Executor.map would submit
-    every unit up front: one future per r1, millions at length 36.
+    Units run in groups: one r1 (exhaustive), or _STACK consecutive trials
+    (sampled), whose specs share one stacked scan.  The pool holds at most
+    one process per worker, per core and per pending group; with one
+    process the groups run inline.  It runs a window of four groups per
+    process ahead of the merge, where Executor.map would submit every group
+    up front: one future per r1, millions at length 36.
     """
-    head = list(itertools.islice(units, min(workers, os.cpu_count() or 1)))
-    units = itertools.chain(head, units)
+    size = _STACK if plan.mode == "sampled" else 1
+    groups = iter(lambda: list(itertools.islice(units, size)), [])
+    head = list(itertools.islice(groups, min(workers, os.cpu_count() or 1)))
+    groups = itertools.chain(head, groups)
     if len(head) <= 1:
-        for unit in units:
-            yield _run_unit(plan, unit)
+        for group in groups:
+            yield from _run_units(plan, group)
         return
     with ProcessPoolExecutor(max_workers=len(head)) as pool:
         window: collections.deque = collections.deque()
-        for unit in units:
-            window.append(pool.submit(_run_unit, plan, unit))
+        for group in groups:
+            window.append(pool.submit(_run_units, plan, group))
             if len(window) == 4 * len(head):
-                yield window.popleft().result()
+                yield from window.popleft().result()
         while window:
-            yield window.popleft().result()
+            yield from window.popleft().result()
 
 
 def _write_line(path: Path, doc: dict) -> None:
@@ -770,7 +791,13 @@ def neighbor_sweep(
     """Try budget random neighbor seeds and yield the findings in the
     target class.  Seeds are drawn uniformly over vectors with weight
     divisible by 3 and outside c, by rejection; the stream is a pure
-    function of (c, budget, seed)."""
+    function of (c, budget, seed).
+
+    Seeds are drawn, and their neighbors built and settled in one stacked
+    scan (weights._settle), a window of _STACK seeds at a time; the
+    window's findings are then yielded in draw order.  So a consumer that
+    stops early has paid for up to _STACK - 1 neighbors past the last
+    finding it took."""
     if not c.is_self_dual():
         raise NeighborCodeError("base code is not self-dual")
     if target not in ("near-extremal", "extremal"):
@@ -779,21 +806,27 @@ def neighbor_sweep(
         registry = load_registry()
     d = near_extremal_weight(c.n) if target == "near-extremal" else ms_bound(c.n)
     rng = random.Random(f"{seed}")
-    for _ in range(budget):
-        for _attempt in range(100000):
-            x = Gf3Vector(rng.randrange(3) for _ in range(c.n))
-            if x.weight() % 3 != 0:
-                continue
-            if c.contains(x):
-                log.debug("rejected x inside the code")
-                continue
-            break
-        else:
-            raise InternalInconsistencyError("rejection sampling stalled")
-        alpha = _settle([neighbor(c, x)], d)[0]
-        if alpha is not None:
-            yield make_finding(registry, "neighbor", c.n, d, alpha,
-                               x=tuple(x.entries()), parent=parent_label)
+    for start in range(0, budget, _STACK):
+        seeds = [_neighbor_seed(c, rng) for _ in range(min(_STACK, budget - start))]
+        alphas = _settle([neighbor(c, x) for x in seeds], d)
+        for x, alpha in zip(seeds, alphas):
+            if alpha is not None:
+                yield make_finding(registry, "neighbor", c.n, d, alpha,
+                                   x=tuple(x.entries()), parent=parent_label)
+
+
+def _neighbor_seed(c: Code, rng: random.Random) -> Gf3Vector:
+    """A uniform random vector of weight divisible by 3 outside c, by
+    rejection."""
+    for _attempt in range(100000):
+        x = Gf3Vector(rng.randrange(3) for _ in range(c.n))
+        if x.weight() % 3 != 0:
+            continue
+        if c.contains(x):
+            log.debug("rejected x inside the code")
+            continue
+        return x
+    raise InternalInconsistencyError("rejection sampling stalled")
 
 
 # -- novelty bookkeeping ----------------------------------------------------------

@@ -23,7 +23,9 @@ The expansion is vectorized and visits each word the covering needs at
 most once up to sign:
 
 - Supports come from numpy tables of row combinations, streamed in
-  lexicographic order in chunks of at most 65,536 rows.
+  lexicographic order in chunks of at most 65,536 rows.  A batch of words
+  holds at most 65,536 rows for one code, and at most 8,192 shared out
+  among the codes of a larger stack.
 - Each message's first coefficient is fixed to 1 and the other j - 1 walk
   their sign patterns in Gray-code order, one bit-sliced vector addition
   per pattern, done in place in buffers held per chunk.  A word c stands
@@ -44,9 +46,11 @@ most once up to sign:
   width share the support tables too, so the walk runs over their bases
   stacked as (codes, k, lanes) planes, one numpy call per step for all of
   them; a single code is a stack of one.  The search settles d and the
-  count at d of all the codes of one work unit in one such scan
+  count at d of all the codes of a group of work units (one r1, or a run
+  of sampled trials), or of a window of neighbors, in one such scan
   (_settle), which runs until the bound passes d and drops a code at its
-  first word below d.
+  first word below d; the codes left are moved up in the batch buffer in
+  place.
 
 Full distributions take a different route, a meet-in-the-middle sweep: the
 basis is split in half, all 3^(k - k//2) sums of the second half are
@@ -66,7 +70,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -299,6 +303,12 @@ _CHUNK = 1 << 16  # most combinations, hence rows per batch, held at once
 # most codes scanned in one stack: a few dozen already share out the numpy
 # call overhead, and wider stacks would only hold larger batches at once
 _STACK = 64
+# most rows per batch of a stack of more than one code: a stack's batch is
+# split among its codes, and at this size it still shares out the numpy call
+# overhead, while its buffer of 2j + 2 planes stays under a megabyte for
+# one-lane words up to j = 6 (_settle over 64 neighbors of a length-36 code
+# held 1.4 MB at most at once, against 10 MB with batches of _CHUNK rows)
+_STACK_ROWS = 1 << 13
 
 
 def _lex_table(m: int, j: int) -> np.ndarray:
@@ -402,35 +412,40 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
 
     lo and hi hold one systematic basis per code, shaped (codes, k, lanes);
     the codes share their pivots and orbit width, so one support table
-    serves them all.  A batch holds the words of a run of at most
-    max(1, _CHUNK // codes) supports for the listed stack positions, shaped
-    (len(codes), supports, lanes), so at most _CHUNK rows in all when the
-    stack holds at most _CHUNK codes.  Each message's first nonzero
-    coefficient is fixed to 1, so a batch holds one word of each pair c, -c,
-    which share their weight and their pivot weights.  The other j - 1
-    coefficients are walked through their 2^(j-1) sign patterns in
-    Gray-code order, each step one bit-sliced vector addition in place.
+    serves them all.  A batch holds the words of a run of supports for the
+    listed stack positions, shaped (len(codes), supports, lanes): at most
+    _CHUNK rows in all for a stack of one code and min(_CHUNK, _STACK_ROWS)
+    for a larger one, or one support per code when the stack holds more
+    codes than that.  Each message's first nonzero coefficient is fixed to
+    1, so a batch holds one word of each pair c, -c, which share their
+    weight and their pivot weights.  The other j - 1 coefficients are
+    walked through their 2^(j-1) sign patterns in Gray-code order, each
+    step one bit-sliced vector addition in place.
     With a width (see _orbit_width) only supports least among their
     rotations are walked, and mult holds each support's orbit size, the
     number of supports whose words the batch stands for; otherwise mult is
     all ones.  A stack position the caller clears in alive leaves the walk
-    at the next batch.
+    at the next batch: the codes left are moved up in the buffer in place,
+    so no batch is ever copied.
 
     A batch's planes are buffers that the next step overwrites, so read
     each batch before asking for the next.
     """
     codes = np.arange(lo.shape[0])
+    rows = _CHUNK if len(codes) == 1 else min(_CHUNK, _STACK_ROWS)
     slo, shi = lo, hi
-    buf = np.empty(0, dtype=np.uint64)
+    store = np.empty(0, dtype=np.uint64)
     for combos, mult in _supports(lo.shape[1], j, width):
-        step = max(1, _CHUNK // len(codes))
+        step = max(1, rows // len(codes))
         for s in range(0, len(combos), step):
             piece = combos[s : s + step]
             # rows 0 .. j-1 of each word's message, low then high planes, and
             # two scratch arrays; row 0 becomes the running word
             shape = (2 * j + 2, len(codes), len(piece), lo.shape[2])
-            if buf.shape != shape:
-                buf = np.empty(shape, dtype=np.uint64)
+            size = prod(shape)
+            if store.size < size:
+                store = np.empty(size, dtype=np.uint64)
+            buf = store[:size].reshape(shape)
             for t in range(j):
                 r = piece[:, t].astype(np.intp)  # each column cast once, for both planes
                 np.take(slo, r, axis=1, out=buf[t], mode="clip")
@@ -449,12 +464,15 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
                     else:
                         _add_into(wlo, whi, buf[j + t], buf[t], scratch)
                 if alive is not None and not alive[codes].all():
-                    keep = alive[codes]
-                    codes = codes[keep]
-                    if not len(codes):
+                    keep = np.flatnonzero(alive[codes])
+                    if not len(keep):
                         return
+                    for p, q in enumerate(keep):  # p <= q: no slot is read after it is written
+                        if p != q:
+                            buf[: 2 * j, p] = buf[: 2 * j, q]
+                    codes = codes[keep]
                     slo, shi = lo[codes], hi[codes]
-                    buf = buf[:, keep]
+                    buf = buf[:, : len(codes)]  # each plane still contiguous
                     wlo, whi, scratch = buf[0], buf[j], buf[2 * j :]
                 yield codes, wlo, whi, mult[s : s + step]
 

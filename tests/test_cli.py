@@ -392,6 +392,16 @@ class TestNeighbor:
         assert rc == 2
         assert "not a code spec" in err
 
+    def test_sweep_stream_pinned(self, capsys):
+        # the sweep stream, recorded when every neighbor was settled on its
+        # own, beside the survey36 pin in test_search
+        rc, out, _ = run_cli(capsys, "neighbor", "--registry", "C2", "--sweep", "50",
+                             "--seed", "3")
+        assert rc == 0
+        assert len(out.splitlines()) == 33
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4e429023865aad2fd76a798e5cc4dc22652369e18ab9de5a4b280d5d5d3b50ed")
+
     def test_sweep_needs_seed(self, capsys):
         rc, _, err = run_cli(capsys, "neighbor", "--registry", "C2",
                              "--sweep", "3")

@@ -37,6 +37,8 @@ from nega3 import (
     enumerate_candidates,
     is_self_dual,
     min_weight,
+    ms_bound,
+    near_extremal_weight,
     neighbor,
     neighbor_sweep,
     novelty_report,
@@ -206,7 +208,7 @@ class TestExhaustive:
         total = 0
         for unit in search._units(plan):
             del built[:]
-            found = search._run_unit(plan, unit)
+            (found,) = search._run_units(plan, [unit])
             assert built == list(search._unit_specs(plan, unit, verified=True))
             assert {spec for spec, _ in found} <= set(built)
             total += len(built)
@@ -217,10 +219,10 @@ class TestExhaustive:
     def test_a_code_that_is_not_self_dual_is_refused(self, monkeypatch):
         # the identities are trusted only as far as the built code agrees
         plan = SearchPlan(block_size=2)
-        unit = next(u for u in search._units(plan) if search._run_unit(plan, u))
+        unit = next(u for u in search._units(plan) if search._run_units(plan, [u])[0])
         monkeypatch.setattr(Code, "is_self_dual", lambda code: False)
         with pytest.raises(InternalInconsistencyError, match="not self-dual"):
-            search._run_unit(plan, unit)
+            search._run_units(plan, [unit])
 
     def test_candidates_without_verification(self):
         structural, _ = naive.reduced_space_findings(2, 3)
@@ -381,6 +383,23 @@ class TestSampled:
         keys = [_as_key(f) for f in found]
         assert len(keys) == len(set(keys))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("m, seed, budget, partition", [
+        (2, 7, 150, (0, 1)),
+        (4, 3, 200, (1, 2)),
+        (6, 0, 150, (0, 1)),
+    ], ids=["n2", "n4-half", "n6"])
+    def test_grouped_trials_match_per_trial_reference(self, registry, workers, m, seed,
+                                                      budget, partition):
+        # the trials of a run are settled _STACK at a time, in one stacked
+        # scan, with a last group shorter than the rest
+        plan = SearchPlan(block_size=m, mode="sampled", seed=seed, budget=budget,
+                          partition=partition)
+        assert len(list(search._units(plan))) % search._STACK
+        got = _records(run_search(plan, registry=registry, workers=workers))
+        assert got == _records(_per_trial_reference(plan, registry))
+        assert got
+
 
     def test_survey36_stdout_pinned(self, capsys, monkeypatch):
         # the script and seed the survey-36 benchmark workload runs, whose
@@ -393,6 +412,20 @@ class TestSampled:
         assert len(out.splitlines()) == 276
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "6747dd23f48314f2af4500a95d07e639ee100f24a4be7fb9766a64d813b818af")
+
+
+def _per_trial_reference(plan, registry):
+    """The sampled stream with every trial's spec settled on its own, in a
+    stack of one."""
+    d = plan.target_min_weight
+    found = {}
+    for trial in search._units(plan):
+        for spec in search._unit_specs(plan, trial, verified=True):
+            alpha = weights._settle([build_generator(spec)], d)[0]
+            if alpha is not None:
+                found[spec] = search.make_finding(registry, "spec", plan.length, d, alpha,
+                                                  spec=spec)
+    return sorted(found.values(), key=Finding.sort_key)
 
 
 def _row_rule(m, d, limit, gram):
@@ -455,14 +488,23 @@ class TestSampleDraws:
         # although every one passes the prefilter's bounds
         setup = random.Random(f"rule:{m}")
         d, limit = setup.randrange(width), setup.randrange(3**width)
-        rules = [(d, limit, _row_rule(m, d, limit, gram)) for gram in (False, True)]
-        rules.append((0, 3**width - 1, lambda v: False))
-        for d, limit, accept in rules:
+        rules = [(d, limit, _row_rule(m, d, limit, gram), gram) for gram in (False, True)]
+        rules.append((0, 3**width - 1, lambda v: False, False))
+        for d, limit, accept, gram in rules:
             k = next((i for i, v in enumerate(ref) if accept(v)), None)
-            rng = random.Random(m)
-            got = search._sample_row(space, rng, d, limit, lambda v, _: accept(v.entries()))
-            assert got == (None if k is None else Gf3Vector(ref[k]))
-            assert rng.getstate() == states[-1 if k is None else k]
+            # a rule with the Gram identity may leave it to the batched test
+            for batched in {0, m if gram else 0}:
+                rng, asked = random.Random(m), []
+
+                def scalar(v, _):
+                    asked.append(v)
+                    return accept(v.entries())
+                got = search._sample_row(space, rng, d, limit, scalar, batched)
+                assert got == (None if k is None else Gf3Vector(ref[k]))
+                assert rng.getstate() == states[-1 if k is None else k]
+                if batched:  # the scalar rule runs only on draws that pass it
+                    assert all(naive.row_pair_gram(m, v.entries(), v.entries())
+                               == [2] + [0] * (m - 1) for v in asked)
 
     def test_no_basis_reads_no_words(self):
         rows = [Gf3Vector([int(i == j) for j in range(6)]) for i in range(6)]
@@ -598,7 +640,7 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         plan = SearchPlan(block_size=2)
         first = _records(run_search(plan, registry=registry, checkpoint=path))
-        monkeypatch.setattr(search, "_run_unit", _no_unit_runs)
+        monkeypatch.setattr(search, "_run_units", _no_unit_runs)
         again = _records(run_search(plan, registry=registry, checkpoint=path))
         assert again == first
 
@@ -634,13 +676,15 @@ class TestCheckpoint:
         plan = SearchPlan(block_size=2, mode="sampled", seed=7, budget=400)
         reference = _records(run_search(plan, registry=registry))
         with monkeypatch.context() as m:
-            m.setattr(search, "_run_unit", _runs_then_stops(150))
+            m.setattr(search, "_run_units", _runs_then_stops(150))
             m.setattr(search, "ProcessPoolExecutor", _RecordingPool([], []))
             with pytest.raises(_Stopped):
                 list(run_search(plan, registry=registry, checkpoint=path, workers=workers))
         header, *units = _log_lines(path)
         assert header == {"version": 2, "plan": plan.to_dict()}
-        assert 0 < len(units) <= 150
+        # the group holding trial 150 stopped midway, so the whole groups
+        # before it are logged and it is not
+        assert len(units) == 150 // search._STACK * search._STACK
         assert [u["unit"] for u in units] == list(range(len(units)))  # a line per trial
 
         resumed = _records(run_search(plan, registry=registry, checkpoint=path,
@@ -658,7 +702,7 @@ class TestCheckpoint:
         assert keys == sorted(set(keys))  # sorted, each spec once
         (doc,) = _log_lines(path)
         assert doc["complete"] and doc["findings"] == _records(first)
-        monkeypatch.setattr(search, "_run_unit", _no_unit_runs)
+        monkeypatch.setattr(search, "_run_units", _no_unit_runs)
         again = _records(run_search(plan, registry=registry, checkpoint=path))
         assert again == _records(first)
 
@@ -686,8 +730,8 @@ class TestCheckpoint:
         assert resumed == reference
 
 
-def _no_unit_runs(plan, unit):
-    raise AssertionError(f"unit {unit} ran again")
+def _no_unit_runs(plan, units):
+    raise AssertionError(f"units {units} ran again")
 
 
 class _Stopped(Exception):
@@ -695,20 +739,24 @@ class _Stopped(Exception):
 
 
 def _runs_then_stops(count):
-    """A _run_unit that runs count units, then raises _Stopped."""
-    run_unit = search._run_unit
-    calls = itertools.count()
+    """A _run_units that runs groups of units while at most count units
+    have run, then raises _Stopped on the first group that would pass it."""
+    run_units = search._run_units
+    done = 0
 
-    def run(plan, unit):
-        if next(calls) == count:
-            raise _Stopped(unit)
-        return run_unit(plan, unit)
+    def run(plan, units):
+        nonlocal done
+        if done + len(units) > count:
+            raise _Stopped(units)
+        done += len(units)
+        return run_units(plan, units)
     return run
 
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records each pool's size and the
-    units submitted, and runs every call inline, starting no process."""
+    groups of units submitted, and runs every call inline, starting no
+    process."""
 
     def __init__(self, sizes, submitted):
         self.sizes = sizes
@@ -725,9 +773,14 @@ class _RecordingPool:
         pass
 
     def submit(self, fn, *args):
+        # a pool's future holds the call's result or, as a real pool's does,
+        # the exception it raised, for result() to raise
         self.submitted.append(args[1])
         fut = Future()
-        fut.set_result(fn(*args))
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
         return fut
 
 
@@ -839,6 +892,49 @@ class TestNeighbor:
             assert f.parent == "C2"
             assert f.kind == "neighbor"
             assert f.d == 9
+
+
+def _sweep_reference(c, budget, seed, target, registry):
+    """neighbor_sweep's stream with each neighbor settled on its own, in a
+    stack of one, and the index of the seed behind each finding."""
+    d = near_extremal_weight(c.n) if target == "near-extremal" else ms_bound(c.n)
+    rng = random.Random(f"{seed}")
+    out = []
+    for i in range(budget):
+        while True:
+            x = Gf3Vector(rng.randrange(3) for _ in range(c.n))
+            if x.weight() % 3 == 0 and not c.contains(x):
+                break
+        alpha = weights._settle([neighbor(c, x)], d)[0]
+        if alpha is not None:
+            out.append((i, search.make_finding(registry, "neighbor", c.n, d, alpha,
+                                               x=tuple(x.entries()), parent="base")))
+    return out
+
+
+@functools.cache
+def _length24_base():
+    """The self-dual code of the first spec that sampled length-24 trials
+    verify."""
+    plan = SearchPlan(block_size=4, mode="sampled", seed=0, budget=1)
+    specs = (s for t in itertools.count() for s in search._unit_specs(plan, t, verified=True))
+    return build_generator(next(specs))
+
+
+class TestNeighborWindows:
+    """neighbor_sweep settles a window of _STACK seeds in one stacked scan."""
+
+    @pytest.mark.parametrize("target", ["near-extremal", "extremal"])
+    @pytest.mark.parametrize("base", ["C2", "length24"])
+    def test_sweep_matches_stack_of_one_reference(self, registry, parent, base, target):
+        code = parent if base == "C2" else _length24_base()
+        reference = _sweep_reference(code, 130, 5, target, registry)
+        if target == "near-extremal":
+            assert len(reference) > 2  # findings in more than one window
+        for budget in (1, 63, 65, 130):
+            got = neighbor_sweep(code, budget, 5, target=target, registry=registry,
+                                 parent_label="base")
+            assert _records(got) == _records(f for i, f in reference if i < budget), budget
 
 
 class TestNovelty:

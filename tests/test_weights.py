@@ -1,9 +1,11 @@
 """Minimum-weight engine against full enumeration on small codes."""
 
+import collections
 import functools
 import itertools
 import random
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -267,6 +269,83 @@ class TestStackedScan:
         monkeypatch.setattr(weights, "_words", bounded)
         assert weights._settle(codes, 6) == want
         assert want == [_one_by_one(c, 6) for c in codes]
+
+
+    @pytest.mark.parametrize("chunk,rows,stack", [(64, 5, 8), (7, 3, 19), (weights._CHUNK, 16, 64)])
+    def test_row_cap_on_mixed_stacks(self, monkeypatch, chunk, rows, stack):
+        # a stack of more than one code takes batches of at most the row cap
+        # (or one support for each code), a stack of one at most _CHUNK;
+        # codes that meet a light word leave their stack mid-walk
+        codes = (_mixed_stack(4, 11) + _mixed_stack(4, 12)
+                 + [build_generator(s) for s in _self_dual_pool(4)[:8]])
+        want = [_one_by_one(c, 6) for c in codes]
+        walk = weights._words
+        shrunk = []
+
+        def bounded(lo, hi, j, width, alive=None):
+            cap = chunk if lo.shape[0] == 1 else min(chunk, rows)
+            for batch in walk(lo, hi, j, width, alive):
+                assert batch[1].shape[0] * batch[1].shape[1] <= max(cap, len(batch[0]))
+                assert alive is None or alive[batch[0]].all()
+                shrunk.append(len(batch[0]) < lo.shape[0])
+                yield batch
+
+        monkeypatch.setattr(weights, "_CHUNK", chunk)
+        monkeypatch.setattr(weights, "_STACK_ROWS", rows)
+        monkeypatch.setattr(weights, "_STACK", stack)
+        monkeypatch.setattr(weights, "_words", bounded)
+        assert weights._settle(codes, 6) == want
+        assert any(shrunk)
+
+    def test_dropped_codes_leave_the_others_words_intact(self, monkeypatch):
+        # codes leave the stack at two batches; those left are moved up in
+        # the batch buffer, and each still walks exactly its own words
+        monkeypatch.setattr(weights, "_STACK_ROWS", 7)
+        codes = [build_generator(s) for s in _self_dual_pool(4)[:6]]
+        lo, hi = (np.stack([getattr(weights._information_sets(c)[0], p) for c in codes])
+                  for p in ("lo", "hi"))
+        width = weights._orbit_width(codes[0])
+        assert width and {weights._orbit_width(c) for c in codes} == {width}
+
+        def words(batches, alive=None, drops=()):
+            seen = collections.defaultdict(collections.Counter)
+            for n, (pos, wlo, whi, mult) in enumerate(batches):
+                assert wlo.shape[:2] == (len(pos), len(mult))
+                for row, c in enumerate(pos.tolist()):
+                    seen[c].update(zip(map(bytes, wlo[row]), map(bytes, whi[row]), mult.tolist()))
+                for at, gone in drops:
+                    if n == at:
+                        alive[gone] = False
+            return seen
+
+        alive = np.ones(len(codes), dtype=bool)
+        got = words(weights._words(lo, hi, 3, width, alive), alive, [(3, [0, 2]), (10, [4])])
+        assert alive.tolist() == [False, True, False, True, False, True]
+        for c in (1, 3, 5):
+            alone = words(weights._words(lo[c : c + 1], hi[c : c + 1], 3, width))
+            assert got[c] == alone[0], c
+
+    def test_stacked_neighbors_keep_memory_small(self, registry):
+        # 64 neighbors of C2, generic codes in a few pivot groups, walk
+        # levels of C(18, 4) supports: with batches of _CHUNK rows the scan
+        # held about 10 MB at once, with the row cap about 1.4 MB
+        base = build_generator(registry.entry("C2").spec)
+        rng = random.Random(64)
+        codes = []
+        while len(codes) < 64:
+            x = Gf3Vector(rng.randrange(3) for _ in range(36))
+            if x.weight() % 3 == 0 and not base.contains(x):
+                codes.append(neighbor(base, x))
+        for code in codes:  # the codes' own caches are not the scan's
+            weights._orbit_width(code)
+        tracemalloc.start()
+        try:
+            got = weights._settle(codes, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(a is not None for a in got)
+        assert peak < 4 * 2**20
 
 
 def _walked(monkeypatch, code, run):
