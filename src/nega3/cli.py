@@ -22,6 +22,7 @@ import argparse
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 from .errors import (
@@ -80,9 +81,11 @@ def cmd_verify(args) -> int:
 
     all_ok = True
     for entry in todo:
+        start = time.perf_counter()
         report = verify_entry(entry, registry, deep=args.deep, allow_long=args.allow_long)
         all_ok = all_ok and report.ok
         print(f"{entry.label}: {report.summary()}", flush=True)
+        _say(f"{entry.label}: {time.perf_counter() - start:.1f}s")
     return 0 if all_ok else 1
 
 
@@ -97,19 +100,6 @@ def _parse_partition(text: str) -> tuple[int, int]:
 
 
 def cmd_search(args) -> int:
-    if args.n < 1:
-        raise _Usage("block size must be positive")
-    if args.n % 2 == 1:
-        _say(
-            f"refusing: block size {args.n} gives length {6 * args.n}, which is "
-            "2 mod 4; ternary self-dual codes exist only for lengths divisible "
-            "by 4, so there is nothing to search"
-        )
-        return 2
-    if args.mode == "sampled" and args.seed is None:
-        raise _Usage("sampled mode requires --seed (no wall-clock seeding)")
-    if args.mode == "sampled" and args.budget is None:
-        raise _Usage("sampled mode requires --budget")
     try:
         plan = SearchPlan(
             block_size=args.n,
@@ -121,6 +111,15 @@ def cmd_search(args) -> int:
         )
     except ValueError as exc:
         raise _Usage(str(exc)) from None
+    if args.n % 2 == 1:
+        _say(
+            f"refusing: block size {args.n} gives length {6 * args.n}, which is "
+            "2 mod 4; ternary self-dual codes exist only for lengths divisible "
+            "by 4, so there is nothing to search"
+        )
+        return 2
+    if args.mode == "sampled" and args.seed is None:
+        raise _Usage("sampled mode requires --seed (no wall-clock seeding)")
 
     registry = load_registry()
     findings: list[Finding] = []

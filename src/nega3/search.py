@@ -6,28 +6,30 @@ cut the space down hard before any linear algebra happens:
 - r1 is assembled from a pool of width-n blocks that are zero or start
   with 1, in non-increasing f-value order (f reads a vector as a base-3
   integer, first entry least significant);
+- every row must have weight congruent to 2 mod 3 and at least d - 1;
 - r2 is drawn from the dual of the block rows of r1, r3 from the dual of
-  the block rows of r1 and r2, both with f-value at most that of the
-  previous row;
-- every row must have weight congruent to 2 mod 3 and at least d - 1.
+  the block rows of r1 and r2, and both pass one row predicate,
+  _admissible, tested on a whole numpy batch of rows at once: a leading 1,
+  the weight rule, f-value at most that of the previous row and, when the
+  search verifies, the diagonal Gram identity.
 
 Dual spaces are echelonized with pivots taken from the high end, so that
 counting in base 3 over the coefficients visits dual vectors in exactly
 ascending f order, and an f-value ceiling is a cut in that count, found by
 bisection.  Exhaustive mode builds one dual space per r1, D1, lists its
 members up to f(r1) in numpy batches and keeps the admissible ones, the r2
-list, in one batched test.  The r3 space of an r2 is D1 cut down to the
-rows orthogonal to r2's block rows, so the r3 of the i-th r2 are those of
-the first i + 1 rows of the list whose cross identity with it holds: one
-small product per r2, and no dual space of its own.  A sampled trial takes
-for r2, and then r3, the first admissible one of a bounded number of
-random draws from the dual of the rows above it.  Those draws are made
+list.  The r3 space of an r2 is D1 cut down to the rows orthogonal to r2's
+block rows, so the r3 of the i-th r2 are those of the first i + 1 rows of
+the list whose cross identity with it holds: one small product per r2, and
+no dual space of its own.  A sampled trial takes for r2, and then r3, the
+first admissible one of a bounded number of random draws from the dual of
+the rows above it, all tested in one batch.  Those draws are made
 in one numpy batch per row from the words of the trial's Mersenne Twister
 that a loop of scalar random.randrange(3) calls would read, and the
 generator is then advanced past the draws that loop would have made, so a
 sampled run is still a pure function of (plan, seed).  run_search
-additionally prunes rows whose diagonal Gram identity fails and (exhaustive)
-r1 choices whose n-row subcode already contains a word below the target
+additionally prunes r1 choices whose diagonal Gram identity fails and
+(exhaustive) whose n-row subcode already contains a word below the target
 weight, then verifies the survivors end to end: each is built and checked
 self-dual, and one covering scan over all the codes of a group of units
 stacked together settles their minimum weights and counts at the target
@@ -59,7 +61,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,7 +121,7 @@ class SearchPlan:
         if total < 1 or not 0 <= index < total:
             raise ValueError(f"bad partition {self.partition}")
         if self.mode == "sampled" and (self.budget is None or self.budget < 1):
-            raise ValueError("sampled mode needs a budget of at least 1")
+            raise ValueError("sampled mode needs a budget of at least 1 (CLI: --budget)")
 
     @property
     def length(self) -> int:
@@ -320,27 +322,10 @@ class _DualSpace:
         return vals.astype(np.int8), ends
 
 
-def _weight_passes(w: int, d: int) -> bool:
-    """The row-weight rule: 2 mod 3 and at least d - 1."""
-    return w % 3 == 2 and w >= d - 1
-
-
-def _may_be_admissible(vals: np.ndarray, d: int, limit: int) -> np.ndarray:
-    """Which rows of a (draws, width) entry array have a leading 1, pass the
-    row-weight rule (_weight_passes) and have f-value at most limit: the
-    necessary part of the row predicate, tested on a whole batch.  f is
-    compared digit by digit from the most significant end, which is exact
-    at every width."""
-    rows = np.arange(len(vals))
-    nz = vals != 0
-    weight = nz.sum(axis=1)
-    lead = vals[rows, nz.argmax(axis=1)]
-    width = vals.shape[1]
-    digits = np.array([limit // 3**i % 3 for i in range(width)])
-    diff = vals != digits
-    top = width - 1 - diff[:, ::-1].argmax(axis=1)  # the highest differing digit
-    f_ok = ~diff.any(axis=1) | (vals[rows, top] < digits[top])
-    return (lead == 1) & (weight % 3 == 2) & (weight >= d - 1) & f_ok
+def _weight_passes(w, d: int):
+    """The row-weight rule, 2 mod 3 and at least d - 1, for one weight or
+    an array of them."""
+    return (w % 3 == 2) & (w >= d - 1)
 
 
 @functools.cache
@@ -368,32 +353,41 @@ def _row_pair_grams(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return np.matmul(shifted, a[..., None], dtype=np.int16)[..., 0].T % 3
 
 
-def _sample_row(space: _DualSpace, rng: random.Random, d: int, limit: int,
-                admissible: Callable[[Gf3Vector, int], bool],
-                gram: int = 0) -> Gf3Vector | None:
-    """The first of _SAMPLE_TRIES_R23 random members of space for which
-    admissible(v, limit) holds, or None.
+def _admissible(vals: np.ndarray, d: int, limit: int, m: int) -> np.ndarray:
+    """Which rows of a (rows, width) entry array pass the row predicate: a
+    leading 1, the row-weight rule (_weight_passes), f-value at most limit
+    and, for a block size m > 0, the diagonal Gram identity
+    row_pair_gram(m, v, v) = (2, 0, ..., 0).  f is compared digit by digit
+    from the most significant end, which is exact at every width; the Gram
+    identity is tested only on the rows that pass the rest."""
+    rows = np.arange(len(vals))
+    nz = vals != 0
+    lead = vals[rows, nz.argmax(axis=1)]
+    width = vals.shape[1]
+    digits = np.array([limit // 3**i % 3 for i in range(width)])
+    diff = vals != digits
+    top = width - 1 - diff[:, ::-1].argmax(axis=1)  # the highest differing digit
+    f_ok = ~diff.any(axis=1) | (vals[rows, top] < digits[top])
+    ok = (lead == 1) & _weight_passes(nz.sum(axis=1), d) & f_ok
+    if m:
+        del rows, nz, diff, top  # batch-sized: freed before the Gram products
+        gram = _row_pair_grams(vals[ok], vals[ok], m)
+        ok[ok] = (gram[0] == 2) & ~gram[1:].any(axis=0)
+    return ok
 
-    The batch prefilter (_may_be_admissible) spares the scalar predicate
-    the draws that cannot pass, and with gram = m > 0 so does the batched
-    diagonal Gram identity for block size m, for a predicate that demands
-    it; the predicate runs on the rest in draw order.  rng ends past the
-    draws up to the one taken, or past all of them: where a loop of scalar
-    randrange draws would leave it.
+
+def _sample_row(space: _DualSpace, rng: random.Random, d: int, limit: int,
+                m: int) -> Gf3Vector | None:
+    """The first of _SAMPLE_TRIES_R23 random members of space that passes
+    the row predicate (_admissible, with the Gram identity for m > 0), or
+    None.  rng ends past the draws up to the one taken, or past all of
+    them: where a loop of scalar randrange draws would leave it.
     """
     vals, ends = space.draws(rng, _SAMPLE_TRIES_R23)
-    found, used = None, ends[-1]
-    passing = np.flatnonzero(_may_be_admissible(vals, d, limit))
-    if gram and len(passing):
-        grams = _row_pair_grams(vals[passing], vals[passing], gram)
-        passing = passing[(grams[0] == 2) & ~grams[1:].any(axis=0)]
-    for i in passing:
-        v = Gf3Vector(vals[i].tolist())
-        if admissible(v, limit):
-            found, used = v, ends[i]
-            break
-    rng.getrandbits(32 * int(used))
-    return found
+    hits = np.flatnonzero(_admissible(vals, d, limit, m))
+    i = hits[0] if len(hits) else -1
+    rng.getrandbits(32 * int(ends[i]))
+    return Gf3Vector(vals[i].tolist()) if len(hits) else None
 
 
 def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
@@ -446,29 +440,25 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
     by (plan seed, unit), redrawn on a failed weight or Gram check at most
     _SAMPLE_TRIES_R1 times, then takes the first admissible one of at most
     _SAMPLE_TRIES_R23 random dual members for r2, and again for r3
-    (_sample_row: one batch of draws each, after which the generator
-    stands where the scalar draws would leave it).
+    (_sample_row: one batch of draws each, tested by _admissible, after
+    which the generator stands where the scalar draws would leave it).
 
-    verified adds the diagonal Gram prune to every row and, in exhaustive
-    mode, the minimum-weight prune of r1 (sound: they only drop candidates
-    that could never verify).
+    verified adds the diagonal Gram prune to every row (the block size m
+    that _admissible takes, 0 without it) and, in exhaustive mode, the
+    minimum-weight prune of r1 (sound: they only drop candidates that
+    could never verify).
     """
     m = plan.block_size
     width = 3 * m
     d = plan.target_min_weight
+    gram = m if verified else 0  # the block size of the rows' Gram identity
     if plan.mode == "exhaustive":
         r1 = vector_from_f(width, unit)
         if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
             return
         limit = f_value(r1)
-        kept = []
-        for vals in _DualSpace(block_row_vectors(m, r1), width).members(limit):
-            vals = vals[_may_be_admissible(vals, d, limit)]
-            if verified:
-                gram = _row_pair_grams(vals, vals, m)
-                vals = vals[(gram[0] == 2) & ~gram[1:].any(axis=0)]
-            kept.append(vals)
-        rows = np.concatenate(kept)
+        rows = np.concatenate([vals[_admissible(vals, d, limit, gram)] for vals
+                               in _DualSpace(block_row_vectors(m, r1), width).members(limit)])
         vecs = [Gf3Vector(r) for r in rows.tolist()]
         for i, r2 in enumerate(vecs):
             cross = _row_pair_grams(rows[: i + 1], rows[i], m)
@@ -491,20 +481,12 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
     else:
         return
 
-    def admissible(v: Gf3Vector, limit: int) -> bool:
-        """The row predicate: a leading 1, the row-weight rule, f-value at
-        most limit, and the Gram identity (verified)."""
-        lead = v.first_nonzero()
-        return (lead is not None and lead[1] == 1 and _weight_passes(v.weight(), d)
-                and f_value(v) <= limit and (not verified or row_gram_is_two(m, v)))
-
-    gram = m if verified else 0
     span1 = block_row_vectors(m, r1)
-    r2 = _sample_row(_DualSpace(span1, width), rng, d, f_value(r1), admissible, gram)
+    r2 = _sample_row(_DualSpace(span1, width), rng, d, f_value(r1), gram)
     if r2 is None:
         return
     space = _DualSpace(span1 + block_row_vectors(m, r2), width)
-    r3 = _sample_row(space, rng, d, f_value(r2), admissible, gram)
+    r3 = _sample_row(space, rng, d, f_value(r2), gram)
     if r3 is not None:
         yield CodeSpec(m, r1, r2, r3)
 
@@ -788,8 +770,8 @@ def neighbor_sweep(
     registry: Registry | None = None,
     parent_label: str | None = None,
 ) -> Iterator[Finding]:
-    """Try budget random neighbor seeds and yield the findings in the
-    target class.  Seeds are drawn uniformly over vectors with weight
+    """Try budget >= 1 random neighbor seeds and yield the findings in
+    the target class.  Seeds are drawn uniformly over vectors with weight
     divisible by 3 and outside c, by rejection; the stream is a pure
     function of (c, budget, seed).
 
@@ -802,6 +784,8 @@ def neighbor_sweep(
         raise NeighborCodeError("base code is not self-dual")
     if target not in ("near-extremal", "extremal"):
         raise ValueError(f"unknown target class {target!r}")
+    if budget < 1:
+        raise ValueError("a sweep needs a budget of at least 1 (CLI: --sweep)")
     if registry is None:
         registry = load_registry()
     d = near_extremal_weight(c.n) if target == "near-extremal" else ms_bound(c.n)

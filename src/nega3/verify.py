@@ -4,8 +4,8 @@ verify_entry rebuilds the code of a registry entry (a spec, or a neighbor
 seed vector applied to its parent's spec), checks self-duality through the
 nine block identities, certifies d and alpha with the covering scan, and
 cross-checks them against the entry's expectations and the enumerator
-family of its length.  ``nega3 verify`` and scripts/verify_all_registry.py
-both print VerifyReport.summary(); neither derives any part of the verdict.
+family of its length.  ``nega3 verify`` prints VerifyReport.summary(), and
+derives no part of the verdict.
 """
 
 from __future__ import annotations

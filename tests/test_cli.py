@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -93,6 +94,12 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "6031770ede1b531e5cf310df25734b2018c34743f179b20ad768b2a416158224")
 
+    def test_seconds_per_entry_on_stderr(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "--registry", "C1", "--registry", "C4")
+        assert rc == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == ["C1", "C4"]
+        assert re.fullmatch(r"C1: \d+\.\ds\nC4: \d+\.\ds\n", err)
+
     def test_deep_c1(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--deep", "--registry", "C1")
         assert rc == 0
@@ -163,7 +170,15 @@ class TestSearch:
         rc, _, err = run_cli(capsys, "search", "--n", "2", "--mode", "sampled",
                              "--seed", "4")
         assert rc == 2
+        assert err.startswith("usage error: ")
         assert "--budget" in err
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_block_size_below_one_is_usage(self, capsys, n):
+        rc, out, err = run_cli(capsys, "search", "--n", n)
+        assert rc == 2
+        assert out == ""
+        assert err == "usage error: block size must be positive\n"
 
     def test_sampled_subset(self, capsys):
         rc, full_out, _ = run_cli(capsys, "search", "--n", "2")
@@ -401,6 +416,15 @@ class TestNeighbor:
         assert len(out.splitlines()) == 33
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4e429023865aad2fd76a798e5cc4dc22652369e18ab9de5a4b280d5d5d3b50ed")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_sweep_budget_below_one(self, capsys, budget):
+        rc, out, err = run_cli(capsys, "neighbor", "--registry", "C2", "--sweep", budget,
+                               "--seed", "1")
+        assert rc == 2
+        assert out == ""
+        assert "budget of at least 1" in err
+        assert "sweep complete" not in err
 
     def test_sweep_needs_seed(self, capsys):
         rc, _, err = run_cli(capsys, "neighbor", "--registry", "C2",

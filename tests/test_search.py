@@ -232,6 +232,21 @@ class TestExhaustive:
         assert set(cands) == set(structural)
         assert len(cands) == len(structural)
 
+    @pytest.mark.parametrize("target, lines, digest", [
+        ("near-extremal", 14,
+         "a4e32d745acbb67a069792d75f751dabfa7afa5899e0b7bca4b1870ef11e9a1d"),
+        ("extremal", 2,
+         "7825aab79b1160616c7f5352f67aaeeeaab73eaaf26ef3ac93c7ade4db65f6c0"),
+    ])
+    def test_length12_census_stdout_pinned(self, capsys, monkeypatch, target, lines, digest):
+        # the whole block-size-2 space, each finding with its distribution
+        script = Path(__file__).resolve().parents[1] / "scripts" / "length12_census.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--target", target])
+        assert runpy.run_path(str(script), run_name="census")["main"]() == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_odd_block_size_yields_nothing(self, registry, caplog):
         plan = SearchPlan(block_size=1)
         with caplog.at_level("WARNING", logger="nega3.search"):
@@ -428,14 +443,15 @@ def _per_trial_reference(plan, registry):
     return sorted(found.values(), key=Finding.sort_key)
 
 
-def _row_rule(m, d, limit, gram):
-    """The sampled row predicate on plain lists: a leading 1, the row-weight
-    rule, f-value at most limit and, with gram, the diagonal Gram identity."""
+def _row_rule(d, limit, m):
+    """The row predicate on plain lists: a leading 1, the row-weight rule,
+    f-value at most limit and, with a block size m > 0, the diagonal Gram
+    identity."""
     def accept(v):
         w = naive.vweight(v)
         return (any(v) and naive.leads_with_one(v) and w % 3 == 2 and w >= d - 1
                 and naive.f_value(v) <= limit
-                and (not gram or naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1)))
+                and (not m or naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1)))
     return accept
 
 
@@ -483,28 +499,18 @@ class TestSampleDraws:
             read = end
             assert words.getstate() == state
 
-        # the first admissible draw, and the generator left after it: with a
-        # hit or a miss expected (Gram identity), and with no draw admissible
-        # although every one passes the prefilter's bounds
+        # the first draw the row rule accepts, and the generator left after
+        # it: with and without the Gram identity, and with no draw admissible
+        # (no row of the width reaches weight d - 1)
         setup = random.Random(f"rule:{m}")
         d, limit = setup.randrange(width), setup.randrange(3**width)
-        rules = [(d, limit, _row_rule(m, d, limit, gram), gram) for gram in (False, True)]
-        rules.append((0, 3**width - 1, lambda v: False, False))
-        for d, limit, accept, gram in rules:
+        for d, limit, gram in [(d, limit, 0), (d, limit, m), (width + 2, 3**width - 1, 0)]:
+            accept = _row_rule(d, limit, gram)
             k = next((i for i, v in enumerate(ref) if accept(v)), None)
-            # a rule with the Gram identity may leave it to the batched test
-            for batched in {0, m if gram else 0}:
-                rng, asked = random.Random(m), []
-
-                def scalar(v, _):
-                    asked.append(v)
-                    return accept(v.entries())
-                got = search._sample_row(space, rng, d, limit, scalar, batched)
-                assert got == (None if k is None else Gf3Vector(ref[k]))
-                assert rng.getstate() == states[-1 if k is None else k]
-                if batched:  # the scalar rule runs only on draws that pass it
-                    assert all(naive.row_pair_gram(m, v.entries(), v.entries())
-                               == [2] + [0] * (m - 1) for v in asked)
+            rng = random.Random(m)
+            got = search._sample_row(space, rng, d, limit, gram)
+            assert got == (None if k is None else Gf3Vector(ref[k]))
+            assert rng.getstate() == states[-1 if k is None else k]
 
     def test_no_basis_reads_no_words(self):
         rows = [Gf3Vector([int(i == j) for j in range(6)]) for i in range(6)]
@@ -513,7 +519,7 @@ class TestSampleDraws:
         rng = _CountingRandom(1)
         vals, ends = space.draws(rng, 1024)
         assert vals.shape == (1024, 6) and not vals.any() and not ends.any()
-        assert search._sample_row(space, rng, 0, 3**6 - 1, lambda v, _: not v.is_zero()) is None
+        assert search._sample_row(space, rng, 0, 3**6 - 1, 0) is None
         assert rng.getstate() == random.Random(1).getstate()
         assert not any(rng.asked)
 
@@ -536,7 +542,7 @@ class TestSampleDraws:
         assert rng.getstate() == scalar.getstate()
 
     @pytest.mark.parametrize("width", [3, 18, 39, 40, 42, 60])
-    def test_prefilter_is_the_row_rule(self, width):
+    def test_admissible_is_the_row_rule(self, width):
         # f is compared exactly past int64 (3^40 > 2^63); half the rows
         # share the limit's high digits, to test the comparison near it
         rng = random.Random(width)
@@ -546,9 +552,10 @@ class TestSampleDraws:
                            for i in (rng.randrange(width) for _ in range(200))]
                         + [top, [0] * width])
         limit, d = naive.f_value(top), width // 2
-        accept = _row_rule(None, d, limit, gram=False)
-        assert search._may_be_admissible(vals, d, limit).tolist() == [
-            accept(v) for v in vals.tolist()]
+        for m in [0, width // 3] if width % 3 == 0 else [0]:
+            accept = _row_rule(d, limit, m)
+            assert search._admissible(vals, d, limit, m).tolist() == [
+                accept(v) for v in vals.tolist()]
 
 
 class TestMersenneTwisterWords:
@@ -892,6 +899,11 @@ class TestNeighbor:
             assert f.parent == "C2"
             assert f.kind == "neighbor"
             assert f.d == 9
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_sweep_refuses_budget_below_one(self, parent, registry, budget):
+        with pytest.raises(ValueError, match="budget of at least 1"):
+            next(neighbor_sweep(parent, budget, 1, registry=registry))
 
 
 def _sweep_reference(c, budget, seed, target, registry):
