@@ -30,22 +30,22 @@ generator is then advanced past the draws that loop would have made, so a
 sampled run is still a pure function of (plan, seed).  run_search
 additionally prunes r1 choices whose diagonal Gram identity fails and
 (exhaustive) whose n-row subcode already contains a word below the target
-weight, then verifies the survivors end to end: each is built and checked
-self-dual, and one covering scan over all the codes of a group of units
-stacked together settles their minimum weights and counts at the target
-weight (weights._settle).
+weight, then verifies the survivors end to end from their first rows, with
+no Code built: a batch of specs takes one gather for their M, one product
+to check M M^T = -I, and one covering scan of (I | M) and (-M^T | I) that
+settles d and the count at d (weights._tile_stack, weights._settle).
 
 A run is a sequence of work units: one r1 in exhaustive mode, keyed by
 f(r1), one trial in sampled mode, each trial drawing from its own generator
 seeded by (plan seed, trial index).  A partition (index, total) takes every
 total-th unit.  Units run in groups, one r1 or weights._STACK consecutive
-trials, each group's codes settled in one scan; groups run inline with one
-worker or in a process pool with more, and one merge builds the findings in
-unit order, so the output is the same for any worker count.  A run in
-either mode can keep an append-only checkpoint log of its merged units, one
-line per unit, which a rerun with any worker count resumes.  A neighbor
-sweep likewise settles its neighbors a window of weights._STACK seeds at a
-time.
+trials, whose specs are settled _STACK at a time; groups run inline with
+one worker or in a process pool with more, and one merge builds the
+findings in unit order, so the output is the same for any worker count.  A
+run in either mode can keep an append-only checkpoint log of its merged
+units, one line per unit, which a rerun with any worker count resumes.  A
+neighbor sweep settles its neighbors a window of weights._STACK seeds at a
+time (weights._settle_codes).
 """
 
 from __future__ import annotations
@@ -78,13 +78,13 @@ from .nega import (
     CodeSpec,
     _systematic_rows,
     block_row_vectors,
-    build_generator,
     f_value,
     row_gram_is_two,
     vector_from_f,
 )
 from .registry import Registry, load_registry
-from .weights import _CHUNK, _STACK, _clears, _settle, ms_bound, near_extremal_weight
+from .weights import (_CHUNK, _STACK, _clears, _settle, _settle_codes, _tile_stack, ms_bound,
+                      near_extremal_weight)
 
 log = logging.getLogger(__name__)
 
@@ -530,20 +530,33 @@ def make_finding(registry: Registry, kind: str, n: int, d: int, alpha: int,
                    novelty=not sets, sets=sets, **origin)
 
 
+def _tiles(specs: list[CodeSpec]) -> np.ndarray:
+    """The M of (I | M) of each spec, as a (specs, 3m, 3m) int8 array made
+    by one gather: block row i is nega.block_row_vectors(m, r_i)."""
+    m = specs[0].block_size
+    rows = np.array([[r.entries() for r in spec.rows] for spec in specs], np.int8)
+    index, sign = _negashift_table(m, 3 * m)
+    return (rows[:, :, index] * sign % 3).reshape(len(specs), 3 * m, 3 * m)
+
+
 def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, int]]]:
     """For each of a group of units, (spec, alpha) for each of its specs
     that verifies.  beta sets and novelty are left to the merge, which holds
     the caller's registry.
 
-    Every admissible spec of the group is built and checked self-dual, then
-    one stacked covering scan (weights._settle) settles d and alpha for all
-    of them, and the alphas are split back per unit."""
+    The group's admissible specs are verified _STACK at a time from their M
+    alone (_tiles): one int16 product checks M M^T = -I, and one scan of
+    their stack (weights._tile_stack) settles d and alpha, split back per unit."""
     specs = [list(_unit_specs(plan, unit, verified=True)) for unit in units]
-    codes = [build_generator(spec) for spec in itertools.chain.from_iterable(specs)]
-    if not all(code.is_self_dual() for code in codes):
-        raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
-    alphas = iter(_settle(codes, plan.target_min_weight))
-    return [[(spec, alpha) for spec, alpha in zip(group, alphas) if alpha is not None]
+    flat = list(itertools.chain.from_iterable(specs))
+    alphas: list[int | None] = []
+    for s in range(0, len(flat), _STACK):
+        tiles = _tiles(flat[s : s + _STACK])
+        if (np.matmul(tiles, tiles.mT, dtype=np.int16) % 3 != 2 * np.eye(tiles.shape[1])).any():
+            raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
+        alphas += _settle(_tile_stack(tiles), plan.target_min_weight)
+    found = iter(alphas)
+    return [[(spec, alpha) for spec, alpha in zip(group, found) if alpha is not None]
             for group in specs]
 
 
@@ -775,11 +788,11 @@ def neighbor_sweep(
     divisible by 3 and outside c, by rejection; the stream is a pure
     function of (c, budget, seed).
 
-    Seeds are drawn, and their neighbors built and settled in one stacked
-    scan (weights._settle), a window of _STACK seeds at a time; the
+    Seeds are drawn, and their neighbors built and settled in stacked scans
+    (weights._settle_codes), a window of _STACK seeds at a time; the
     window's findings are then yielded in draw order.  So a consumer that
     stops early has paid for up to _STACK - 1 neighbors past the last
-    finding it took."""
+    finding it took.  Bad arguments are refused at the call."""
     if not c.is_self_dual():
         raise NeighborCodeError("base code is not self-dual")
     if target not in ("near-extremal", "extremal"):
@@ -790,13 +803,13 @@ def neighbor_sweep(
         registry = load_registry()
     d = near_extremal_weight(c.n) if target == "near-extremal" else ms_bound(c.n)
     rng = random.Random(f"{seed}")
-    for start in range(0, budget, _STACK):
-        seeds = [_neighbor_seed(c, rng) for _ in range(min(_STACK, budget - start))]
-        alphas = _settle([neighbor(c, x) for x in seeds], d)
-        for x, alpha in zip(seeds, alphas):
-            if alpha is not None:
-                yield make_finding(registry, "neighbor", c.n, d, alpha,
-                                   x=tuple(x.entries()), parent=parent_label)
+    windows = ([_neighbor_seed(c, rng) for _ in range(min(_STACK, budget - start))]
+               for start in range(0, budget, _STACK))
+    return (make_finding(registry, "neighbor", c.n, d, alpha, x=tuple(x.entries()),
+                         parent=parent_label)
+            for seeds in windows
+            for x, alpha in zip(seeds, _settle_codes([neighbor(c, v) for v in seeds], d))
+            if alpha is not None)
 
 
 def _neighbor_seed(c: Code, rng: random.Random) -> Gf3Vector:

@@ -45,12 +45,11 @@ most once up to sign:
 - Stacks: codes that share n, k, the pivots of every matrix and the orbit
   width share the support tables too, so the walk runs over their bases
   stacked as (codes, k, lanes) planes, one numpy call per step for all of
-  them; a single code is a stack of one.  The search settles d and the
-  count at d of all the codes of a group of work units (one r1, or a run
-  of sampled trials), or of a window of neighbors, in one such scan
-  (_settle), which runs until the bound passes d and drops a code at its
-  first word below d; the codes left are moved up in the batch buffer in
-  place.
+  them.  A stack is read off Code objects (_code_stack), or off the M of
+  self-dual (I | M) codes in closed form (_tile_stack).  _settle settles d
+  and the count at d of a stack in one scan, which runs until the bound
+  passes d and drops a code at its first word below d; the codes left are
+  moved up in the batch buffer in place.
 
 Full distributions take a different route, a meet-in-the-middle sweep: the
 basis is split in half, all 3^(k - k//2) sums of the second half are
@@ -195,7 +194,7 @@ def _systematic_bases(code: Code):
     basis on those columns is gf3._dual_rows.  Other codes reduce the basis
     again with the columns not yet used scanned first, for as long as that
     finds new pivots."""
-    if code.k and code.is_self_dual():
+    if code.k and 2 * code.k == code.n and code.is_self_dual():  # no call for other shapes
         yield code.basis, code.pivots, 0
         pivots = set(code.pivots)
         yield _dual_rows(code), [c for c in range(code.n) if c not in pivots], 0
@@ -498,7 +497,7 @@ def min_weight(code: Code, abort_below: int | None = None) -> int:
     if code.k == 0:
         raise ValueError("minimum weight of the zero code is undefined")
     if "min_weight" not in code._cache:
-        scan = _stack_counts([code], code.n, floor=abort_below or 1, least=True)
+        scan = _stack_counts(_code_stack([code]), code.n, floor=abort_below or 1, least=True)
         if not scan.kept[0]:
             return int(scan.weight[0])
         code._cache["min_weight"] = int(scan.weight[0])
@@ -523,38 +522,74 @@ def count_weight(code: Code, w: int) -> int:
         return code._cache["count_at_min"]
     if code.k <= 22 and 3**code.k < count_cost(code, w):
         return full_distribution(code, allow_long=True).counts.get(w, 0)
-    return int(_stack_counts([code], w, floor=1).count[0])
+    return int(_stack_counts(_code_stack([code]), w, floor=1).count[0])
 
 
-def _settle(codes: list[Code], d: int) -> list[int | None]:
-    """For each code, the number of its words of weight d when d is its
-    minimum weight, else None.
+class _Stack(NamedTuple):
+    """Codes scanned together, sharing n, k, information-set pivots and orbit
+    width; lo and hi are shaped (sets, codes, k, lanes), pivot_masks (sets, lanes)."""
 
-    Codes that share n, k, information-set pivots and orbit width, as read
-    off each code, are scanned together in stacks of at most _STACK codes,
-    each stack in one pass over the levels (see _stack_counts) that settles
-    d and the count at once; a code leaves its stack at its first word
-    below d."""
+    n: int
+    lo: np.ndarray
+    hi: np.ndarray
+    deficits: list[int]
+    pivot_masks: np.ndarray
+    width: int  # see _orbit_width
+
+
+def _code_stack(codes: list[Code]) -> _Stack:
+    """The stack of codes of dimension at least 1 that share n, k, set pivots
+    and orbit width, read off each code (_information_sets, _orbit_width)."""
+    sets = [_information_sets(code) for code in codes]
+    lo, hi = (np.array([[getattr(t, p) for t in s] for s in zip(*sets)]) for p in ("lo", "hi"))
+    return _Stack(codes[0].n, lo, hi, [s.deficit for s in sets[0]],
+                  np.stack([s.pivot_mask for s in sets[0]]), _orbit_width(codes[0]))
+
+
+def _tile_stack(tiles: np.ndarray) -> _Stack:
+    """The stack of the (I | M) codes of a (codes, k, k) int8 array of M
+    over {0, 1, 2}, 3 x 3 tiles of negacirculant blocks with M M^T = -I, in
+    closed form: the information sets (I | M) and (-M^T | I), as M^-1 =
+    -M^T, no deficits, and the orbit width k / 3 that _orbit_shape allows."""
+    k = tiles.shape[1]
+    eye = np.broadcast_to(np.eye(k, dtype=np.int8), tiles.shape)
+    bases = np.stack([np.concatenate([eye, tiles], axis=2),
+                      np.concatenate([-tiles.mT % 3, eye], axis=2)])
+    bases = np.pad(bases, [(0, 0)] * 3 + [(0, -2 * k % _LANE_BITS)])  # whole lanes
+    lo, hi = (np.packbits(bases == v, axis=-1, bitorder="little").view("<u8") for v in (1, 2))
+    halves = _pack([(1 << k) - 1, (1 << 2 * k) - (1 << k)], 2 * k)
+    return _Stack(2 * k, lo, hi, [0, 0], halves, _orbit_shape(2 * k, k))
+
+
+def _settle(stack: _Stack, d: int) -> list[int | None]:
+    """For each code of the stack, the number of its words of weight d when d
+    is its minimum weight, else None: one scan (_stack_counts) settles both,
+    and a code leaves the stack at its first word below d."""
+    scan = _stack_counts(stack, d, floor=d)
+    return [int(count) if kept and count else None for count, kept in zip(scan.count, scan.kept)]
+
+
+def _settle_codes(codes: list[Code], d: int) -> list[int | None]:
+    """_settle for codes of dimension at least 1 and of any shape, stacked by
+    n, k, set pivots and orbit width, at most _STACK codes to a stack."""
     stacks: dict[tuple, list[int]] = {}
     for i, code in enumerate(codes):
         key = (code.n, code.k, _orbit_width(code),
                tuple(tuple(s.pivots) for s in _information_sets(code)))
         stacks.setdefault(key, []).append(i)
-    out: list[int | None] = [None] * len(codes)
+    out: dict[int, int | None] = {}
     for members in stacks.values():
         for s in range(0, len(members), _STACK):
             part = members[s : s + _STACK]
-            scan = _stack_counts([codes[i] for i in part], d, floor=d)
-            for i, count, kept in zip(part, scan.count, scan.kept):
-                out[i] = int(count) if kept and count else None
-    return out
+            out.update(zip(part, _settle(_code_stack([codes[i] for i in part]), d)))
+    return [out[i] for i in range(len(codes))]
 
 
 def _clears(code: Code, d: int) -> bool:
     """Whether the code has no nonzero word of weight below d: a scan that
     counts weight d - 1 with floor d, so it leaves at the first lighter word
     and otherwise stops once its bound reaches d."""
-    return bool(_stack_counts([code], d - 1, floor=d).kept[0])
+    return bool(_stack_counts(_code_stack([code]), d - 1, floor=d).kept[0])
 
 
 class _Scan(NamedTuple):
@@ -565,62 +600,54 @@ class _Scan(NamedTuple):
     kept: np.ndarray  # False for a code that met a word below floor
 
 
-def _stack_counts(codes: list[Code], w: int, floor: int, least: bool = False) -> _Scan:
+def _stack_counts(stack: _Stack, w: int, floor: int, least: bool = False) -> _Scan:
     """The number of weight-w words of each code of a stack, or with least
     set, its least weight up to w and the number of words of that weight.
     A code with a word of weight below floor leaves the stack there, with
     that weight.
 
-    The codes share n, k, information-set pivots and orbit width.  The
-    covering scan walks its (level, set) passes in order (see _passes) until
-    the bound passes the weight counted, so every word of that weight or
-    less is visited; in least mode each code's count restarts whenever its
-    least weight falls.  A word is counted only at the first pass that
+    The covering scan walks its (level, set) passes in order (see _passes)
+    until the bound passes the weight counted, so every word of that weight
+    or less is visited; in least mode each code's count restarts whenever
+    its least weight falls.  A word is counted only at the first pass that
     visits it: its message support under set i is its weight on set i's
     pivots, so it is counted under the first set on whose pivots its weight
     is least.  Each visited word stands for itself and its negation, and on
     the orbit path for its whole negashift orbit (see _words), so no word is
     kept or compared.
     """
-    size = len(codes)
+    _, size, k, _ = stack.lo.shape
     target = np.full(size, w, dtype=np.int64)
     total = np.zeros(size, dtype=np.int64)
     kept = np.ones(size, dtype=bool)
-    if codes[0].k == 0:
-        return _Scan(target, total, kept)
-    head = _information_sets(codes[0])
-    width = _orbit_width(codes[0])
-    pivot_masks = np.stack([s.pivot_mask for s in head])
-    planes = [(np.stack([_information_sets(c)[i].lo for c in codes]),
-               np.stack([_information_sets(c)[i].hi for c in codes])) for i in range(len(head))]
     # two sets whose pivots split the columns, as for self-dual codes: a word
     # of weight w met at level j under set i weighs w - j on the other set's
     # pivots, so set i is the first to meet it exactly when 2j + i <= w
-    split = len(head) == 2 and head[1].deficit == 0 and 2 * codes[0].k == codes[0].n
+    split = stack.deficits == [0, 0] and 2 * k == stack.n
     drops = floor > 1  # no nonzero word weighs less than 1
-    for j, i, unseen in _passes([s.deficit for s in head], codes[0].k):
-        lo, hi = planes[i]
-        for stack, wlo, whi, mult in _words(lo, hi, j, width, kept if drops else None):
+    for j, i, unseen in _passes(stack.deficits, k):
+        for pos, wlo, whi, mult in _words(stack.lo[i], stack.hi[i], j, stack.width,
+                                          kept if drops else None):
             batch = _weights_of(wlo, whi)
             low = batch.min(axis=1)
             if drops:
                 out = low < floor
                 if out.any():
-                    target[stack[out]], kept[stack[out]] = low[out], False
+                    target[pos[out]], kept[pos[out]] = low[out], False
             if least:
-                fell = low < target[stack]
+                fell = low < target[pos]
                 if fell.any():
-                    target[stack[fell]], total[stack[fell]] = low[fell], 0
-            if not (low <= target[stack]).any():
+                    target[pos[fell]], total[pos[fell]] = low[fell], 0
+            if not (low <= target[pos]).any():
                 continue
-            c, r = np.divmod(np.flatnonzero(batch == target[stack][:, None]), batch.shape[1])
+            c, r = np.divmod(np.flatnonzero(batch == target[pos][:, None]), batch.shape[1])
             if split:
-                first = 2 * j + i <= target[stack[c]]
+                first = 2 * j + i <= target[pos[c]]
             else:
                 words = wlo[c, r] | whi[c, r]
-                on_pivots = np.bitwise_count(words[:, None, :] & pivot_masks).sum(axis=-1)
+                on_pivots = np.bitwise_count(words[:, None, :] & stack.pivot_masks).sum(axis=-1)
                 first = on_pivots.argmin(axis=1) == i
-            np.add.at(total, stack[c[first]], mult[r[first]])
+            np.add.at(total, pos[c[first]], mult[r[first]])
         if not kept.any() or unseen > target[kept].max():
             break
     return _Scan(target, 2 * total, kept)

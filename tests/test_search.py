@@ -196,33 +196,51 @@ class TestExhaustive:
         assert par == seq
         assert any(r["sets"] == ["g12"] and not r["novelty"] for r in seq)
 
-    def test_one_build_per_verified_spec(self, monkeypatch):
-        # a unit builds each verified spec once, through the search module's
-        # binding of nega.build_generator, where the benchmark tracer counts
-        # the specs verified
-        built = []
-        real = search.build_generator
-        monkeypatch.setattr(search, "build_generator",
-                            lambda spec: built.append(spec) or real(spec))
+    def test_one_settle_per_verified_spec(self, monkeypatch):
+        # a unit settles each verified spec once, from its first rows alone:
+        # the tile stacks it builds hold each spec's M, in order, at most
+        # _STACK to a stack, and no Code is checked self-dual
+        tiles = []
+        real = search._tile_stack
+        monkeypatch.setattr(search, "_tile_stack", lambda t: tiles.append(t) or real(t))
+
+        def refuse(code):
+            raise AssertionError("a Code was checked self-dual")
+
+        monkeypatch.setattr(Code, "is_self_dual", refuse)
         plan = SearchPlan(block_size=4, partition=(0, 64))
         total = 0
         for unit in search._units(plan):
-            del built[:]
+            del tiles[:]
             (found,) = search._run_units(plan, [unit])
-            assert built == list(search._unit_specs(plan, unit, verified=True))
-            assert {spec for spec, _ in found} <= set(built)
-            total += len(built)
+            specs = list(search._unit_specs(plan, unit, verified=True))
+            assert all(0 < len(t) <= search._STACK for t in tiles)
+            got = [t.tolist() for t in itertools.chain.from_iterable(tiles)]
+            assert got == [[row[12:] for row in naive.spec_generator_rows(
+                4, *(r.entries() for r in spec.rows))] for spec in specs]
+            assert {spec for spec, _ in found} <= set(specs)
+            total += len(specs)
             if total > 200:
                 break
         assert total > 200
 
     def test_a_code_that_is_not_self_dual_is_refused(self, monkeypatch):
-        # the identities are trusted only as far as the built code agrees
-        plan = SearchPlan(block_size=2)
-        unit = next(u for u in search._units(plan) if search._run_units(plan, [u])[0])
-        monkeypatch.setattr(Code, "is_self_dual", lambda code: False)
-        with pytest.raises(InternalInconsistencyError, match="not self-dual"):
-            search._run_units(plan, [unit])
+        # the row identities are trusted only as far as the batched net
+        # agrees: a genuine spec with one entry of r3 flipped, fed to
+        # _run_units first or last among specs that fill several stacks,
+        # is refused
+        plan = SearchPlan(block_size=6)
+        specs = list(search._unit_specs(plan, 43191379, verified=True))
+        assert len(specs) % search._STACK and len(specs) > 2 * search._STACK
+        for at in (0, len(specs) - 1):
+            r3 = specs[at].r3.entries()
+            r3[0] = (r3[0] + 1) % 3
+            bad = CodeSpec(6, specs[at].r1, specs[at].r2, Gf3Vector(r3))
+            assert not is_self_dual(bad)
+            fed = specs[:at] + [bad] + specs[at + 1:]
+            monkeypatch.setattr(search, "_unit_specs", lambda *args, **kwargs: iter(fed))
+            with pytest.raises(InternalInconsistencyError, match="not self-dual"):
+                search._run_units(plan, [43191379])
 
     def test_candidates_without_verification(self):
         structural, _ = naive.reduced_space_findings(2, 3)
@@ -257,6 +275,63 @@ class TestExhaustive:
 @functools.cache
 def _exhaustive_units(m):
     return tuple(search._units(SearchPlan(block_size=m)))
+
+
+def _assert_closed_form(specs):
+    """The tile stack the search settles for specs of one block size equals
+    the stack read off each spec's built Code: both information sets'
+    planes and pivot masks, the deficits and the orbit width."""
+    stack = weights._tile_stack(search._tiles(specs))
+    assert stack.lo.shape[:2] == stack.hi.shape[:2] == (2, len(specs))
+    assert stack.lo.dtype == stack.hi.dtype == stack.pivot_masks.dtype == np.uint64
+    for c, spec in enumerate(specs):
+        code = build_generator(spec)
+        sets = weights._information_sets(code)
+        assert (stack.n, stack.deficits, stack.width) == (
+            code.n, [s.deficit for s in sets], weights._orbit_width(code))
+        for i, s in enumerate(sets):
+            assert np.array_equal(stack.lo[i, c], s.lo) and np.array_equal(stack.hi[i, c], s.hi)
+            assert np.array_equal(stack.pivot_masks[i], s.pivot_mask)
+
+
+class TestTileStacks:
+    """The search settles stacks read off the first rows in closed form
+    (search._tiles, weights._tile_stack), never building a Code."""
+
+    def test_every_length12_spec(self):
+        plan = SearchPlan(block_size=2)
+        specs = [s for u in search._units(plan) for s in search._unit_specs(plan, u, verified=True)]
+        assert len(specs) == 6
+        _assert_closed_form(specs)
+
+    def test_first_units_of_the_length24_shard(self):
+        # the units up to the seventh that has specs: 145 specs
+        plan = SearchPlan(block_size=4, partition=(0, 64))
+        specs = []
+        for unit in search._units(plan):
+            specs += search._unit_specs(plan, unit, verified=True)
+            if len(specs) > 100:
+                break
+        for s in range(0, len(specs), search._STACK):
+            _assert_closed_form(specs[s : s + search._STACK])
+
+    @given(st.sampled_from([2, 4, 6]), st.integers(0, 2**32 - 1))
+    def test_sampled_specs(self, m, seed):
+        plan = SearchPlan(block_size=m, mode="sampled", seed=seed, budget=1)
+        trials = (search._unit_specs(plan, t, verified=True) for t in range(200))
+        specs = list(itertools.islice(itertools.chain.from_iterable(trials), 3))
+        assert specs and all(is_self_dual(s) for s in specs)
+        _assert_closed_form(specs)
+
+    def test_many_stacks_match_each_spec_settled_alone(self):
+        # a length-36 unit's 734 specs, in 12 stacks, the last one short
+        plan = SearchPlan(block_size=6)
+        specs = list(search._unit_specs(plan, 43191379, verified=True))
+        assert len(specs) == 734
+        alone = [weights._settle(weights._code_stack([build_generator(s)]), 9)[0] for s in specs]
+        (got,) = search._run_units(plan, [43191379])
+        assert got == [(s, a) for s, a in zip(specs, alone) if a is not None]
+        assert len(got) > 100
 
 
 def _walk(m, unit, verified):
@@ -436,7 +511,7 @@ def _per_trial_reference(plan, registry):
     found = {}
     for trial in search._units(plan):
         for spec in search._unit_specs(plan, trial, verified=True):
-            alpha = weights._settle([build_generator(spec)], d)[0]
+            alpha = weights._settle(weights._code_stack([build_generator(spec)]), d)[0]
             if alpha is not None:
                 found[spec] = search.make_finding(registry, "spec", plan.length, d, alpha,
                                                   spec=spec)
@@ -903,7 +978,15 @@ class TestNeighbor:
     @pytest.mark.parametrize("budget", [0, -5])
     def test_sweep_refuses_budget_below_one(self, parent, registry, budget):
         with pytest.raises(ValueError, match="budget of at least 1"):
-            next(neighbor_sweep(parent, budget, 1, registry=registry))
+            neighbor_sweep(parent, budget, 1, registry=registry)
+
+    def test_sweep_refuses_at_the_call(self, parent, registry):
+        # like the budget, before the first next()
+        not_sd = Code(4, [Gf3Vector([1, 0, 0, 0]), Gf3Vector([0, 1, 0, 0])])
+        with pytest.raises(NeighborCodeError):
+            neighbor_sweep(not_sd, 1, 1, registry=registry)
+        with pytest.raises(ValueError, match="unknown target"):
+            neighbor_sweep(parent, 1, 1, target="best", registry=registry)
 
 
 def _sweep_reference(c, budget, seed, target, registry):
@@ -917,7 +1000,7 @@ def _sweep_reference(c, budget, seed, target, registry):
             x = Gf3Vector(rng.randrange(3) for _ in range(c.n))
             if x.weight() % 3 == 0 and not c.contains(x):
                 break
-        alpha = weights._settle([neighbor(c, x)], d)[0]
+        alpha = weights._settle(weights._code_stack([neighbor(c, x)]), d)[0]
         if alpha is not None:
             out.append((i, search.make_finding(registry, "neighbor", c.n, d, alpha,
                                                x=tuple(x.entries()), parent="base")))

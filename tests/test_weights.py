@@ -217,7 +217,8 @@ def _mixed_stack(m, seed):
 
 
 def _one_by_one(code, d):
-    """What _settle promises for one code, from min_weight and count_weight."""
+    """What _settle_codes promises for one code, from min_weight and
+    count_weight."""
     return count_weight(code, d) if min_weight(code) == d else None
 
 
@@ -227,8 +228,9 @@ def _by_enumeration(dist, d):
 
 
 class TestStackedScan:
-    """weights._settle, which settles d and A_d of many codes in one stacked
-    scan, against each code scanned alone and against full enumeration."""
+    """weights._settle_codes, which settles d and A_d of many codes in
+    stacked scans, against each code scanned alone and against full
+    enumeration."""
 
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_mixed_stacks_match_one_code_at_a_time(self, m, seed):
@@ -238,14 +240,14 @@ class TestStackedScan:
         # the near-extremal weight, and the minimum weights of the codes,
         # so that codes of every kind have d as their minimum weight
         for d in sorted({near_extremal_weight(6 * m)} | {min_weight(c) for c in codes}):
-            got = weights._settle(codes, d)
+            got = weights._settle_codes(codes, d)
             assert got == [_one_by_one(c, d) for c in codes], d
             if m == 2:
                 assert got == [_by_enumeration(dist, d) for dist in dists], d
 
     def test_a_stack_holds_every_outcome(self):
         codes = _mixed_stack(4, 3)
-        got = weights._settle(codes, 6)
+        got = weights._settle_codes(codes, 6)
         d = [min_weight(c) for c in codes]
         assert {w < 6 for w in d} == {True, False}  # some codes drop out
         extremal = d.index(9)  # A_6 = 0, so no count either
@@ -256,7 +258,7 @@ class TestStackedScan:
     @pytest.mark.parametrize("chunk,stack", [(1, 1), (3, 2), (7, 7), (weights._CHUNK, 4)])
     def test_small_chunks_and_stacks(self, monkeypatch, chunk, stack):
         codes = _mixed_stack(4, 11) + [build_generator(s) for s in _self_dual_pool(4)[:8]]
-        want = weights._settle(codes, 6)
+        want = weights._settle_codes(codes, 6)
         walk = weights._words
 
         def bounded(lo, hi, j, width, alive=None):
@@ -267,7 +269,7 @@ class TestStackedScan:
         monkeypatch.setattr(weights, "_CHUNK", chunk)
         monkeypatch.setattr(weights, "_STACK", stack)
         monkeypatch.setattr(weights, "_words", bounded)
-        assert weights._settle(codes, 6) == want
+        assert weights._settle_codes(codes, 6) == want
         assert want == [_one_by_one(c, 6) for c in codes]
 
 
@@ -294,7 +296,7 @@ class TestStackedScan:
         monkeypatch.setattr(weights, "_STACK_ROWS", rows)
         monkeypatch.setattr(weights, "_STACK", stack)
         monkeypatch.setattr(weights, "_words", bounded)
-        assert weights._settle(codes, 6) == want
+        assert weights._settle_codes(codes, 6) == want
         assert any(shrunk)
 
     def test_dropped_codes_leave_the_others_words_intact(self, monkeypatch):
@@ -340,7 +342,7 @@ class TestStackedScan:
             weights._orbit_width(code)
         tracemalloc.start()
         try:
-            got = weights._settle(codes, 9)
+            got = weights._settle_codes(codes, 9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -374,7 +376,8 @@ def _check_scan_against_naive(code, dist):
     assert code._cache["count_at_min"] == dist[d]
     for w in (d, d + 3):
         assert count_weight(code, w) == dist.get(w, 0), w
-        assert weights._stack_counts([code], w, floor=1).count[0] == dist.get(w, 0), w
+        scan = weights._stack_counts(weights._code_stack([code]), w, floor=1)
+        assert scan.count[0] == dist.get(w, 0), w
     for t in (d - 1, d, d + 1):
         assert weights._clears(code, t) == (t <= d), t
 
@@ -403,7 +406,8 @@ class TestPerSetBound:
     @pytest.mark.parametrize("label,w", [("C1", 9), ("C1", 12), ("B280", 12), ("B280", 15)])
     def test_count_cost_prices_the_passes_walked(self, registry, monkeypatch, label, w):
         code = registry.entry(label).build()
-        walked, _ = _walked(monkeypatch, code, lambda: weights._stack_counts([code], w, floor=1))
+        stack = weights._code_stack([code])
+        walked, _ = _walked(monkeypatch, code, lambda: weights._stack_counts(stack, w, floor=1))
         assert weights.count_cost(code, w) == sum(comb(code.k, j) << j for j, _ in walked)
 
     @given(_generic_rows)
