@@ -39,7 +39,6 @@ from .nega import (
     is_self_dual,
     negashift,
     row_gram_is_two,
-    row_pair_gram,
     self_dual_violations,
     vector_from_f,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "pless_symmetry",
     "read_findings",
     "row_gram_is_two",
-    "row_pair_gram",
     "run_search",
     "self_dual_violations",
     "vector_from_f",

@@ -7,25 +7,26 @@ right-shifts of the block with the wrapped entry negated.  The nine blocks
 tile a 3n x 3n matrix M and the candidate generator matrix is (I | M).
 
 Negacirculant n x n matrices form a commutative ring isomorphic to
-F_3[x]/(x^n + 1): a matrix corresponds to the polynomial of its first row,
-and transposition corresponds to the substitution x -> -x^(n-1).  Sums and
-products of negacirculants are again negacirculant, so each block of the
-Gram matrix of (I | M) is determined by its first row.  The self-duality
-test below exploits that: it checks nine first-row polynomial identities
-instead of multiplying out full matrices.  Entry j of the first row of a
-block product A B^T is row 0 of A dotted with row j of B, so each identity
-is read off as n packed dot products.
+R_n = F_3[x]/(x^n + 1): a matrix corresponds to the polynomial of its first
+row, and transposition corresponds to the substitution x -> -x^(n-1).  Sums
+and products of negacirculants are again negacirculant, so each block of
+the Gram matrix of (I | M) is determined by its first row.  The
+self-duality test below exploits that: it checks nine first-row polynomial
+identities instead of multiplying out full matrices.
 
-Vectors stay in the two bit planes of Gf3Vector throughout.  One blockwise
-negashift, a few bit operations per plane, shifts every block of a row at
-once; the block rows, the generator rows (e_i | block row i) and the ring
-products are all built from it.
+Specs hold their rows in the two bit planes of Gf3Vector, where one
+blockwise negashift builds the block rows and the generator rows
+(e_i | block row i).  The ring arithmetic is stated once, on int8 entry
+arrays batched over leading axes, for the identities here and the search.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal, Sequence
+
+import numpy as np
 
 from .errors import LengthMismatchError
 from .gf3 import Code, Gf3Vector, _code_from_echelon, _mk
@@ -106,43 +107,63 @@ def build_generator(spec: CodeSpec) -> Code:
     return _code_from_echelon(spec.length, _systematic_rows(spec.block_size, spec.rows))
 
 
-# -- self-duality through the polynomial ring ------------------------------
+# -- the ring R_n, on int8 entry arrays ---------------------------------------
 #
-# In F_3[x]/(x^n + 1) the negacirculant of first row b has transpose given by
-# b*(x) = b(x^{-1}) with x^{-1} = -x^{n-1}.  (I | M) generates a self-dual
-# code iff the 3 x 3 block Gram matrix of M equals -I, i.e. iff
-#   sum_t r_{i,t} * r_{j,t}^*  =  2 * [i == j]   for 1 <= i <= j <= 3,
-# each identity read in the polynomial ring.  The left side is the first row
-# of the block product A B^T of the block rows of r_i and r_j, and entry j of
-# that row is row 0 of A dotted with row j of B.
+# A first row of width 3n holds three elements of R_n = F_3[x]/(x^n + 1),
+# one per width-n block, and its block row j is x^j times each.  The
+# negacirculant of b has transpose b*(x) = b(x^{-1}), x^{-1} = -x^{n-1}, so
+# the first row of the block product A B^T of the block rows of a and b is
+# sum_t a_t * b_t^*, whose coefficient j is a dotted with block row j of b.
+# (I | M) generates a self-dual code iff the block Gram matrix of M is -I:
+#   sum_t r_{i,t} * r_{j,t}^*  =  2 * [i == j]   for 1 <= i <= j <= 3.
 
 
-def row_pair_gram(block_size: int, a: Gf3Vector, b: Gf3Vector) -> list[int]:
-    """The polynomial sum_t a_t * b_t^* for two first rows, reduced mod x^n + 1."""
-    return [a.dot(v) for v in block_row_vectors(block_size, b)]
+@functools.cache
+def _negashift_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where block row j of a width-3n first row takes each entry from, and
+    its sign: entry i of block row j is sign[j, i] * row[index[j, i]]."""
+    pos = np.arange(3 * n) % n
+    j = np.arange(n)[:, None]
+    return np.arange(3 * n) - pos + (pos - j) % n, np.where(pos < j, -1, 1).astype(np.int8)
+
+
+def _block_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The block rows of int8 first rows (..., 3n), as (..., n, 3n): those of
+    block_row_vectors up to multiples of 3, which Gram sums need not reduce."""
+    index, sign = _negashift_table(n)
+    return rows[..., index] * sign
+
+
+def _block_gram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """sum_t a_t * b_t^* for int8 first rows a and b of shape (..., 3n),
+    broadcast over the leading axes, as coefficients mod 3 of shape (..., n).
+
+    Sums of 3n products up to 4 overflow int8 past n = 10, so they run in
+    int16, or in float32 for a single row b, to use one BLAS product: both
+    are exact below n = 2730."""
+    rows = _block_rows(b, n)
+    if b.ndim == 1:
+        return np.matmul(a, rows.T, dtype=np.float32).astype(np.int16) % 3
+    return np.matmul(rows, a[..., None], dtype=np.int16)[..., 0] % 3
 
 
 def row_gram_is_two(block_size: int, r: Gf3Vector) -> bool:
     """Diagonal part of the self-duality identities for a single first row:
     its blockwise product with its own conjugate must be the constant 2."""
-    got = row_pair_gram(block_size, r, r)
-    return got[0] == 2 and not any(got[1:])
+    row = np.array(r.entries(), np.int8)
+    got = _block_gram(row, row, block_size)
+    return bool(got[0] == 2) and not got[1:].any()
 
 
 def self_dual_violations(spec: CodeSpec) -> list[tuple[int, int]]:
-    """Block pairs (i, j), i <= j, whose Gram identity fails.
+    """Block pairs (i, j), i <= j in row-major order, whose identity fails.
 
     Empty exactly when (I | M) generates a self-dual code.
     """
-    n = spec.block_size
-    bad = []
-    for i in range(1, 4):
-        for j in range(i, 4):
-            got = row_pair_gram(n, spec.rows[i - 1], spec.rows[j - 1])
-            want = [2] + [0] * (n - 1) if i == j else [0] * n
-            if got != want:
-                bad.append((i, j))
-    return bad
+    rows = np.array([r.entries() for r in spec.rows], np.int8)
+    gram = _block_gram(rows[:, None], rows, spec.block_size)  # (i, j): r_i with r_j
+    gram[..., 0] -= 2 * np.eye(3, dtype=gram.dtype)  # nonzero where an identity fails
+    return [(i + 1, j + 1) for i in range(3) for j in range(i, 3) if gram[i, j].any()]
 
 
 def is_self_dual(spec: CodeSpec) -> bool:

@@ -76,6 +76,8 @@ from .errors import (
 from .gf3 import Code, Gf3Vector, _code_from_echelon, _dual_rows
 from .nega import (
     CodeSpec,
+    _block_gram,
+    _block_rows,
     _systematic_rows,
     block_row_vectors,
     f_value,
@@ -328,38 +330,13 @@ def _weight_passes(w, d: int):
     return (w % 3 == 2) & (w >= d - 1)
 
 
-@functools.cache
-def _negashift_table(m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the j-fold blockwise negashift of a width-m-block row takes
-    each entry from, and its sign: shifted[i] = sign[j, i] * row[index[j, i]]
-    for j < m."""
-    pos = np.arange(width) % m
-    j = np.arange(m)[:, None]
-    index = np.arange(width) - pos + (pos - j) % m
-    return index, np.where(pos < j, -1, 1).astype(np.int8)
-
-
-def _row_pair_grams(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """nega.row_pair_gram(m, a[k], b[k]) for every row k of two int8 entry
-    arrays, or of a[k] against b when b is a single row, as an (m, rows)
-    array: entry (j, k) dots a[k] with the j-fold blockwise negashift of
-    b[k] (or b).  The sums of 3m products of absolute value up to 4
-    overflow int8 past m = 10, so they run in int16, or in float32 to use
-    one BLAS product for a single b: both exact below m = 2730."""
-    index, sign = _negashift_table(m, a.shape[-1])
-    shifted = b[..., index] * sign
-    if b.ndim == 1:
-        return np.matmul(shifted, a.T, dtype=np.float32).astype(np.int16) % 3
-    return np.matmul(shifted, a[..., None], dtype=np.int16)[..., 0].T % 3
-
-
 def _admissible(vals: np.ndarray, d: int, limit: int, m: int) -> np.ndarray:
     """Which rows of a (rows, width) entry array pass the row predicate: a
     leading 1, the row-weight rule (_weight_passes), f-value at most limit
     and, for a block size m > 0, the diagonal Gram identity
-    row_pair_gram(m, v, v) = (2, 0, ..., 0).  f is compared digit by digit
-    from the most significant end, which is exact at every width; the Gram
-    identity is tested only on the rows that pass the rest."""
+    nega._block_gram(v, v, m) = (2, 0, ..., 0).  f is compared digit by
+    digit from the most significant end, which is exact at every width; the
+    Gram identity is tested only on the rows that pass the rest."""
     rows = np.arange(len(vals))
     nz = vals != 0
     lead = vals[rows, nz.argmax(axis=1)]
@@ -371,23 +348,23 @@ def _admissible(vals: np.ndarray, d: int, limit: int, m: int) -> np.ndarray:
     ok = (lead == 1) & _weight_passes(nz.sum(axis=1), d) & f_ok
     if m:
         del rows, nz, diff, top  # batch-sized: freed before the Gram products
-        gram = _row_pair_grams(vals[ok], vals[ok], m)
-        ok[ok] = (gram[0] == 2) & ~gram[1:].any(axis=0)
+        gram = _block_gram(vals[ok], vals[ok], m)
+        ok[ok] = (gram[:, 0] == 2) & ~gram[:, 1:].any(axis=1)
     return ok
 
 
 def _sample_row(space: _DualSpace, rng: random.Random, d: int, limit: int,
-                m: int) -> Gf3Vector | None:
-    """The first of _SAMPLE_TRIES_R23 random members of space that passes
-    the row predicate (_admissible, with the Gram identity for m > 0), or
-    None.  rng ends past the draws up to the one taken, or past all of
-    them: where a loop of scalar randrange draws would leave it.
+                m: int) -> np.ndarray | None:
+    """The entries of the first of _SAMPLE_TRIES_R23 random members of space
+    to pass the row predicate (_admissible, with the Gram identity for
+    m > 0), or None.  rng ends past the draws up to the one taken, or past
+    all of them: where a loop of scalar randrange draws would leave it.
     """
     vals, ends = space.draws(rng, _SAMPLE_TRIES_R23)
     hits = np.flatnonzero(_admissible(vals, d, limit, m))
     i = hits[0] if len(hits) else -1
     rng.getrandbits(32 * int(ends[i]))
-    return Gf3Vector(vals[i].tolist()) if len(hits) else None
+    return vals[i] if len(hits) else None
 
 
 def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
@@ -423,9 +400,11 @@ def _units(plan: SearchPlan) -> Iterator[int]:
         rank += 1
 
 
-def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[CodeSpec]:
+def _unit_specs(plan: SearchPlan, unit: int, *,
+                verified: bool) -> Iterator[tuple[CodeSpec, np.ndarray]]:
     """The specs of one unit that pass the structural constraints, in
-    ascending (f(r2), f(r3)) order.
+    ascending (f(r2), f(r3)) order, each with its first rows as a (3, 3m)
+    int8 entry array.
 
     Exhaustive mode takes r1 = vector_from_f(3n, unit) and every admissible
     r2, r3.  The r3 space of an r2 is the dual D1 of r1's block rows cut
@@ -434,7 +413,7 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
     of an r2 are admissible r2 themselves: one batched walk over D1
     (_DualSpace.members) lists those in ascending f, and the r3 of the
     i-th are those of the first i + 1 whose cross identity with it,
-    row_pair_gram(r3, r2) = 0, holds.
+    nega._block_gram(r3, r2, m) = 0, holds.
 
     A sampled trial draws r1 from the block pool with the generator seeded
     by (plan seed, unit), redrawn on a failed weight or Gram check at most
@@ -456,14 +435,14 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
         r1 = vector_from_f(width, unit)
         if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
             return
-        limit = f_value(r1)
-        rows = np.concatenate([vals[_admissible(vals, d, limit, gram)] for vals
-                               in _DualSpace(block_row_vectors(m, r1), width).members(limit)])
+        row1 = np.array(r1.entries(), np.int8)
+        rows = np.concatenate([vals[_admissible(vals, d, unit, gram)] for vals
+                               in _DualSpace(block_row_vectors(m, r1), width).members(unit)])
         vecs = [Gf3Vector(r) for r in rows.tolist()]
         for i, r2 in enumerate(vecs):
-            cross = _row_pair_grams(rows[: i + 1], rows[i], m)
-            for k in np.flatnonzero(~cross.any(axis=0)):
-                yield CodeSpec(m, r1, r2, vecs[k])
+            cross = _block_gram(rows[: i + 1], rows[i], m)
+            for k in np.flatnonzero(~cross.any(axis=1)):
+                yield CodeSpec(m, r1, r2, vecs[k]), np.array((row1, rows[i], rows[k]))
         return
 
     rng = random.Random(f"{plan.seed}:{unit}")
@@ -482,13 +461,15 @@ def _unit_specs(plan: SearchPlan, unit: int, *, verified: bool) -> Iterator[Code
         return
 
     span1 = block_row_vectors(m, r1)
-    r2 = _sample_row(_DualSpace(span1, width), rng, d, f_value(r1), gram)
-    if r2 is None:
+    row2 = _sample_row(_DualSpace(span1, width), rng, d, f_value(r1), gram)
+    if row2 is None:
         return
+    r2 = Gf3Vector(row2.tolist())
     space = _DualSpace(span1 + block_row_vectors(m, r2), width)
-    r3 = _sample_row(space, rng, d, f_value(r2), gram)
-    if r3 is not None:
-        yield CodeSpec(m, r1, r2, r3)
+    row3 = _sample_row(space, rng, d, f_value(r2), gram)
+    if row3 is not None:
+        yield (CodeSpec(m, r1, r2, Gf3Vector(row3.tolist())),
+               np.array((r1.entries(), row2, row3), np.int8))
 
 
 # -- public operations ----------------------------------------------------------
@@ -502,7 +483,7 @@ def enumerate_candidates(plan: SearchPlan) -> Iterator[CodeSpec]:
     order, sampled mode draws with the plan's seeded generator.
     """
     for unit in _units(plan):
-        yield from _unit_specs(plan, unit, verified=False)
+        yield from (spec for spec, _ in _unit_specs(plan, unit, verified=False))
 
 
 def beta_set_matches(registry: Registry, length: int, beta: int | None) -> tuple[str, ...]:
@@ -530,13 +511,12 @@ def make_finding(registry: Registry, kind: str, n: int, d: int, alpha: int,
                    novelty=not sets, sets=sets, **origin)
 
 
-def _tiles(specs: list[CodeSpec]) -> np.ndarray:
-    """The M of (I | M) of each spec, as a (specs, 3m, 3m) int8 array made
-    by one gather: block row i is nega.block_row_vectors(m, r_i)."""
-    m = specs[0].block_size
-    rows = np.array([[r.entries() for r in spec.rows] for spec in specs], np.int8)
-    index, sign = _negashift_table(m, 3 * m)
-    return (rows[:, :, index] * sign % 3).reshape(len(specs), 3 * m, 3 * m)
+def _tiles(rows: np.ndarray) -> np.ndarray:
+    """The M of (I | M) of each spec, as a (specs, 3m, 3m) int8 array, from
+    their first rows as a (specs, 3, 3m) one: block row i is
+    nega._block_rows of r_i."""
+    k = rows.shape[-1]
+    return (_block_rows(rows, k // 3) % 3).reshape(len(rows), k, k)
 
 
 def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, int]]]:
@@ -544,19 +524,19 @@ def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, 
     that verifies.  beta sets and novelty are left to the merge, which holds
     the caller's registry.
 
-    The group's admissible specs are verified _STACK at a time from their M
-    alone (_tiles): one int16 product checks M M^T = -I, and one scan of
-    their stack (weights._tile_stack) settles d and alpha, split back per unit."""
+    The group's admissible specs are verified _STACK at a time from the M of
+    their first rows (_tiles): one int16 product checks M M^T = -I, and one
+    scan of their stack (weights._tile_stack) settles d and alpha, split back per unit."""
     specs = [list(_unit_specs(plan, unit, verified=True)) for unit in units]
-    flat = list(itertools.chain.from_iterable(specs))
+    flat = [rows for group in specs for _, rows in group]
     alphas: list[int | None] = []
     for s in range(0, len(flat), _STACK):
-        tiles = _tiles(flat[s : s + _STACK])
+        tiles = _tiles(np.array(flat[s : s + _STACK]))
         if (np.matmul(tiles, tiles.mT, dtype=np.int16) % 3 != 2 * np.eye(tiles.shape[1])).any():
             raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
         alphas += _settle(_tile_stack(tiles), plan.target_min_weight)
     found = iter(alphas)
-    return [[(spec, alpha) for spec, alpha in zip(group, found) if alpha is not None]
+    return [[(spec, alpha) for (spec, _), alpha in zip(group, found) if alpha is not None]
             for group in specs]
 
 

@@ -1,7 +1,9 @@
 """Spec building blocks: negashifts, self-duality identities, canonical form."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,11 +23,21 @@ from nega3 import (
     vector_from_f,
 )
 from nega3.gf3 import Code, Gf3Vector, _code_from_echelon
-from nega3.nega import _negashift_blocks, _systematic_rows, row_gram_is_two, row_pair_gram
+from nega3.nega import (_block_gram, _block_rows, _negashift_blocks, _systematic_rows,
+                        row_gram_is_two)
 
 
 def _rand_vec(rng, n):
     return [rng.randrange(3) for _ in range(n)]
+
+
+def _norm_two_row(rng, m):
+    """A first row whose block Gram with itself is 2: two of its blocks
+    are +-x^k, the third is zero."""
+    row = [0] * 3 * m
+    for t in rng.sample(range(3), 2):
+        row[t * m + rng.randrange(m)] = rng.choice((1, 2))
+    return row
 
 
 class TestNegashift:
@@ -141,14 +153,27 @@ class TestSelfDuality:
             assert self_dual_violations(spec) == []
 
     def test_violations_identify_bad_blocks(self):
-        # r1 fine on its own terms, r2 breaking the (2,2) identity only
+        # r1 = (1, 1, 0) fine on its own terms, zero rows r2 and r3
+        # breaking their diagonal identities only
         spec = CodeSpec.from_entry_rows([
-            [1, 1, 0, 1, 0, 1],
+            [1, 0, 1, 0, 0, 0],
             [0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0],
         ])
-        bad = self_dual_violations(spec)
-        assert (2, 2) in bad and (3, 3) in bad
+        assert self_dual_violations(spec) == [(2, 2), (3, 3)]
+        # the whole list in row-major order (verify prints it), on specs
+        # whose rows are random, zero, or of norm 2: two blocks +-x^k
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(300):
+            m = rng.randrange(1, 7)
+            rows = [rng.choice([_rand_vec(rng, 3 * m), [0] * 3 * m, _norm_two_row(rng, m),
+                                _norm_two_row(rng, m)]) for _ in range(3)]
+            want = [(i + 1, j + 1) for i in range(3) for j in range(i, 3)
+                    if naive.row_pair_gram(m, rows[i], rows[j]) != [2 * (i == j)] + [0] * (m - 1)]
+            assert self_dual_violations(CodeSpec.from_entry_rows(rows)) == want
+            seen.add(tuple(want))
+        assert len(seen) > 20
 
     def test_row_gram_matches_block_gram(self):
         # the one-row diagonal check must agree with M M^T = -I restricted
@@ -163,20 +188,29 @@ class TestSelfDuality:
                 for i in range(m)
                 for j in range(m)
             )
-            assert row_gram_is_two(m, Gf3Vector(r)) == want
+            assert row_gram_is_two(m, Gf3Vector(r)) is want  # a Python bool
 
     def test_row_pair_gram_zero_iff_cross_blocks_orthogonal(self):
-        # every coefficient against the list-convolution ring product, and
-        # zero exactly when the two block rows are orthogonal
+        # the block rows and every Gram coefficient against the plain list
+        # versions for m = 1..12, in all three call shapes: row with row,
+        # batch with batch (pairwise, and all pairs by broadcasting), batch
+        # with one row.  Dense rows of 2s pass int8 from m = 11 on.  A Gram
+        # is zero exactly when the two block rows are orthogonal.
         rng = random.Random(17)
-        for _ in range(200):
-            m = rng.randrange(1, 9)
-            a, b = _rand_vec(rng, 3 * m), _rand_vec(rng, 3 * m)
-            got = row_pair_gram(m, Gf3Vector(a), Gf3Vector(b))
-            assert got == naive.row_pair_gram(m, a, b)
-            ra, rb = naive.block_rows(m, a), naive.block_rows(m, b)
-            all_orth = all(naive.vdot(u, v) == 0 for u in ra for v in rb)
-            assert (not any(got)) == all_orth
+        for m in range(1, 13):
+            rows = [[2] * 3 * m, [2] * (3 * m - 1) + [1], [0] * 3 * m]
+            rows += [_rand_vec(rng, 3 * m) for _ in range(9)]
+            a = np.array(rows, np.int8)
+            assert (_block_rows(a, m) % 3).tolist() == [naive.block_rows(m, r) for r in rows]
+            want = [[naive.row_pair_gram(m, u, v) for v in rows] for u in rows]
+            assert _block_gram(a[:, None], a, m).tolist() == want
+            assert _block_gram(a, a[::-1], m).tolist() == [w[-1 - i] for i, w in enumerate(want)]
+            for j in range(len(rows)):
+                assert _block_gram(a, a[j], m).tolist() == [w[j] for w in want]
+                assert _block_gram(a[j], a[j - 1], m).tolist() == want[j][j - 1]
+                pairs = itertools.product(naive.block_rows(m, rows[j]),
+                                          naive.block_rows(m, rows[j - 1]))
+                assert (not any(want[j][j - 1])) == all(naive.vdot(u, v) == 0 for u, v in pairs)
 
 
 class TestFValue:

@@ -43,11 +43,17 @@ from nega3 import (
     neighbor_sweep,
     novelty_report,
     read_findings,
-    row_pair_gram,
     run_search,
 )
 from nega3 import search, weights
+from nega3.nega import _block_gram
 from nega3.search import _block_pool, _DualSpace
+
+
+def _specs(plan, unit, verified=True):
+    """The specs of one unit, without the first-row arrays that
+    search._unit_specs pairs them with."""
+    return [spec for spec, _ in search._unit_specs(plan, unit, verified=verified)]
 
 
 class TestPlan:
@@ -213,7 +219,7 @@ class TestExhaustive:
         for unit in search._units(plan):
             del tiles[:]
             (found,) = search._run_units(plan, [unit])
-            specs = list(search._unit_specs(plan, unit, verified=True))
+            specs = _specs(plan, unit)
             assert all(0 < len(t) <= search._STACK for t in tiles)
             got = [t.tolist() for t in itertools.chain.from_iterable(tiles)]
             assert got == [[row[12:] for row in naive.spec_generator_rows(
@@ -230,14 +236,15 @@ class TestExhaustive:
         # _run_units first or last among specs that fill several stacks,
         # is refused
         plan = SearchPlan(block_size=6)
-        specs = list(search._unit_specs(plan, 43191379, verified=True))
-        assert len(specs) % search._STACK and len(specs) > 2 * search._STACK
-        for at in (0, len(specs) - 1):
-            r3 = specs[at].r3.entries()
-            r3[0] = (r3[0] + 1) % 3
-            bad = CodeSpec(6, specs[at].r1, specs[at].r2, Gf3Vector(r3))
+        found = list(search._unit_specs(plan, 43191379, verified=True))
+        assert len(found) % search._STACK and len(found) > 2 * search._STACK
+        for at in (0, len(found) - 1):
+            spec, rows = found[at]
+            rows = rows.copy()
+            rows[2, 0] = (rows[2, 0] + 1) % 3
+            bad = CodeSpec.from_entry_rows(rows.tolist())
             assert not is_self_dual(bad)
-            fed = specs[:at] + [bad] + specs[at + 1:]
+            fed = found[:at] + [(bad, rows)] + found[at + 1:]
             monkeypatch.setattr(search, "_unit_specs", lambda *args, **kwargs: iter(fed))
             with pytest.raises(InternalInconsistencyError, match="not self-dual"):
                 search._run_units(plan, [43191379])
@@ -277,14 +284,16 @@ def _exhaustive_units(m):
     return tuple(search._units(SearchPlan(block_size=m)))
 
 
-def _assert_closed_form(specs):
-    """The tile stack the search settles for specs of one block size equals
-    the stack read off each spec's built Code: both information sets'
-    planes and pivot masks, the deficits and the orbit width."""
-    stack = weights._tile_stack(search._tiles(specs))
-    assert stack.lo.shape[:2] == stack.hi.shape[:2] == (2, len(specs))
+def _assert_closed_form(found):
+    """The tile stack the search settles for (spec, first rows) pairs of
+    one block size equals the stack read off each spec's built Code: both
+    information sets' planes and pivot masks, the deficits and the orbit
+    width.  Each pair's rows are its spec's entries."""
+    stack = weights._tile_stack(search._tiles(np.array([rows for _, rows in found])))
+    assert stack.lo.shape[:2] == stack.hi.shape[:2] == (2, len(found))
     assert stack.lo.dtype == stack.hi.dtype == stack.pivot_masks.dtype == np.uint64
-    for c, spec in enumerate(specs):
+    for c, (spec, rows) in enumerate(found):
+        assert rows.dtype == np.int8 and rows.tolist() == [r.entries() for r in spec.rows]
         code = build_generator(spec)
         sets = weights._information_sets(code)
         assert (stack.n, stack.deficits, stack.width) == (
@@ -300,33 +309,33 @@ class TestTileStacks:
 
     def test_every_length12_spec(self):
         plan = SearchPlan(block_size=2)
-        specs = [s for u in search._units(plan) for s in search._unit_specs(plan, u, verified=True)]
-        assert len(specs) == 6
-        _assert_closed_form(specs)
+        found = [s for u in search._units(plan) for s in search._unit_specs(plan, u, verified=True)]
+        assert len(found) == 6
+        _assert_closed_form(found)
 
     def test_first_units_of_the_length24_shard(self):
         # the units up to the seventh that has specs: 145 specs
         plan = SearchPlan(block_size=4, partition=(0, 64))
-        specs = []
+        found = []
         for unit in search._units(plan):
-            specs += search._unit_specs(plan, unit, verified=True)
-            if len(specs) > 100:
+            found += search._unit_specs(plan, unit, verified=True)
+            if len(found) > 100:
                 break
-        for s in range(0, len(specs), search._STACK):
-            _assert_closed_form(specs[s : s + search._STACK])
+        for s in range(0, len(found), search._STACK):
+            _assert_closed_form(found[s : s + search._STACK])
 
     @given(st.sampled_from([2, 4, 6]), st.integers(0, 2**32 - 1))
     def test_sampled_specs(self, m, seed):
         plan = SearchPlan(block_size=m, mode="sampled", seed=seed, budget=1)
         trials = (search._unit_specs(plan, t, verified=True) for t in range(200))
-        specs = list(itertools.islice(itertools.chain.from_iterable(trials), 3))
-        assert specs and all(is_self_dual(s) for s in specs)
-        _assert_closed_form(specs)
+        found = list(itertools.islice(itertools.chain.from_iterable(trials), 3))
+        assert found and all(is_self_dual(s) for s, _ in found)
+        _assert_closed_form(found)
 
     def test_many_stacks_match_each_spec_settled_alone(self):
         # a length-36 unit's 734 specs, in 12 stacks, the last one short
         plan = SearchPlan(block_size=6)
-        specs = list(search._unit_specs(plan, 43191379, verified=True))
+        specs = _specs(plan, 43191379)
         assert len(specs) == 734
         alone = [weights._settle(weights._code_stack([build_generator(s)]), 9)[0] for s in specs]
         (got,) = search._run_units(plan, [43191379])
@@ -337,7 +346,7 @@ class TestTileStacks:
 def _walk(m, unit, verified):
     plan = SearchPlan(block_size=m)
     return [[r.entries() for r in spec.rows]
-            for spec in search._unit_specs(plan, unit, verified=verified)]
+            for spec in _specs(plan, unit, verified)]
 
 
 def _reference_walk(m, unit, verified):
@@ -389,7 +398,7 @@ class TestExhaustiveWalk:
         for unit in search._units(plan):
             for verified in (False, True):
                 del built[:]
-                specs = list(search._unit_specs(plan, unit, verified=verified))
+                specs = _specs(plan, unit, verified)
                 assert built == [12] or (verified and not built and not specs)
 
     @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
@@ -408,16 +417,17 @@ class TestExhaustiveWalk:
 
     @pytest.mark.parametrize("m", [11, 12])
     def test_batched_grams_past_int8(self, m):
-        # dense rows of 2s: 3m products of 4 pass 127 from m = 11 on
+        # dense rows of 2s: 3m products of 4 pass 127 from m = 11 on; batch
+        # with batch, batch with one row and row with row
         rng = random.Random(m)
         rows = [[2] * 3 * m, [2] * (3 * m - 1) + [1], [1] * 3 * m]
         rows += [[rng.choice((0, 1, 2, 2, 2)) for _ in range(3 * m)] for _ in range(40)]
-        a, vecs = np.array(rows, np.int8), [Gf3Vector(r) for r in rows]
-        got = search._row_pair_grams(a, a, m).T.tolist()
-        assert got == [row_pair_gram(m, v, v) for v in vecs]
+        a = np.array(rows, np.int8)
+        assert _block_gram(a, a, m).tolist() == [naive.row_pair_gram(m, v, v) for v in rows]
         for i in (0, 1, 7):
-            got = search._row_pair_grams(a, a[i], m).T.tolist()
-            assert got == [row_pair_gram(m, v, vecs[i]) for v in vecs]
+            want = [naive.row_pair_gram(m, v, rows[i]) for v in rows]
+            assert _block_gram(a, a[i], m).tolist() == want
+            assert _block_gram(a[i], a[i], m).tolist() == want[i]
 
     def test_walk_memory_is_bounded(self):
         # a late length-36 unit: D1 holds 524,146 members up to f(r1), which
@@ -510,7 +520,7 @@ def _per_trial_reference(plan, registry):
     d = plan.target_min_weight
     found = {}
     for trial in search._units(plan):
-        for spec in search._unit_specs(plan, trial, verified=True):
+        for spec in _specs(plan, trial):
             alpha = weights._settle(weights._code_stack([build_generator(spec)]), d)[0]
             if alpha is not None:
                 found[spec] = search.make_finding(registry, "spec", plan.length, d, alpha,
@@ -584,7 +594,7 @@ class TestSampleDraws:
             k = next((i for i, v in enumerate(ref) if accept(v)), None)
             rng = random.Random(m)
             got = search._sample_row(space, rng, d, limit, gram)
-            assert got == (None if k is None else Gf3Vector(ref[k]))
+            assert (None if got is None else got.tolist()) == (None if k is None else ref[k])
             assert rng.getstate() == states[-1 if k is None else k]
 
     def test_no_basis_reads_no_words(self):
@@ -1012,7 +1022,7 @@ def _length24_base():
     """The self-dual code of the first spec that sampled length-24 trials
     verify."""
     plan = SearchPlan(block_size=4, mode="sampled", seed=0, budget=1)
-    specs = (s for t in itertools.count() for s in search._unit_specs(plan, t, verified=True))
+    specs = (s for t in itertools.count() for s in _specs(plan, t))
     return build_generator(next(specs))
 
 

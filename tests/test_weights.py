@@ -161,7 +161,7 @@ class TestOrbitPath:
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_random_self_dual_specs(self, m, seed):
         plan = SearchPlan(m, mode="sampled", seed=seed, budget=1)
-        spec = next(itertools.chain.from_iterable(
+        spec, _ = next(itertools.chain.from_iterable(
             _unit_specs(plan, t, verified=True) for t in itertools.count()))
         assert is_self_dual(spec)
         code = build_generator(spec)
@@ -187,9 +187,9 @@ def _self_dual_specs(m, seed, count):
     """The first count specs of sampled trials from seed on, which pass
     every identity, so their codes are self-dual."""
     plan = SearchPlan(m, mode="sampled", seed=seed, budget=1)
-    specs = itertools.chain.from_iterable(
+    found = itertools.chain.from_iterable(
         _unit_specs(plan, t, verified=True) for t in itertools.count())
-    return list(itertools.islice(specs, count))
+    return [spec for spec, _ in itertools.islice(found, count)]
 
 
 @functools.cache
@@ -198,7 +198,7 @@ def _self_dual_pool(m):
     verifies, else the first 30 of sampled trials."""
     if m == 2:
         plan = SearchPlan(2)
-        return tuple(s for u in _units(plan) for s in _unit_specs(plan, u, verified=True))
+        return tuple(s for u in _units(plan) for s, _ in _unit_specs(plan, u, verified=True))
     return tuple(_self_dual_specs(m, 0, 30))
 
 
