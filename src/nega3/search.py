@@ -45,7 +45,7 @@ findings in unit order, so the output is the same for any worker count.  A
 run in either mode can keep an append-only checkpoint log of its merged
 units, one line per unit, which a rerun with any worker count resumes.  A
 neighbor sweep settles its neighbors a window of weights._STACK seeds at a
-time (weights._settle_codes).
+time, from one echelon update of the base code's basis (_neighbors).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from .nega import (
     vector_from_f,
 )
 from .registry import Registry, load_registry
-from .weights import (_CHUNK, _STACK, _clears, _settle, _settle_codes, _tile_stack, ms_bound,
+from .weights import (_CHUNK, _STACK, _clears, _orbit_shape, _settle, _tile_stack, ms_bound,
                       near_extremal_weight)
 
 log = logging.getLogger(__name__)
@@ -359,12 +359,13 @@ def _sample_row(space: _DualSpace, rng: random.Random, d: int, limit: int,
     to pass the row predicate (_admissible, with the Gram identity for
     m > 0), or None.  rng ends past the draws up to the one taken, or past
     all of them: where a loop of scalar randrange draws would leave it.
+    The row is a copy, so a spec that keeps it does not keep the draws.
     """
     vals, ends = space.draws(rng, _SAMPLE_TRIES_R23)
     hits = np.flatnonzero(_admissible(vals, d, limit, m))
     i = hits[0] if len(hits) else -1
     rng.getrandbits(32 * int(ends[i]))
-    return vals[i] if len(hits) else None
+    return vals[i].copy() if len(hits) else None
 
 
 def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
@@ -401,10 +402,10 @@ def _units(plan: SearchPlan) -> Iterator[int]:
 
 
 def _unit_specs(plan: SearchPlan, unit: int, *,
-                verified: bool) -> Iterator[tuple[CodeSpec, np.ndarray]]:
+                verified: bool) -> Iterator[tuple[CodeSpec, tuple[np.ndarray, ...]]]:
     """The specs of one unit that pass the structural constraints, in
-    ascending (f(r2), f(r3)) order, each with its first rows as a (3, 3m)
-    int8 entry array.
+    ascending (f(r2), f(r3)) order, each with its three first rows as int8
+    entry arrays, which _run_units stacks.
 
     Exhaustive mode takes r1 = vector_from_f(3n, unit) and every admissible
     r2, r3.  The r3 space of an r2 is the dual D1 of r1's block rows cut
@@ -442,7 +443,7 @@ def _unit_specs(plan: SearchPlan, unit: int, *,
         for i, r2 in enumerate(vecs):
             cross = _block_gram(rows[: i + 1], rows[i], m)
             for k in np.flatnonzero(~cross.any(axis=1)):
-                yield CodeSpec(m, r1, r2, vecs[k]), np.array((row1, rows[i], rows[k]))
+                yield CodeSpec(m, r1, r2, vecs[k]), (row1, rows[i], rows[k])
         return
 
     rng = random.Random(f"{plan.seed}:{unit}")
@@ -469,7 +470,7 @@ def _unit_specs(plan: SearchPlan, unit: int, *,
     row3 = _sample_row(space, rng, d, f_value(r2), gram)
     if row3 is not None:
         yield (CodeSpec(m, r1, r2, Gf3Vector(row3.tolist())),
-               np.array((r1.entries(), row2, row3), np.int8))
+               (np.array(r1.entries(), np.int8), row2, row3))
 
 
 # -- public operations ----------------------------------------------------------
@@ -534,7 +535,8 @@ def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, 
         tiles = _tiles(np.array(flat[s : s + _STACK]))
         if (np.matmul(tiles, tiles.mT, dtype=np.int16) % 3 != 2 * np.eye(tiles.shape[1])).any():
             raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
-        alphas += _settle(_tile_stack(tiles), plan.target_min_weight)
+        alphas += _settle(_tile_stack(tiles, _orbit_shape(plan.length, tiles.shape[1])),
+                          plan.target_min_weight)
     found = iter(alphas)
     return [[(spec, alpha) for (spec, _), alpha in zip(group, found) if alpha is not None]
             for group in specs]
@@ -724,8 +726,43 @@ def run_search(
 # -- neighbors ------------------------------------------------------------------
 
 
+def _neighbors(c: Code, xs: list[Gf3Vector]) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbors <x> + (c & x^perp) of a self-dual c for the seeds x:
+    their bases, shaped (seeds, k, n), and the A of their forms (I | A) up
+    to a column permutation, shaped (seeds, k, k), over {0, 1, 2}.
+
+    With syndromes s = x G^T for c's reduced basis G, pivots P, and p the
+    first row with s_p != 0, row i becomes b_i - s_i s_p b_p, orthogonal to
+    x (and 0 for i = p).  x, reduced against the others on their pivots and
+    scaled to 1 at its first nonzero column q, is cleared out of them at q
+    and takes row p: the identity is now on P with p swapped for q.  A zero
+    syndrome puts x in c, its own dual: NeighborMembershipError.  The
+    identity and A A^T = -I (self-duality) are checked for the whole batch."""
+    seeds = np.array([x.entries() for x in xs], np.int16).reshape(len(xs), c.n)
+    basis = np.array([r.entries() for r in c.basis], np.int16).reshape(c.k, c.n)
+    s = seeds @ basis.T % 3  # int16 sums of at most 4n
+    if not s.any(axis=1).all():
+        raise NeighborMembershipError("x lies in the code; the neighbor would be c itself")
+    w, p = np.arange(len(seeds)), (s != 0).argmax(axis=1)
+    rows = (basis - (s * s[w, p, None])[:, :, None] * basis[p, None]) % 3  # 1 / s_p = s_p
+    x = (seeds - np.einsum("wk,wkn->wn", seeds[:, c.pivots], rows)) % 3
+    q = (x != 0).argmax(axis=1)
+    x = x * x[w, q, None] % 3
+    rows = (rows - rows[w, :, q, None] * x[:, None]) % 3
+    rows[w, p] = x
+    pivots = np.where(np.arange(c.k) == p[:, None], q[:, None], c.pivots)
+    on = np.zeros(seeds.shape, bool)
+    on[w[:, None], pivots] = True
+    tiles = rows.mT[~on].reshape(len(seeds), c.n - c.k, c.k).mT  # columns off the pivots, ascending
+    if ((np.take_along_axis(rows, pivots[:, None], axis=2) != np.eye(c.k)).any()
+            or (np.matmul(tiles, tiles.mT) % 3 != 2 * np.eye(c.k)).any()):
+        raise InternalInconsistencyError("neighbor construction lost self-duality")
+    return rows, tiles
+
+
 def neighbor(c: Code, x: Gf3Vector) -> Code:
-    """The self-dual code spanned by x and the subcode of c orthogonal to x.
+    """The self-dual code spanned by x and the subcode of c orthogonal to x
+    (_neighbors, the sweep's update, for one seed), in canonical form.
 
     Requires wt(x) divisible by 3 (so x is self-orthogonal), x outside c,
     and c itself self-dual; each violated clause raises its own error.
@@ -736,22 +773,8 @@ def neighbor(c: Code, x: Gf3Vector) -> Code:
         raise NeighborWeightError(f"wt(x) = {x.weight()} is not divisible by 3")
     if not c.is_self_dual():
         raise NeighborCodeError("base code is not self-dual")
-    if c.contains(x):
-        raise NeighborMembershipError("x lies in the code; the neighbor would be c itself")
-
-    scored = [(b, b.dot(x)) for b in c.basis]
-    kept = [b for b, s in scored if s == 0]
-    crossing = [(b, s) for b, s in scored if s != 0]
-    if not crossing:
-        raise InternalInconsistencyError("x orthogonal to a self-dual code but not in it")
-    p, sp = crossing[0]
-    for b, s in crossing[1:]:
-        # b - (s / sp) p; inverses in GF(3) are 1 -> 1, 2 -> 2
-        kept.append(b + p.scale((-s * sp) % 3))
-    out = Code(c.n, kept + [x])
-    if out.k != c.k or not out.is_self_dual():
-        raise InternalInconsistencyError("neighbor construction lost self-duality")
-    return out
+    rows, _ = _neighbors(c, [x])
+    return Code(c.n, [Gf3Vector(r) for r in rows[0].tolist()])
 
 
 def neighbor_sweep(
@@ -768,11 +791,13 @@ def neighbor_sweep(
     divisible by 3 and outside c, by rejection; the stream is a pure
     function of (c, budget, seed).
 
-    Seeds are drawn, and their neighbors built and settled in stacked scans
-    (weights._settle_codes), a window of _STACK seeds at a time; the
-    window's findings are then yielded in draw order.  So a consumer that
-    stops early has paid for up to _STACK - 1 neighbors past the last
-    finding it took.  Bad arguments are refused at the call."""
+    Seeds are drawn a window of _STACK at a time.  A window's neighbors are
+    built in one update of c's basis (_neighbors), with no Code each, and
+    settled in one closed-form stack of their (I | A) forms, without orbits
+    (weights._tile_stack); the window's findings are then yielded in draw
+    order.  So a consumer that stops early has paid for up to _STACK - 1
+    neighbors past the last finding it took.  Bad arguments are refused at
+    the call."""
     if not c.is_self_dual():
         raise NeighborCodeError("base code is not self-dual")
     if target not in ("near-extremal", "extremal"):
@@ -788,7 +813,7 @@ def neighbor_sweep(
     return (make_finding(registry, "neighbor", c.n, d, alpha, x=tuple(x.entries()),
                          parent=parent_label)
             for seeds in windows
-            for x, alpha in zip(seeds, _settle_codes([neighbor(c, v) for v in seeds], d))
+            for x, alpha in zip(seeds, _settle(_tile_stack(_neighbors(c, seeds)[1], 0), d))
             if alpha is not None)
 
 

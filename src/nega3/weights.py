@@ -46,8 +46,9 @@ most once up to sign:
   width share the support tables too, so the walk runs over their bases
   stacked as (codes, k, lanes) planes, one numpy call per step for all of
   them.  A stack is read off Code objects (_code_stack), or off the M of
-  self-dual (I | M) codes in closed form (_tile_stack).  _settle settles d
-  and the count at d of a stack in one scan, which runs until the bound
+  self-dual (I | M) codes in closed form (_tile_stack): the search's specs
+  and, up to a column permutation, a sweep's neighbors.  _settle settles
+  d and the count at d of a stack in one scan, which runs until the bound
   passes d and drops a code at its first word below d; the codes left are
   moved up in the batch buffer in place.
 
@@ -239,23 +240,12 @@ def _orbit_width(code: Code) -> int:
     the two halves.
     """
     if "orbit_width" not in code._cache:
-        code._cache["orbit_width"] = _uncached_orbit_width(code)
+        b, rows = _orbit_shape(code.n, code.k), code.basis
+        rotated = (rows[i - i % b + (i + 1) % b] for i in range(len(rows)))
+        fixed = b and all(_whole_blocks(s.pivots, b) for s in _information_sets(code)) and all(
+            _negashift_blocks(r, b) in (t, -t) for r, t in zip(rows, rotated))
+        code._cache["orbit_width"] = b if fixed else 0
     return code._cache["orbit_width"]
-
-
-def _uncached_orbit_width(code: Code) -> int:
-    b = _orbit_shape(code.n, code.k)
-    if not b:
-        return 0
-    if not all(_whole_blocks(s.pivots, b) for s in _information_sets(code)):
-        return 0
-    rows = code.basis
-    for i, r in enumerate(rows):
-        image = _negashift_blocks(r, b)
-        target = rows[i - i % b + (i + 1) % b]
-        if image != target and image != -target:
-            return 0
-    return b
 
 
 def _whole_blocks(pivots: list[int], b: int) -> bool:
@@ -546,11 +536,11 @@ def _code_stack(codes: list[Code]) -> _Stack:
                   np.stack([s.pivot_mask for s in sets[0]]), _orbit_width(codes[0]))
 
 
-def _tile_stack(tiles: np.ndarray) -> _Stack:
-    """The stack of the (I | M) codes of a (codes, k, k) int8 array of M
-    over {0, 1, 2}, 3 x 3 tiles of negacirculant blocks with M M^T = -I, in
-    closed form: the information sets (I | M) and (-M^T | I), as M^-1 =
-    -M^T, no deficits, and the orbit width k / 3 that _orbit_shape allows."""
+def _tile_stack(tiles: np.ndarray, width: int) -> _Stack:
+    """The stack of the (I | M) codes of a (codes, k, k) array of M over
+    {0, 1, 2} with M M^T = -I, in closed form: the information sets (I | M)
+    and (-M^T | I), as M^-1 = -M^T, no deficits, and the caller's orbit
+    width (see _orbit_width), 0 when sigma may not be an automorphism."""
     k = tiles.shape[1]
     eye = np.broadcast_to(np.eye(k, dtype=np.int8), tiles.shape)
     bases = np.stack([np.concatenate([eye, tiles], axis=2),
@@ -558,7 +548,7 @@ def _tile_stack(tiles: np.ndarray) -> _Stack:
     bases = np.pad(bases, [(0, 0)] * 3 + [(0, -2 * k % _LANE_BITS)])  # whole lanes
     lo, hi = (np.packbits(bases == v, axis=-1, bitorder="little").view("<u8") for v in (1, 2))
     halves = _pack([(1 << k) - 1, (1 << 2 * k) - (1 << k)], 2 * k)
-    return _Stack(2 * k, lo, hi, [0, 0], halves, _orbit_shape(2 * k, k))
+    return _Stack(2 * k, lo, hi, [0, 0], halves, width)
 
 
 def _settle(stack: _Stack, d: int) -> list[int | None]:
@@ -567,22 +557,6 @@ def _settle(stack: _Stack, d: int) -> list[int | None]:
     and a code leaves the stack at its first word below d."""
     scan = _stack_counts(stack, d, floor=d)
     return [int(count) if kept and count else None for count, kept in zip(scan.count, scan.kept)]
-
-
-def _settle_codes(codes: list[Code], d: int) -> list[int | None]:
-    """_settle for codes of dimension at least 1 and of any shape, stacked by
-    n, k, set pivots and orbit width, at most _STACK codes to a stack."""
-    stacks: dict[tuple, list[int]] = {}
-    for i, code in enumerate(codes):
-        key = (code.n, code.k, _orbit_width(code),
-               tuple(tuple(s.pivots) for s in _information_sets(code)))
-        stacks.setdefault(key, []).append(i)
-    out: dict[int, int | None] = {}
-    for members in stacks.values():
-        for s in range(0, len(members), _STACK):
-            part = members[s : s + _STACK]
-            out.update(zip(part, _settle(_code_stack([codes[i] for i in part]), d)))
-    return [out[i] for i in range(len(codes))]
 
 
 def _clears(code: Code, d: int) -> bool:

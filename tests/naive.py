@@ -98,6 +98,37 @@ def rank(rows):
     return r
 
 
+def rref(rows):
+    """The nonzero rows of the reduced echelon form, columns scanned left to
+    right and pivots scaled to 1: the canonical basis of the row space."""
+    rs = [list(r) for r in rows]
+    top = 0
+    for col in range(len(rs[0]) if rs else 0):
+        piv = next((i for i in range(top, len(rs)) if rs[i][col]), None)
+        if piv is None:
+            continue
+        rs[top], rs[piv] = rs[piv], rs[top]
+        rs[top] = vscale(rs[top], rs[top][col])  # 1 and 2 are their own inverses mod 3
+        for i in range(len(rs)):
+            if i != top and rs[i][col]:
+                rs[i] = vadd(rs[i], vscale(rs[top], -rs[i][col] % 3))
+        top += 1
+    return rs[:top]
+
+
+def neighbor(basis, x):
+    """The canonical basis of <x> + (C & x^perp), C the self-dual code
+    spanned by basis and x a self-orthogonal vector outside it: the rows
+    orthogonal to x, each other row b made orthogonal to x with the first
+    such row p, as b - (b.x / p.x) p, and x itself, reduced from scratch."""
+    kept = [b for b in basis if not vdot(b, x)]
+    crossing = [b for b in basis if vdot(b, x)]
+    p = crossing[0]
+    for b in crossing[1:]:
+        kept.append(vadd(b, vscale(p, -vdot(b, x) * vdot(p, x) % 3)))  # 1 / s = s mod 3
+    return rref(kept + [x])
+
+
 def codewords(basis):
     """All 3^k words spanned by the basis, as tuples."""
     if not basis:

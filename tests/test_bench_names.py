@@ -84,7 +84,8 @@ def test_traced_search_counts_each_verified_spec(registry, monkeypatch):
     # which search.specs_verified was read, stay empty
     settled = []
     real = search._tile_stack
-    monkeypatch.setattr(search, "_tile_stack", lambda tiles: settled.append(len(tiles)) or real(tiles))
+    monkeypatch.setattr(search, "_tile_stack",
+                        lambda tiles, width: settled.append(len(tiles)) or real(tiles, width))
     tracer = _load("tracer").Tracer()
     tracer.install()
     try:

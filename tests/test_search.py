@@ -205,10 +205,17 @@ class TestExhaustive:
     def test_one_settle_per_verified_spec(self, monkeypatch):
         # a unit settles each verified spec once, from its first rows alone:
         # the tile stacks it builds hold each spec's M, in order, at most
-        # _STACK to a stack, and no Code is checked self-dual
+        # _STACK to a stack, on the orbit path of block width 4, and no Code
+        # is checked self-dual
         tiles = []
         real = search._tile_stack
-        monkeypatch.setattr(search, "_tile_stack", lambda t: tiles.append(t) or real(t))
+
+        def record(t, width):
+            assert width == 4
+            tiles.append(t)
+            return real(t, width)
+
+        monkeypatch.setattr(search, "_tile_stack", record)
 
         def refuse(code):
             raise AssertionError("a Code was checked self-dual")
@@ -240,7 +247,7 @@ class TestExhaustive:
         assert len(found) % search._STACK and len(found) > 2 * search._STACK
         for at in (0, len(found) - 1):
             spec, rows = found[at]
-            rows = rows.copy()
+            rows = np.array(rows)  # a copy of the three row views
             rows[2, 0] = (rows[2, 0] + 1) % 3
             bad = CodeSpec.from_entry_rows(rows.tolist())
             assert not is_self_dual(bad)
@@ -288,12 +295,16 @@ def _assert_closed_form(found):
     """The tile stack the search settles for (spec, first rows) pairs of
     one block size equals the stack read off each spec's built Code: both
     information sets' planes and pivot masks, the deficits and the orbit
-    width.  Each pair's rows are its spec's entries."""
-    stack = weights._tile_stack(search._tiles(np.array([rows for _, rows in found])))
+    width that search._run_units passes.  Each pair's rows are its spec's
+    entries, as three int8 arrays."""
+    m = found[0][0].block_size
+    stack = weights._tile_stack(search._tiles(np.array([rows for _, rows in found])),
+                                weights._orbit_shape(6 * m, 3 * m))
     assert stack.lo.shape[:2] == stack.hi.shape[:2] == (2, len(found))
     assert stack.lo.dtype == stack.hi.dtype == stack.pivot_masks.dtype == np.uint64
     for c, (spec, rows) in enumerate(found):
-        assert rows.dtype == np.int8 and rows.tolist() == [r.entries() for r in spec.rows]
+        assert len(rows) == 3 and all(r.dtype == np.int8 for r in rows)
+        assert [r.tolist() for r in rows] == [r.entries() for r in spec.rows]
         code = build_generator(spec)
         sets = weights._information_sets(code)
         assert (stack.n, stack.deficits, stack.width) == (
@@ -330,6 +341,9 @@ class TestTileStacks:
         trials = (search._unit_specs(plan, t, verified=True) for t in range(200))
         found = list(itertools.islice(itertools.chain.from_iterable(trials), 3))
         assert found and all(is_self_dual(s) for s, _ in found)
+        # each row owns its entries, so the specs a group holds do not keep
+        # every trial's batch of draws alive
+        assert all(r.base is None for _, rows in found for r in rows)
         _assert_closed_form(found)
 
     def test_many_stacks_match_each_spec_settled_alone(self):
@@ -936,7 +950,43 @@ def parent(registry):
     return build_generator(registry.entry("C2").spec)
 
 
+@pytest.fixture(scope="module")
+def bases(parent):
+    """Self-dual base codes for neighbors: the first spec the length-12
+    search verifies, the length-24 base, C2, and C2 with its columns
+    shuffled and the support of a basis row moved last: that row vanishes
+    on the first 18 columns, so they are not the shuffled code's pivots."""
+    rng = random.Random(36)
+    row = parent.basis[0]
+    perm = []
+    for part in ([i for i in range(36) if not row[i]], [i for i in range(36) if row[i]]):
+        rng.shuffle(part)
+        perm += part
+    permuted = Code(36, [Gf3Vector([r[i] for i in perm]) for r in parent.basis])
+    assert permuted.is_self_dual() and permuted.pivots != tuple(range(18))
+    plan = SearchPlan(block_size=2)
+    length12 = next(s for u in search._units(plan) for s in _specs(plan, u))
+    return {"length12": build_generator(length12), "length24": _length24_base(),
+            "C2": parent, "C2-permuted": permuted}
+
+
 class TestNeighbor:
+    @given(st.sampled_from(["length12", "length24", "C2", "C2-permuted"]),
+           st.integers(0, 2**32))
+    def test_neighbor_equals_plain_reduction(self, bases, label, seed):
+        # the echelon update against naive.neighbor, which reduces kept + [x]
+        # from scratch by plain lists
+        c = bases[label]
+        basis = [r.entries() for r in c.basis]
+        rng = random.Random(seed)
+        while True:
+            x = [rng.randrange(3) for _ in range(c.n)]
+            if naive.vweight(x) % 3 == 0 and naive.rank(basis + [x]) > c.k:
+                break
+        want = naive.neighbor(basis, x)
+        assert len(want) == c.k and naive.gram_is_zero(want)
+        assert [r.entries() for r in neighbor(c, Gf3Vector(x)).basis] == want
+
     def test_known_neighbors(self, registry, parent):
         for label, beta in (("x1", 8), ("x2", 11)):
             x = registry.entry(label).x
@@ -1020,19 +1070,21 @@ def _sweep_reference(c, budget, seed, target, registry):
 @functools.cache
 def _length24_base():
     """The self-dual code of the first spec that sampled length-24 trials
-    verify."""
+    verify, among at most 10,000, so that a fault that stops every trial
+    from verifying fails."""
     plan = SearchPlan(block_size=4, mode="sampled", seed=0, budget=1)
-    specs = (s for t in itertools.count() for s in _specs(plan, t))
-    return build_generator(next(specs))
+    spec = next((s for t in range(10_000) for s in _specs(plan, t)), None)
+    assert spec is not None, "none of the first 10,000 sampled length-24 trials verified"
+    return build_generator(spec)
 
 
 class TestNeighborWindows:
     """neighbor_sweep settles a window of _STACK seeds in one stacked scan."""
 
     @pytest.mark.parametrize("target", ["near-extremal", "extremal"])
-    @pytest.mark.parametrize("base", ["C2", "length24"])
-    def test_sweep_matches_stack_of_one_reference(self, registry, parent, base, target):
-        code = parent if base == "C2" else _length24_base()
+    @pytest.mark.parametrize("base", ["C2", "C2-permuted", "length24"])
+    def test_sweep_matches_stack_of_one_reference(self, registry, bases, base, target):
+        code = bases[base]
         reference = _sweep_reference(code, 130, 5, target, registry)
         if target == "near-extremal":
             assert len(reference) > 2  # findings in more than one window
@@ -1040,6 +1092,17 @@ class TestNeighborWindows:
             got = neighbor_sweep(code, budget, 5, target=target, registry=registry,
                                  parent_label="base")
             assert _records(got) == _records(f for i, f in reference if i < budget), budget
+
+    def test_sweep_builds_no_code_per_neighbor(self, registry, parent, monkeypatch):
+        # the windows are settled from arrays: no Code is built in a sweep,
+        # where neighbor() builds one, the canonical code it returns
+        built = []
+        real = Code.__init__
+        monkeypatch.setattr(Code, "__init__", lambda self, *args: built.append(1) or real(self, *args))
+        found = list(neighbor_sweep(parent, 130, 5, registry=registry))
+        assert len(found) > 2 and not built
+        neighbor(parent, registry.entry("x1").x)
+        assert len(built) == 1
 
 
 class TestNovelty:

@@ -160,9 +160,7 @@ class TestOrbitPath:
 
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_random_self_dual_specs(self, m, seed):
-        plan = SearchPlan(m, mode="sampled", seed=seed, budget=1)
-        spec, _ = next(itertools.chain.from_iterable(
-            _unit_specs(plan, t, verified=True) for t in itertools.count()))
+        (spec,) = _self_dual_specs(m, seed, 1)
         assert is_self_dual(spec)
         code = build_generator(spec)
         assert weights._orbit_width(code) == m
@@ -185,11 +183,14 @@ _EXTREMAL24 = CodeSpec.from_entry_rows([
 
 def _self_dual_specs(m, seed, count):
     """The first count specs of sampled trials from seed on, which pass
-    every identity, so their codes are self-dual."""
+    every identity, so their codes are self-dual.  At most 10,000 trials
+    are drawn, so a fault that stops every trial from verifying fails."""
     plan = SearchPlan(m, mode="sampled", seed=seed, budget=1)
     found = itertools.chain.from_iterable(
-        _unit_specs(plan, t, verified=True) for t in itertools.count())
-    return [spec for spec, _ in itertools.islice(found, count)]
+        _unit_specs(plan, t, verified=True) for t in range(10_000))
+    specs = [spec for spec, _ in itertools.islice(found, count)]
+    assert len(specs) == count, f"{len(specs)} of {count} specs in 10,000 length-{6 * m} trials"
+    return specs
 
 
 @functools.cache
@@ -216,8 +217,24 @@ def _mixed_stack(m, seed):
     return [build_generator(spec) for spec in specs]
 
 
+def _settle_grouped(codes, d):
+    """weights._settle for codes of any shape: stacked by n, k, orbit width
+    and set pivots, at most weights._STACK codes to a stack, each stack read
+    off its codes (weights._code_stack)."""
+    stacks = collections.defaultdict(list)
+    for i, code in enumerate(codes):
+        sets = tuple(tuple(s.pivots) for s in weights._information_sets(code))
+        stacks[code.n, code.k, weights._orbit_width(code), sets].append(i)
+    out = {}
+    for members in stacks.values():
+        for s in range(0, len(members), weights._STACK):
+            part = members[s : s + weights._STACK]
+            out.update(zip(part, weights._settle(weights._code_stack([codes[i] for i in part]), d)))
+    return [out[i] for i in range(len(codes))]
+
+
 def _one_by_one(code, d):
-    """What _settle_codes promises for one code, from min_weight and
+    """What _settle_grouped promises for one code, from min_weight and
     count_weight."""
     return count_weight(code, d) if min_weight(code) == d else None
 
@@ -228,9 +245,9 @@ def _by_enumeration(dist, d):
 
 
 class TestStackedScan:
-    """weights._settle_codes, which settles d and A_d of many codes in
-    stacked scans, against each code scanned alone and against full
-    enumeration."""
+    """weights._settle over stacks of mixed codes (_settle_grouped), which
+    settles d and A_d of many codes in stacked scans, against each code
+    scanned alone and against full enumeration."""
 
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_mixed_stacks_match_one_code_at_a_time(self, m, seed):
@@ -240,14 +257,14 @@ class TestStackedScan:
         # the near-extremal weight, and the minimum weights of the codes,
         # so that codes of every kind have d as their minimum weight
         for d in sorted({near_extremal_weight(6 * m)} | {min_weight(c) for c in codes}):
-            got = weights._settle_codes(codes, d)
+            got = _settle_grouped(codes, d)
             assert got == [_one_by_one(c, d) for c in codes], d
             if m == 2:
                 assert got == [_by_enumeration(dist, d) for dist in dists], d
 
     def test_a_stack_holds_every_outcome(self):
         codes = _mixed_stack(4, 3)
-        got = weights._settle_codes(codes, 6)
+        got = _settle_grouped(codes, 6)
         d = [min_weight(c) for c in codes]
         assert {w < 6 for w in d} == {True, False}  # some codes drop out
         extremal = d.index(9)  # A_6 = 0, so no count either
@@ -258,7 +275,7 @@ class TestStackedScan:
     @pytest.mark.parametrize("chunk,stack", [(1, 1), (3, 2), (7, 7), (weights._CHUNK, 4)])
     def test_small_chunks_and_stacks(self, monkeypatch, chunk, stack):
         codes = _mixed_stack(4, 11) + [build_generator(s) for s in _self_dual_pool(4)[:8]]
-        want = weights._settle_codes(codes, 6)
+        want = _settle_grouped(codes, 6)
         walk = weights._words
 
         def bounded(lo, hi, j, width, alive=None):
@@ -269,7 +286,7 @@ class TestStackedScan:
         monkeypatch.setattr(weights, "_CHUNK", chunk)
         monkeypatch.setattr(weights, "_STACK", stack)
         monkeypatch.setattr(weights, "_words", bounded)
-        assert weights._settle_codes(codes, 6) == want
+        assert _settle_grouped(codes, 6) == want
         assert want == [_one_by_one(c, 6) for c in codes]
 
 
@@ -296,7 +313,7 @@ class TestStackedScan:
         monkeypatch.setattr(weights, "_STACK_ROWS", rows)
         monkeypatch.setattr(weights, "_STACK", stack)
         monkeypatch.setattr(weights, "_words", bounded)
-        assert weights._settle_codes(codes, 6) == want
+        assert _settle_grouped(codes, 6) == want
         assert any(shrunk)
 
     def test_dropped_codes_leave_the_others_words_intact(self, monkeypatch):
@@ -342,7 +359,7 @@ class TestStackedScan:
             weights._orbit_width(code)
         tracemalloc.start()
         try:
-            got = weights._settle_codes(codes, 9)
+            got = _settle_grouped(codes, 9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
