@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import LengthMismatchError
 from .gf3 import Code, Gf3Vector, _code_from_echelon, _mk
+from .weights import _orbit_shape
 
 
 def _negashift_blocks(v: Gf3Vector, b: int) -> Gf3Vector:
@@ -103,8 +104,12 @@ def _systematic_rows(block_size: int, first_rows: Sequence[Gf3Vector]) -> list[G
 
 def build_generator(spec: CodeSpec) -> Code:
     """The code spanned by (I | M); always of dimension 3n.  Its rows are
-    already the reduced echelon basis, so no row reduction runs."""
-    return _code_from_echelon(spec.length, _systematic_rows(spec.block_size, spec.rows))
+    already the reduced echelon basis, so no row reduction runs, and its
+    cache records the orbit width of weights._orbit_shape: the simultaneous
+    negashift of the six blocks is an automorphism of every such code."""
+    code = _code_from_echelon(spec.length, _systematic_rows(spec.block_size, spec.rows))
+    code._cache["orbit_width"] = _orbit_shape(spec.length, code.k)
+    return code
 
 
 # -- the ring R_n, on int8 entry arrays ---------------------------------------

@@ -106,8 +106,8 @@ def check_deep_guard(entries: Iterable[RegistryEntry], *, allow_long: bool) -> N
     guard.  Only lengths divisible by 12 have an enumerator family, and
     every code verified here has dimension length / 2.  The estimate is
     priced by the path the sweep takes: (I | M) spec codes over negashift
-    orbits of width length / 6 where their shape allows the orbit path
-    (see weights._orbit_shape), other codes over every word."""
+    orbits of the width build_generator records for them
+    (weights._orbit_shape), other codes over every word."""
     for entry in entries:
         if entry.length % 12 == 0:
             k = entry.length // 2

@@ -2,9 +2,10 @@
 
 Minimum-weight and counting queries run a covering enumeration over several
 systematic generator matrices on disjoint column blocks.  A self-dual code
-takes two in closed form: its own reduced basis, and the reduced basis of
-its dual, which is itself, on the complementary columns (gf3._dual_rows).
-Other codes re-echelonize the basis on successive disjoint column blocks.
+takes two in closed form: with its columns reordered pivots first, which
+keeps every weight, it is (I | A) with A A^T = -I, so (-A^T | I) spans it
+too (_tile_stack).  Other codes re-echelonize the basis on successive
+disjoint column blocks.
 Messages of support size 1, 2, ... are expanded for each matrix, level by
 level and within a level matrix by matrix.  Once matrix i of level j is
 done, every unseen codeword has weight at least
@@ -37,20 +38,23 @@ most once up to sign:
   matrices on complementary columns, as for self-dual codes, that pair
   follows from the level and the weight alone.  A batch is searched for
   words of the weight counted only when its least weight reaches it.
-- Orbit path: when sigma, the simultaneous negashift of the code's six
-  blocks, is an automorphism and every matrix's pivots are whole blocks (as
-  for the (I | M) codes of negacirculant blocks), sigma acts on messages as
-  the blockwise negashift.  Only supports least among their rotations are
-  walked, each weighted by its orbit size.
+- Orbit path: sigma, the simultaneous negashift of the six blocks, is an
+  automorphism of every (I | M) code of negacirculant blocks, and the two
+  matrices of a self-dual one have whole blocks as pivots, so sigma acts on
+  messages as the blockwise negashift.  Only supports least among their
+  rotations are walked, each weighted by its orbit size.  The orbit width
+  comes from construction: nega.build_generator records it, the search
+  passes it, and every other code, hand-built copies of (I | M) codes
+  included, is scanned without orbits.
 - Stacks: codes that share n, k, the pivots of every matrix and the orbit
   width share the support tables too, so the walk runs over their bases
   stacked as (codes, k, lanes) planes, one numpy call per step for all of
-  them.  A stack is read off Code objects (_code_stack), or off the M of
-  self-dual (I | M) codes in closed form (_tile_stack): the search's specs
-  and, up to a column permutation, a sweep's neighbors.  _settle settles
-  d and the count at d of a stack in one scan, which runs until the bound
-  passes d and drops a code at its first word below d; the codes left are
-  moved up in the batch buffer in place.
+  them.  One closed form, _tile_stack, stacks the M of self-dual (I | M)
+  codes: the search's specs, a sweep's neighbors and, its columns reordered
+  pivots first, every self-dual Code (_code_stack, a stack of one).  _settle
+  settles d and the count at d of a stack in one scan, which runs until the
+  bound passes d and drops a code at its first word below d; the codes left
+  are moved up in the batch buffer in place.
 
 Full distributions take a different route, a meet-in-the-middle sweep: the
 basis is split in half, all 3^(k - k//2) sums of the second half are
@@ -76,8 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError, InternalInconsistencyError
-from .gf3 import Code, _dual_rows, _rref_rows
-from .nega import _negashift_blocks
+from .gf3 import Code, _rref_rows
 
 _LANE_BITS = 64
 
@@ -166,40 +169,10 @@ def _weights_of(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 # -- information sets ---------------------------------------------------------
 
 
-@dataclass
-class _InfoSet:
-    lo: np.ndarray  # (k, lanes)
-    hi: np.ndarray
-    deficit: int
-    pivots: list[int]  # pivot column of each row
-    pivot_mask: np.ndarray  # (lanes,) the pivot columns as bits
-
-
-def _information_sets(code: Code) -> list[_InfoSet]:
-    """Systematic bases on disjoint column blocks, kept in the code's cache.
-    The first is the code's own reduced basis."""
-    cached = code._cache.get("infosets")
-    if cached is None:
-        cached = code._cache["infosets"] = [
-            _InfoSet(*_pack_rows(rows, code.n), deficit, list(pivots),
-                     _pack([sum(1 << p for p in pivots)], code.n)[0])
-            for rows, pivots, deficit in _systematic_bases(code)]
-    return cached
-
-
 def _systematic_bases(code: Code):
-    """(rows, pivots, deficit) of each information set.
-
-    A self-dual code takes two in closed form: the complement of an
-    information set of C is one of its dual, here C itself, whose reduced
-    basis on those columns is gf3._dual_rows.  Other codes reduce the basis
-    again with the columns not yet used scanned first, for as long as that
-    finds new pivots."""
-    if code.k and 2 * code.k == code.n and code.is_self_dual():  # no call for other shapes
-        yield code.basis, code.pivots, 0
-        pivots = set(code.pivots)
-        yield _dual_rows(code), [c for c in range(code.n) if c not in pivots], 0
-        return
+    """(rows, pivots, deficit) of each information set by the greedy rule:
+    the code's reduced basis, then the basis reduced again with the columns
+    not yet used scanned first, for as long as that finds new pivots."""
     used: set[int] = set()
     reduced, pivots = code.basis, code.pivots
     while True:
@@ -215,44 +188,15 @@ def _systematic_bases(code: Code):
 
 
 def _orbit_shape(n: int, k: int) -> int:
-    """The block width b = n/6 of an [n, k] code that may take the orbit
-    path (see _orbit_width), or 0 when its shape rules it out: n not a
-    multiple of 6, b < 2, or k > 64, since supports are held as 64-bit
-    masks."""
+    """The block width b = n/6 that nega.build_generator records as the
+    orbit width of its [n, k] (I | M) codes, or 0 when the shape rules the
+    orbit path out: n not a multiple of 6, b < 2, or k > 64, since supports
+    are held as 64-bit masks.  On a self-dual one, sigma, the simultaneous
+    negashift of the six width-b blocks, is an automorphism and both sets'
+    pivots are whole blocks, so sigma maps the word of message m to that of
+    the blockwise negashift of m, keeping its weight on every set's pivots."""
     b = n // 6
     return 0 if n % 6 or b < 2 or k > 64 else b
-
-
-def _orbit_width(code: Code) -> int:
-    """Block width b = n/6 when the scan may visit one support per orbit of
-    sigma, the simultaneous negashift of the code's six width-b blocks;
-    0 when it may not.  Kept in the code's cache.
-
-    Past the shape test (_orbit_shape) that takes two things.  Sigma must be
-    an automorphism of the code, and every information set's pivots must be
-    whole width-b blocks, each in column order.  Then sigma maps the word of
-    message m to the word of the blockwise negashift of m, and keeps both
-    its weight and its weight on every set's pivots.  The first set is the
-    code's own reduced basis, so sigma is an automorphism exactly when it
-    maps each basis row to plus or minus the row whose pivot is the rotated
-    pivot.  The self-dual (I | M) codes of negacirculant blocks pass: sigma
-    is an automorphism of every (I | M) code, and their information sets are
-    the two halves.
-    """
-    if "orbit_width" not in code._cache:
-        b, rows = _orbit_shape(code.n, code.k), code.basis
-        rotated = (rows[i - i % b + (i + 1) % b] for i in range(len(rows)))
-        fixed = b and all(_whole_blocks(s.pivots, b) for s in _information_sets(code)) and all(
-            _negashift_blocks(r, b) in (t, -t) for r, t in zip(rows, rotated))
-        code._cache["orbit_width"] = b if fixed else 0
-    return code._cache["orbit_width"]
-
-
-def _whole_blocks(pivots: list[int], b: int) -> bool:
-    """Whether the pivots are whole width-b blocks, each in column order."""
-    return len(pivots) % b == 0 and all(
-        p % b == 0 and pivots[i : i + b] == list(range(p, p + b))
-        for i, p in zip(range(0, len(pivots), b), pivots[::b]))
 
 
 def _passes(deficits: list[int], k: int):
@@ -279,7 +223,7 @@ def count_cost(code: Code, w: int) -> int:
     The scan evaluates fewer: one word of each pair c, -c, and on the orbit
     path one support per negashift orbit."""
     cost = 0
-    for j, _, floor in _passes([s.deficit for s in _information_sets(code)], code.k):
+    for j, _, floor in _passes(_code_stack(code).deficits, code.k):
         cost += comb(code.k, j) << j
         if floor > w:
             break
@@ -410,7 +354,7 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
     weight and their pivot weights.  The other j - 1 coefficients are
     walked through their 2^(j-1) sign patterns in Gray-code order, each
     step one bit-sliced vector addition in place.
-    With a width (see _orbit_width) only supports least among their
+    With a width (see _orbit_shape) only supports least among their
     rotations are walked, and mult holds each support's orbit size, the
     number of supports whose words the batch stands for; otherwise mult is
     all ones.  A stack position the caller clears in alive leaves the walk
@@ -487,7 +431,7 @@ def min_weight(code: Code, abort_below: int | None = None) -> int:
     if code.k == 0:
         raise ValueError("minimum weight of the zero code is undefined")
     if "min_weight" not in code._cache:
-        scan = _stack_counts(_code_stack([code]), code.n, floor=abort_below or 1, least=True)
+        scan = _stack_counts(_code_stack(code), code.n, floor=abort_below or 1, least=True)
         if not scan.kept[0]:
             return int(scan.weight[0])
         code._cache["min_weight"] = int(scan.weight[0])
@@ -512,7 +456,7 @@ def count_weight(code: Code, w: int) -> int:
         return code._cache["count_at_min"]
     if code.k <= 22 and 3**code.k < count_cost(code, w):
         return full_distribution(code, allow_long=True).counts.get(w, 0)
-    return int(_stack_counts(_code_stack([code]), w, floor=1).count[0])
+    return int(_stack_counts(_code_stack(code), w, floor=1).count[0])
 
 
 class _Stack(NamedTuple):
@@ -524,23 +468,37 @@ class _Stack(NamedTuple):
     hi: np.ndarray
     deficits: list[int]
     pivot_masks: np.ndarray
-    width: int  # see _orbit_width
+    width: int  # see _orbit_shape; 0 for a scan without orbits
 
 
-def _code_stack(codes: list[Code]) -> _Stack:
-    """The stack of codes of dimension at least 1 that share n, k, set pivots
-    and orbit width, read off each code (_information_sets, _orbit_width)."""
-    sets = [_information_sets(code) for code in codes]
-    lo, hi = (np.array([[getattr(t, p) for t in s] for s in zip(*sets)]) for p in ("lo", "hi"))
-    return _Stack(codes[0].n, lo, hi, [s.deficit for s in sets[0]],
-                  np.stack([s.pivot_mask for s in sets[0]]), _orbit_width(codes[0]))
+def _code_stack(code: Code) -> _Stack:
+    """The stack of one code of dimension at least 1, kept in its cache.
+
+    A self-dual code, its columns reordered pivots first, which keeps every
+    weight, is (I | A): its stack is _tile_stack's, with the orbit width
+    that nega.build_generator recorded and 0 for other codes.  Any other
+    code takes the greedy sets of _systematic_bases, without orbits."""
+    if "stack" not in code._cache:
+        if code.k and 2 * code.k == code.n and code.is_self_dual():  # no call for other shapes
+            pivots = set(code.pivots)
+            rows = np.array([r.entries() for r in code.basis], dtype=np.int8)
+            tiles = rows[None, :, [c for c in range(code.n) if c not in pivots]]
+            stack = _tile_stack(tiles, code._cache.get("orbit_width", 0))
+        else:
+            sets = list(_systematic_bases(code))
+            lo, hi = zip(*(_pack_rows(rows, code.n) for rows, _, _ in sets))
+            masks = _pack([sum(1 << p for p in pivots) for _, pivots, _ in sets], code.n)
+            stack = _Stack(code.n, np.stack(lo)[:, None], np.stack(hi)[:, None],
+                           [deficit for *_, deficit in sets], masks, 0)
+        code._cache["stack"] = stack
+    return code._cache["stack"]
 
 
 def _tile_stack(tiles: np.ndarray, width: int) -> _Stack:
     """The stack of the (I | M) codes of a (codes, k, k) array of M over
     {0, 1, 2} with M M^T = -I, in closed form: the information sets (I | M)
     and (-M^T | I), as M^-1 = -M^T, no deficits, and the caller's orbit
-    width (see _orbit_width), 0 when sigma may not be an automorphism."""
+    width (see _orbit_shape), 0 when sigma may not be an automorphism."""
     k = tiles.shape[1]
     eye = np.broadcast_to(np.eye(k, dtype=np.int8), tiles.shape)
     bases = np.stack([np.concatenate([eye, tiles], axis=2),
@@ -563,7 +521,7 @@ def _clears(code: Code, d: int) -> bool:
     """Whether the code has no nonzero word of weight below d: a scan that
     counts weight d - 1 with floor d, so it leaves at the first lighter word
     and otherwise stops once its bound reaches d."""
-    return bool(_stack_counts(_code_stack([code]), d - 1, floor=d).kept[0])
+    return bool(_stack_counts(_code_stack(code), d - 1, floor=d).kept[0])
 
 
 class _Scan(NamedTuple):
@@ -633,16 +591,17 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
     The basis is split in half: all 3^(k - k//2) sums of the second half are
     tabulated, and the table is swept once per sum of the first half, each
     sweep a few whole-lane operations and one bincount (see _sweep).  On the
-    orbit path (see _orbit_width) sigma maps the words whose first-block
-    message is r onto those whose first-block message is the negashift of
-    r, so only sums of the first half whose first-block digits are least in
-    their negashift orbit are swept, and each bincount is scaled by that
-    orbit's size; on other codes every sum is swept once.
+    orbit path, for the codes nega.build_generator gave an orbit width (see
+    _orbit_shape), sigma maps the words whose first-block message is r onto
+    those whose first-block message is the negashift of r, so only sums of
+    the first half whose first-block digits are least in their negashift
+    orbit are swept, and each bincount is scaled by that orbit's size; on
+    other codes every sum is swept once.
     """
     if code.k == 0:
         return WeightProfile(code.n, {0: 1}, complete=True)
     half = code.k // 2
-    width = _orbit_width(code)
+    width = code._cache.get("orbit_width", 0)
     if width > half:  # the first half must hold the whole first block
         width = 0
     _full_distribution_guard(code.k, width, allow_long)
@@ -721,7 +680,7 @@ def _full_distribution_guard(k: int, width: int, allow_long: bool) -> None:
     """Refuse a full distribution of a dimension-k code past the guard.
 
     The message prices the sweep full_distribution would run: with an orbit
-    width b (see _orbit_width) one first-block message per negashift orbit
+    width b (see _orbit_shape) one first-block message per negashift orbit
     times the 3^(k - b) other messages, else all 3^k words."""
     if k <= FULL_DISTRIBUTION_GUARD_K or allow_long:
         return

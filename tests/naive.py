@@ -116,6 +116,55 @@ def rref(rows):
     return rs[:top]
 
 
+def pivot(v):
+    return next(c for c, x in enumerate(v) if x)
+
+
+def greedy_pivot_sets(basis):
+    """The pivots of the information sets the covering scan takes for a
+    code that is not self-dual: those of the reduced basis, then of
+    reductions with the columns not yet used scanned first, for as long as
+    that finds new pivots."""
+    n = len(basis[0])
+    order, used, sets = list(range(n)), [], []
+    while True:
+        reduced = rref([[r[c] for c in order] for r in basis])
+        pivots = [order[pivot(r)] for r in reduced]
+        new = [p for p in pivots if p not in used]
+        if not new:
+            return sets
+        sets.append(pivots)
+        used += new
+        fresh = [c for c in range(n) if c not in used]
+        if not fresh:
+            return sets
+        order = fresh + sorted(used)
+
+
+def orbit_width(basis):
+    """The block width b = n/6 when the covering scan of the code spanned by
+    basis may walk one support per orbit of sigma, the simultaneous
+    negashift of its six width-b blocks; else 0.  Past the shape (b at
+    least 2, at most 64 rows) that takes two checks: sigma maps each row of
+    the reduced basis to plus or minus the row whose pivot is the rotated
+    pivot, so it is an automorphism, and the greedy pivots are whole blocks,
+    each in column order."""
+    rows = rref(basis)
+    n, b = len(rows[0]), len(rows[0]) // 6
+    if n % 6 or b < 2 or len(rows) > 64:
+        return 0
+    by_pivot = {pivot(r): r for r in rows}
+    for p, r in by_pivot.items():
+        image = [x for t in range(6) for x in negashift(r[t * b:(t + 1) * b])]
+        q = by_pivot.get(p - p % b + (p + 1) % b)
+        if q is None or image not in (q, vneg(q)):
+            return 0
+    whole = all(len(s) % b == 0 and all(s[i] % b == 0 and s[i:i + b] == list(range(s[i], s[i] + b))
+                                        for i in range(0, len(s), b))
+                for s in greedy_pivot_sets(rows))
+    return b if whole else 0
+
+
 def neighbor(basis, x):
     """The canonical basis of <x> + (C & x^perp), C the self-dual code
     spanned by basis and x a self-orthogonal vector outside it: the rows

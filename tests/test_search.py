@@ -293,25 +293,26 @@ def _exhaustive_units(m):
 
 def _assert_closed_form(found):
     """The tile stack the search settles for (spec, first rows) pairs of
-    one block size equals the stack read off each spec's built Code: both
-    information sets' planes and pivot masks, the deficits and the orbit
-    width that search._run_units passes.  Each pair's rows are its spec's
-    entries, as three int8 arrays."""
+    one block size holds what the greedy row reduction gives each spec's
+    built Code (weights._systematic_bases): both information sets' planes
+    and pivots and no deficits, with the orbit width build_generator
+    records.  Each pair's rows are its spec's entries, as three int8 arrays."""
     m = found[0][0].block_size
     stack = weights._tile_stack(search._tiles(np.array([rows for _, rows in found])),
                                 weights._orbit_shape(6 * m, 3 * m))
-    assert stack.lo.shape[:2] == stack.hi.shape[:2] == (2, len(found))
+    assert stack.lo.shape == stack.hi.shape == (2, len(found), 3 * m, 1)
     assert stack.lo.dtype == stack.hi.dtype == stack.pivot_masks.dtype == np.uint64
     for c, (spec, rows) in enumerate(found):
         assert len(rows) == 3 and all(r.dtype == np.int8 for r in rows)
         assert [r.tolist() for r in rows] == [r.entries() for r in spec.rows]
         code = build_generator(spec)
-        sets = weights._information_sets(code)
+        sets = list(weights._systematic_bases(code))
         assert (stack.n, stack.deficits, stack.width) == (
-            code.n, [s.deficit for s in sets], weights._orbit_width(code))
-        for i, s in enumerate(sets):
-            assert np.array_equal(stack.lo[i, c], s.lo) and np.array_equal(stack.hi[i, c], s.hi)
-            assert np.array_equal(stack.pivot_masks[i], s.pivot_mask)
+            code.n, [deficit for *_, deficit in sets], code._cache["orbit_width"])
+        for i, (basis, pivots, _) in enumerate(sets):
+            assert stack.lo[i, c, :, 0].tolist() == [r._lo for r in basis]
+            assert stack.hi[i, c, :, 0].tolist() == [r._hi for r in basis]
+            assert int(stack.pivot_masks[i, 0]) == sum(1 << p for p in pivots)
 
 
 class TestTileStacks:
@@ -351,7 +352,7 @@ class TestTileStacks:
         plan = SearchPlan(block_size=6)
         specs = _specs(plan, 43191379)
         assert len(specs) == 734
-        alone = [weights._settle(weights._code_stack([build_generator(s)]), 9)[0] for s in specs]
+        alone = [weights._settle(weights._code_stack(build_generator(s)), 9)[0] for s in specs]
         (got,) = search._run_units(plan, [43191379])
         assert got == [(s, a) for s, a in zip(specs, alone) if a is not None]
         assert len(got) > 100
@@ -535,7 +536,7 @@ def _per_trial_reference(plan, registry):
     found = {}
     for trial in search._units(plan):
         for spec in _specs(plan, trial):
-            alpha = weights._settle(weights._code_stack([build_generator(spec)]), d)[0]
+            alpha = weights._settle(weights._code_stack(build_generator(spec)), d)[0]
             if alpha is not None:
                 found[spec] = search.make_finding(registry, "spec", plan.length, d, alpha,
                                                   spec=spec)
@@ -1060,7 +1061,7 @@ def _sweep_reference(c, budget, seed, target, registry):
             x = Gf3Vector(rng.randrange(3) for _ in range(c.n))
             if x.weight() % 3 == 0 and not c.contains(x):
                 break
-        alpha = weights._settle(weights._code_stack([neighbor(c, x)]), d)[0]
+        alpha = weights._settle(weights._code_stack(neighbor(c, x)), d)[0]
         if alpha is not None:
             out.append((i, search.make_finding(registry, "neighbor", c.n, d, alpha,
                                                x=tuple(x.entries()), parent="base")))

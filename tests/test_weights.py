@@ -112,14 +112,17 @@ class TestComboChunks:
 
 
 def _permuted(code, rng):
-    """The code with its columns shuffled: the same weights, but no longer
-    invariant under the blockwise negashift, so scanned on the generic path."""
+    """The code with its columns shuffled: the same weights, in a Code built
+    by hand, so scanned and swept without orbits."""
     perm = list(range(code.n))
-    while True:
-        rng.shuffle(perm)
-        other = Code(code.n, [Gf3Vector([r[p] for p in perm]) for r in code.basis])
-        if not weights._orbit_width(other):
-            return other
+    rng.shuffle(perm)
+    return Code(code.n, [Gf3Vector([r[p] for p in perm]) for r in code.basis])
+
+
+def _width(code):
+    """The orbit width the scans read off the code: the one
+    build_generator recorded, else 0."""
+    return code._cache.get("orbit_width", 0)
 
 
 def _weights_at_d_and_d3(code):
@@ -150,8 +153,8 @@ class TestOrbitPath:
 
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_random_specs(self, m, seed):
-        # every length-12 spec takes the orbit path, about four in five at
-        # length 24; the rest (singular M) compare two generic scans
+        # every spec's full distribution takes the orbit path; its scans
+        # take it when the code is self-dual
         rng = random.Random(seed)
         rows = [[rng.randrange(3) for _ in range(3 * m)] for _ in range(3)]
         code = build_generator(CodeSpec.from_entry_rows(rows))
@@ -163,15 +166,53 @@ class TestOrbitPath:
         (spec,) = _self_dual_specs(m, seed, 1)
         assert is_self_dual(spec)
         code = build_generator(spec)
-        assert weights._orbit_width(code) == m
+        assert _width(code) == weights._code_stack(code).width == m
         _check_against_generic(code, seed)
         _check_sweep_against_generic(code, seed)
 
     @pytest.mark.parametrize("label", ["C1", "C2", "C3", "C4", "C36"])
     def test_stored_length36_specs(self, registry, label):
         code = registry.entry(label).build()
-        assert weights._orbit_width(code) == 6
+        assert _width(code) == weights._code_stack(code).width == 6
         _check_against_generic(code, 36)
+
+
+def _rows(code):
+    return [r.entries() for r in code.basis]
+
+
+class TestOrbitWidth:
+    """The orbit width that build_generator records against the detection
+    it replaces, on plain lists (naive.orbit_width); every other code is
+    scanned and swept without orbits."""
+
+    def test_registry_specs(self, registry):
+        entries = [e for e in registry.entries.values() if e.spec is not None]
+        assert len(entries) >= 27
+        for entry in entries:
+            code = entry.build()
+            assert _width(code) == naive.orbit_width(_rows(code)) == entry.length // 6, entry.label
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_self_dual_pools(self, m):
+        for spec in _self_dual_pool(m):
+            code = build_generator(spec)
+            assert _width(code) == naive.orbit_width(_rows(code)) == m
+
+    def test_other_codes_take_no_orbits(self, registry):
+        # a hand-built copy of C2 passes the detection, but takes no orbits
+        base = registry.entry("C2").build()
+        rng = random.Random(36)
+        while True:
+            x = Gf3Vector([rng.randrange(3) for _ in range(36)])
+            if x.weight() % 3 == 0 and not base.contains(x):
+                break
+        copy = Code(base.n, list(base.basis))
+        assert copy == base and naive.orbit_width(_rows(copy)) == 6
+        for code in [neighbor(base, x), copy, extended_qr48(),
+                     *(pless_symmetry(q) for q in (5, 11, 17, 23))]:
+            assert code.is_self_dual()
+            assert _width(code) == weights._code_stack(code).width == 0
 
 
 # an extremal length-24 spec: d = 9, so it has no words of weight 6
@@ -217,19 +258,26 @@ def _mixed_stack(m, seed):
     return [build_generator(spec) for spec in specs]
 
 
+def _stacked(codes):
+    """One stack of codes whose stacks of one (weights._code_stack) share n,
+    k, set pivots and orbit width: those stacks joined along the codes axis."""
+    stacks = [weights._code_stack(code) for code in codes]
+    return stacks[0]._replace(lo=np.concatenate([s.lo for s in stacks], axis=1),
+                              hi=np.concatenate([s.hi for s in stacks], axis=1))
+
+
 def _settle_grouped(codes, d):
-    """weights._settle for codes of any shape: stacked by n, k, orbit width
-    and set pivots, at most weights._STACK codes to a stack, each stack read
-    off its codes (weights._code_stack)."""
+    """weights._settle for codes of any shape: stacked by n, k, orbit width,
+    deficits and set pivots, at most weights._STACK codes to a stack (_stacked)."""
     stacks = collections.defaultdict(list)
     for i, code in enumerate(codes):
-        sets = tuple(tuple(s.pivots) for s in weights._information_sets(code))
-        stacks[code.n, code.k, weights._orbit_width(code), sets].append(i)
+        s = weights._code_stack(code)
+        stacks[s.n, s.lo.shape, s.width, tuple(s.deficits), s.pivot_masks.tobytes()].append(i)
     out = {}
     for members in stacks.values():
         for s in range(0, len(members), weights._STACK):
             part = members[s : s + weights._STACK]
-            out.update(zip(part, weights._settle(weights._code_stack([codes[i] for i in part]), d)))
+            out.update(zip(part, weights._settle(_stacked([codes[i] for i in part]), d)))
     return [out[i] for i in range(len(codes))]
 
 
@@ -321,10 +369,9 @@ class TestStackedScan:
         # the batch buffer, and each still walks exactly its own words
         monkeypatch.setattr(weights, "_STACK_ROWS", 7)
         codes = [build_generator(s) for s in _self_dual_pool(4)[:6]]
-        lo, hi = (np.stack([getattr(weights._information_sets(c)[0], p) for c in codes])
-                  for p in ("lo", "hi"))
-        width = weights._orbit_width(codes[0])
-        assert width and {weights._orbit_width(c) for c in codes} == {width}
+        stack = _stacked(codes)
+        lo, hi, width = stack.lo[0], stack.hi[0], stack.width
+        assert width and {weights._code_stack(c).width for c in codes} == {width}
 
         def words(batches, alive=None, drops=()):
             seen = collections.defaultdict(collections.Counter)
@@ -345,9 +392,9 @@ class TestStackedScan:
             assert got[c] == alone[0], c
 
     def test_stacked_neighbors_keep_memory_small(self, registry):
-        # 64 neighbors of C2, generic codes in a few pivot groups, walk
-        # levels of C(18, 4) supports: with batches of _CHUNK rows the scan
-        # held about 10 MB at once, with the row cap about 1.4 MB
+        # 64 neighbors of C2, in one stack of (I | A) forms without orbits,
+        # walk levels of C(18, 4) supports: with batches of _CHUNK rows the
+        # scan held about 10 MB at once, with the row cap about 1.4 MB
         base = build_generator(registry.entry("C2").spec)
         rng = random.Random(64)
         codes = []
@@ -356,7 +403,7 @@ class TestStackedScan:
             if x.weight() % 3 == 0 and not base.contains(x):
                 codes.append(neighbor(base, x))
         for code in codes:  # the codes' own caches are not the scan's
-            weights._orbit_width(code)
+            weights._code_stack(code)
         tracemalloc.start()
         try:
             got = _settle_grouped(codes, 9)
@@ -371,12 +418,12 @@ def _walked(monkeypatch, code, run):
     """The (level, set) passes of the covering scans that run() makes on
     code, in order, with run()'s result.  A pass's set is the information
     set whose planes it walks."""
-    sets = weights._information_sets(code)
+    stack = weights._code_stack(code)
     walked = []
     real = weights._words
 
     def recording(lo, hi, j, width, alive=None):
-        walked.append((j, next(i for i, s in enumerate(sets) if np.array_equal(lo[0], s.lo))))
+        walked.append((j, next(i for i, s in enumerate(stack.lo) if np.array_equal(lo, s))))
         return real(lo, hi, j, width, alive)
 
     with monkeypatch.context() as patch:
@@ -393,7 +440,7 @@ def _check_scan_against_naive(code, dist):
     assert code._cache["count_at_min"] == dist[d]
     for w in (d, d + 3):
         assert count_weight(code, w) == dist.get(w, 0), w
-        scan = weights._stack_counts(weights._code_stack([code]), w, floor=1)
+        scan = weights._stack_counts(weights._code_stack(code), w, floor=1)
         assert scan.count[0] == dist.get(w, 0), w
     for t in (d - 1, d, d + 1):
         assert weights._clears(code, t) == (t <= d), t
@@ -423,14 +470,14 @@ class TestPerSetBound:
     @pytest.mark.parametrize("label,w", [("C1", 9), ("C1", 12), ("B280", 12), ("B280", 15)])
     def test_count_cost_prices_the_passes_walked(self, registry, monkeypatch, label, w):
         code = registry.entry(label).build()
-        stack = weights._code_stack([code])
+        stack = weights._code_stack(code)
         walked, _ = _walked(monkeypatch, code, lambda: weights._stack_counts(stack, w, floor=1))
         assert weights.count_cost(code, w) == sum(comb(code.k, j) << j for j, _ in walked)
 
     @given(_generic_rows)
     def test_generic_codes_with_deficits(self, rows):
         code = Code(len(rows[0]), [Gf3Vector(r) for r in rows])
-        assume(code.k and any(s.deficit for s in weights._information_sets(code)))
+        assume(code.k and any(weights._code_stack(code).deficits))
         _check_scan_against_naive(code, naive.distribution([r.entries() for r in code.basis]))
 
     def test_self_dual_specs(self):
@@ -473,30 +520,54 @@ def _greedy_sets(code):
         rows, pivots = _rref_rows(code.basis, fresh + sorted(used))
 
 
-def _sets(code):
-    return [(list(rows), list(pivots), deficit)
-            for rows, pivots, deficit in weights._systematic_bases(code)]
+def _packed(code):
+    """The stack of one of _greedy_sets, packed by hand for a code of length
+    at most 64: the reference the closed form is checked against."""
+    assert code.n <= 64
+    sets = _greedy_sets(code)
+    lo, hi = (np.array([[[[getattr(r, p)] for r in rows]] for rows, _, _ in sets], dtype=np.uint64)
+              for p in ("_lo", "_hi"))
+    masks = np.array([[sum(1 << p for p in pivots)] for _, pivots, _ in sets], dtype=np.uint64)
+    return weights._Stack(code.n, lo, hi, [deficit for *_, deficit in sets], masks, 0)
 
 
-def _check_packed(code):
-    for iset, (rows, pivots, deficit) in zip(weights._information_sets(code), _sets(code)):
-        assert [[int(x) for x in lane] for lane in iset.lo] == [[r._lo] for r in rows]
-        assert [[int(x) for x in lane] for lane in iset.hi] == [[r._hi] for r in rows]
-        assert (iset.pivots, iset.deficit) == (pivots, deficit)
-        assert int(iset.pivot_mask[0]) == sum(1 << p for p in pivots)
+def _assert_same_sets(stack, want):
+    """Two stacks of one hold the same sets: planes, pivots and deficits."""
+    assert (stack.n, stack.deficits) == (want.n, want.deficits)
+    for got, ref in ((stack.lo, want.lo), (stack.hi, want.hi), (stack.pivot_masks, want.pivot_masks)):
+        assert np.array_equal(got, ref)
+
+
+def _pivots_first(code):
+    """A Code copy of code with its columns reordered pivots first."""
+    pivots = set(code.pivots)
+    perm = list(code.pivots) + [c for c in range(code.n) if c not in pivots]
+    return Code(code.n, [Gf3Vector([r[p] for p in perm]) for r in code.basis])
+
+
+def _d_and_counts(stack):
+    """d, A_d and A_{d+3} of a stack of one, by its covering scans alone."""
+    scan = weights._stack_counts(stack, stack.n, floor=1, least=True)
+    d = int(scan.weight[0])
+    return d, int(scan.count[0]), int(weights._stack_counts(stack, d + 3, floor=1).count[0])
 
 
 class TestInformationSets:
-    """The closed-form second basis of self-dual codes against the greedy
-    row reduction it replaces."""
+    """The closed-form stack of self-dual codes (weights._code_stack through
+    weights._tile_stack) against the greedy row reduction (_greedy_sets),
+    which other codes still take."""
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_self_dual_specs(self, m):
+        # pivots 0 .. 3m - 1, so the closed form needs no reordering
         for spec in _self_dual_pool(m):
             code = build_generator(spec)
             assert code.is_self_dual()
-            assert _sets(code) == _greedy_sets(code)
-            assert [s[1] for s in _sets(code)] == [list(range(3 * m)), list(range(3 * m, 6 * m))]
+            ref = _packed(code)
+            halves = [(1 << 3 * m) - 1, (1 << 6 * m) - (1 << 3 * m)]
+            assert ref.pivot_masks[:, 0].tolist() == halves
+            _assert_same_sets(weights._code_stack(code), ref)
+            assert weights._code_stack(code).width == m
 
     @given(st.integers(0, 2**32))
     def test_neighbors(self, registry, seed):
@@ -507,30 +578,38 @@ class TestInformationSets:
             if x.weight() % 3 == 0 and not base.contains(x):
                 break
         code = neighbor(base, x)
-        assert _sets(code) == _greedy_sets(code)
-        assert [s[2] for s in _sets(code)] == [0, 0]
+        stack = weights._code_stack(code)
+        assert stack.width == 0 and _packed(code).deficits == [0, 0]
+        _assert_same_sets(stack, _packed(_pivots_first(code)))
+        assert _d_and_counts(stack) == _d_and_counts(_packed(_permuted(code, rng)))
 
     @pytest.mark.parametrize("q", [None, 5, 11, 17, 23])
     def test_qr48_and_pless_codes(self, q):
+        # pivots 0 .. k - 1, so the closed form needs no reordering
         code = extended_qr48() if q is None else pless_symmetry(q)
-        assert code.is_self_dual()
-        assert _sets(code) == _greedy_sets(code)
-        _check_packed(code)
+        assert code.is_self_dual() and code.pivots == tuple(range(code.k))
+        stack = weights._code_stack(code)
+        assert stack.width == 0
+        _assert_same_sets(stack, _packed(code))
+        if code.n <= 24:
+            assert _d_and_counts(stack) == _d_and_counts(_packed(_permuted(code, random.Random(q))))
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_d_prune_subcodes_take_the_greedy_path(self, monkeypatch, m):
-        # the [6m, m] subcodes of the search's d-prune are not self-dual
-        def refuse(code):
-            raise AssertionError("closed form used on a code that is not self-dual")
+        # the [6m, m] subcodes of the search's d-prune are not self-dual,
+        # which their shape shows without a self-duality check
+        def refuse(*args):
+            raise AssertionError("closed form tried on a code that is not self-dual")
 
-        monkeypatch.setattr(weights, "_dual_rows", refuse)
+        monkeypatch.setattr(weights, "_tile_stack", refuse)
+        monkeypatch.setattr(Code, "is_self_dual", refuse)
         rng = random.Random(m)
         for _ in range(10):
             r1 = Gf3Vector([rng.randrange(3) for _ in range(3 * m)])
             code = _code_from_echelon(6 * m, _systematic_rows(m, [r1]))
-            assert not code.is_self_dual()
-            assert _sets(code) == _greedy_sets(code)
-            _check_packed(code)
+            stack = weights._code_stack(code)
+            assert stack.width == 0
+            _assert_same_sets(stack, _packed(code))
 
     def test_self_dual_is_cached(self, registry):
         code = build_generator(registry.entry("C1").spec)
@@ -585,7 +664,7 @@ class TestLaneEdges:
     def test_generic_path(self, n):
         rng = random.Random(n)
         code, _ = _random_code(rng, n, 5)
-        assert not weights._orbit_width(code)
+        assert not _width(code)
         assert full_distribution(code).counts == naive.distribution([r.entries() for r in code.basis])
 
     @pytest.mark.parametrize("n", [64, 65, 70])
@@ -657,7 +736,7 @@ class TestOrbitSweep:
 
     def test_guard_prices_the_orbit_sweep(self, registry):
         code = registry.entry("C48").build()
-        assert weights._orbit_width(code) == 8
+        assert _width(code) == 8
         with pytest.raises(GuardError, match=r"411 x 3\^16 = 1\.77e\+10 of its 3\^24 "
                            r"codewords \(roughly 136s\)") as exc:
             full_distribution(code)
@@ -665,10 +744,12 @@ class TestOrbitSweep:
 
     def test_first_block_wider_than_half_the_basis(self):
         # a [12, 2] code with sigma as an automorphism and whole-block pivots,
-        # whose first half (one row) cannot hold the first block
+        # whose first half (one row) cannot hold the first block; no code of
+        # build_generator has that shape, so its width is recorded by hand
         rows = [Gf3Vector([1, 0, 1, 0] + [0] * 8), Gf3Vector([0, 1, 0, 1] + [0] * 8)]
         code = Code(12, rows)
-        assert weights._orbit_width(code) == 2
+        assert naive.orbit_width([r.entries() for r in rows]) == 2
+        code._cache["orbit_width"] = 2
         _check_sweep_against_generic(code, 0)
 
     # words of weight 9: eight times beta for the near-extremal C1-C4, none
@@ -677,7 +758,7 @@ class TestOrbitSweep:
         ("C1", 48), ("C2", 56), ("C3", 80), ("C4", 728), ("C36", 0)])
     def test_stored_length36_specs_match_their_family_member(self, registry, label, alpha):
         code = registry.entry(label).build()
-        assert weights._orbit_width(code) == 6
+        assert _width(code) == 6
         want = near_extremal_family(36).at(alpha)
         got = full_distribution(code).counts
         assert [got.get(e, 0) for e in range(37)] == [want.coefficient(e) for e in range(37)]
