@@ -233,19 +233,15 @@ class BlockTransform:
 
 def apply_transform(spec: CodeSpec, t: BlockTransform) -> CodeSpec:
     n = spec.block_size
-    rows = list(spec.rows)
+    rows = spec.rows
     if t.kind == "scale_rows":
         new = [r.scale(u) for r, u in zip(rows, t.units)]
-    elif t.kind == "scale_columns":
-        new = []
-        for r in rows:
-            parts = [r.block(j, n).scale(t.units[j]) for j in range(3)]
-            new.append(parts[0].concat(parts[1]).concat(parts[2]))
     elif t.kind == "permute_rows":
-        new = [rows[t.perm[i]] for i in range(3)]
-    else:  # permute_columns
-        new = []
-        for r in rows:
-            parts = [r.block(t.perm[j], n) for j in range(3)]
-            new.append(parts[0].concat(parts[1]).concat(parts[2]))
-    return CodeSpec(n, new[0], new[1], new[2])
+        new = [rows[p] for p in t.perm]
+    else:  # a column move acts on the blocks of every row alike
+        if t.kind == "scale_columns":
+            parts = [[r.block(j, n).scale(u) for j, u in enumerate(t.units)] for r in rows]
+        else:
+            parts = [[r.block(p, n) for p in t.perm] for r in rows]
+        new = [a.concat(b).concat(c) for a, b, c in parts]
+    return CodeSpec(n, *new)

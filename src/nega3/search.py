@@ -1,39 +1,24 @@
 """Candidate enumeration and verified search over the reduced parameter space.
 
-The search walks triples (r1, r2, r3) of first rows.  Structural constraints
-cut the space down hard before any linear algebra happens:
+Exhaustive mode walks triples (r1, r2, r3) of first rows.  Structural
+constraints cut the space down hard before any linear algebra happens:
 
 - r1 is assembled from a pool of width-n blocks that are zero or start
   with 1, in non-increasing f-value order (f reads a vector as a base-3
   integer, first entry least significant);
-- every row must have weight congruent to 2 mod 3 and at least d - 1;
-- r2 is drawn from the dual of the block rows of r1, r3 from the dual of
-  the block rows of r1 and r2, and both pass one row predicate,
-  _admissible, tested on a whole numpy batch of rows at once: a leading 1,
-  the weight rule, f-value at most that of the previous row and, when the
-  search verifies, the diagonal Gram identity.
+- r2 is taken from the dual of the block rows of r1, r3 from the dual of
+  the block rows of r1 and r2 (_DualSpace, listed in ascending f order),
+  and both pass one batched row predicate, _admissible: a leading 1, weight
+  2 mod 3 and at least d - 1, f-value at most that of the row above and,
+  when the search verifies, the diagonal Gram identity.
 
-Dual spaces are echelonized with pivots taken from the high end, so that
-counting in base 3 over the coefficients visits dual vectors in exactly
-ascending f order, and an f-value ceiling is a cut in that count, found by
-bisection.  Exhaustive mode builds one dual space per r1, D1, lists its
-members up to f(r1) in numpy batches and keeps the admissible ones, the r2
-list.  The r3 space of an r2 is D1 cut down to the rows orthogonal to r2's
-block rows, so the r3 of the i-th r2 are those of the first i + 1 rows of
-the list whose cross identity with it holds: one small product per r2, and
-no dual space of its own.  A sampled trial takes for r2, and then r3, the
-first admissible one of a bounded number of random draws from the dual of
-the rows above it, all tested in one batch.  Those draws are made
-in one numpy batch per row from the words of the trial's Mersenne Twister
-that a loop of scalar random.randrange(3) calls would read, and the
-generator is then advanced past the draws that loop would have made, so a
-sampled run is still a pure function of (plan, seed).  run_search
-additionally prunes r1 choices whose diagonal Gram identity fails and
-(exhaustive) whose n-row subcode already contains a word below the target
-weight, then verifies the survivors end to end from their first rows, with
-no Code built: a batch of specs takes one gather for their M, one product
-to check M M^T = -I, and one covering scan of (I | M) and (-M^T | I) that
-settles d and the count at d (weights._tile_stack, weights._settle).
+A sampled trial draws one self-dual M uniformly in the ring R_n
+(_ring_draw) and moves it into the exhaustive walk's row form where a block
+move can (_walk_form).  Both modes verify their specs from the first rows
+alone, with no Code built: a batch of specs takes one gather for their M,
+one product to check M M^T = -I, and one covering scan of (I | M) and
+(-M^T | I) that settles d and the count at d (weights._tile_stack,
+weights._settle).
 
 A run is a sequence of work units: one r1 in exhaustive mode, keyed by
 f(r1), one trial in sampled mode, each trial drawing from its own generator
@@ -59,9 +44,9 @@ import logging
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,10 +60,12 @@ from .errors import (
 )
 from .gf3 import Code, Gf3Vector, _code_from_echelon, _dual_rows
 from .nega import (
+    BlockTransform,
     CodeSpec,
     _block_gram,
     _block_rows,
     _systematic_rows,
+    apply_transform,
     block_row_vectors,
     f_value,
     row_gram_is_two,
@@ -90,8 +77,7 @@ from .weights import (_CHUNK, _STACK, _clears, _orbit_shape, _settle, _tile_stac
 
 log = logging.getLogger(__name__)
 
-_SAMPLE_TRIES_R1 = 64
-_SAMPLE_TRIES_R23 = 1024
+_STALL = 1000  # empty batches of a row draw, or short rounds of sweep seeds
 
 
 @dataclass(frozen=True)
@@ -135,14 +121,7 @@ class SearchPlan:
         return base + 3 if self.target == "extremal" else base
 
     def to_dict(self) -> dict:
-        return {
-            "block_size": self.block_size,
-            "target": self.target,
-            "mode": self.mode,
-            "seed": self.seed,
-            "partition": list(self.partition),
-            "budget": self.budget,
-        }
+        return {**asdict(self), "partition": list(self.partition)}
 
 
 @dataclass(frozen=True)
@@ -187,54 +166,28 @@ class Finding:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Finding":
-        spec = None
-        if "r1" in rec:
-            spec = CodeSpec.from_entry_rows([rec["r1"], rec["r2"], rec["r3"]])
-        return cls(
-            kind=rec["kind"],
-            n=rec["n"],
-            d=rec["d"],
-            alpha=rec["alpha"],
-            beta=rec["beta"],
-            novelty=rec["novelty"],
-            sets=tuple(rec.get("sets", ())),
-            spec=spec,
-            x=tuple(rec["x"]) if "x" in rec else None,
-            parent=rec.get("parent"),
-        )
+        spec = CodeSpec.from_entry_rows([rec["r1"], rec["r2"], rec["r3"]]) if "r1" in rec else None
+        return cls(kind=rec["kind"], n=rec["n"], d=rec["d"], alpha=rec["alpha"], beta=rec["beta"],
+                   novelty=rec["novelty"], sets=tuple(rec.get("sets", ())), spec=spec,
+                   x=tuple(rec["x"]) if "x" in rec else None, parent=rec.get("parent"))
 
 
 def read_findings(lines) -> list[Finding]:
     """Parse a findings stream (JSON lines, blanks ignored) back into
     Finding objects.  Inverse of printing to_record() one per line."""
-    out = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            out.append(Finding.from_record(json.loads(line)))
-    return out
+    return [Finding.from_record(json.loads(line)) for line in lines if line.strip()]
 
 
 # -- building blocks ----------------------------------------------------------
 
 
-class _PoolVec(NamedTuple):
-    f: int
-    vec: Gf3Vector
-    weight: int
-
-
 @functools.cache
-def _block_pool(m: int) -> tuple[_PoolVec, ...]:
-    """All width-m vectors allowed as r1 blocks (zero or leading 1), in
-    ascending f order.  Cached: every sampled trial draws from it."""
-    pool = []
-    for f in range(3**m):
-        v = vector_from_f(m, f)
-        nz = v.first_nonzero()
-        if nz is None or nz[1] == 1:
-            pool.append(_PoolVec(f, v, v.weight()))
-    return tuple(pool)
+def _block_pool(m: int) -> tuple[tuple[int, int], ...]:
+    """(f, weight) of every width-m vector allowed as an r1 block (zero or
+    leading 1), in ascending f order: the exhaustive r1 are its
+    non-increasing triples."""
+    return tuple((f, v.weight()) for f in range(3**m) for v in [vector_from_f(m, f)]
+                 if (v.first_nonzero() or (0, 1))[1] == 1)
 
 
 class _DualSpace:
@@ -247,8 +200,7 @@ class _DualSpace:
     number k, whose base-3 digit j is the coefficient of basis[t - 1 - j],
     has f-value strictly rising in k: the coefficient counter is the f
     order.  Exhaustive mode takes a prefix of that order in batches
-    (members); a sampled trial takes its random members in one batch
-    (draws)."""
+    (members)."""
 
     def __init__(self, span_rows: Sequence[Gf3Vector], width: int):
         self.width = width
@@ -294,35 +246,6 @@ class _DualSpace:
             high = np.array(self.member(start).entries(), np.int8)  # low digits 0
             yield (low[: count - start] + high) % 3
 
-    def draws(self, rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """count random dual members as a (count, width) array of entries,
-        and for each the number of rng's 32-bit words read up to its end.
-
-        Member i is the sum of c_ij * basis[j], one coefficient per basis
-        row, member after member.  A coefficient is the top two bits of one
-        word, redrawn on 3, which is how CPython's random.randrange(3)
-        reads the words, so the batch is what a loop of randrange draws
-        gives.  The words are only peeked: rng is left as it was, for the
-        caller to advance past the draws it used.
-        """
-        t = len(self.basis)
-        need = count * t
-        state = rng.getstate()
-        top = np.empty(0, np.uint8)
-        pos = np.empty(0, np.intp)
-        while len(pos) < need:
-            w = (need - len(pos)) * 4 // 3 + 16  # a quarter of the words are redrawn
-            words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4")
-            top = np.concatenate((top, (words >> 30).astype(np.uint8)))
-            pos = np.flatnonzero(top != 3)
-        rng.setstate(state)
-        coeffs = top[pos[:need]].reshape(count, t)
-        basis = np.array([u.entries() for u in self.basis], np.int8).reshape(t, self.width)
-        ends = pos[t - 1:need:t] + 1 if t else np.zeros(count, np.intp)
-        # one BLAS product: its sums are at most 4t, exact in float32 and int16
-        vals = np.matmul(coeffs, basis, dtype=np.float32).astype(np.int16) % 3
-        return vals.astype(np.int8), ends
-
 
 def _weight_passes(w, d: int):
     """The row-weight rule, 2 mod 3 and at least d - 1, for one weight or
@@ -353,21 +276,6 @@ def _admissible(vals: np.ndarray, d: int, limit: int, m: int) -> np.ndarray:
     return ok
 
 
-def _sample_row(space: _DualSpace, rng: random.Random, d: int, limit: int,
-                m: int) -> np.ndarray | None:
-    """The entries of the first of _SAMPLE_TRIES_R23 random members of space
-    to pass the row predicate (_admissible, with the Gram identity for
-    m > 0), or None.  rng ends past the draws up to the one taken, or past
-    all of them: where a loop of scalar randrange draws would leave it.
-    The row is a copy, so a spec that keeps it does not keep the draws.
-    """
-    vals, ends = space.draws(rng, _SAMPLE_TRIES_R23)
-    hits = np.flatnonzero(_admissible(vals, d, limit, m))
-    i = hits[0] if len(hits) else -1
-    rng.getrandbits(32 * int(ends[i]))
-    return vals[i].copy() if len(hits) else None
-
-
 def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
     """Whether the subcode spanned by the n full generator rows built from
     r1 clears the target weight.  Those rows are (e_i | block row i), so the
@@ -375,6 +283,91 @@ def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
     them."""
     subcode = _code_from_echelon(6 * m, _systematic_rows(m, [spec_r1]))
     return _clears(subcode, d)
+
+
+# -- the ring draw of a sampled trial -----------------------------------------
+#
+# Over R_n a self-dual M has rows with <r_i, r_j> = 2 [i == j] for the
+# Hermitian form <a, b> = sum_t a_t b_t^* (nega._block_gram).  As <r, r> =
+# 2 = -1, v -> v + sum_i <v, r_i> r_i maps R_n^3 evenly onto the complement
+# of the rows taken; as 2 is a unit, Witt's theorem gives every norm-2 row
+# the same number of completions.  So r1, r2, r3, each uniform among the
+# norm-2 rows of its complement, make M uniform among all self-dual M.
+
+
+def _trits(rng: random.Random, count: int) -> np.ndarray:
+    """count uniform entries of GF(3) as int8: rng's bytes below 255, mod 3."""
+    out = np.empty(0, np.uint8)
+    while len(out) < count:
+        raw = np.frombuffer(rng.randbytes(count - len(out) + count // 64 + 8), np.uint8)
+        out = np.concatenate((out, raw[raw < 255]))
+    return (out[:count] % 3).astype(np.int8)
+
+
+def _ring_row(rng: random.Random, n: int, taken: list[np.ndarray]) -> np.ndarray:
+    """A uniform int8 first row of norm 2 orthogonal to the rows taken: the
+    first to pass of a batch of projected uniform rows, about twice
+    3^(n/2), the inverse share of norm 2, capped at 4 MB of block rows.
+    _STALL empty batches raise InternalInconsistencyError."""
+    size = min(2 * 3 ** (n // 2), 2**22 // (3 * n * n))
+    for _ in range(_STALL):
+        v = _trits(rng, size * 3 * n).reshape(size, 3 * n)
+        for r in taken:  # sums of n products up to 4: exact in float32 and int16
+            shift = np.matmul(_block_gram(v, r, n), _block_rows(r, n), dtype=np.float32)
+            v = ((v + shift.astype(np.int16)) % 3).astype(np.int8)
+        v = v[np.count_nonzero(v, axis=1) % 3 == 2]  # the norm's constant term
+        norm = _block_gram(v, v, n)
+        hits = np.flatnonzero((norm[:, 0] == 2) & ~norm[:, 1:].any(axis=1))
+        if len(hits):
+            return v[hits[0]].copy()
+    raise InternalInconsistencyError(f"no row of norm 2 in {_STALL} batches at n = {n}")
+
+
+def _ring_draw(rng: random.Random, n: int) -> CodeSpec:
+    """A uniform self-dual spec: r1, r2, r3 drawn in turn by _ring_row."""
+    rows: list[np.ndarray] = []
+    for _ in range(3):
+        rows.append(_ring_row(rng, n, rows))
+    return CodeSpec.from_entry_rows([r.tolist() for r in rows])
+
+
+def _walk_form(spec: CodeSpec) -> CodeSpec:
+    """A self-dual spec moved by BlockTransform moves into the exhaustive
+    walk's row form, the least such in (f(r1), f(r2), f(r3)), or the spec
+    itself where no move reaches it.  The form: r1's blocks each zero or
+    leading with 1, in non-increasing f order; r2 and r3 leading with 1;
+    f(r3) < f(r2) <= f(r1).
+
+    A move scales and permutes the block columns, then permutes and scales
+    the rows.  With row i taken to r1 at row scale 1, its nonzero blocks fix
+    their column scales (their leading entries), its zero blocks leave
+    theirs free, and the column permutations are those that sort its
+    blocks; the other rows are then scaled to lead with 1 and ordered by f."""
+    n = spec.block_size
+    best = None
+    for i, row in enumerate(spec.rows):
+        blocks = [row.block(j, n) for j in range(3)]
+        leads = [(b.first_nonzero() or (0, 0))[1] for b in blocks]
+        for units in itertools.product((1, 2), repeat=3):
+            if any(lead and u != lead for lead, u in zip(leads, units)):
+                continue
+            tops = [f_value(b.scale(u)) for b, u in zip(blocks, units)]
+            for perm in itertools.permutations(range(3)):
+                if not tops[perm[0]] >= tops[perm[1]] >= tops[perm[2]]:
+                    continue
+                cols = apply_transform(spec, BlockTransform("scale_columns", units=units))
+                cols = apply_transform(cols, BlockTransform("permute_columns", perm=perm))
+                scales = [r.first_nonzero()[1] for r in cols.rows]
+                fs = [f_value(r.scale(u)) for r, u in zip(cols.rows, scales)]
+                order = (i, *sorted({0, 1, 2} - {i}, key=fs.__getitem__, reverse=True))
+                key = [fs[k] for k in order]
+                if key[2] < key[1] <= key[0] and (best is None or key < best[0]):
+                    best = key, cols, order, tuple(scales[k] for k in order)
+    if best is None:
+        return spec
+    _, cols, order, scales = best
+    cols = apply_transform(cols, BlockTransform("permute_rows", perm=order))
+    return apply_transform(cols, BlockTransform("scale_rows", units=scales))
 
 
 # -- work units -----------------------------------------------------------------
@@ -393,11 +386,11 @@ def _units(plan: SearchPlan) -> Iterator[int]:
     d = plan.target_min_weight
     shift = 3**m
     rank = 0
-    for x, y, z in itertools.combinations_with_replacement(_block_pool(m), 3):
-        if not _weight_passes(x.weight + y.weight + z.weight, d):
+    for (xf, xw), (yf, yw), (zf, zw) in itertools.combinations_with_replacement(_block_pool(m), 3):
+        if not _weight_passes(xw + yw + zw, d):
             continue
         if rank % total == index:
-            yield z.f + shift * y.f + shift * shift * x.f  # blocks z, y, x: non-increasing f
+            yield zf + shift * yf + shift * shift * xf  # blocks z, y, x: non-increasing f
         rank += 1
 
 
@@ -416,61 +409,34 @@ def _unit_specs(plan: SearchPlan, unit: int, *,
     i-th are those of the first i + 1 whose cross identity with it,
     nega._block_gram(r3, r2, m) = 0, holds.
 
-    A sampled trial draws r1 from the block pool with the generator seeded
-    by (plan seed, unit), redrawn on a failed weight or Gram check at most
-    _SAMPLE_TRIES_R1 times, then takes the first admissible one of at most
-    _SAMPLE_TRIES_R23 random dual members for r2, and again for r3
-    (_sample_row: one batch of draws each, tested by _admissible, after
-    which the generator stands where the scalar draws would leave it).
-
     verified adds the diagonal Gram prune to every row (the block size m
-    that _admissible takes, 0 without it) and, in exhaustive mode, the
-    minimum-weight prune of r1 (sound: they only drop candidates that
-    could never verify).
+    that _admissible takes, 0 without it) and the minimum-weight prune of
+    r1 (sound: they only drop candidates that could never verify).
+
+    A sampled trial yields one spec, self-dual by construction: drawn with
+    the generator seeded by (plan seed, unit) (_ring_draw), and moved into
+    the walk's row form where a move reaches it (_walk_form).
     """
     m = plan.block_size
+    if plan.mode == "sampled":
+        if m % 2 == 0:  # at odd m, length 6 mod 12, no draw would ever end
+            spec = _walk_form(_ring_draw(random.Random(f"{plan.seed}:{unit}"), m))
+            yield spec, tuple(np.array(r.entries(), np.int8) for r in spec.rows)
+        return
     width = 3 * m
     d = plan.target_min_weight
     gram = m if verified else 0  # the block size of the rows' Gram identity
-    if plan.mode == "exhaustive":
-        r1 = vector_from_f(width, unit)
-        if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
-            return
-        row1 = np.array(r1.entries(), np.int8)
-        rows = np.concatenate([vals[_admissible(vals, d, unit, gram)] for vals
-                               in _DualSpace(block_row_vectors(m, r1), width).members(unit)])
-        vecs = [Gf3Vector(r) for r in rows.tolist()]
-        for i, r2 in enumerate(vecs):
-            cross = _block_gram(rows[: i + 1], rows[i], m)
-            for k in np.flatnonzero(~cross.any(axis=1)):
-                yield CodeSpec(m, r1, r2, vecs[k]), (row1, rows[i], rows[k])
+    r1 = vector_from_f(width, unit)
+    if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
         return
-
-    rng = random.Random(f"{plan.seed}:{unit}")
-    pool = _block_pool(m)
-    for _ in range(_SAMPLE_TRIES_R1):  # three blocks in non-increasing f order
-        picks = sorted(
-            (pool[rng.randrange(len(pool))] for _ in range(3)),
-            key=lambda p: p.f,
-            reverse=True,
-        )
-        r1 = picks[0].vec.concat(picks[1].vec).concat(picks[2].vec)
-        if _weight_passes(sum(p.weight for p in picks), d) and (
-                not verified or row_gram_is_two(m, r1)):
-            break
-    else:
-        return
-
-    span1 = block_row_vectors(m, r1)
-    row2 = _sample_row(_DualSpace(span1, width), rng, d, f_value(r1), gram)
-    if row2 is None:
-        return
-    r2 = Gf3Vector(row2.tolist())
-    space = _DualSpace(span1 + block_row_vectors(m, r2), width)
-    row3 = _sample_row(space, rng, d, f_value(r2), gram)
-    if row3 is not None:
-        yield (CodeSpec(m, r1, r2, Gf3Vector(row3.tolist())),
-               (np.array(r1.entries(), np.int8), row2, row3))
+    row1 = np.array(r1.entries(), np.int8)
+    rows = np.concatenate([vals[_admissible(vals, d, unit, gram)] for vals
+                           in _DualSpace(block_row_vectors(m, r1), width).members(unit)])
+    vecs = [Gf3Vector(r) for r in rows.tolist()]
+    for i, r2 in enumerate(vecs):
+        cross = _block_gram(rows[: i + 1], rows[i], m)
+        for k in np.flatnonzero(~cross.any(axis=1)):
+            yield CodeSpec(m, r1, r2, vecs[k]), (row1, rows[i], rows[k])
 
 
 # -- public operations ----------------------------------------------------------
@@ -481,7 +447,8 @@ def enumerate_candidates(plan: SearchPlan) -> Iterator[CodeSpec]:
 
     No self-duality or weight filtering happens here; exhaustive mode covers
     the plan's partition completely in ascending (f(r1), f(r2), f(r3))
-    order, sampled mode draws with the plan's seeded generator.
+    order.  Sampled mode yields each trial's ring draw (_unit_specs), which
+    is self-dual by construction; at odd block sizes it yields nothing.
     """
     for unit in _units(plan):
         yield from (spec for spec, _ in _unit_specs(plan, unit, verified=False))
@@ -581,10 +548,13 @@ def _write_line(path: Path, doc: dict) -> None:
 class _CheckpointLog:
     """The append-only checkpoint of a run; with no path it records nothing.
 
-    The first line is the header {"version": 2, "plan": ...}.  Each merged
-    unit appends and flushes one line {"unit": ..., "findings": [...]}, the
-    unit being f(r1) (exhaustive) or the trial index (sampled), so a killed
-    run loses only the units not yet merged.  A finished run's log is
+    The first line is the header {"version": 2, "plan": ...}, with
+    "draw": "ring" for a sampled run: a sampled log without it was written
+    by the rejection sampler that the ring draw replaced, and is refused
+    like one for another plan.  Each merged unit appends and flushes one
+    line {"unit": ..., "findings": [...]}, the unit being f(r1)
+    (exhaustive) or the trial index (sampled), so a killed run loses only
+    the units not yet merged.  A finished run's log is
     replaced by the one line {"version": 2, "plan": ..., "complete": true,
     "findings": [...]} holding the merged stream.  Reading validates the
     header; a final line torn by a kill is dropped, and cut off before the
@@ -594,6 +564,8 @@ class _CheckpointLog:
     def __init__(self, path: Path | None, plan: SearchPlan):
         self.path = path
         self.header = {"version": 2, "plan": plan.to_dict()}
+        if plan.mode == "sampled":
+            self.header["draw"] = "ring"
         self.done: dict[int, list[dict]] = {}
         self.complete: list[dict] | None = None
         self._end = 0  # bytes up to the end of the last whole line
@@ -613,6 +585,8 @@ class _CheckpointLog:
             raise ValueError(
                 f"checkpoint {path} was written for a different plan: {header.get('plan')}"
             )
+        if header.get("draw") != self.header.get("draw"):
+            raise ValueError(f"checkpoint {path} holds trials of the rejection sampler")
         if header.get("complete"):
             self.complete = header["findings"]
         for line in lines[1:]:
@@ -706,8 +680,9 @@ def run_search(
     file, and any worker count, replays the logged units and computes only
     the rest, so the stream is the uninterrupted one; a complete log
     replays the finished stream without running a unit.  A checkpoint
-    written for another plan or in an unknown format and workers < 1 are
-    refused when run_search is called, before any work starts.
+    written for another plan, in an unknown format or by the rejection
+    sampler, and workers < 1, are refused when run_search is called,
+    before any work starts.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -726,8 +701,9 @@ def run_search(
 # -- neighbors ------------------------------------------------------------------
 
 
-def _neighbors(c: Code, xs: list[Gf3Vector]) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbors <x> + (c & x^perp) of a self-dual c for the seeds x:
+def _neighbors(c: Code, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbors <x> + (c & x^perp) of a self-dual c for the seeds x,
+    the rows of an int16 array shaped (seeds, n) over {0, 1, 2}:
     their bases, shaped (seeds, k, n), and the A of their forms (I | A) up
     to a column permutation, shaped (seeds, k, k), over {0, 1, 2}.
 
@@ -738,7 +714,6 @@ def _neighbors(c: Code, xs: list[Gf3Vector]) -> tuple[np.ndarray, np.ndarray]:
     and takes row p: the identity is now on P with p swapped for q.  A zero
     syndrome puts x in c, its own dual: NeighborMembershipError.  The
     identity and A A^T = -I (self-duality) are checked for the whole batch."""
-    seeds = np.array([x.entries() for x in xs], np.int16).reshape(len(xs), c.n)
     basis = np.array([r.entries() for r in c.basis], np.int16).reshape(c.k, c.n)
     s = seeds @ basis.T % 3  # int16 sums of at most 4n
     if not s.any(axis=1).all():
@@ -773,7 +748,7 @@ def neighbor(c: Code, x: Gf3Vector) -> Code:
         raise NeighborWeightError(f"wt(x) = {x.weight()} is not divisible by 3")
     if not c.is_self_dual():
         raise NeighborCodeError("base code is not self-dual")
-    rows, _ = _neighbors(c, [x])
+    rows, _ = _neighbors(c, np.array([x.entries()], np.int16))
     return Code(c.n, [Gf3Vector(r) for r in rows[0].tolist()])
 
 
@@ -791,7 +766,8 @@ def neighbor_sweep(
     divisible by 3 and outside c, by rejection; the stream is a pure
     function of (c, budget, seed).
 
-    Seeds are drawn a window of _STACK at a time.  A window's neighbors are
+    Seeds are drawn a window of _STACK at a time, tested as one batch of
+    peeked generator values (_neighbor_seeds).  A window's neighbors are
     built in one update of c's basis (_neighbors), with no Code each, and
     settled in one closed-form stack of their (I | A) forms, without orbits
     (weights._tile_stack); the window's findings are then yielded in draw
@@ -808,26 +784,52 @@ def neighbor_sweep(
         registry = load_registry()
     d = near_extremal_weight(c.n) if target == "near-extremal" else ms_bound(c.n)
     rng = random.Random(f"{seed}")
-    windows = ([_neighbor_seed(c, rng) for _ in range(min(_STACK, budget - start))]
+    windows = (_neighbor_seeds(c, rng, min(_STACK, budget - start))
                for start in range(0, budget, _STACK))
-    return (make_finding(registry, "neighbor", c.n, d, alpha, x=tuple(x.entries()),
+    return (make_finding(registry, "neighbor", c.n, d, alpha, x=tuple(x.tolist()),
                          parent=parent_label)
             for seeds in windows
             for x, alpha in zip(seeds, _settle(_tile_stack(_neighbors(c, seeds)[1], 0), d))
             if alpha is not None)
 
 
-def _neighbor_seed(c: Code, rng: random.Random) -> Gf3Vector:
-    """A uniform random vector of weight divisible by 3 outside c, by
-    rejection."""
-    for _attempt in range(100000):
-        x = Gf3Vector(rng.randrange(3) for _ in range(c.n))
-        if x.weight() % 3 != 0:
-            continue
-        if c.contains(x):
-            log.debug("rejected x inside the code")
-            continue
-        return x
+def _randrange3(rng: random.Random, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next count values of rng.randrange(3), as uint8, and for each the
+    number of rng's 32-bit words read up to it.  CPython's randrange(3)
+    takes a word's top two bits and redraws on 3.  The words are only
+    peeked: rng is left as it was, for the caller to advance."""
+    state = rng.getstate()
+    top = np.empty(0, np.uint8)
+    pos = np.empty(0, np.intp)
+    while len(pos) < count:
+        w = (count - len(pos)) * 4 // 3 + 16  # a quarter of the words are redrawn
+        words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w, "little"), "<u4")
+        top = np.concatenate((top, (words >> 30).astype(np.uint8)))
+        pos = np.flatnonzero(top != 3)
+    rng.setstate(state)
+    return top[pos[:count]], pos[:count] + 1
+
+
+def _neighbor_seeds(c: Code, rng: random.Random, count: int) -> np.ndarray:
+    """The next count seeds, shaped (count, n) in int16, that a loop of one
+    rng.randrange(3) per entry draws, redrawn on weight not divisible by 3
+    or on a zero syndrome x G^T (x in c, its own dual), with rng left where
+    that loop leaves it.  Each round tests the peeked values of about four
+    attempts per seed still wanted; _STALL rounds raise
+    InternalInconsistencyError."""
+    basis = np.array([r.entries() for r in c.basis], np.int16).reshape(c.k, c.n)
+    seeds = np.empty((0, c.n), np.int16)
+    for _ in range(_STALL):
+        want = count - len(seeds)
+        values, ends = _randrange3(rng, (4 * want + 16) * c.n)
+        xs = values.reshape(-1, c.n).astype(np.int16)
+        ok = (np.count_nonzero(xs, axis=1) % 3 == 0) & (xs @ basis.T % 3).any(axis=1)
+        hits = np.flatnonzero(ok)[:want]
+        seeds = np.concatenate((seeds, xs[hits]))
+        used = hits[-1] + 1 if len(seeds) == count else len(xs)  # the loop's attempts
+        rng.getrandbits(32 * int(ends[used * c.n - 1]))
+        if len(seeds) == count:
+            return seeds
     raise InternalInconsistencyError("rejection sampling stalled")
 
 

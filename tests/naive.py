@@ -67,18 +67,6 @@ def vector_from_f(f, width):
     return [(f // 3**i) % 3 for i in range(width)]
 
 
-def random_member(basis, width, rng):
-    """A random vector of the span of basis: one rng.randrange(3)
-    coefficient per basis row, in order.  The scalar loop whose draws the
-    sampled search takes in one batch."""
-    v = [0] * width
-    for u in basis:
-        c = rng.randrange(3)
-        if c:
-            v = vadd(v, vscale(u, c))
-    return v
-
-
 def rank(rows):
     """Rank over GF(3) by textbook elimination."""
     rs = [list(r) for r in rows if any(r)]
@@ -388,3 +376,36 @@ def reduced_space_findings(m, d):
                 if gram_is_zero(gen) and min_weight(gen) == d:
                     verified.append((tuple(r1), tuple(r2), tuple(r3)))
     return structural, verified
+
+
+def block_moves(m, rows):
+    """The images of three first rows under all 2,304 block moves: the
+    three block columns scaled by units and permuted, then the rows scaled
+    by units and permuted."""
+    for col_units in itertools.product((1, 2), repeat=3):
+        for col_perm in itertools.permutations(range(3)):
+            cols = [sum((vscale(r[p * m:(p + 1) * m], col_units[p]) for p in col_perm), [])
+                    for r in rows]
+            for row_units in itertools.product((1, 2), repeat=3):
+                for row_perm in itertools.permutations(range(3)):
+                    yield [vscale(cols[k], row_units[k]) for k in row_perm]
+
+
+def in_walk_form(m, rows):
+    """The exhaustive walk's row form: r1's blocks each zero or leading
+    with 1, in non-increasing f order; r2 and r3 nonzero and leading with 1;
+    f(r3) < f(r2) <= f(r1)."""
+    r1, r2, r3 = rows
+    fb = [f_value(r1[j * m:(j + 1) * m]) for j in range(3)]
+    return (all(leads_with_one(r1[j * m:(j + 1) * m]) for j in range(3))
+            and fb[0] >= fb[1] >= fb[2]
+            and any(r2) and any(r3) and leads_with_one(r2) and leads_with_one(r3)
+            and f_value(r3) < f_value(r2) <= f_value(r1))
+
+
+def walk_form(m, rows):
+    """The image in walk form least in (f(r1), f(r2), f(r3)) among all
+    block moves of rows, or None when no move reaches the form."""
+    forms = (img for img in block_moves(m, rows) if in_walk_form(m, img))
+    return min(forms, key=lambda img: [f_value(r) for r in img], default=None)
+

@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import naive
 import pytest
 
 from nega3 import build_generator, is_self_dual, min_weight, read_findings
@@ -181,14 +182,20 @@ class TestSearch:
         assert err == "usage error: block size must be positive\n"
 
     def test_sampled_subset(self, capsys):
+        # a sampled finding in the exhaustive walk's row form is an
+        # exhaustive finding; no block move takes the others into that form
         rc, full_out, _ = run_cli(capsys, "search", "--n", "2")
         assert rc == 0
         rc, out, _ = run_cli(capsys, "search", "--n", "2", "--mode", "sampled",
                              "--seed", "4", "--budget", "60")
         assert rc == 0
-        sampled = {json.dumps(r, sort_keys=True) for r in map(json.loads, out.splitlines())}
+        records = [json.loads(line) for line in out.splitlines()]
         full = {json.dumps(r, sort_keys=True) for r in map(json.loads, full_out.splitlines())}
-        assert sampled <= full
+        walk = [r for r in records if naive.in_walk_form(2, [r["r1"], r["r2"], r["r3"]])]
+        assert {json.dumps(r, sort_keys=True) for r in walk} <= full
+        assert all(naive.walk_form(2, [r["r1"], r["r2"], r["r3"]]) is None
+                   for r in records if r not in walk)
+        assert 0 < len(walk) < len(records)
 
     def test_bad_partition(self, capsys):
         rc, _, err = run_cli(capsys, "search", "--n", "2", "--partition", "x")
@@ -197,20 +204,20 @@ class TestSearch:
 
     def test_sampled_stream_pinned(self, capsys):
         # the sha256 of a seeded sampled stream, so that a change to the
-        # sampler's draws cannot pass unseen; drawing r1 from a norm table
-        # (ROADMAP item 1(a)) will change it on purpose
+        # sampler's draws cannot pass unseen; pinned when the ring draw
+        # replaced the rejection sampler (7 findings before)
         rc, out, _ = run_cli(capsys, "search", "--n", "8", "--mode", "sampled",
                              "--seed", "1", "--budget", "150")
         assert rc == 0
-        assert len(out.splitlines()) == 7
+        assert len(out.splitlines()) == 71
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d035455e50ac8b44a6f755241bb6efed12a8e7440c6390bdb4f4fb423a939f7f")
+            "1c173001f42d47e6558b5a69d58e2b47e592b07f29abd3dd045249167520de31")
 
     @pytest.mark.parametrize("n, seed, budget, lines, digest", [
-        ("6", "0", "300", 125,
-         "06da5b4db48d8b6d97c0150a686f28a41ce5e88f0341235efb45cd4f921ded85"),
-        ("4", "3", "400", 102,
-         "6dd72b085dca215a85f0ed395e5d43e10168c3a3f3bbe918934cbdc2fe4d2993"),
+        ("6", "0", "300", 257,
+         "5daea932ff2b352b7043e1160b7e388deb3f6789c5f7001a17e873c6b130b02f"),
+        ("4", "3", "400", 370,
+         "18c04ea52d5b105e2e1e4f9c77f151b63ea6be2b8bd55c25a4b1b5907a1f420e"),
     ], ids=["n6-seed0", "n4-seed3"])
     def test_more_sampled_streams_pinned(self, capsys, n, seed, budget, lines, digest):
         rc, out, _ = run_cli(capsys, "search", "--n", n, "--mode", "sampled",
@@ -220,15 +227,15 @@ class TestSearch:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_length60_witness_rederived(self, capsys):
-        # trial 972 of the seed-1 campaign at n = 10 (row width 30) draws a
-        # d = 15 code whose beta lies in Gamma60,3
+        # trial 589 of the seed-1 campaign at n = 10 (row width
+        # 30) draws a d = 15 code whose beta lies in Gamma60,3
         rc, out, _ = run_cli(capsys, "search", "--n", "10", "--mode", "sampled",
-                             "--seed", "1", "--budget", "1500", "--partition", "972/1000")
+                             "--seed", "1", "--budget", "1500", "--partition", "589/1000")
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b9217f7569e8bd459329dca1bf5a237094fdfefd80b681f84ccd689156a4b7c1")
+            "28a7ccdebb8d5eeb73facdf17f434b2440b68dda3826a1b76af00604e41763c5")
         [witness] = read_findings(out.splitlines())
-        assert (witness.n, witness.d, witness.alpha, witness.beta) == (60, 15, 24040, 3005)
+        assert (witness.n, witness.d, witness.alpha, witness.beta) == (60, 15, 24080, 3010)
         assert witness.sets == ("Gamma60,3",) and not witness.novelty
         assert is_self_dual(witness.spec)
 
@@ -262,6 +269,20 @@ class TestSearch:
         assert rc == 0
         assert resumed.splitlines() == whole.splitlines()
         assert len(whole.splitlines()) == 468
+
+    def test_rejection_sampler_checkpoint_refused(self, tmp_path, capsys):
+        # the same plan, logged by the rejection sampler the ring draw
+        # replaced: refused at the call, and the file left as it was
+        path = tmp_path / "ck.json"
+        plan = {"block_size": 2, "target": "near-extremal", "mode": "sampled", "seed": 4,
+                "partition": [0, 1], "budget": 60}
+        text = json.dumps({"version": 2, "plan": plan}) + "\n"
+        path.write_text(text)
+        rc, out, err = run_cli(capsys, "search", "--n", "2", "--mode", "sampled", "--seed", "4",
+                               "--budget", "60", "--checkpoint", str(path))
+        assert (rc, out) == (2, "")
+        assert "rejection sampler" in err
+        assert path.read_text() == text
 
     def test_sampled_kill_and_resume(self, tmp_path, capsys):
         # killed after some trials are logged, one line per trial in trial

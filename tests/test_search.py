@@ -1,11 +1,15 @@
 """Search planning, enumeration order, sharding, checkpoints, neighbors."""
 
+import collections
 import functools
 import hashlib
 import itertools
 import json
+import math
+import os
 import random
 import runpy
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import Future
@@ -18,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nega3 import (
+    BlockTransform,
     Code,
     CodeSpec,
     Finding,
@@ -32,6 +37,7 @@ from nega3 import (
     Registry,
     RegistryError,
     SearchPlan,
+    apply_transform,
     block_row_vectors,
     build_generator,
     enumerate_candidates,
@@ -87,16 +93,16 @@ class TestPlan:
 class TestEnumerationOrder:
     def test_block_pool_m2(self):
         pool = _block_pool(2)
-        assert [p.f for p in pool] == [0, 1, 3, 4, 7]
+        assert pool == ((0, 0), (1, 1), (3, 1), (4, 2), (7, 2))
 
     def test_block_pool_m3(self):
         pool = _block_pool(3)
         assert len(pool) == 1 + (27 - 1) // 2
-        fs = [p.f for p in pool]
+        fs = [f for f, _ in pool]
         assert fs == sorted(fs)
-        for p in pool[1:]:
-            first = p.vec.first_nonzero()
-            assert first is not None and first[1] == 1
+        for f, weight in pool[1:]:
+            v = naive.vector_from_f(f, 3)
+            assert naive.leads_with_one(v) and naive.vweight(v) == weight
 
     def test_dual_space_ascending(self):
         # orthogonal complement of one length-6 row, walked in f order
@@ -370,6 +376,18 @@ def _reference_walk(m, unit, verified):
     return list(naive.exhaustive_unit(m, r1, d, verified))
 
 
+def _row_rule(d, limit, m):
+    """The row predicate on plain lists: a leading 1, the row-weight rule,
+    f-value at most limit and, with a block size m > 0, the diagonal Gram
+    identity."""
+    def accept(v):
+        w = naive.vweight(v)
+        return (any(v) and naive.leads_with_one(v) and w % 3 == 2 and w >= d - 1
+                and naive.f_value(v) <= limit
+                and (not m or naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1)))
+    return accept
+
+
 class TestExhaustiveWalk:
     """The batched walk of an exhaustive unit against naive.exhaustive_unit,
     the per-r2 dual-space odometer walk it replaces."""
@@ -458,6 +476,22 @@ class TestExhaustiveWalk:
             walk.close()
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("width", [3, 18, 39, 40, 42, 60])
+    def test_admissible_is_the_row_rule(self, width):
+        # f is compared exactly past int64 (3^40 > 2^63); half the rows
+        # share the limit's high digits, to test the comparison near it
+        rng = random.Random(width)
+        top = [rng.randrange(3) for _ in range(width)]
+        vals = np.array([[rng.choice((0, 0, 1, 2)) for _ in range(width)] for _ in range(200)]
+                        + [top[:i] + [rng.randrange(3)] + top[i + 1:]
+                           for i in (rng.randrange(width) for _ in range(200))]
+                        + [top, [0] * width])
+        limit, d = naive.f_value(top), width // 2
+        for m in [0, width // 3] if width % 3 == 0 else [0]:
+            accept = _row_rule(d, limit, m)
+            assert search._admissible(vals, d, limit, m).tolist() == [
+                accept(v) for v in vals.tolist()]
+
 
 class TestSampled:
     def test_deterministic_in_seed(self, registry):
@@ -473,12 +507,15 @@ class TestSampled:
         assert [_as_key(f) for f in seq] == [_as_key(f) for f in par]
 
     def test_results_subset_of_exhaustive(self, registry):
+        # a finding in the walk's row form is in the exhaustive stream, and
+        # no block move takes any other finding into that form
         plan = SearchPlan(block_size=2, mode="sampled", seed=5, budget=200)
-        sampled = {_as_key(f) for f in run_search(plan, registry=registry)}
-        full = {_as_key(f)
-                for f in run_search(SearchPlan(block_size=2), registry=registry)}
-        assert sampled <= full
-        assert sampled  # budget 200 on a 6-element space: must hit something
+        found = [[r.entries() for r in f.spec.rows] for f in run_search(plan, registry=registry)]
+        full = {_as_key(f) for f in run_search(SearchPlan(block_size=2), registry=registry)}
+        walk = [rows for rows in found if naive.in_walk_form(2, rows)]
+        assert {tuple(map(tuple, rows)) for rows in walk} <= full
+        assert all(naive.walk_form(2, rows) is None for rows in found if rows not in walk)
+        assert 0 < len(walk) < len(found)
 
     def test_partition_splits_trials(self, registry):
         whole = list(run_search(
@@ -524,9 +561,9 @@ class TestSampled:
                                           "--sweep", "200", "--base", "C2"])
         assert runpy.run_path(str(script), run_name="survey36")["main"]() == 0
         out = capsys.readouterr().out
-        assert len(out.splitlines()) == 276
+        assert len(out.splitlines()) == 408
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6747dd23f48314f2af4500a95d07e639ee100f24a4be7fb9766a64d813b818af")
+            "fe05d80464d25455a0192daf9ab5158a5984869d193c8bd71eaf37a02f8d0c5d")
 
 
 def _per_trial_reference(plan, registry):
@@ -543,18 +580,6 @@ def _per_trial_reference(plan, registry):
     return sorted(found.values(), key=Finding.sort_key)
 
 
-def _row_rule(d, limit, m):
-    """The row predicate on plain lists: a leading 1, the row-weight rule,
-    f-value at most limit and, with a block size m > 0, the diagonal Gram
-    identity."""
-    def accept(v):
-        w = naive.vweight(v)
-        return (any(v) and naive.leads_with_one(v) and w % 3 == 2 and w >= d - 1
-                and naive.f_value(v) <= limit
-                and (not m or naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1)))
-    return accept
-
-
 class _CountingRandom(random.Random):
     """A Random that records the bit counts asked of getrandbits."""
 
@@ -567,99 +592,9 @@ class _CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
-def _random_space(m, seed):
-    """The dual space of the block rows of a random width-3m row."""
-    setup = random.Random(seed)
-    r1 = Gf3Vector(setup.randrange(3) for _ in range(3 * m))
-    return _DualSpace(block_row_vectors(m, r1), 3 * m)
-
-
-class TestSampleDraws:
-    """The batch draws of a sampled trial against the scalar loop of
-    naive.random_member draws they replace."""
-
-    @pytest.mark.parametrize("m", [*range(1, 11), 14])
-    def test_batch_replays_scalar_draws(self, m):
-        width = 3 * m
-        space = _random_space(m, f"span:{m}")
-        basis = [u.entries() for u in space.basis]
-        scalar = random.Random(m)
-        ref, states = [], []
-        for _ in range(1024):
-            ref.append(naive.random_member(basis, width, scalar))
-            states.append(scalar.getstate())
-
-        batch = random.Random(m)
-        vals, ends = space.draws(batch, 1024)
-        assert batch.getstate() == random.Random(m).getstate()  # only peeked
-        assert vals.tolist() == ref
-        words, read = random.Random(m), 0
-        for end, state in zip(ends.tolist(), states):
-            words.getrandbits(32 * (end - read))
-            read = end
-            assert words.getstate() == state
-
-        # the first draw the row rule accepts, and the generator left after
-        # it: with and without the Gram identity, and with no draw admissible
-        # (no row of the width reaches weight d - 1)
-        setup = random.Random(f"rule:{m}")
-        d, limit = setup.randrange(width), setup.randrange(3**width)
-        for d, limit, gram in [(d, limit, 0), (d, limit, m), (width + 2, 3**width - 1, 0)]:
-            accept = _row_rule(d, limit, gram)
-            k = next((i for i, v in enumerate(ref) if accept(v)), None)
-            rng = random.Random(m)
-            got = search._sample_row(space, rng, d, limit, gram)
-            assert (None if got is None else got.tolist()) == (None if k is None else ref[k])
-            assert rng.getstate() == states[-1 if k is None else k]
-
-    def test_no_basis_reads_no_words(self):
-        rows = [Gf3Vector([int(i == j) for j in range(6)]) for i in range(6)]
-        space = _DualSpace(rows, 6)
-        assert space.basis == []
-        rng = _CountingRandom(1)
-        vals, ends = space.draws(rng, 1024)
-        assert vals.shape == (1024, 6) and not vals.any() and not ends.any()
-        assert search._sample_row(space, rng, 0, 3**6 - 1, 0) is None
-        assert rng.getstate() == random.Random(1).getstate()
-        assert not any(rng.asked)
-
-    def test_short_peek_is_extended(self):
-        # the first peek reads about the expected number of words, so a
-        # stream with more 3s than that needs a second
-        space = _random_space(6, "span:peek")
-        basis = [u.entries() for u in space.basis]
-        for seed in range(100):
-            rng = _CountingRandom(seed)
-            vals, ends = space.draws(rng, 1024)
-            if len(rng.asked) > 1:
-                break
-        else:
-            pytest.fail("no seed needed a second peek")
-        scalar = random.Random(seed)
-        assert vals.tolist() == [naive.random_member(basis, 18, scalar) for _ in range(1024)]
-        rng = random.Random(seed)
-        rng.getrandbits(32 * int(ends[-1]))
-        assert rng.getstate() == scalar.getstate()
-
-    @pytest.mark.parametrize("width", [3, 18, 39, 40, 42, 60])
-    def test_admissible_is_the_row_rule(self, width):
-        # f is compared exactly past int64 (3^40 > 2^63); half the rows
-        # share the limit's high digits, to test the comparison near it
-        rng = random.Random(width)
-        top = [rng.randrange(3) for _ in range(width)]
-        vals = np.array([[rng.choice((0, 0, 1, 2)) for _ in range(width)] for _ in range(200)]
-                        + [top[:i] + [rng.randrange(3)] + top[i + 1:]
-                           for i in (rng.randrange(width) for _ in range(200))]
-                        + [top, [0] * width])
-        limit, d = naive.f_value(top), width // 2
-        for m in [0, width // 3] if width % 3 == 0 else [0]:
-            accept = _row_rule(d, limit, m)
-            assert search._admissible(vals, d, limit, m).tolist() == [
-                accept(v) for v in vals.tolist()]
-
-
 class TestMersenneTwisterWords:
-    """The two CPython facts the batch draws rest on."""
+    """The two CPython facts that search._randrange3, which peeks the
+    sweep's seeds, rests on, and the helper against the scalar draws."""
 
     def test_getrandbits_reads_successive_words_little_endian(self):
         wide, narrow = random.Random(2), random.Random(2)
@@ -679,6 +614,169 @@ class TestMersenneTwisterWords:
                 w = words.getrandbits(32) >> 30
             assert drawn.randrange(3) == b == w
         assert drawn.getstate() == bits.getstate() == words.getstate()
+
+    @pytest.mark.parametrize("m", [*range(1, 11), 14])
+    def test_batch_replays_scalar_draws(self, m):
+        # the values of a loop of randrange(3) calls, and after each the
+        # words read so far
+        count = 120 * m
+        scalar = random.Random(m)
+        ref, states = [], []
+        for _ in range(count):
+            ref.append(scalar.randrange(3))
+            states.append(scalar.getstate())
+        batch = random.Random(m)
+        values, ends = search._randrange3(batch, count)
+        assert batch.getstate() == random.Random(m).getstate()  # only peeked
+        assert values.dtype == np.uint8 and values.tolist() == ref
+        words, read = random.Random(m), 0
+        for end, state in zip(ends.tolist(), states):
+            words.getrandbits(32 * (end - read))
+            read = end
+            assert words.getstate() == state
+
+    def test_no_values_read_no_words(self):
+        rng = _CountingRandom(1)
+        values, ends = search._randrange3(rng, 0)
+        assert values.shape == ends.shape == (0,)
+        assert rng.getstate() == random.Random(1).getstate()
+        assert not any(rng.asked)
+
+    def test_short_peek_is_extended(self):
+        # the first peek reads about the expected number of words, so a
+        # stream with more 3s than that needs a second
+        for seed in range(100):
+            rng = _CountingRandom(seed)
+            values, ends = search._randrange3(rng, 3000)
+            if len(rng.asked) > 1:
+                break
+        else:
+            pytest.fail("no seed needed a second peek")
+        scalar = random.Random(seed)
+        assert values.tolist() == [scalar.randrange(3) for _ in range(3000)]
+        rng = random.Random(seed)
+        rng.getrandbits(32 * int(ends[-1]))
+        assert rng.getstate() == scalar.getstate()
+
+
+def _chi_square_z(counts, cells):
+    """Pearson's chi-square of counts over that many equally likely cells,
+    the cells not in counts counting 0, as a z-score of its null law."""
+    total = sum(counts.values())
+    expected = total / cells
+    x2 = sum((c - expected) ** 2 for c in counts.values()) / expected
+    x2 += (cells - len(counts)) * expected
+    return (x2 - (cells - 1)) / math.sqrt(2 * (cells - 1))
+
+
+def _self_dual_ms_n2():
+    """Every self-dual M at block size 2, as first-row triples, by brute
+    force over the 729 rows of width 6."""
+    rows = np.array(list(itertools.product(range(3), repeat=6)), np.int8)
+    gram = _block_gram(rows[:, None], rows[None], 2)  # (729, 729, 2): <row a, row b>
+    two = (gram[..., 0] == 2) & (gram[..., 1] == 0)
+    orth = ~gram.any(axis=2)
+    out = set()
+    for a in np.flatnonzero(two.diagonal()):
+        for b in np.flatnonzero(two.diagonal() & orth[a]):
+            for c in np.flatnonzero(two.diagonal() & orth[a] & orth[b]):
+                out.add(tuple(tuple(rows[i].tolist()) for i in (a, b, c)))
+    return out
+
+
+def _moved(spec, rng):
+    """spec under one random block move of each kind."""
+    for kind in ("scale_columns", "permute_columns", "scale_rows", "permute_rows"):
+        if kind.startswith("scale"):
+            move = BlockTransform(kind, units=tuple(rng.choice((1, 2)) for _ in range(3)))
+        else:
+            move = BlockTransform(kind, perm=tuple(rng.sample(range(3), 3)))
+        spec = apply_transform(spec, move)
+    return spec
+
+
+class TestRingDraw:
+    """A sampled trial's draw, uniform over the self-dual M, and its walk
+    form against naive's brute force over the 2,304 block moves."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_every_draw_is_self_dual(self, m):
+        rng = random.Random(f"self-dual:{m}")
+        for _ in range(20 if m <= 6 else 4):
+            spec = search._ring_draw(rng, m)
+            assert naive.spec_is_self_dual(m, *(r.entries() for r in spec.rows))
+
+    def test_first_rows_uniform_at_n2(self):
+        # 5,040 draws of r1: 20 expected on each of the 252 rows of norm 2
+        rng = random.Random("r1")
+        counts = collections.Counter(tuple(search._ring_row(rng, 2, []).tolist())
+                                     for _ in range(5040))
+        assert all(naive.row_pair_gram(2, list(r), list(r)) == [2, 0] for r in counts)
+        assert len(counts) == 252
+        assert abs(_chi_square_z(counts, 252)) < 4
+
+    @pytest.mark.long
+    def test_matrices_uniform_at_n2(self):
+        # 60,000 draws over the 24,192 self-dual M: about 2.5 on each
+        every = _self_dual_ms_n2()
+        assert len(every) == 24_192
+        rng = random.Random("M")
+        counts = collections.Counter(tuple(tuple(r.entries()) for r in search._ring_draw(rng, 2).rows)
+                                     for _ in range(60_000))
+        assert set(counts) <= every
+        assert abs(_chi_square_z(counts, len(every))) < 4
+
+    @pytest.mark.parametrize("m, count", [(2, 40), (4, 30), (6, 8)])
+    def test_walk_form_is_the_least_form_a_move_reaches(self, m, count):
+        reached = 0
+        for t in range(count):
+            spec = search._ring_draw(random.Random(f"form:{m}:{t}"), m)
+            rows = [r.entries() for r in spec.rows]
+            want = naive.walk_form(m, rows)
+            got = [r.entries() for r in search._walk_form(spec).rows]
+            assert got == (rows if want is None else want)
+            reached += want is not None
+        assert 0 < reached < count
+
+    def test_moved_draws_share_their_form(self):
+        rng = random.Random("moves")
+        reached = 0
+        for t in range(60):
+            spec = search._ring_draw(random.Random(f"share:{t}"), 4)
+            form = search._walk_form(spec)
+            if form != spec or naive.in_walk_form(4, [r.entries() for r in spec.rows]):
+                reached += 1
+                assert search._walk_form(_moved(spec, rng)) == form
+        assert reached > 5
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_odd_block_size_draws_nothing(self, m):
+        # no self-dual M exists there, so a draw would never end
+        plan = SearchPlan(block_size=m, mode="sampled", seed=1, budget=5)
+        assert list(enumerate_candidates(plan)) == []
+        assert list(run_search(plan)) == []
+
+    def test_stalled_draw_raises(self, monkeypatch):
+        # all-zero rows have norm 0: every batch comes back empty
+        calls = []
+        monkeypatch.setattr(search, "_trits",
+                            lambda rng, count: calls.append(1) or np.zeros(count, np.int8))
+        with pytest.raises(InternalInconsistencyError, match="no row of norm 2"):
+            search._ring_draw(random.Random(0), 2)
+        assert len(calls) == search._STALL
+
+    def test_sampled_run_imports_no_numpy_random(self):
+        # its import alone adds about 2 MB of resident memory
+        code = ("import sys; from nega3.cli import main; "
+                "rc = main(['search', '--n', '4', '--mode', 'sampled', '--seed', '1', "
+                "'--budget', '70', '--workers', '1']); "
+                "print(rc, 'numpy.random' in sys.modules, file=sys.stderr)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.stderr.splitlines()[-1] == "0 False"
+        assert done.stdout
 
 
 def _records(findings):
@@ -775,6 +873,39 @@ class TestCheckpoint:
             run_search(SearchPlan(block_size=2), registry=registry, checkpoint=path)
         assert path.read_text() == text
 
+    def test_rejection_sampler_log_refused(self, tmp_path, registry):
+        # a sampled log the rejection sampler wrote holds the same plan, but
+        # its trials drew other specs: resuming it would mix two streams
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2, mode="sampled", seed=7, budget=400)
+        text = "".join(json.dumps(doc) + "\n" for doc in (
+            {"version": 2, "plan": plan.to_dict()}, {"unit": 0, "findings": []}))
+        path.write_text(text)
+        with pytest.raises(ValueError, match="rejection sampler"):
+            run_search(plan, registry=registry, checkpoint=path)
+        assert path.read_text() == text
+
+    def test_exhaustive_log_resumes(self, tmp_path, registry, monkeypatch):
+        # an exhaustive log keeps the header it had before the ring draw:
+        # one written by hand, with the first four units, resumes and runs
+        # only the rest
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2)
+        reference = list(run_search(plan, registry=registry))
+        units = list(search._units(plan))
+        lines = [{"version": 2, "plan": plan.to_dict()}]
+        lines += [{"unit": u, "findings": [f.to_record() for f in reference
+                                           if f.sort_key()[1] == u]} for u in units[:4]]
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        ran = []
+        run_units = search._run_units
+        monkeypatch.setattr(search, "_run_units",
+                            lambda plan, group: ran.extend(group) or run_units(plan, group))
+        resumed = run_search(plan, registry=registry, checkpoint=path)
+        assert _records(resumed) == _records(reference)
+        assert ran == units[4:]
+        assert _log_lines(path)[0]["complete"]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sampled_stopped_run_resumes(self, tmp_path, registry, monkeypatch, workers):
         # stopped, as by a kill, once 150 of 400 trials have run, inline or in a
@@ -788,7 +919,7 @@ class TestCheckpoint:
             with pytest.raises(_Stopped):
                 list(run_search(plan, registry=registry, checkpoint=path, workers=workers))
         header, *units = _log_lines(path)
-        assert header == {"version": 2, "plan": plan.to_dict()}
+        assert header == {"version": 2, "plan": plan.to_dict(), "draw": "ring"}
         # the group holding trial 150 stopped midway, so the whole groups
         # before it are logged and it is not
         assert len(units) == 150 // search._STACK * search._STACK
