@@ -592,6 +592,77 @@ class _CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
+def _scalar_trits(rng, count):
+    """search._trits as a loop over rng's bytes."""
+    out = []
+    while len(out) < count:
+        out += [b % 3 for b in rng.randbytes(count - len(out) + count // 64 + 8) if b < 255]
+    return out[:count]
+
+
+def _scalar_ring_row(rng, m, taken):
+    """search._ring_row as a loop over its batches' rows, projected and
+    normed one at a time with naive's ring arithmetic."""
+    size = min(2 * 3 ** (m // 2), 2**22 // (3 * m * m))
+    while True:
+        trits = _scalar_trits(rng, size * 3 * m)
+        for k in range(size):
+            v = trits[3 * m * k:3 * m * (k + 1)]
+            for r in taken:
+                c = naive.row_pair_gram(m, v, r)
+                v = naive.vadd(v, [x for t in range(3) for x in naive.nega_mul(c, r[t * m:(t + 1) * m])])
+            if naive.vweight(v) % 3 == 2 and naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1):
+                return v
+
+
+class _ByteStream(random.Random):
+    """A Random whose randbytes serve a fixed byte string, recording the
+    byte counts asked."""
+
+    def __init__(self, data):
+        super().__init__(0)
+        self.data, self.asked = data, []
+
+    def randbytes(self, k):
+        self.asked.append(k)
+        chunk, self.data = self.data[:k], self.data[k:]
+        return chunk
+
+
+class TestSampleDraws:
+    """The batch draws of a sampled trial, search._trits and
+    search._ring_row, against the scalar loops they replace."""
+
+    @pytest.mark.parametrize("m", [*range(1, 11), 14])
+    def test_batch_replays_scalar_draws(self, m):
+        scalar, batch = random.Random(m), random.Random(m)
+        ref = _scalar_trits(scalar, 120 * m)
+        values = search._trits(batch, 120 * m)
+        assert values.dtype == np.int8 and values.tolist() == ref
+        assert batch.getstate() == scalar.getstate()
+        # the rows of a draw in turn, each the first of its batches to pass;
+        # at odd m no third row exists
+        taken = []
+        for _ in range(3 if m % 2 == 0 else 1):
+            want = _scalar_ring_row(scalar, m, [r.tolist() for r in taken])
+            taken.append(search._ring_row(batch, m, taken))
+            assert taken[-1].dtype == np.int8 and taken[-1].tolist() == want
+            assert batch.getstate() == scalar.getstate()
+
+    def test_short_peek_is_extended(self):
+        # the first read asks count // 64 + 8 bytes over count, so a stream
+        # with more 255s than that in it needs a second
+        data = bytearray(random.Random(5).randbytes(2000))
+        for i in random.Random(6).sample(range(658), 30):
+            data[i] = 255
+        rng = _ByteStream(bytes(data))
+        values = search._trits(rng, 640)
+        got = sum(b < 255 for b in data[:658])
+        assert rng.asked == [658, 640 - got + 18]
+        assert values.dtype == np.int8
+        assert values.tolist() == [b % 3 for b in data if b < 255][:640]
+
+
 class TestMersenneTwisterWords:
     """The two CPython facts that search._randrange3, which peeks the
     sweep's seeds, rests on, and the helper against the scalar draws."""
