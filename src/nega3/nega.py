@@ -17,12 +17,15 @@ identities instead of multiplying out full matrices.
 Specs hold their rows in the two bit planes of Gf3Vector, where one
 blockwise negashift builds the block rows and the generator rows
 (e_i | block row i).  The ring arithmetic is stated once, on int8 entry
-arrays batched over leading axes, for the identities here and the search.
+arrays batched over leading axes, for the identities here and the search,
+and so are f order (_f_keys, _at_least) and the block moves that bring a
+batch of sampled specs into the exhaustive walk's row form (_walk_form).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -199,6 +202,26 @@ def vector_from_f(n: int, f: int) -> Gf3Vector:
     return Gf3Vector(entries)
 
 
+def _f_keys(vals: np.ndarray) -> np.ndarray:
+    """The f-values of int8 rows (..., w) as int32 chunks (..., c) of at
+    most 19 digits (3^19 < 2^31), least significant first like the digits:
+    both compare at their highest differing position (_at_least,
+    np.lexsort), exactly at every width."""
+    c = -(-vals.shape[-1] // 19)
+    size = -(-vals.shape[-1] // c)
+    digits = np.pad(vals, [(0, 0)] * (vals.ndim - 1) + [(0, c * size - vals.shape[-1])])
+    return digits.reshape(*vals.shape[:-1], c, size) @ 3 ** np.arange(size, dtype=np.int32)
+
+
+def _at_least(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """f(a) >= f(b) for rows of digits or of _f_keys chunks (..., c), least
+    significant first, broadcast: decided at the highest position where
+    they differ, which is exact at every width."""
+    a, b = np.broadcast_arrays(a, b)
+    top = a.shape[-1] - 1 - (a != b)[..., ::-1].argmax(-1)
+    return np.take_along_axis(a - b, top[..., None], -1)[..., 0] >= 0
+
+
 # -- weight-preserving block transforms --------------------------------------
 
 TransformKind = Literal["scale_columns", "scale_rows", "permute_columns", "permute_rows"]
@@ -245,3 +268,44 @@ def apply_transform(spec: CodeSpec, t: BlockTransform) -> CodeSpec:
             parts = [[r.block(p, n) for p in t.perm] for r in rows]
         new = [a.concat(b).concat(c) for a, b, c in parts]
     return CodeSpec(n, *new)
+
+
+def _walk_form(rows: np.ndarray) -> np.ndarray:
+    """Int8 first rows (trials, 3, 3n) with no zero row, as self-dual draws
+    have, each moved into the exhaustive walk's row form, the least such in
+    (f(r1), f(r2), f(r3)), or left as drawn where no block move reaches it.
+    The form: r1's blocks each zero or leading with 1, in non-increasing f
+    order; r2 and r3 leading with 1; f(r3) < f(r2) <= f(r1).
+
+    A move scales and permutes the block columns, then permutes and scales
+    the rows.  Under each of the 48 column moves the rows are scaled to
+    lead with 1 and sorted by falling f, as r1 must be the greatest, and
+    the move's one candidate passes when r1's blocks do and f(r2) > f(r3).
+    A row's _f_keys are those of its blocks times 1 or 2, block 0 the least
+    significant; np.lexsort of the candidates' keys takes the least."""
+    count, _, width = rows.shape
+    n = width // 3
+    moves = [(u, p) for u in itertools.product((1, 2), repeat=3)
+             for p in itertools.permutations(range(3))]
+    perm = np.array([p for _, p in moves])  # block q of a moved row is block perm[k, q]
+    unit = np.array([[u[j] for j in p] for u, p in moves], np.int8)  # times unit[k, q]
+    blocks = rows.reshape(count, 3, 3, n)
+    keys = _f_keys(np.stack((blocks, 2 * blocks % 3), axis=3))  # (trials, row, block, unit-1, c)
+    first = np.take_along_axis(blocks, (blocks != 0).argmax(-1)[..., None], -1)[..., 0]
+    leads = first[:, :, perm].swapaxes(1, 2) * unit[:, None] % 3  # (trials, move, row, q)
+    lead = np.take_along_axis(leads, (leads != 0).argmax(-1)[..., None], -1)
+    scale = lead * unit[:, None] % 3  # each block's unit in its row scaled to lead with 1
+    t, k = np.ogrid[:count, :len(moves)]
+    tops = keys[t[..., None, None], np.arange(3)[:, None], perm[:, None], scale - 1]
+    key = tops.reshape(count, len(moves), 3, 3 * keys.shape[-1])  # block 0's chunks first
+    order = np.lexsort(np.moveaxis(key, -1, 0))[..., ::-1]  # falling f
+    key, top = key[t[..., None], k[..., None], order], tops[t, k, order[..., 0]]  # r1's blocks
+    ok = (((leads * lead % 3)[t, k, order[..., 0]] != 2).all(-1)
+          & (key[:, :, 1] != key[:, :, 2]).any(-1)
+          & _at_least(top[:, :, 0], top[:, :, 1]) & _at_least(top[:, :, 1], top[:, :, 2]))
+    cands = np.moveaxis(key[:, :, ::-1].reshape(count, len(moves), 3 * key.shape[-1]), -1, 0)
+    best = np.lexsort(np.concatenate((cands, ~ok[None])))[:, 0]  # the least that passes
+    t, r = t[:, 0], order[t[:, 0], best]
+    form = (blocks[t[:, None, None], r[..., None], perm[best, None]]
+            * scale[t[:, None], best[:, None], r, :, None] % 3)
+    return np.where(ok[t, best, None, None], form.reshape(count, 3, width), rows)

@@ -12,9 +12,10 @@ constraints cut the space down hard before any linear algebra happens:
   2 mod 3 and at least d - 1, f-value at most that of the row above and,
   when the search verifies, the diagonal Gram identity.
 
-A sampled trial draws one self-dual M uniformly in the ring R_n
-(_ring_draw) and moves it into the exhaustive walk's row form where a block
-move can (_walk_form).  Both modes verify their specs from the first rows
+A sampled group of trials draws one self-dual M per trial uniformly in the
+ring R_n, the group's batches tested together (_ring_draws), and moves each
+into the exhaustive walk's row form where a block move can, on one int8
+array (nega._walk_form).  Both modes verify their specs from the first rows
 alone, with no Code built: a batch of specs takes one gather for their M,
 one product to check M M^T = -I, and one covering scan of (I | M) and
 (-M^T | I) that settles d and the count at d (weights._tile_stack,
@@ -60,12 +61,13 @@ from .errors import (
 )
 from .gf3 import Code, Gf3Vector, _code_from_echelon, _dual_rows
 from .nega import (
-    BlockTransform,
     CodeSpec,
+    _at_least,
     _block_gram,
     _block_rows,
+    _negashift_table,
     _systematic_rows,
-    apply_transform,
+    _walk_form,
     block_row_vectors,
     f_value,
     row_gram_is_two,
@@ -110,6 +112,9 @@ class SearchPlan:
             raise ValueError(f"bad partition {self.partition}")
         if self.mode == "sampled" and (self.budget is None or self.budget < 1):
             raise ValueError("sampled mode needs a budget of at least 1 (CLI: --budget)")
+        if self.mode == "sampled" and not _draw_reaches(self.block_size):
+            raise ValueError(f"sampled mode cannot draw at block size {self.block_size}: a row "
+                             f"would take more than {_STALL // 10} batches on average")
 
     @property
     def length(self) -> int:
@@ -258,19 +263,15 @@ def _admissible(vals: np.ndarray, d: int, limit: int, m: int) -> np.ndarray:
     leading 1, the row-weight rule (_weight_passes), f-value at most limit
     and, for a block size m > 0, the diagonal Gram identity
     nega._block_gram(v, v, m) = (2, 0, ..., 0).  f is compared digit by
-    digit from the most significant end, which is exact at every width; the
-    Gram identity is tested only on the rows that pass the rest."""
+    digit (_at_least); the Gram identity is tested only on the rows that
+    pass the rest."""
     rows = np.arange(len(vals))
     nz = vals != 0
     lead = vals[rows, nz.argmax(axis=1)]
-    width = vals.shape[1]
-    digits = np.array([limit // 3**i % 3 for i in range(width)])
-    diff = vals != digits
-    top = width - 1 - diff[:, ::-1].argmax(axis=1)  # the highest differing digit
-    f_ok = ~diff.any(axis=1) | (vals[rows, top] < digits[top])
-    ok = (lead == 1) & _weight_passes(nz.sum(axis=1), d) & f_ok
+    digits = np.array([limit // 3**i % 3 for i in range(vals.shape[1])], np.int8)
+    ok = (lead == 1) & _weight_passes(nz.sum(axis=1), d) & _at_least(digits, vals)
     if m:
-        del rows, nz, diff, top  # batch-sized: freed before the Gram products
+        del rows, nz  # batch-sized: freed before the Gram products
         gram = _block_gram(vals[ok], vals[ok], m)
         ok[ok] = (gram[:, 0] == 2) & ~gram[:, 1:].any(axis=1)
     return ok
@@ -285,7 +286,7 @@ def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
     return _clears(subcode, d)
 
 
-# -- the ring draw of a sampled trial -----------------------------------------
+# -- the ring draw of a sampled group -----------------------------------------
 #
 # Over R_n a self-dual M has rows with <r_i, r_j> = 2 [i == j] for the
 # Hermitian form <a, b> = sum_t a_t b_t^* (nega._block_gram).  As <r, r> =
@@ -304,70 +305,68 @@ def _trits(rng: random.Random, count: int) -> np.ndarray:
     return (out[:count] % 3).astype(np.int8)
 
 
-def _ring_row(rng: random.Random, n: int, taken: list[np.ndarray]) -> np.ndarray:
-    """A uniform int8 first row of norm 2 orthogonal to the rows taken: the
-    first to pass of a batch of projected uniform rows, about twice
-    3^(n/2), the inverse share of norm 2, capped at 4 MB of block rows.
-    _STALL empty batches raise InternalInconsistencyError."""
-    size = min(2 * 3 ** (n // 2), 2**22 // (3 * n * n))
+def _batch_size(n: int) -> int:
+    """Rows in one batch of a row draw: about twice 3^(n/2), the inverse
+    share of norm 2 (measured within 5% at n = 10 to 16), capped at 4 MB of
+    block rows."""
+    return min(2 * 3 ** (n // 2), 2**22 // (3 * n * n))
+
+
+def _draw_reaches(n: int) -> bool:
+    """Whether a sampled trial at block size n expects at most _STALL / 10
+    batches per row, 3^(n/2) / _batch_size(n): true at odd n, which draw
+    nothing, false at even n from 24 on (219 batches there)."""
+    return n % 2 == 1 or 10 * 3 ** (n // 2) <= _STALL * _batch_size(n)
+
+
+def _ring_rows(rngs: Sequence[random.Random], taken: np.ndarray) -> np.ndarray:
+    """For each trial t, int8 rows (trials, 3n): the first row of norm 2
+    among its batches of _batch_size(n) uniform rows, one _trits call on
+    rngs[t] each, projected onto the complement of its rows taken[t]
+    (taken is (trials, j, 3n)) by v -> v + sum_i <v, r_i> r_i.  A round
+    draws a batch for each trial still without a row and tests them in
+    slices of about 2^20 entries: two float32 products (exact: sums below
+    48 n^2), then the norm's coefficients at x^0 .. x^(n//2), which fix the
+    rest as a norm is self-adjoint (c_(n-k) = -c_k).  A trial with _STALL
+    empty batches raises InternalInconsistencyError."""
+    count, above, width = taken.shape
+    n, size = width // 3, _batch_size(width // 3)
+    index, sign = _negashift_table(n)
+    rows = _block_rows(taken, n).reshape(count, above * n, width)
+    out, missing = np.empty((count, width), np.int8), np.ones(count, bool)
+    step = max(1, 2**20 // (size * width))
     for _ in range(_STALL):
-        v = _trits(rng, size * 3 * n).reshape(size, 3 * n)
-        for r in taken:  # sums of n products up to 4: exact in float32 and int16
-            shift = np.matmul(_block_gram(v, r, n), _block_rows(r, n), dtype=np.float32)
-            v = ((v + shift.astype(np.int16)) % 3).astype(np.int8)
-        v = v[np.count_nonzero(v, axis=1) % 3 == 2]  # the norm's constant term
-        norm = _block_gram(v, v, n)
-        hits = np.flatnonzero((norm[:, 0] == 2) & ~norm[:, 1:].any(axis=1))
-        if len(hits):
-            return v[hits[0]].copy()
+        live = np.flatnonzero(missing)
+        for part in (live[s : s + step] for s in range(0, len(live), step)):
+            v = np.stack([_trits(rngs[t], size * width) for t in part]).reshape(-1, size, width)
+            if above:
+                v = v + np.matmul(np.matmul(v, rows[part].mT, dtype=np.float32), rows[part])
+                v = (v - 3 * np.floor(v / 3)).astype(np.int8)
+            v = v.reshape(-1, width)
+            keep = np.flatnonzero(np.count_nonzero(v, axis=1) % 3 == 2)  # the constant term
+            for k in range(1, n // 2 + 1):
+                u = v[keep]
+                keep = keep[(u * (u[:, index[k]] * sign[k])).sum(axis=1, dtype=np.int16) % 3 == 0]
+            hit, first = np.unique(keep // size, return_index=True)
+            out[part[hit]] = v[keep[first]]
+            missing[part[hit]] = False
+        if not missing.any():
+            return out
     raise InternalInconsistencyError(f"no row of norm 2 in {_STALL} batches at n = {n}")
 
 
-def _ring_draw(rng: random.Random, n: int) -> CodeSpec:
-    """A uniform self-dual spec: r1, r2, r3 drawn in turn by _ring_row."""
-    rows: list[np.ndarray] = []
+def _ring_draws(rngs: Sequence[random.Random], n: int) -> np.ndarray:
+    """A uniform self-dual M per generator, as int8 first rows (trials, 3,
+    3n): r1, r2, r3 drawn in turn (_ring_rows)."""
+    rows = np.empty((len(rngs), 0, 3 * n), np.int8)
     for _ in range(3):
-        rows.append(_ring_row(rng, n, rows))
-    return CodeSpec.from_entry_rows([r.tolist() for r in rows])
+        rows = np.concatenate((rows, _ring_rows(rngs, rows)[:, None]), axis=1)
+    return rows
 
 
-def _walk_form(spec: CodeSpec) -> CodeSpec:
-    """A self-dual spec moved by BlockTransform moves into the exhaustive
-    walk's row form, the least such in (f(r1), f(r2), f(r3)), or the spec
-    itself where no move reaches it.  The form: r1's blocks each zero or
-    leading with 1, in non-increasing f order; r2 and r3 leading with 1;
-    f(r3) < f(r2) <= f(r1).
-
-    A move scales and permutes the block columns, then permutes and scales
-    the rows.  With row i taken to r1 at row scale 1, its nonzero blocks fix
-    their column scales (their leading entries), its zero blocks leave
-    theirs free, and the column permutations are those that sort its
-    blocks; the other rows are then scaled to lead with 1 and ordered by f."""
-    n = spec.block_size
-    best = None
-    for i, row in enumerate(spec.rows):
-        blocks = [row.block(j, n) for j in range(3)]
-        leads = [(b.first_nonzero() or (0, 0))[1] for b in blocks]
-        for units in itertools.product((1, 2), repeat=3):
-            if any(lead and u != lead for lead, u in zip(leads, units)):
-                continue
-            tops = [f_value(b.scale(u)) for b, u in zip(blocks, units)]
-            for perm in itertools.permutations(range(3)):
-                if not tops[perm[0]] >= tops[perm[1]] >= tops[perm[2]]:
-                    continue
-                cols = apply_transform(spec, BlockTransform("scale_columns", units=units))
-                cols = apply_transform(cols, BlockTransform("permute_columns", perm=perm))
-                scales = [r.first_nonzero()[1] for r in cols.rows]
-                fs = [f_value(r.scale(u)) for r, u in zip(cols.rows, scales)]
-                order = (i, *sorted({0, 1, 2} - {i}, key=fs.__getitem__, reverse=True))
-                key = [fs[k] for k in order]
-                if key[2] < key[1] <= key[0] and (best is None or key < best[0]):
-                    best = key, cols, order, tuple(scales[k] for k in order)
-    if best is None:
-        return spec
-    _, cols, order, scales = best
-    cols = apply_transform(cols, BlockTransform("permute_rows", perm=order))
-    return apply_transform(cols, BlockTransform("scale_rows", units=scales))
+def _ring_draw(rng: random.Random, n: int) -> np.ndarray:
+    """One trial's draw, a group of one: its first rows (3, 3n)."""
+    return _ring_draws([rng], n)[0]
 
 
 # -- work units -----------------------------------------------------------------
@@ -396,9 +395,9 @@ def _units(plan: SearchPlan) -> Iterator[int]:
 
 def _unit_specs(plan: SearchPlan, unit: int, *,
                 verified: bool) -> Iterator[tuple[CodeSpec, tuple[np.ndarray, ...]]]:
-    """The specs of one unit that pass the structural constraints, in
-    ascending (f(r2), f(r3)) order, each with its three first rows as int8
-    entry arrays, which _run_units stacks.
+    """The specs of one exhaustive unit that pass the structural
+    constraints, in ascending (f(r2), f(r3)) order, each with its three
+    first rows as int8 entry arrays, which _run_units stacks.
 
     Exhaustive mode takes r1 = vector_from_f(3n, unit) and every admissible
     r2, r3.  The r3 space of an r2 is the dual D1 of r1's block rows cut
@@ -412,17 +411,8 @@ def _unit_specs(plan: SearchPlan, unit: int, *,
     verified adds the diagonal Gram prune to every row (the block size m
     that _admissible takes, 0 without it) and the minimum-weight prune of
     r1 (sound: they only drop candidates that could never verify).
-
-    A sampled trial yields one spec, self-dual by construction: drawn with
-    the generator seeded by (plan seed, unit) (_ring_draw), and moved into
-    the walk's row form where a move reaches it (_walk_form).
     """
     m = plan.block_size
-    if plan.mode == "sampled":
-        if m % 2 == 0:  # at odd m, length 6 mod 12, no draw would ever end
-            spec = _walk_form(_ring_draw(random.Random(f"{plan.seed}:{unit}"), m))
-            yield spec, tuple(np.array(r.entries(), np.int8) for r in spec.rows)
-        return
     width = 3 * m
     d = plan.target_min_weight
     gram = m if verified else 0  # the block size of the rows' Gram identity
@@ -439,6 +429,15 @@ def _unit_specs(plan: SearchPlan, unit: int, *,
             yield CodeSpec(m, r1, r2, vecs[k]), (row1, rows[i], rows[k])
 
 
+def _trial_rows(plan: SearchPlan, trials: Sequence[int]) -> np.ndarray:
+    """The first rows of a group of sampled trials, as int8 (trials, 3, 3n):
+    each trial's M, self-dual by construction, drawn with the generator
+    seeded by (plan seed, trial) (_ring_draws) and moved into the walk's row
+    form where a move reaches it (nega._walk_form)."""
+    rngs = [random.Random(f"{plan.seed}:{t}") for t in trials]
+    return _walk_form(_ring_draws(rngs, plan.block_size))
+
+
 # -- public operations ----------------------------------------------------------
 
 
@@ -447,11 +446,18 @@ def enumerate_candidates(plan: SearchPlan) -> Iterator[CodeSpec]:
 
     No self-duality or weight filtering happens here; exhaustive mode covers
     the plan's partition completely in ascending (f(r1), f(r2), f(r3))
-    order.  Sampled mode yields each trial's ring draw (_unit_specs), which
-    is self-dual by construction; at odd block sizes it yields nothing.
+    order.  Sampled mode yields each trial's ring draw, in walk form where
+    a move reaches it (_trial_rows), which is self-dual by construction; at
+    odd block sizes it yields nothing.
     """
-    for unit in _units(plan):
-        yield from (spec for spec, _ in _unit_specs(plan, unit, verified=False))
+    if plan.mode == "exhaustive":
+        for unit in _units(plan):
+            yield from (spec for spec, _ in _unit_specs(plan, unit, verified=False))
+    elif plan.block_size % 2 == 0:  # at odd m, length 6 mod 12, no draw would ever end
+        trials = list(_units(plan))
+        for s in range(0, len(trials), _STACK):
+            rows = _trial_rows(plan, trials[s : s + _STACK])
+            yield from (CodeSpec.from_entry_rows(r.tolist()) for r in rows)
 
 
 def beta_set_matches(registry: Registry, length: int, beta: int | None) -> tuple[str, ...]:
@@ -492,21 +498,26 @@ def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, 
     that verifies.  beta sets and novelty are left to the merge, which holds
     the caller's registry.
 
-    The group's admissible specs are verified _STACK at a time from the M of
-    their first rows (_tiles): one int16 product checks M M^T = -I, and one
-    scan of their stack (weights._tile_stack) settles d and alpha, split back per unit."""
-    specs = [list(_unit_specs(plan, unit, verified=True)) for unit in units]
-    flat = [rows for group in specs for _, rows in group]
+    The group's specs, a sampled group's in one array (_trial_rows), are
+    verified _STACK at a time from the M of their first rows (_tiles): one
+    int16 product checks M M^T = -I, and one scan of their stack
+    (weights._tile_stack) settles d and alpha, split back per unit.  A
+    sampled trial's spec is built only when it verifies."""
+    if plan.mode == "sampled":
+        specs = [[(None, rows)] for rows in _trial_rows(plan, units)]
+    else:
+        specs = [list(_unit_specs(plan, unit, verified=True)) for unit in units]
+    flat = np.array([rows for group in specs for _, rows in group])
     alphas: list[int | None] = []
     for s in range(0, len(flat), _STACK):
-        tiles = _tiles(np.array(flat[s : s + _STACK]))
+        tiles = _tiles(flat[s : s + _STACK])
         if (np.matmul(tiles, tiles.mT, dtype=np.int16) % 3 != 2 * np.eye(tiles.shape[1])).any():
             raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
         alphas += _settle(_tile_stack(tiles, _orbit_shape(plan.length, tiles.shape[1])),
                           plan.target_min_weight)
     found = iter(alphas)
-    return [[(spec, alpha) for (spec, _), alpha in zip(group, found) if alpha is not None]
-            for group in specs]
+    return [[(spec or CodeSpec.from_entry_rows(rows.tolist()), alpha)
+             for (spec, rows), alpha in zip(group, found) if alpha is not None] for group in specs]
 
 
 def _map_units(plan: SearchPlan, units: Iterator[int], workers: int) -> Iterator[list]:

@@ -602,8 +602,6 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
         return WeightProfile(code.n, {0: 1}, complete=True)
     half = code.k // 2
     width = code._cache.get("orbit_width", 0)
-    if width > half:  # the first half must hold the whole first block
-        width = 0
     _full_distribution_guard(code.k, width, allow_long)
     lo_a, hi_a = _span_planes(code.basis[:half], code.n)
     lo_b, hi_b = (np.ascontiguousarray(p.T) for p in _span_planes(code.basis[half:], code.n))

@@ -174,6 +174,13 @@ class TestSearch:
         assert err.startswith("usage error: ")
         assert "--budget" in err
 
+    def test_sampled_block_size_past_the_draw_is_usage(self, capsys):
+        rc, out, err = run_cli(capsys, "search", "--n", "30", "--mode", "sampled",
+                               "--seed", "1", "--budget", "1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage error: sampled mode cannot draw at block size 30")
+
     @pytest.mark.parametrize("n", ["-1", "0"])
     def test_block_size_below_one_is_usage(self, capsys, n):
         rc, out, err = run_cli(capsys, "search", "--n", n)

@@ -52,7 +52,7 @@ from nega3 import (
     run_search,
 )
 from nega3 import search, weights
-from nega3.nega import _block_gram
+from nega3.nega import _at_least, _block_gram, _f_keys
 from nega3.search import _block_pool, _DualSpace
 
 
@@ -88,6 +88,18 @@ class TestPlan:
             SearchPlan(block_size=6, partition=(-1, 2))
         with pytest.raises(ValueError):
             SearchPlan(block_size=6, seed=-1)
+
+    def test_sampled_block_sizes_the_draw_cannot_reach(self):
+        # a row of the draw expects 3^(n/2) / _batch_size(n) batches: 61 at
+        # n = 22, 219 at n = 24, over _STALL / 10 = 100; odd n draw nothing
+        assert [n for n in range(2, 40, 2) if not search._draw_reaches(n)] == list(range(24, 40, 2))
+        assert 3**11 / search._batch_size(22) < search._STALL / 10 < 3**12 / search._batch_size(24)
+        SearchPlan(block_size=22, mode="sampled", budget=1)
+        SearchPlan(block_size=25, mode="sampled", budget=1)
+        SearchPlan(block_size=24, budget=1)
+        for n in (24, 30):
+            with pytest.raises(ValueError, match=f"cannot draw at block size {n}"):
+                SearchPlan(block_size=n, mode="sampled", budget=1)
 
 
 class TestEnumerationOrder:
@@ -344,13 +356,13 @@ class TestTileStacks:
 
     @given(st.sampled_from([2, 4, 6]), st.integers(0, 2**32 - 1))
     def test_sampled_specs(self, m, seed):
-        plan = SearchPlan(block_size=m, mode="sampled", seed=seed, budget=1)
-        trials = (search._unit_specs(plan, t, verified=True) for t in range(200))
-        found = list(itertools.islice(itertools.chain.from_iterable(trials), 3))
-        assert found and all(is_self_dual(s) for s, _ in found)
-        # each row owns its entries, so the specs a group holds do not keep
-        # every trial's batch of draws alive
-        assert all(r.base is None for _, rows in found for r in rows)
+        plan = SearchPlan(block_size=m, mode="sampled", seed=seed, budget=3)
+        rows = search._trial_rows(plan, range(3))
+        # the group's rows own their entries, so they do not keep the
+        # group's batches of draws alive
+        assert rows.shape == (3, 3, 3 * m) and rows.base is None
+        found = [(CodeSpec.from_entry_rows(r.tolist()), tuple(r)) for r in rows]
+        assert all(is_self_dual(s) for s, _ in found)
         _assert_closed_form(found)
 
     def test_many_stacks_match_each_spec_settled_alone(self):
@@ -572,7 +584,8 @@ def _per_trial_reference(plan, registry):
     d = plan.target_min_weight
     found = {}
     for trial in search._units(plan):
-        for spec in _specs(plan, trial):
+        for rows in search._trial_rows(plan, [trial]):
+            spec = CodeSpec.from_entry_rows(rows.tolist())
             alpha = weights._settle(weights._code_stack(build_generator(spec)), d)[0]
             if alpha is not None:
                 found[spec] = search.make_finding(registry, "spec", plan.length, d, alpha,
@@ -630,8 +643,9 @@ class _ByteStream(random.Random):
 
 
 class TestSampleDraws:
-    """The batch draws of a sampled trial, search._trits and
-    search._ring_row, against the scalar loops they replace."""
+    """The batch draws of a sampled group, search._trits and
+    search._ring_rows, against the scalar loops they replace, trial by
+    trial."""
 
     @pytest.mark.parametrize("m", [*range(1, 11), 14])
     def test_batch_replays_scalar_draws(self, m):
@@ -642,12 +656,43 @@ class TestSampleDraws:
         assert batch.getstate() == scalar.getstate()
         # the rows of a draw in turn, each the first of its batches to pass;
         # at odd m no third row exists
-        taken = []
+        taken = np.empty((1, 0, 3 * m), np.int8)
         for _ in range(3 if m % 2 == 0 else 1):
-            want = _scalar_ring_row(scalar, m, [r.tolist() for r in taken])
-            taken.append(search._ring_row(batch, m, taken))
-            assert taken[-1].dtype == np.int8 and taken[-1].tolist() == want
+            want = _scalar_ring_row(scalar, m, [r.tolist() for r in taken[0]])
+            row = search._ring_rows([batch], taken)
+            assert row.dtype == np.int8 and row.tolist() == [want]
             assert batch.getstate() == scalar.getstate()
+            taken = np.concatenate((taken, row[:, None]), axis=1)
+
+    @pytest.mark.parametrize("m, count", [(2, 24), (4, 24), (6, 16)])
+    def test_group_replays_each_trial(self, m, count):
+        # trials of one group that take different numbers of batches for a
+        # row, each replayed alone with its generator's end state
+        batches = [_CountingRandom(f"group:{m}:{t}") for t in range(count)]
+        drawn = search._ring_draws(batches, m)
+        assert drawn.dtype == np.int8 and drawn.shape == (count, 3, 3 * m)
+        for rows, batch, t in zip(drawn, batches, range(count)):
+            scalar, want = random.Random(f"group:{m}:{t}"), []
+            for _ in range(3):
+                want.append(_scalar_ring_row(scalar, m, want))
+            assert rows.tolist() == want
+            assert batch.getstate() == scalar.getstate()
+        assert len({len(b.asked) for b in batches}) > 1
+
+    def test_rows_do_not_depend_on_the_group(self):
+        # a group of 64, groups of 7, groups of 1, a partition's units and none;
+        # at m = 14 a group of 7 or 8 holds more than a slice's 2^20 entries
+        assert 7 * search._batch_size(14) * 42 > 2**20
+        for m in (6, 14):
+            plan = SearchPlan(m, mode="sampled", seed=3, budget=64)
+            trials = range(64 if m == 6 else 8)
+            whole = search._trial_rows(plan, trials)
+            for size in (7, 1):
+                groups = [trials[s:s + size] for s in range(0, len(trials), size)]
+                got = np.concatenate([search._trial_rows(plan, g) for g in groups])
+                assert np.array_equal(got, whole)
+            assert np.array_equal(search._trial_rows(plan, trials[1::3]), whole[1::3])
+            assert search._trial_rows(plan, []).shape == (0, 3, 3 * m)
 
     def test_short_peek_is_extended(self):
         # the first read asks count // 64 + 8 bytes over count, so a stream
@@ -774,13 +819,14 @@ class TestRingDraw:
     def test_every_draw_is_self_dual(self, m):
         rng = random.Random(f"self-dual:{m}")
         for _ in range(20 if m <= 6 else 4):
-            spec = search._ring_draw(rng, m)
-            assert naive.spec_is_self_dual(m, *(r.entries() for r in spec.rows))
+            rows = search._ring_draw(rng, m)
+            assert rows.shape == (3, 3 * m)
+            assert naive.spec_is_self_dual(m, *rows.tolist())
 
     def test_first_rows_uniform_at_n2(self):
         # 5,040 draws of r1: 20 expected on each of the 252 rows of norm 2
-        rng = random.Random("r1")
-        counts = collections.Counter(tuple(search._ring_row(rng, 2, []).tolist())
+        rng, none = random.Random("r1"), np.empty((1, 0, 6), np.int8)
+        counts = collections.Counter(tuple(search._ring_rows([rng], none)[0].tolist())
                                      for _ in range(5040))
         assert all(naive.row_pair_gram(2, list(r), list(r)) == [2, 0] for r in counts)
         assert len(counts) == 252
@@ -792,32 +838,68 @@ class TestRingDraw:
         every = _self_dual_ms_n2()
         assert len(every) == 24_192
         rng = random.Random("M")
-        counts = collections.Counter(tuple(tuple(r.entries()) for r in search._ring_draw(rng, 2).rows)
+        counts = collections.Counter(tuple(map(tuple, search._ring_draw(rng, 2).tolist()))
                                      for _ in range(60_000))
         assert set(counts) <= every
         assert abs(_chi_square_z(counts, len(every))) < 4
 
-    @pytest.mark.parametrize("m, count", [(2, 40), (4, 30), (6, 8)])
+    @pytest.mark.parametrize("m, count", [(2, 40), (4, 30), (6, 8), (14, 12)])
     def test_walk_form_is_the_least_form_a_move_reaches(self, m, count):
+        # at m = 14 every f-value of a form passes 2^63
+        drawn = search._ring_draws([random.Random(f"form:{m}:{t}") for t in range(count)], m)
+        forms = search._walk_form(drawn)
+        assert forms.dtype == np.int8 and forms.shape == drawn.shape
         reached = 0
-        for t in range(count):
-            spec = search._ring_draw(random.Random(f"form:{m}:{t}"), m)
-            rows = [r.entries() for r in spec.rows]
+        for rows, got in zip(drawn.tolist(), forms.tolist()):
             want = naive.walk_form(m, rows)
-            got = [r.entries() for r in search._walk_form(spec).rows]
             assert got == (rows if want is None else want)
             reached += want is not None
+            assert want is None or m < 14 or naive.f_value(want[2]) >= 2**63
         assert 0 < reached < count
+
+    @pytest.mark.parametrize("width", [3, 18, 19, 20, 39, 40, 60])
+    def test_f_keys_compare_as_f(self, width):
+        # past 19 digits a row takes several chunks; half the rows share the
+        # high digits of one, to test the comparison near it
+        rng = random.Random(width)
+        top = [rng.randrange(3) for _ in range(width)]
+        vals = ([[rng.randrange(3) for _ in range(width)] for _ in range(100)]
+                + [top[:i] + [rng.randrange(3)] + top[i + 1:]
+                   for i in (rng.randrange(width) for _ in range(100))] + [top, [0] * width])
+        keys = _f_keys(np.array(vals, np.int8))
+        assert keys.shape == (len(vals), -(-width // 19))
+        fs = [naive.f_value(v) for v in vals]
+        assert [fs[i] for i in np.lexsort(keys.T)] == sorted(fs)
+        assert _at_least(keys[:, None], keys[None]).tolist() == [
+            [x >= y for y in fs] for x in fs]
+
+    def test_walk_form_of_any_nonzero_rows(self):
+        # on self-dual draws r1 and r2 of a form pin r3; on other rows two
+        # forms can share them, and r3 breaks the tie
+        ties = 0
+        for m, count in ((1, 80), (2, 60)):
+            rng = random.Random(f"rows:{m}")
+            cases = [[[rng.choice((0, 1, 2)) for _ in range(3 * m)] for _ in range(3)]
+                     for _ in range(count)]
+            cases = [rows for rows in cases if all(any(r) for r in rows)]
+            for rows, form in zip(cases, search._walk_form(np.array(cases, np.int8)).tolist()):
+                forms = [img for img in naive.block_moves(m, rows) if naive.in_walk_form(m, img)]
+                assert form == min(forms, key=lambda img: [naive.f_value(r) for r in img],
+                                   default=rows)
+                heads = {tuple(naive.f_value(r) for r in img[:2]) for img in forms}
+                ties += len(heads) < len({tuple(map(tuple, img)) for img in forms})
+        assert ties
 
     def test_moved_draws_share_their_form(self):
         rng = random.Random("moves")
         reached = 0
-        for t in range(60):
-            spec = search._ring_draw(random.Random(f"share:{t}"), 4)
-            form = search._walk_form(spec)
-            if form != spec or naive.in_walk_form(4, [r.entries() for r in spec.rows]):
+        drawn = search._ring_draws([random.Random(f"share:{t}") for t in range(60)], 4)
+        for rows, form in zip(drawn, search._walk_form(drawn)):
+            if (form != rows).any() or naive.in_walk_form(4, rows.tolist()):
                 reached += 1
-                assert search._walk_form(_moved(spec, rng)) == form
+                moved = _moved(CodeSpec.from_entry_rows(rows.tolist()), rng)
+                moved = np.array([[r.entries() for r in moved.rows]], np.int8)
+                assert np.array_equal(search._walk_form(moved)[0], form)
         assert reached > 5
 
     @pytest.mark.parametrize("m", [1, 3, 5])

