@@ -619,18 +619,20 @@ class _CheckpointLog:
         if self._file is not None:
             self._file.close()
 
-    def append(self, unit: int, findings: list[Finding]) -> None:
+    def append(self, unit: int, findings: list[Finding]) -> list[dict | None]:
+        """Log a unit; the records written, or None each with no log."""
         if self._file is None:
-            return
+            return [None] * len(findings)
         records = [f.to_record() for f in findings]
         self._file.write(json.dumps({"unit": unit, "findings": records}) + "\n")
         self._file.flush()
+        return records
 
-    def finish(self, stream: list[Finding]) -> None:
+    def finish(self, records: list[dict | None]) -> None:
+        """Replace the log by the merged stream's records."""
         if self._file is None:
             return
         self._file.close()
-        records = [f.to_record() for f in stream]
         _write_line(self.path, {**self.header, "complete": True, "findings": records})
 
 
@@ -639,32 +641,37 @@ def _merge(
 ) -> Iterator[Finding]:
     """Findings unit by unit: logged units replayed, the rest run and built
     with the caller's registry.  Exhaustive findings stream in unit order;
-    sampled ones are deduplicated and sorted at the end."""
+    sampled ones are deduplicated and sorted at the end.  One walk of the
+    units feeds both the pool and the merge, which trails it by at most the
+    pool's window; each finding keeps the record logged or replayed."""
     if ckpt.complete is not None:
         yield from map(Finding.from_record, ckpt.complete)
         return
-    stream: list[Finding] = []
+    stream: list[tuple[Finding, dict | None]] = []
     sampled = plan.mode == "sampled"
-    pending = (u for u in _units(plan) if u not in ckpt.done)
+    units, pending = itertools.tee(_units(plan))
+    pending = (u for u in pending if u not in ckpt.done)
     with ckpt, contextlib.closing(_map_units(plan, pending, workers)) as results:
-        for unit in _units(plan):
+        for unit in units:
             if unit in ckpt.done:
-                findings = [Finding.from_record(r) for r in ckpt.done[unit]]
+                records = ckpt.done[unit]
+                findings = [Finding.from_record(r) for r in records]
             else:
                 findings = [
                     make_finding(registry, "spec", plan.length, plan.target_min_weight,
                                  alpha, spec=spec)
                     for spec, alpha in next(results)
                 ]
-                ckpt.append(unit, findings)
-            stream.extend(findings)
+                records = ckpt.append(unit, findings)
+            stream.extend(zip(findings, records))
             if not sampled:
                 yield from findings
         if sampled:  # a spec drawn by several trials counts once
-            stream = sorted({f.spec: f for f in stream}.values(), key=Finding.sort_key)
-        ckpt.finish(stream)
+            stream = sorted({f.spec: (f, rec) for f, rec in stream}.values(),
+                            key=lambda pair: pair[0].sort_key())
+        ckpt.finish([rec for _, rec in stream])
     if sampled:
-        yield from stream
+        yield from (f for f, _ in stream)
 
 
 def run_search(

@@ -24,13 +24,18 @@ The expansion is vectorized and visits each word the covering needs at
 most once up to sign:
 
 - Supports come from numpy tables of row combinations, streamed in
-  lexicographic order in chunks of at most 65,536 rows.  A batch of words
-  holds at most 65,536 rows for one code, and at most 8,192 shared out
-  among the codes of a larger stack.
-- Each message's first coefficient is fixed to 1 and the other j - 1 walk
-  their sign patterns in Gray-code order, one bit-sliced vector addition
-  per pattern, done in place in buffers held per chunk.  A word c stands
-  for itself and -c, which shares its weight.
+  lexicographic order in chunks of at most 65,536 rows.  A batch holds the
+  words of at most 65,536 supports for one code, and at most 8,192 shared
+  out among the codes still in a larger stack.
+- Each message's first coefficient is fixed to 1.  The last t = min(2,
+  j - 1) rows of each support are summed once per run of supports, up to
+  sign: b, or a + b and a - b.  The first j - t coefficients walk their sign
+  patterns in Gray-code order, one bit-sliced vector addition per pattern
+  into a head h, done in place in buffers held per chunk.  Only weights
+  are needed, and the support of h + s or h - s takes three bitwise
+  operations (_sum_support), so each pattern yields the supports of its
+  2^t words against the tail sums, and no word is ever built.  A word c
+  stands for itself and -c, which shares its weight.
 - Counts need no record of words seen.  A word's message support under a
   systematic matrix is its weight on that matrix's pivots, so a word is
   counted only at the first (level, matrix) pair that visits it: the
@@ -74,7 +79,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from math import comb, gcd, prod
+from math import comb, gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -159,11 +164,23 @@ def _add_into(lo, hi, blo, bhi, scratch) -> None:
     np.bitwise_xor(t, u, out=lo)
 
 
-def _weights_of(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Weights of the words of planes shaped (..., lanes)."""
-    if lo.shape[-1] == 1:
-        return np.bitwise_count((lo | hi)[..., 0])
-    return np.bitwise_count(lo | hi).sum(axis=-1, dtype=np.int64)
+def _sum_support(alo, ahi, blo, bhi, out, scratch):
+    """The support of a + b, into out, with scratch of its shape.
+
+    a + b is zero exactly where b = -a, that is where b's low plane equals
+    a's high plane and b's high plane a's low one, so its support is
+    (a_lo ^ b_hi) | (a_hi ^ b_lo).  With b's planes passed swapped, which
+    negates b, it is the support of a - b."""
+    np.bitwise_xor(alo, bhi, out=out)
+    np.bitwise_xor(ahi, blo, out=scratch)
+    return np.bitwise_or(out, scratch, out=out)
+
+
+def _weights_of(support: np.ndarray) -> np.ndarray:
+    """Weights of the words whose supports are the planes shaped (..., lanes)."""
+    if support.shape[-1] == 1:
+        return np.bitwise_count(support[..., 0])
+    return np.bitwise_count(support).sum(axis=-1, dtype=np.int64)
 
 
 # -- information sets ---------------------------------------------------------
@@ -232,15 +249,16 @@ def count_cost(code: Code, w: int) -> int:
 
 # -- level scans ---------------------------------------------------------------
 
-_CHUNK = 1 << 16  # most combinations, hence rows per batch, held at once
+_CHUNK = 1 << 16  # most combinations, hence supports per batch, held at once
 # most codes scanned in one stack: a few dozen already share out the numpy
 # call overhead, and wider stacks would only hold larger batches at once
 _STACK = 64
-# most rows per batch of a stack of more than one code: a stack's batch is
-# split among its codes, and at this size it still shares out the numpy call
-# overhead, while its buffer of 2j + 2 planes stays under a megabyte for
-# one-lane words up to j = 6 (_settle over 64 neighbors of a length-36 code
-# held 1.4 MB at most at once, against 10 MB with batches of _CHUNK rows)
+# most supports per batch of a stack of more than one code: they are split
+# among the codes still in the stack, and at this size they still share out
+# the numpy call overhead, while the buffer of 2j + 5 planes (four for the
+# batch's words) stays near a megabyte for one-lane words up to j = 6
+# (_settle over 64 neighbors of a length-36 code held 1.1 MB at most at
+# once, against 10 MB with batches of _CHUNK supports)
 _STACK_ROWS = 1 << 13
 
 
@@ -340,74 +358,107 @@ def _support_chunks(k: int, j: int, width: int):
 
 def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
            alive: np.ndarray | None = None):
-    """The codewords of the messages of support size j of a stack of codes,
-    as batches (codes, lo, hi, mult).
+    """The supports of the codewords of the messages of support size j of a
+    stack of codes, as batches (codes, support, mult).
 
     lo and hi hold one systematic basis per code, shaped (codes, k, lanes);
     the codes share their pivots and orbit width, so one support table
-    serves them all.  A batch holds the words of a run of supports for the
-    listed stack positions, shaped (len(codes), supports, lanes): at most
-    _CHUNK rows in all for a stack of one code and min(_CHUNK, _STACK_ROWS)
-    for a larger one, or one support per code when the stack holds more
-    codes than that.  Each message's first nonzero coefficient is fixed to
-    1, so a batch holds one word of each pair c, -c, which share their
-    weight and their pivot weights.  The other j - 1 coefficients are
-    walked through their 2^(j-1) sign patterns in Gray-code order, each
-    step one bit-sliced vector addition in place.
-    With a width (see _orbit_shape) only supports least among their
-    rotations are walked, and mult holds each support's orbit size, the
-    number of supports whose words the batch stands for; otherwise mult is
-    all ones.  A stack position the caller clears in alive leaves the walk
-    at the next batch: the codes left are moved up in the buffer in place,
-    so no batch is ever copied.
+    serves them all.  Each message's first nonzero coefficient is fixed to
+    1, so the walk visits one word of each pair c, -c, which share their
+    weight and pivot weights.  Per run of supports, the last t = min(2,
+    j - 1) rows are summed once into their 2^(t-1) sums s up to sign (b,
+    or a + b and a - b).  The first j - t coefficients walk their sign
+    patterns in Gray-code order, one bit-sliced addition in place into the
+    head h per step, and each pattern yields one batch: the supports of
+    h + s and h - s for every s (_sum_support).
 
-    A batch's planes are buffers that the next step overwrites, so read
-    each batch before asking for the next.
+    A batch's support is shaped (len(codes), 2^t * supports, lanes), the
+    2^t words of each support in turn, for the listed stack positions.  A
+    run holds at most _CHUNK supports for a stack of one code; a larger
+    stack's codes still in the walk share min(_CHUNK, _STACK_ROWS), at
+    least one each.  With a width (see _orbit_shape) only supports least
+    among their rotations are walked, and mult holds each word's orbit
+    size; otherwise mult is all ones.  A stack position the caller clears
+    in alive leaves the walk at the next batch, the codes left moved up in
+    the buffer in place.
+
+    The support is a buffer that the next step overwrites, so read each
+    batch before asking for the next.
     """
     codes = np.arange(lo.shape[0])
     rows = _CHUNK if len(codes) == 1 else min(_CHUNK, _STACK_ROWS)
+    tail = min(2, j - 1)
+    head = j - tail
+    words = 1 << tail  # per support and batch
+    # planes: the head rows' low planes, then their high ones (row 0 becomes
+    # the running head h), the tail sums as low, high pairs in the tail rows'
+    # place, and a scratch plane; the batch's supports, which also serve as
+    # scratch for the additions, are held apart, codes first
+    held = 2 * j
+    slots = [(t, head + t) for t in range(head)] + [(2 * head + 2 * u, 2 * head + 2 * u + 1)
+                                                   for u in range(tail)]
+    # the (low, high) planes of the words added to h, each tail sum s then
+    # -s, its planes swapped; for j = 1 the word is h itself
+    signs = [(at + swap, at + 1 - swap) for at in range(2 * head, held, 2) for swap in (0, 1)]
     slo, shi = lo, hi
     store = np.empty(0, dtype=np.uint64)
     for combos, mult in _supports(lo.shape[1], j, width):
-        step = max(1, rows // len(codes))
-        for s in range(0, len(combos), step):
-            piece = combos[s : s + step]
-            # rows 0 .. j-1 of each word's message, low then high planes, and
-            # two scratch arrays; row 0 becomes the running word
-            shape = (2 * j + 2, len(codes), len(piece), lo.shape[2])
-            size = prod(shape)
-            if store.size < size:
-                store = np.empty(size, dtype=np.uint64)
-            buf = store[:size].reshape(shape)
-            for t in range(j):
+        s = 0
+        while s < len(combos):
+            if alive is not None and not alive[codes].all():
+                codes = codes[alive[codes]]
+                if not len(codes):
+                    return
+                slo, shi = lo[codes], hi[codes]
+            step = max(1, rows // len(codes))
+            piece, m = combos[s : s + step], np.concatenate([mult[s : s + step]] * words)
+            s += step
+            plane = len(codes) * len(piece) * lo.shape[2]
+            if store.size < (held + 1 + words) * plane:
+                # room for the largest run of this chunk at once: a store
+                # grown run by run as codes leave would be allocated while
+                # the caller still holds a batch of the one it replaces
+                most = min(max(rows, len(codes)), len(codes) * len(combos)) * lo.shape[2]
+                store = np.empty((held + 1 + words) * most, dtype=np.uint64)
+            buf = store[: (held + 1) * plane].reshape(held + 1, len(codes), len(piece), -1)
+            out = store[(held + 1) * plane : (held + 1 + words) * plane].reshape(
+                len(codes), words, len(piece), -1)
+            scratch = out[:, :2].swapaxes(0, 1)  # free until the batch is formed
+            for t, (lo_at, hi_at) in enumerate(slots):
                 r = piece[:, t].astype(np.intp)  # each column cast once, for both planes
-                np.take(slo, r, axis=1, out=buf[t], mode="clip")
-                np.take(shi, r, axis=1, out=buf[j + t], mode="clip")
-            wlo, whi, scratch = buf[0], buf[j], buf[2 * j :]
-            for t in range(1, j):
-                _add_into(wlo, whi, buf[t], buf[j + t], scratch)
-            for i in range(1 << (j - 1)):
+                np.take(slo, r, axis=1, out=buf[lo_at], mode="clip")
+                np.take(shi, r, axis=1, out=buf[hi_at], mode="clip")
+            if tail == 2:  # the tail rows a, b become a + b, then (a + b) + b = a - b
+                _add_into(buf[held - 4], buf[held - 3], buf[held - 2], buf[held - 1], scratch)
+                _add_into(buf[held - 2], buf[held - 1], buf[held - 4], buf[held - 3], scratch)
+            for t in range(1, head):
+                _add_into(buf[0], buf[head], buf[t], buf[head + t], scratch)
+            for i in range(1 << (head - 1)):
                 if i:
                     # flipping pattern bit t - 1 takes coefficient t from 1
                     # to 2 (add the row) or back (add its negation, i.e. the
                     # row with planes swapped)
                     t = (i & -i).bit_length()
                     if ((i ^ (i >> 1)) >> (t - 1)) & 1:
-                        _add_into(wlo, whi, buf[t], buf[j + t], scratch)
+                        _add_into(buf[0], buf[head], buf[t], buf[head + t], scratch)
                     else:
-                        _add_into(wlo, whi, buf[j + t], buf[t], scratch)
+                        _add_into(buf[0], buf[head], buf[head + t], buf[t], scratch)
                 if alive is not None and not alive[codes].all():
                     keep = np.flatnonzero(alive[codes])
                     if not len(keep):
                         return
                     for p, q in enumerate(keep):  # p <= q: no slot is read after it is written
                         if p != q:
-                            buf[: 2 * j, p] = buf[: 2 * j, q]
+                            buf[:held, p] = buf[:held, q]
                     codes = codes[keep]
                     slo, shi = lo[codes], hi[codes]
-                    buf = buf[:, : len(codes)]  # each plane still contiguous
-                    wlo, whi, scratch = buf[0], buf[j], buf[2 * j :]
-                yield codes, wlo, whi, mult[s : s + step]
+                    buf, out = buf[:, : len(codes)], out[: len(codes)]  # both still contiguous
+                    scratch = out[:, :2].swapaxes(0, 1)
+                if not tail:
+                    np.bitwise_or(buf[0], buf[head], out=out[:, 0])
+                for u, (a, b) in enumerate(signs):
+                    _sum_support(buf[0], buf[head], buf[a], buf[b], out[:, u], buf[held])
+                yield codes, out.reshape(len(codes), -1, lo.shape[2]), m
 
 
 def min_weight(code: Code, abort_below: int | None = None) -> int:
@@ -558,9 +609,9 @@ def _stack_counts(stack: _Stack, w: int, floor: int, least: bool = False) -> _Sc
     split = stack.deficits == [0, 0] and 2 * k == stack.n
     drops = floor > 1  # no nonzero word weighs less than 1
     for j, i, unseen in _passes(stack.deficits, k):
-        for pos, wlo, whi, mult in _words(stack.lo[i], stack.hi[i], j, stack.width,
-                                          kept if drops else None):
-            batch = _weights_of(wlo, whi)
+        for pos, support, mult in _words(stack.lo[i], stack.hi[i], j, stack.width,
+                                         kept if drops else None):
+            batch = _weights_of(support)
             low = batch.min(axis=1)
             if drops:
                 out = low < floor
@@ -570,16 +621,17 @@ def _stack_counts(stack: _Stack, w: int, floor: int, least: bool = False) -> _Sc
                 fell = low < target[pos]
                 if fell.any():
                     target[pos[fell]], total[pos[fell]] = low[fell], 0
-            if not (low <= target[pos]).any():
+            aim = target[pos]
+            if not (low <= aim).any():
                 continue
-            c, r = np.divmod(np.flatnonzero(batch == target[pos][:, None]), batch.shape[1])
+            c, r = np.divmod(np.flatnonzero(batch == aim.astype(batch.dtype)[:, None]), batch.shape[1])
             if split:
-                first = 2 * j + i <= target[pos[c]]
+                first = 2 * j + i <= aim[c]
             else:
-                words = wlo[c, r] | whi[c, r]
-                on_pivots = np.bitwise_count(words[:, None, :] & stack.pivot_masks).sum(axis=-1)
+                on_pivots = np.bitwise_count(support[c, r][:, None, :] & stack.pivot_masks).sum(axis=-1)
                 first = on_pivots.argmin(axis=1) == i
             np.add.at(total, pos[c[first]], mult[r[first]])
+        support = None  # a view that holds the walk's buffer: free it before the next pass's
         if not kept.any() or unseen > target[kept].max():
             break
     return _Scan(target, 2 * total, kept)
@@ -624,10 +676,9 @@ def _sweep(lo_a, hi_a, lo_b, hi_b, mult: np.ndarray, n: int) -> np.ndarray:
     table, shaped (lanes, columns); row i's histogram counts mult[i] times,
     and rows of mult 0 are skipped.
 
-    Only weights are needed, and a + b is zero exactly where b = -a, that
-    is where b's low plane equals a's high plane and b's high plane a's low
-    one.  So each lane of a sum's support is two XORs and an OR against
-    one lane of the row, a scalar, into buffers reused for every row."""
+    Only weights are needed, so each lane of a sum's support is the two
+    XORs and an OR of _sum_support against one lane of the row, a scalar,
+    into buffers reused for every row."""
     columns = lo_b.shape[1]
     t = np.empty(columns, dtype=np.uint64)
     u = np.empty(columns, dtype=np.uint64)
@@ -636,10 +687,8 @@ def _sweep(lo_a, hi_a, lo_b, hi_b, mult: np.ndarray, n: int) -> np.ndarray:
     counts = np.zeros(n + 1, dtype=np.int64)
     for i in np.flatnonzero(mult):
         for lane in range(lo_b.shape[0]):
-            np.bitwise_xor(lo_b[lane], hi_a[i, lane], out=t)
-            np.bitwise_xor(hi_b[lane], lo_a[i, lane], out=u)
-            np.bitwise_or(t, u, out=t)
-            np.bitwise_count(t, out=ones)
+            np.bitwise_count(_sum_support(lo_b[lane], hi_b[lane], lo_a[i, lane], hi_a[i, lane], t, u),
+                             out=ones)
             if weight is not ones:
                 if lane:
                     np.add(weight, ones, out=weight)

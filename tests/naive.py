@@ -5,6 +5,7 @@ are lists of lists, and codes are enumerated word by word.  Obvious over
 fast, so a disagreement with the packed implementations points at them.
 """
 
+import collections
 import itertools
 
 
@@ -191,6 +192,29 @@ def distribution(basis):
 
 def min_weight(basis):
     return min(vweight(w) for w in codewords(basis) if any(w))
+
+
+def walk_supports(rows, j, width):
+    """The words the covering scan walks at message support size j under
+    the basis rows, as a Counter of (support mask, mult): every message
+    whose first nonzero coefficient is 1, one word at a time.  With a width,
+    only message supports least among their rotations within each
+    width-wide block of rows are taken, as bit masks, each with its orbit
+    size as mult; without one, every support with mult 1."""
+    counts = collections.Counter()
+    for combo in itertools.combinations(range(len(rows)), j):
+        mult = 1
+        if width:
+            orbit = {sum(1 << (i - i % width + (i + r) % width) for i in combo) for r in range(width)}
+            if sum(1 << i for i in combo) != min(orbit):
+                continue
+            mult = len(orbit)
+        for signs in itertools.product((1, 2), repeat=j - 1):
+            word = rows[combo[0]]
+            for c, i in zip(signs, combo[1:]):
+                word = vadd(word, vscale(rows[i], c))
+            counts[sum(1 << col for col, x in enumerate(word) if x), mult] += 1
+    return counts
 
 
 def gram_is_zero(rows):

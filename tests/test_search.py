@@ -958,6 +958,61 @@ class TestCheckpoint:
         (doc,) = _log_lines(path)
         assert doc["complete"] and doc["findings"] == reference
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_units_walked_once_per_run(self, tmp_path, registry, monkeypatch, workers):
+        # the pending units and the merge share one walk of the r1 triples,
+        # one scalar row-weight test each, in a fresh run and a resumed one
+        path = tmp_path / "ck.json"
+        plan = SearchPlan(block_size=2)
+        reference = _records(run_search(plan, registry=registry))
+        triples = len(list(itertools.combinations_with_replacement(search._block_pool(2), 3)))
+        walked = []
+        real = search._weight_passes
+
+        def counting(w, d):
+            if isinstance(w, int):  # _units; the row rule tests arrays
+                walked.append(w)
+            return real(w, d)
+
+        monkeypatch.setattr(search, "_weight_passes", counting)
+        assert _records(run_search(plan, registry=registry, workers=workers)) == reference
+        assert len(walked) == triples
+        gen = run_search(plan, registry=registry, checkpoint=path, workers=workers)
+        assert _records(itertools.islice(gen, 2)) == reference[:2]
+        gen.close()
+        del walked[:]
+        assert _records(run_search(plan, registry=registry, checkpoint=path,
+                                   workers=workers)) == reference
+        assert len(walked) == triples
+
+    @pytest.mark.parametrize("plan,stop", [
+        (SearchPlan(block_size=2), 9),  # of 11 units, findings in units 8 to 10
+        (SearchPlan(block_size=2, mode="sampled", seed=7, budget=400), 150),
+    ], ids=["exhaustive", "sampled"])
+    def test_each_finding_serialised_once(self, tmp_path, registry, monkeypatch, plan, stop):
+        # a checkpointed run serialises each finding when its unit is logged
+        # and reuses that record in the finished log; a resumed run reuses
+        # the records it replays; and the finished logs of a fresh and a
+        # resumed run are the same bytes
+        fresh, resumed = tmp_path / "fresh.json", tmp_path / "resumed.json"
+        with monkeypatch.context() as m:  # stopped once stop units have run
+            m.setattr(search, "_run_units", _runs_then_stops(stop))
+            with pytest.raises(_Stopped):
+                list(run_search(plan, registry=registry, checkpoint=resumed))
+        assert sum(len(u["findings"]) for u in _log_lines(resumed)[1:])  # some replayed
+        serialised, appended = [], []
+        to_record, append = Finding.to_record, search._CheckpointLog.append
+        monkeypatch.setattr(Finding, "to_record", lambda f: serialised.append(f) or to_record(f))
+        monkeypatch.setattr(search._CheckpointLog, "append",
+                            lambda log, unit, found: appended.extend(found) or append(log, unit, found))
+        for path in (fresh, resumed):
+            del serialised[:], appended[:]
+            stream = list(run_search(plan, registry=registry, checkpoint=path))
+            assert serialised == appended and appended
+        assert resumed.read_bytes() == fresh.read_bytes()
+        (doc,) = _log_lines(fresh)
+        assert doc["findings"] == [to_record(f) for f in stream]
+
     def test_log_is_header_then_one_line_per_unit(self, tmp_path, registry):
         path = tmp_path / "ck.json"
         plan = SearchPlan(block_size=2)

@@ -111,6 +111,41 @@ class TestComboChunks:
         assert [tuple(int(x) for x in row) for row in first] == list(want)
 
 
+def _plane_rows(lo, hi):
+    """The rows of one code's planes, shaped (k, lanes), as entry lists
+    over whole lanes."""
+    rows = []
+    for row_lo, row_hi in zip(lo, hi):
+        low, high = (int.from_bytes(p.tobytes(), "little") for p in (row_lo, row_hi))
+        rows.append([(low >> c & 1) + 2 * (high >> c & 1) for c in range(64 * len(row_lo))])
+    return rows
+
+
+class TestWalk:
+    """weights._words against tests/naive.py: the supports a level's
+    batches yield, with their mults, are the words of the messages with
+    first coefficient 1."""
+
+    @pytest.mark.parametrize("chunk", [5, weights._CHUNK])
+    def test_supports_against_naive(self, monkeypatch, chunk):
+        monkeypatch.setattr(weights, "_CHUNK", chunk)
+        code = build_generator(_EXTREMAL24)  # k = 12, orbit width 4
+        stack = weights._code_stack(code)
+        generic = weights._code_stack(_random_code(random.Random(70), 70, 8)[0])  # two lanes
+        cases = [(stack, 0), (stack, stack.width), (generic, 0)]
+        assert stack.width == 4 and generic.lo.shape[-1] == 2
+        for s, width in cases:
+            lo, hi = s.lo[0], s.hi[0]
+            rows = _plane_rows(lo[0], hi[0])
+            for j in range(1, 7):
+                got = collections.Counter()
+                for codes, support, mult in weights._words(lo, hi, j, width):
+                    assert codes.tolist() == [0]
+                    for lanes, m in zip(support[0], mult.tolist()):
+                        got[int.from_bytes(lanes.tobytes(), "little"), m] += 1
+                assert got == naive.walk_supports(rows, j, width), (width, j)
+
+
 def _permuted(code, rng):
     """The code with its columns shuffled: the same weights, in a Code built
     by hand, so scanned and swept without orbits."""
@@ -322,9 +357,11 @@ class TestStackedScan:
         walk = weights._words
 
         def bounded(lo, hi, j, width, alive=None):
-            for batch in walk(lo, hi, j, width, alive):
-                assert batch[1].shape[0] * batch[1].shape[1] <= chunk
-                yield batch
+            words = 1 << min(2, j - 1)  # per support
+            for codes, support, mult in walk(lo, hi, j, width, alive):
+                assert support.shape[:2] == (len(codes), len(mult))
+                assert len(mult) % words == 0 and len(codes) * len(mult) <= chunk * words
+                yield codes, support, mult
 
         monkeypatch.setattr(weights, "_CHUNK", chunk)
         monkeypatch.setattr(weights, "_STACK", stack)
@@ -346,11 +383,13 @@ class TestStackedScan:
 
         def bounded(lo, hi, j, width, alive=None):
             cap = chunk if lo.shape[0] == 1 else min(chunk, rows)
-            for batch in walk(lo, hi, j, width, alive):
-                assert batch[1].shape[0] * batch[1].shape[1] <= max(cap, len(batch[0]))
-                assert alive is None or alive[batch[0]].all()
-                shrunk.append(len(batch[0]) < lo.shape[0])
-                yield batch
+            words = 1 << min(2, j - 1)  # per support
+            for codes, support, mult in walk(lo, hi, j, width, alive):
+                assert support.shape[:2] == (len(codes), len(mult))
+                assert len(mult) % words == 0 and len(codes) * len(mult) <= max(cap, len(codes)) * words
+                assert alive is None or alive[codes].all()
+                shrunk.append(len(codes) < lo.shape[0])
+                yield codes, support, mult
 
         monkeypatch.setattr(weights, "_CHUNK", chunk)
         monkeypatch.setattr(weights, "_STACK_ROWS", rows)
@@ -360,8 +399,12 @@ class TestStackedScan:
         assert any(shrunk)
 
     def test_dropped_codes_leave_the_others_words_intact(self, monkeypatch):
-        # codes leave the stack at two batches; those left are moved up in
-        # the batch buffer, and each still walks exactly its own words
+        # at level 4 each run of supports gives two batches; codes leave the
+        # stack after the first batch of a run, so those left are moved up
+        # in the batch buffer, and after the last one; each still walks
+        # exactly its own words, and the next run is split among the codes
+        # left: 7 supports give one to each of 6 or 4 codes, two to each of
+        # 3, and each support holds 4 words of each batch
         monkeypatch.setattr(weights, "_STACK_ROWS", 7)
         codes = [build_generator(s) for s in _self_dual_pool(4)[:6]]
         stack = _stacked(codes)
@@ -369,27 +412,30 @@ class TestStackedScan:
         assert width and {weights._code_stack(c).width for c in codes} == {width}
 
         def words(batches, alive=None, drops=()):
-            seen = collections.defaultdict(collections.Counter)
-            for n, (pos, wlo, whi, mult) in enumerate(batches):
-                assert wlo.shape[:2] == (len(pos), len(mult))
+            seen, shapes = collections.defaultdict(collections.Counter), []
+            for n, (pos, support, mult) in enumerate(batches):
+                assert support.shape[:2] == (len(pos), len(mult))
+                shapes.append(support.shape[:2])
                 for row, c in enumerate(pos.tolist()):
-                    seen[c].update(zip(map(bytes, wlo[row]), map(bytes, whi[row]), mult.tolist()))
+                    seen[c].update(zip(map(bytes, support[row]), mult.tolist()))
                 for at, gone in drops:
                     if n == at:
                         alive[gone] = False
-            return seen
+            return seen, shapes
 
         alive = np.ones(len(codes), dtype=bool)
-        got = words(weights._words(lo, hi, 3, width, alive), alive, [(3, [0, 2]), (10, [4])])
+        got, shapes = words(weights._words(lo, hi, 4, width, alive), alive, [(2, [0, 2]), (9, [4])])
         assert alive.tolist() == [False, True, False, True, False, True]
+        assert shapes[:11] == [(6, 4)] * 3 + [(4, 4)] * 7 + [(3, 8)]
+        assert {rows for codes, rows in shapes[11:]} <= {4, 8}  # the last run may be short
         for c in (1, 3, 5):
-            alone = words(weights._words(lo[c : c + 1], hi[c : c + 1], 3, width))
+            alone, _ = words(weights._words(lo[c : c + 1], hi[c : c + 1], 4, width))
             assert got[c] == alone[0], c
 
     def test_stacked_neighbors_keep_memory_small(self, registry):
         # 64 neighbors of C2, in one stack of (I | A) forms without orbits,
         # walk levels of C(18, 4) supports: with batches of _CHUNK rows the
-        # scan held about 10 MB at once, with the row cap about 1.4 MB
+        # scan held about 10 MB at once, with the row cap about 1.1 MB
         base = build_generator(registry.entry("C2").spec)
         rng = random.Random(64)
         codes = []
@@ -409,17 +455,22 @@ class TestStackedScan:
         assert peak < 4 * 2**20
 
 
-def _walked(monkeypatch, code, run):
+def _walked(monkeypatch, code, run, words=None):
     """The (level, set) passes of the covering scans that run() makes on
     code, in order, with run()'s result.  A pass's set is the information
-    set whose planes it walks."""
+    set whose planes it walks.  A words Counter, when given, gains for
+    each pass the words its batches stand for: each word's mult, twice
+    (for c and -c)."""
     stack = weights._code_stack(code)
     walked = []
     real = weights._words
 
     def recording(lo, hi, j, width, alive=None):
-        walked.append((j, next(i for i, s in enumerate(stack.lo) if np.array_equal(lo, s))))
-        return real(lo, hi, j, width, alive)
+        walked.append(key := (j, next(i for i, s in enumerate(stack.lo) if np.array_equal(lo, s))))
+        for codes, support, mult in real(lo, hi, j, width, alive):
+            if words is not None:
+                words[key] += 2 * len(codes) * int(mult.sum())
+            yield codes, support, mult
 
     with monkeypatch.context() as patch:
         patch.setattr(weights, "_words", recording)
@@ -466,8 +517,11 @@ class TestPerSetBound:
     def test_count_cost_prices_the_passes_walked(self, registry, monkeypatch, label, w):
         code = registry.entry(label).build()
         stack = weights._code_stack(code)
-        walked, _ = _walked(monkeypatch, code, lambda: weights._stack_counts(stack, w, floor=1))
+        words = collections.Counter()
+        walked, _ = _walked(monkeypatch, code, lambda: weights._stack_counts(stack, w, floor=1), words)
         assert weights.count_cost(code, w) == sum(comb(code.k, j) << j for j, _ in walked)
+        # each pass's batches stand for every word of its level, no more
+        assert all(words[pass_] == comb(code.k, pass_[0]) << pass_[0] for pass_ in walked)
 
     @given(_generic_rows)
     def test_generic_codes_with_deficits(self, rows):
@@ -687,8 +741,8 @@ class TestLaneEdges:
         lo = gen.integers(0, 2**64, size=(3, 50, lanes), dtype=np.uint64)
         hi = gen.integers(0, 2**64, size=(3, 50, lanes), dtype=np.uint64) & ~lo
         want = np.bitwise_count(lo | hi).sum(axis=-1)
-        assert weights._weights_of(lo, hi).tolist() == want.tolist()
-        assert weights._weights_of(lo[0], hi[0]).tolist() == want[0].tolist()
+        assert weights._weights_of(lo | hi).tolist() == want.tolist()
+        assert weights._weights_of(lo[0] | hi[0]).tolist() == want[0].tolist()
 
 
 def _negashift_orbits(b):
