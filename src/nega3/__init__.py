@@ -56,7 +56,6 @@ from .search import (
     NoveltyReport,
     SearchPlan,
     beta_set_matches,
-    enumerate_candidates,
     neighbor,
     neighbor_sweep,
     novelty_report,
@@ -113,7 +112,6 @@ __all__ = [
     "build_generator",
     "classify",
     "count_weight",
-    "enumerate_candidates",
     "extended_qr48",
     "f_value",
     "fingerprint",

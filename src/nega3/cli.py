@@ -6,7 +6,7 @@ Exit codes are part of the interface and stay stable:
     1  a verification failed (non-self-dual spec, wrong d or beta,
        neighbor precondition violated)
     2  usage error (bad flags, unknown label, unsupported size, malformed
-       input file)
+       input file, a path that cannot be read or written)
     3  resource guard: the request implies a computation past the default
        budget; the printed message carries the estimate and the flag that
        overrides it
@@ -321,11 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     except NeighborError as exc:
         _say(f"neighbor precondition failed: {exc}")
         return 1
-    except (RegistryError, VectorFileError) as exc:
-        _say(f"error: {exc}")
-        return 2
-    except ValueError as exc:
-        _say(f"error: {exc}")
+    except (RegistryError, VectorFileError, ValueError, OSError) as exc:
+        _say(f"error: {exc}")  # an unreadable path or malformed input
         return 2
 
 

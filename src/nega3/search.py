@@ -5,21 +5,24 @@ constraints cut the space down hard before any linear algebra happens:
 
 - r1 is assembled from a pool of width-n blocks that are zero or start
   with 1, in non-increasing f-value order (f reads a vector as a base-3
-  integer, first entry least significant);
+  integer, first entry least significant), and the subcode of its
+  generator rows (e_i | block row i) must clear the target weight;
 - r2 is taken from the dual of the block rows of r1, r3 from the dual of
-  the block rows of r1 and r2 (_DualSpace, listed in ascending f order),
-  and both pass one batched row predicate, _admissible: a leading 1, weight
-  2 mod 3 and at least d - 1, f-value at most that of the row above and,
-  when the search verifies, the diagonal Gram identity.
+  the block rows of r1 and r2 (_DualSpace, listed in ascending f order);
+- r1, r2 and r3 pass one batched row predicate, _admissible: a leading 1,
+  weight 2 mod 3 and at least d - 1, f-value at most that of the row above
+  (r1 bounds itself), and the diagonal Gram identity.
 
 A sampled group of trials draws one self-dual M per trial uniformly in the
 ring R_n, the group's batches tested together (_ring_draws), and moves each
 into the exhaustive walk's row form where a block move can, on one int8
-array (nega._walk_form).  Both modes verify their specs from the first rows
-alone, with no Code built: a batch of specs takes one gather for their M,
-one product to check M M^T = -I, and one covering scan of (I | M) and
-(-M^T | I) that settles d and the count at d (weights._tile_stack,
-weights._settle).
+array (nega._walk_form).  Every unit reaches the verifier in one format,
+the int8 first rows of its specs shaped (specs, 3, 3n), and both modes
+verify them with no Code built: a batch of specs takes one gather for
+their M, one product to check M M^T = -I, and one covering scan of
+(I | M) and (-M^T | I) that settles d and the count at d
+(weights._tile_stack, weights._settle).  A CodeSpec is built only for a
+spec that verifies.
 
 A run is a sequence of work units: one r1 in exhaustive mode, keyed by
 f(r1), one trial in sampled mode, each trial drawing from its own generator
@@ -70,7 +73,6 @@ from .nega import (
     _walk_form,
     block_row_vectors,
     f_value,
-    row_gram_is_two,
     vector_from_f,
 )
 from .registry import Registry, load_registry
@@ -259,21 +261,19 @@ def _weight_passes(w, d: int):
 
 
 def _admissible(vals: np.ndarray, d: int, limit: int, m: int) -> np.ndarray:
-    """Which rows of a (rows, width) entry array pass the row predicate: a
+    """Which rows of a (rows, 3m) entry array pass the row predicate: a
     leading 1, the row-weight rule (_weight_passes), f-value at most limit
-    and, for a block size m > 0, the diagonal Gram identity
-    nega._block_gram(v, v, m) = (2, 0, ..., 0).  f is compared digit by
-    digit (_at_least); the Gram identity is tested only on the rows that
-    pass the rest."""
+    and the diagonal Gram identity nega._block_gram(v, v, m) = (2, 0, ...,
+    0).  f is compared digit by digit (_at_least); the Gram identity is
+    tested only on the rows that pass the rest."""
     rows = np.arange(len(vals))
     nz = vals != 0
     lead = vals[rows, nz.argmax(axis=1)]
     digits = np.array([limit // 3**i % 3 for i in range(vals.shape[1])], np.int8)
     ok = (lead == 1) & _weight_passes(nz.sum(axis=1), d) & _at_least(digits, vals)
-    if m:
-        del rows, nz  # batch-sized: freed before the Gram products
-        gram = _block_gram(vals[ok], vals[ok], m)
-        ok[ok] = (gram[:, 0] == 2) & ~gram[:, 1:].any(axis=1)
+    del rows, nz  # batch-sized: freed before the Gram products
+    gram = _block_gram(vals[ok], vals[ok], m)
+    ok[ok] = (gram[:, 0] == 2) & ~gram[:, 1:].any(axis=1)
     return ok
 
 
@@ -364,11 +364,6 @@ def _ring_draws(rngs: Sequence[random.Random], n: int) -> np.ndarray:
     return rows
 
 
-def _ring_draw(rng: random.Random, n: int) -> np.ndarray:
-    """One trial's draw, a group of one: its first rows (3, 3n)."""
-    return _ring_draws([rng], n)[0]
-
-
 # -- work units -----------------------------------------------------------------
 
 
@@ -393,40 +388,41 @@ def _units(plan: SearchPlan) -> Iterator[int]:
         rank += 1
 
 
-def _unit_specs(plan: SearchPlan, unit: int, *,
-                verified: bool) -> Iterator[tuple[CodeSpec, tuple[np.ndarray, ...]]]:
-    """The specs of one exhaustive unit that pass the structural
-    constraints, in ascending (f(r2), f(r3)) order, each with its three
-    first rows as int8 entry arrays, which _run_units stacks.
+def _unit_rows(plan: SearchPlan, unit: int) -> np.ndarray:
+    """The first rows of the specs of one exhaustive unit that pass the
+    structural constraints, as int8 (specs, 3, 3n), in ascending
+    (f(r2), f(r3)) order.
 
     Exhaustive mode takes r1 = vector_from_f(3n, unit) and every admissible
-    r2, r3.  The r3 space of an r2 is the dual D1 of r1's block rows cut
-    down to the rows orthogonal to r2's block rows, under the ceiling
-    f(r2) <= f(r1), and r2 and r3 pass the same row predicate.  So the r3
-    of an r2 are admissible r2 themselves: one batched walk over D1
-    (_DualSpace.members) lists those in ascending f, and the r3 of the
-    i-th are those of the first i + 1 whose cross identity with it,
-    nega._block_gram(r3, r2, m) = 0, holds.
-
-    verified adds the diagonal Gram prune to every row (the block size m
-    that _admissible takes, 0 without it) and the minimum-weight prune of
-    r1 (sound: they only drop candidates that could never verify).
+    r2, r3.  r1 passes the row predicate (_admissible, its f bounded by
+    itself) and the minimum-weight prune of its subcode (_d_prune_survives);
+    both only drop candidates that could never verify.  The r3 space of an
+    r2 is the dual D1 of r1's block rows cut down to the rows orthogonal to
+    r2's block rows, under the ceiling f(r2) <= f(r1), and r2 and r3 pass
+    the same row predicate.  So the r3 of an r2 are admissible r2
+    themselves: one batched walk over D1 (_DualSpace.members) lists those in
+    ascending f, and the r3 of the i-th are those of the first i + 1 whose
+    cross identity with it, nega._block_gram(r3, r2, m) = 0, holds.  Their
+    indices fill one preallocated array.
     """
     m = plan.block_size
     width = 3 * m
     d = plan.target_min_weight
-    gram = m if verified else 0  # the block size of the rows' Gram identity
     r1 = vector_from_f(width, unit)
-    if verified and not (row_gram_is_two(m, r1) and _d_prune_survives(r1, m, d)):
-        return
     row1 = np.array(r1.entries(), np.int8)
-    rows = np.concatenate([vals[_admissible(vals, d, unit, gram)] for vals
+    if not (_admissible(row1[None], d, unit, m)[0] and _d_prune_survives(r1, m, d)):
+        return np.empty((0, 3, width), np.int8)
+    rows = np.concatenate([vals[_admissible(vals, d, unit, m)] for vals
                            in _DualSpace(block_row_vectors(m, r1), width).members(unit)])
-    vecs = [Gf3Vector(r) for r in rows.tolist()]
-    for i, r2 in enumerate(vecs):
-        cross = _block_gram(rows[: i + 1], rows[i], m)
-        for k in np.flatnonzero(~cross.any(axis=1)):
-            yield CodeSpec(m, r1, r2, vecs[k]), (row1, rows[i], rows[k])
+    r3 = [np.flatnonzero(~_block_gram(rows[: i + 1], rows[i], m).any(axis=1))
+          for i in range(len(rows))]
+    r2 = np.repeat(np.arange(len(rows)), [len(k) for k in r3])
+    r3 = np.concatenate(r3) if r3 else r2  # both empty when no row is admissible
+    out = np.empty((len(r2), 3, width), np.int8)
+    out[:, 0] = row1
+    out[:, 1] = rows[r2]
+    out[:, 2] = rows[r3]
+    return out
 
 
 def _trial_rows(plan: SearchPlan, trials: Sequence[int]) -> np.ndarray:
@@ -439,25 +435,6 @@ def _trial_rows(plan: SearchPlan, trials: Sequence[int]) -> np.ndarray:
 
 
 # -- public operations ----------------------------------------------------------
-
-
-def enumerate_candidates(plan: SearchPlan) -> Iterator[CodeSpec]:
-    """Stream the specs passing the structural constraints alone.
-
-    No self-duality or weight filtering happens here; exhaustive mode covers
-    the plan's partition completely in ascending (f(r1), f(r2), f(r3))
-    order.  Sampled mode yields each trial's ring draw, in walk form where
-    a move reaches it (_trial_rows), which is self-dual by construction; at
-    odd block sizes it yields nothing.
-    """
-    if plan.mode == "exhaustive":
-        for unit in _units(plan):
-            yield from (spec for spec, _ in _unit_specs(plan, unit, verified=False))
-    elif plan.block_size % 2 == 0:  # at odd m, length 6 mod 12, no draw would ever end
-        trials = list(_units(plan))
-        for s in range(0, len(trials), _STACK):
-            rows = _trial_rows(plan, trials[s : s + _STACK])
-            yield from (CodeSpec.from_entry_rows(r.tolist()) for r in rows)
 
 
 def beta_set_matches(registry: Registry, length: int, beta: int | None) -> tuple[str, ...]:
@@ -498,16 +475,17 @@ def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, 
     that verifies.  beta sets and novelty are left to the merge, which holds
     the caller's registry.
 
-    The group's specs, a sampled group's in one array (_trial_rows), are
-    verified _STACK at a time from the M of their first rows (_tiles): one
-    int16 product checks M M^T = -I, and one scan of their stack
-    (weights._tile_stack) settles d and alpha, split back per unit.  A
-    sampled trial's spec is built only when it verifies."""
+    Each unit's specs are int8 first rows (specs, 3, 3n): an exhaustive
+    unit's from _unit_rows, a sampled trial's one draw from the group's
+    _trial_rows.  The group's specs are verified _STACK at a time from the
+    M of their first rows (_tiles): one int16 product checks M M^T = -I,
+    and one scan of their stack (weights._tile_stack) settles d and alpha,
+    split back per unit.  A spec is built only when it verifies."""
     if plan.mode == "sampled":
-        specs = [[(None, rows)] for rows in _trial_rows(plan, units)]
+        groups = _trial_rows(plan, units)[:, None]
     else:
-        specs = [list(_unit_specs(plan, unit, verified=True)) for unit in units]
-    flat = np.array([rows for group in specs for _, rows in group])
+        groups = [_unit_rows(plan, unit) for unit in units]
+    flat = np.concatenate(groups)
     alphas: list[int | None] = []
     for s in range(0, len(flat), _STACK):
         tiles = _tiles(flat[s : s + _STACK])
@@ -516,8 +494,9 @@ def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, 
         alphas += _settle(_tile_stack(tiles, _orbit_shape(plan.length, tiles.shape[1])),
                           plan.target_min_weight)
     found = iter(alphas)
-    return [[(spec or CodeSpec.from_entry_rows(rows.tolist()), alpha)
-             for (spec, rows), alpha in zip(group, found) if alpha is not None] for group in specs]
+    vector = functools.cache(Gf3Vector)  # an exhaustive unit's specs share r1 and their r2
+    return [[(CodeSpec(plan.block_size, *map(vector, map(tuple, rows.tolist()))), alpha)
+             for rows, alpha in zip(group, found) if alpha is not None] for group in groups]
 
 
 def _map_units(plan: SearchPlan, units: Iterator[int], workers: int) -> Iterator[list]:
@@ -568,8 +547,9 @@ class _CheckpointLog:
     the units not yet merged.  A finished run's log is
     replaced by the one line {"version": 2, "plan": ..., "complete": true,
     "findings": [...]} holding the merged stream.  Reading validates the
-    header; a final line torn by a kill is dropped, and cut off before the
-    next append.
+    header and each unit line, a bad one refused with ValueError naming the
+    file and line; a final line torn by a kill is dropped, and cut off
+    before the next append.
     """
 
     def __init__(self, path: Path | None, plan: SearchPlan):
@@ -599,10 +579,16 @@ class _CheckpointLog:
         if header.get("draw") != self.header.get("draw"):
             raise ValueError(f"checkpoint {path} holds trials of the rejection sampler")
         if header.get("complete"):
+            if "findings" not in header:
+                raise ValueError(f"checkpoint {path}, line 1: complete, but with no findings")
             self.complete = header["findings"]
-        for line in lines[1:]:
-            rec = json.loads(line)
-            self.done[rec["unit"]] = rec["findings"]
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                rec = json.loads(line)
+                self.done[rec["unit"]] = rec["findings"]
+            except (ValueError, TypeError, KeyError):
+                raise ValueError(f"checkpoint {path}, line {number}: not a unit record "
+                                 '{"unit": ..., "findings": [...]}') from None
 
     def __enter__(self) -> "_CheckpointLog":
         if self.path is None:

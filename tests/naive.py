@@ -333,14 +333,14 @@ def ascending_dual(rows, width, limit):
         yield v
 
 
-def exhaustive_unit(m, r1, d, verified):
+def exhaustive_unit(m, r1, d):
     """The (r1, r2, r3) triples of one exhaustive search unit, in order:
     r2 runs over the dual of r1's block rows and r3 over the dual of r1's
     and r2's block rows, each in ascending f order up to the f-value of the
-    row before, keeping the rows with a leading 1 and weight 2 mod 3 and at
-    least d - 1.  verified adds the diagonal Gram identity to every row and
-    drops an r1 whose rows (e_i | block row i) span a word of weight below
-    d."""
+    row before, keeping the rows with a leading 1, weight 2 mod 3 and at
+    least d - 1 and the diagonal Gram identity.  An r1 without that
+    identity, or whose rows (e_i | block row i) span a word of weight below
+    d, has none."""
     width = 3 * m
 
     def gram_is_two(v):
@@ -348,14 +348,12 @@ def exhaustive_unit(m, r1, d, verified):
 
     def admissible(v):
         w = vweight(v)
-        return (leads_with_one(v) and w % 3 == 2 and w >= d - 1
-                and (not verified or gram_is_two(v)))
+        return leads_with_one(v) and w % 3 == 2 and w >= d - 1 and gram_is_two(v)
 
     span1 = block_rows(m, r1)
-    if verified:
-        subcode = [[int(j == i) for j in range(width)] + u for i, u in enumerate(span1)]
-        if not gram_is_two(r1) or min_weight(subcode) < d:
-            return
+    subcode = [[int(j == i) for j in range(width)] + u for i, u in enumerate(span1)]
+    if not gram_is_two(r1) or min_weight(subcode) < d:
+        return
     for r2 in ascending_dual(span1, width, f_value(r1)):
         if not admissible(r2):
             continue

@@ -86,6 +86,13 @@ class TestVerify:
         assert rc == 2
         assert "line 1" in err
 
+    def test_missing_file_is_usage(self, tmp_path, capsys):
+        # exit 1 means a verification failed; a path that cannot be read is
+        # an error in the request
+        rc, out, err = run_cli(capsys, "verify", "--file", str(tmp_path / "missing.txt"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "missing.txt" in err
+
     def test_all_pinned(self, capsys):
         # every stored build and neighbor, one verdict line each: the lines
         # perfbench/expected.json holds for the verify-all workload
@@ -277,6 +284,30 @@ class TestSearch:
         assert resumed.splitlines() == whole.splitlines()
         assert len(whole.splitlines()) == 468
 
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unusable_checkpoint_path_is_usage(self, tmp_path, capsys, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "ck.json"
+        rc, out, err = run_cli(capsys, "search", "--n", "2", "--checkpoint", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("header, line, want", [
+        ({}, '{"findings": []}', "line 2: not a unit record"),
+        ({}, '{"unit": 0}', "line 2: not a unit record"),
+        ({}, "[0, []]", "line 2: not a unit record"),
+        ({}, "{", "line 2: not a unit record"),
+        ({"complete": True}, "", "line 1: complete, but with no findings"),
+    ])
+    def test_checkpoint_without_its_records_is_usage(self, tmp_path, capsys, header, line, want):
+        path = tmp_path / "ck.json"
+        plan = {"block_size": 2, "target": "near-extremal", "mode": "exhaustive", "seed": 0,
+                "partition": [0, 1], "budget": None}
+        lines = [json.dumps({"version": 2, "plan": plan, **header}), line]
+        path.write_text("".join(f"{l}\n" for l in lines if l))
+        rc, out, err = run_cli(capsys, "search", "--n", "2", "--checkpoint", str(path))
+        assert (rc, out) == (2, "")
+        assert f"checkpoint {path}, {want}" in err
+
     def test_rejection_sampler_checkpoint_refused(self, tmp_path, capsys):
         # the same plan, logged by the rejection sampler the ring draw
         # replaced: refused at the call, and the file left as it was
@@ -428,6 +459,11 @@ class TestNeighbor:
         rc, _, err = run_cli(capsys, "neighbor", "--registry", "C2",
                              "--x", "1 3 1")
         assert rc == 2
+
+    def test_directory_as_file_is_usage(self, tmp_path, capsys):
+        rc, out, err = run_cli(capsys, "neighbor", "--file", str(tmp_path), "--x", "1")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_seed_label_is_not_a_spec(self, capsys):
         rc, _, err = run_cli(capsys, "neighbor", "--registry", "x1",

@@ -40,7 +40,6 @@ from nega3 import (
     apply_transform,
     block_row_vectors,
     build_generator,
-    enumerate_candidates,
     is_self_dual,
     min_weight,
     ms_bound,
@@ -56,10 +55,10 @@ from nega3.nega import _at_least, _block_gram, _f_keys
 from nega3.search import _block_pool, _DualSpace
 
 
-def _specs(plan, unit, verified=True):
-    """The specs of one unit, without the first-row arrays that
-    search._unit_specs pairs them with."""
-    return [spec for spec, _ in search._unit_specs(plan, unit, verified=verified)]
+def _specs(plan, unit):
+    """The specs of one exhaustive unit, built from the first rows that
+    search._unit_rows lists."""
+    return [CodeSpec.from_entry_rows(rows.tolist()) for rows in search._unit_rows(plan, unit)]
 
 
 class TestPlan:
@@ -261,26 +260,24 @@ class TestExhaustive:
         # _run_units first or last among specs that fill several stacks,
         # is refused
         plan = SearchPlan(block_size=6)
-        found = list(search._unit_specs(plan, 43191379, verified=True))
+        found = search._unit_rows(plan, 43191379)
         assert len(found) % search._STACK and len(found) > 2 * search._STACK
         for at in (0, len(found) - 1):
-            spec, rows = found[at]
-            rows = np.array(rows)  # a copy of the three row views
-            rows[2, 0] = (rows[2, 0] + 1) % 3
-            bad = CodeSpec.from_entry_rows(rows.tolist())
-            assert not is_self_dual(bad)
-            fed = found[:at] + [(bad, rows)] + found[at + 1:]
-            monkeypatch.setattr(search, "_unit_specs", lambda *args, **kwargs: iter(fed))
+            fed = found.copy()
+            fed[at, 2, 0] = (fed[at, 2, 0] + 1) % 3
+            assert not is_self_dual(CodeSpec.from_entry_rows(fed[at].tolist()))
+            monkeypatch.setattr(search, "_unit_rows", lambda *args: fed)
             with pytest.raises(InternalInconsistencyError, match="not self-dual"):
                 search._run_units(plan, [43191379])
 
-    def test_candidates_without_verification(self):
-        structural, _ = naive.reduced_space_findings(2, 3)
-        plan = SearchPlan(block_size=2)
-        cands = [(tuple(s.r1.entries()), tuple(s.r2.entries()),
-                  tuple(s.r3.entries())) for s in enumerate_candidates(plan)]
-        assert set(cands) == set(structural)
-        assert len(cands) == len(structural)
+    def test_one_code_spec_per_finding(self, registry, monkeypatch):
+        # the length-24 shard of the benchmark builds a CodeSpec for each of
+        # its 1,470 findings and for no spec that fails to verify
+        built = []
+        real = CodeSpec.__post_init__
+        monkeypatch.setattr(CodeSpec, "__post_init__", lambda spec: built.append(1) or real(spec))
+        plan = SearchPlan(block_size=4, partition=(0, 64))
+        assert len(list(run_search(plan, registry=registry))) == len(built) == 1470
 
     @pytest.mark.parametrize("target, lines, digest", [
         ("near-extremal", 14,
@@ -310,20 +307,17 @@ def _exhaustive_units(m):
 
 
 def _assert_closed_form(found):
-    """The tile stack the search settles for (spec, first rows) pairs of
-    one block size holds what the greedy row reduction gives each spec's
-    built Code (weights._systematic_bases): both information sets' planes
-    and pivots and no deficits, with the orbit width build_generator
-    records.  Each pair's rows are its spec's entries, as three int8 arrays."""
-    m = found[0][0].block_size
-    stack = weights._tile_stack(search._tiles(np.array([rows for _, rows in found])),
-                                weights._orbit_shape(6 * m, 3 * m))
+    """The tile stack the search settles for int8 first rows (specs, 3, 3m)
+    holds what the greedy row reduction gives each spec's built Code
+    (weights._systematic_bases): both information sets' planes and pivots
+    and no deficits, with the orbit width build_generator records."""
+    assert found.dtype == np.int8 and found.shape[1] == 3
+    m = found.shape[2] // 3
+    stack = weights._tile_stack(search._tiles(found), weights._orbit_shape(6 * m, 3 * m))
     assert stack.lo.shape == stack.hi.shape == (2, len(found), 3 * m, 1)
     assert stack.lo.dtype == stack.hi.dtype == stack.pivot_masks.dtype == np.uint64
-    for c, (spec, rows) in enumerate(found):
-        assert len(rows) == 3 and all(r.dtype == np.int8 for r in rows)
-        assert [r.tolist() for r in rows] == [r.entries() for r in spec.rows]
-        code = build_generator(spec)
+    for c, rows in enumerate(found):
+        code = build_generator(CodeSpec.from_entry_rows(rows.tolist()))
         sets = list(weights._systematic_bases(code))
         assert (stack.n, stack.deficits, stack.width) == (
             code.n, [deficit for *_, deficit in sets], code._cache["orbit_width"])
@@ -339,18 +333,19 @@ class TestTileStacks:
 
     def test_every_length12_spec(self):
         plan = SearchPlan(block_size=2)
-        found = [s for u in search._units(plan) for s in search._unit_specs(plan, u, verified=True)]
+        found = np.concatenate([search._unit_rows(plan, u) for u in search._units(plan)])
         assert len(found) == 6
         _assert_closed_form(found)
 
     def test_first_units_of_the_length24_shard(self):
-        # the units up to the seventh that has specs: 145 specs
+        # the units up to the sixth that has specs: 106 specs
         plan = SearchPlan(block_size=4, partition=(0, 64))
-        found = []
+        found = np.empty((0, 3, 12), np.int8)
         for unit in search._units(plan):
-            found += search._unit_specs(plan, unit, verified=True)
+            found = np.concatenate((found, search._unit_rows(plan, unit)))
             if len(found) > 100:
                 break
+        assert len(found) == 106
         for s in range(0, len(found), search._STACK):
             _assert_closed_form(found[s : s + search._STACK])
 
@@ -361,9 +356,8 @@ class TestTileStacks:
         # the group's rows own their entries, so they do not keep the
         # group's batches of draws alive
         assert rows.shape == (3, 3, 3 * m) and rows.base is None
-        found = [(CodeSpec.from_entry_rows(r.tolist()), tuple(r)) for r in rows]
-        assert all(is_self_dual(s) for s, _ in found)
-        _assert_closed_form(found)
+        assert all(is_self_dual(CodeSpec.from_entry_rows(r.tolist())) for r in rows)
+        _assert_closed_form(rows)
 
     def test_many_stacks_match_each_spec_settled_alone(self):
         # a length-36 unit's 734 specs, in 12 stacks, the last one short
@@ -376,27 +370,24 @@ class TestTileStacks:
         assert len(got) > 100
 
 
-def _walk(m, unit, verified):
-    plan = SearchPlan(block_size=m)
-    return [[r.entries() for r in spec.rows]
-            for spec in _specs(plan, unit, verified)]
+def _walk(m, unit):
+    return search._unit_rows(SearchPlan(block_size=m), unit).tolist()
 
 
-def _reference_walk(m, unit, verified):
+def _reference_walk(m, unit):
     d = SearchPlan(block_size=m).target_min_weight
     r1 = naive.vector_from_f(unit, 3 * m)
-    return list(naive.exhaustive_unit(m, r1, d, verified))
+    return list(naive.exhaustive_unit(m, r1, d))
 
 
 def _row_rule(d, limit, m):
     """The row predicate on plain lists: a leading 1, the row-weight rule,
-    f-value at most limit and, with a block size m > 0, the diagonal Gram
-    identity."""
+    f-value at most limit and the diagonal Gram identity at block size m."""
     def accept(v):
         w = naive.vweight(v)
         return (any(v) and naive.leads_with_one(v) and w % 3 == 2 and w >= d - 1
                 and naive.f_value(v) <= limit
-                and (not m or naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1)))
+                and naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1))
     return accept
 
 
@@ -408,8 +399,7 @@ class TestExhaustiveWalk:
     @given(data=st.data())
     def test_units_match_reference_walk(self, m, data):
         unit = data.draw(st.sampled_from(_exhaustive_units(m)))
-        for verified in (False, True):
-            assert _walk(m, unit, verified) == _reference_walk(m, unit, verified)
+        assert _walk(m, unit) == _reference_walk(m, unit)
 
     @pytest.mark.parametrize("unit", [
         43191379,  # D1 holds 59,247 members up to f(r1): one batch and a bit
@@ -418,17 +408,7 @@ class TestExhaustiveWalk:
         pytest.param(382102432, marks=pytest.mark.long),  # 524,146 members, 8,602 r2
     ])
     def test_length36_units_match_reference_walk(self, unit):
-        assert _walk(6, unit, True) == _reference_walk(6, unit, True)
-
-    def test_unverified_stream_pinned(self):
-        # no benchmark workload walks the unverified branch
-        digest, count = hashlib.sha256(), 0
-        for spec in enumerate_candidates(SearchPlan(block_size=4, partition=(0, 256))):
-            digest.update((json.dumps([r.entries() for r in spec.rows]) + "\n").encode())
-            count += 1
-        assert count == 7307
-        assert digest.hexdigest() == (
-            "4c6f7028ada48bade7398f779d56f909ef92e8eddfca7107dfe62ccfdf844aaf")
+        assert _walk(6, unit) == _reference_walk(6, unit)
 
     def test_one_dual_space_per_unit(self, monkeypatch):
         built = []
@@ -441,10 +421,9 @@ class TestExhaustiveWalk:
         monkeypatch.setattr(search, "_DualSpace", Counted)
         plan = SearchPlan(block_size=4, partition=(0, 256))
         for unit in search._units(plan):
-            for verified in (False, True):
-                del built[:]
-                specs = _specs(plan, unit, verified)
-                assert built == [12] or (verified and not built and not specs)
+            del built[:]
+            specs = search._unit_rows(plan, unit)
+            assert built == [12] or (not built and not len(specs))
 
     @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
     def test_count_past_int64(self, delta):
@@ -477,18 +456,17 @@ class TestExhaustiveWalk:
     def test_walk_memory_is_bounded(self):
         # a late length-36 unit: D1 holds 524,146 members up to f(r1), which
         # as one unbatched table of int64 digits would take about 51 MB; the
-        # batched walk over them all is done before the first spec
-        walk = search._unit_specs(SearchPlan(block_size=6), 382102432, verified=True)
+        # batched walk over them all and the 76,154 specs' first rows fit
         tracemalloc.start()
         try:
-            assert next(walk)
+            rows = search._unit_rows(SearchPlan(block_size=6), 382102432)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            walk.close()
+        assert rows.shape == (76154, 3, 18)
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("width", [3, 18, 39, 40, 42, 60])
+    @pytest.mark.parametrize("width", [3, 18, 39, 42, 60])
     def test_admissible_is_the_row_rule(self, width):
         # f is compared exactly past int64 (3^40 > 2^63); half the rows
         # share the limit's high digits, to test the comparison near it
@@ -498,11 +476,9 @@ class TestExhaustiveWalk:
                         + [top[:i] + [rng.randrange(3)] + top[i + 1:]
                            for i in (rng.randrange(width) for _ in range(200))]
                         + [top, [0] * width])
-        limit, d = naive.f_value(top), width // 2
-        for m in [0, width // 3] if width % 3 == 0 else [0]:
-            accept = _row_rule(d, limit, m)
-            assert search._admissible(vals, d, limit, m).tolist() == [
-                accept(v) for v in vals.tolist()]
+        limit, d, m = naive.f_value(top), width // 2, width // 3
+        accept = _row_rule(d, limit, m)
+        assert search._admissible(vals, d, limit, m).tolist() == [accept(v) for v in vals.tolist()]
 
 
 class TestSampled:
@@ -819,7 +795,7 @@ class TestRingDraw:
     def test_every_draw_is_self_dual(self, m):
         rng = random.Random(f"self-dual:{m}")
         for _ in range(20 if m <= 6 else 4):
-            rows = search._ring_draw(rng, m)
+            rows = search._ring_draws([rng], m)[0]
             assert rows.shape == (3, 3 * m)
             assert naive.spec_is_self_dual(m, *rows.tolist())
 
@@ -838,7 +814,7 @@ class TestRingDraw:
         every = _self_dual_ms_n2()
         assert len(every) == 24_192
         rng = random.Random("M")
-        counts = collections.Counter(tuple(map(tuple, search._ring_draw(rng, 2).tolist()))
+        counts = collections.Counter(tuple(map(tuple, search._ring_draws([rng], 2)[0].tolist()))
                                      for _ in range(60_000))
         assert set(counts) <= every
         assert abs(_chi_square_z(counts, len(every))) < 4
@@ -906,7 +882,6 @@ class TestRingDraw:
     def test_odd_block_size_draws_nothing(self, m):
         # no self-dual M exists there, so a draw would never end
         plan = SearchPlan(block_size=m, mode="sampled", seed=1, budget=5)
-        assert list(enumerate_candidates(plan)) == []
         assert list(run_search(plan)) == []
 
     def test_stalled_draw_raises(self, monkeypatch):
@@ -915,7 +890,7 @@ class TestRingDraw:
         monkeypatch.setattr(search, "_trits",
                             lambda rng, count: calls.append(1) or np.zeros(count, np.int8))
         with pytest.raises(InternalInconsistencyError, match="no row of norm 2"):
-            search._ring_draw(random.Random(0), 2)
+            search._ring_draws([random.Random(0)], 2)
         assert len(calls) == search._STALL
 
     def test_sampled_run_imports_no_numpy_random(self):
@@ -1412,8 +1387,10 @@ def _length24_base():
     """The self-dual code of the first spec that sampled length-24 trials
     verify, among at most 10,000, so that a fault that stops every trial
     from verifying fails."""
-    plan = SearchPlan(block_size=4, mode="sampled", seed=0, budget=1)
-    spec = next((s for t in range(10_000) for s in _specs(plan, t)), None)
+    plan = SearchPlan(block_size=4, mode="sampled", seed=0, budget=10_000)
+    groups = (search._run_units(plan, list(range(t, t + search._STACK)))
+              for t in range(0, 10_000, search._STACK))
+    spec = next((spec for group in groups for found in group for spec, _ in found), None)
     assert spec is not None, "none of the first 10,000 sampled length-24 trials verified"
     return build_generator(spec)
 

@@ -37,7 +37,7 @@ from nega3 import (
 )
 from nega3.gf3 import _code_from_echelon, _rref_rows
 from nega3.nega import _systematic_rows
-from nega3.search import _trial_rows, _unit_specs, _units
+from nega3.search import _trial_rows, _unit_rows, _units
 
 
 def _random_code(rng, n, nrows):
@@ -270,7 +270,8 @@ def _self_dual_pool(m):
     verifies, else the first 30 of sampled trials."""
     if m == 2:
         plan = SearchPlan(2)
-        return tuple(s for u in _units(plan) for s, _ in _unit_specs(plan, u, verified=True))
+        return tuple(CodeSpec.from_entry_rows(rows.tolist())
+                     for u in _units(plan) for rows in _unit_rows(plan, u))
     return tuple(_self_dual_specs(m, 0, 30))
 
 
