@@ -265,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="block size (code length is 6n)")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--target", choices=("near-extremal", "extremal"), default="near-extremal")
-    p.add_argument("--seed", type=int, help="base seed (required in sampled mode)")
-    p.add_argument("--budget", type=int, help="number of sampled trials")
+    p.add_argument("--seed", type=int, help="base seed (sampled mode only, where it is required)")
+    p.add_argument("--budget", type=int, help="number of sampled trials (sampled mode only)")
     p.add_argument("--partition", default="0/1", metavar="I/N",
                    help="process share I of N round-robin shares (default 0/1)")
     p.add_argument("--workers", type=int, default=1,
@@ -285,10 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("neighbor", help="build and classify neighboring self-dual codes")
     p.add_argument("--registry", metavar="LABEL", help="base code label")
     p.add_argument("--file", type=Path, help="vector file with the base code spec")
-    p.add_argument("--x-registry", metavar="LABEL", help="stored seed vector label")
-    p.add_argument("--x", metavar="DIGITS", help="seed vector as digits in {0,1,2}")
-    p.add_argument("--sweep", type=int, metavar="BUDGET",
-                   help="try BUDGET random seed vectors instead of a single one")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--x-registry", metavar="LABEL", help="stored seed vector label")
+    seeds.add_argument("--x", metavar="DIGITS", help="seed vector as digits in {0,1,2}")
+    seeds.add_argument("--sweep", type=int, metavar="BUDGET",
+                       help="try BUDGET random seed vectors instead of a single one")
     p.add_argument("--seed", type=int, help="sweep seed (required with --sweep)")
     p.add_argument("--target", choices=("near-extremal", "extremal"),
                    default="near-extremal", help="class kept by the sweep")

@@ -1,17 +1,19 @@
 """Candidate enumeration and verified search over the reduced parameter space.
 
-Exhaustive mode walks triples (r1, r2, r3) of first rows.  Structural
-constraints cut the space down hard before any linear algebra happens:
+Exhaustive mode walks triples (r1, r2, r3) of first rows as int8 rows,
+listing the block pool, the words of r1's subcode and the dual's members
+with one span walk (_span).  Structural constraints cut the space down
+hard before any code is settled:
 
 - r1 is assembled from a pool of width-n blocks that are zero or start
   with 1, in non-increasing f-value order (f reads a vector as a base-3
-  integer, first entry least significant), and the subcode of its
+  integer, first entry least significant), and the 3^n words of its
   generator rows (e_i | block row i) must clear the target weight;
 - r2 is taken from the dual of the block rows of r1, r3 from the dual of
-  the block rows of r1 and r2 (_DualSpace, listed in ascending f order);
+  the block rows of r1 and r2 (_DualSpace, listed in ascending f order up
+  to the f-value of the row above);
 - r1, r2 and r3 pass one batched row predicate, _admissible: a leading 1,
-  weight 2 mod 3 and at least d - 1, f-value at most that of the row above
-  (r1 bounds itself), and the diagonal Gram identity.
+  weight 2 mod 3 and at least d - 1, and the diagonal Gram identity.
 
 A sampled group of trials draws one self-dual M per trial uniformly in the
 ring R_n, the group's batches tested together (_ring_draws), and moves each
@@ -62,21 +64,11 @@ from .errors import (
     NeighborWeightError,
     RegistryError,
 )
-from .gf3 import Code, Gf3Vector, _code_from_echelon, _dual_rows
-from .nega import (
-    CodeSpec,
-    _at_least,
-    _block_gram,
-    _block_rows,
-    _negashift_table,
-    _systematic_rows,
-    _walk_form,
-    block_row_vectors,
-    f_value,
-    vector_from_f,
-)
+from .gf3 import Code, Gf3Vector, _dual_rows
+from .nega import (CodeSpec, _at_least, _block_gram, _block_rows, _negashift_table, _walk_form,
+                   f_value)
 from .registry import Registry, load_registry
-from .weights import (_CHUNK, _STACK, _clears, _orbit_shape, _settle, _tile_stack, ms_bound,
+from .weights import (_CHUNK, _STACK, _orbit_shape, _settle, _tile_stack, ms_bound,
                       near_extremal_weight)
 
 log = logging.getLogger(__name__)
@@ -89,8 +81,9 @@ class SearchPlan:
     """Everything that determines a search run.
 
     partition = (index, total) assigns this run a round-robin share of the
-    r1 candidates (exhaustive) or trials (sampled).  budget is the number
-    of sampled trials and is ignored in exhaustive mode.
+    r1 candidates (exhaustive) or trials (sampled).  seed and budget, the
+    number of sampled trials, are ignored in exhaustive mode, and to_dict
+    records them there as 0 and None, so they do not tell plans apart.
     """
 
     block_size: int
@@ -128,7 +121,10 @@ class SearchPlan:
         return base + 3 if self.target == "extremal" else base
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "partition": list(self.partition)}
+        doc = {**asdict(self), "partition": list(self.partition)}
+        if self.mode == "exhaustive":
+            doc.update(seed=0, budget=None)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -188,47 +184,73 @@ def read_findings(lines) -> list[Finding]:
 # -- building blocks ----------------------------------------------------------
 
 
+def _digits(value: int, width: int) -> np.ndarray:
+    """The int8 row of f-value 0 <= value < 3^width, exact past int64."""
+    return np.array([value // 3**i % 3 for i in range(width)], np.int8)
+
+
+def _combination(rows: np.ndarray, k: int) -> np.ndarray:
+    """Combination number k of int8 rows (t, width): digit j of k is the
+    coefficient of rows[j]."""
+    return (np.matmul(_digits(k, len(rows)), rows, dtype=np.int16) % 3).astype(np.int8)
+
+
+def _span(rows: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """The first count combinations of int8 rows in counter order, as int8
+    arrays of at most weights._CHUNK rows: a table of the low rows'
+    combinations, unreduced (at most 4 from each of at most 10 rows), plus
+    one combination of the high rows per batch, mod 3."""
+    low = np.zeros((1, rows.shape[1]), np.int8)
+    for row in rows:  # least significant digit first
+        if len(low) >= count or 3 * len(low) > _CHUNK:
+            break
+        low = np.concatenate([low + c * row for c in range(3)])
+    for start in range(0, count, len(low)):
+        batch = low[: count - start] + _combination(rows, start)  # low digits 0
+        yield np.remainder(batch, 3, out=batch)
+
+
+def _lead(vals: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of an entry array, 0 for a zero row."""
+    return vals[np.arange(len(vals)), (vals != 0).argmax(axis=1)]
+
+
 @functools.cache
 def _block_pool(m: int) -> tuple[tuple[int, int], ...]:
     """(f, weight) of every width-m vector allowed as an r1 block (zero or
     leading 1), in ascending f order: the exhaustive r1 are its
-    non-increasing triples."""
-    return tuple((f, v.weight()) for f in range(3**m) for v in [vector_from_f(m, f)]
-                 if (v.first_nonzero() or (0, 1))[1] == 1)
+    non-increasing triples.  Combination k of the identity's rows has f-value k."""
+    vals = np.concatenate(list(_span(np.eye(m, dtype=np.int8), 3**m)))
+    keep = np.flatnonzero(_lead(vals) != 2)
+    return tuple(zip(keep.tolist(), np.count_nonzero(vals[keep], axis=1).tolist()))
 
 
 class _DualSpace:
-    """Dual of a set of rows, echelonized from the high end.
+    """Dual of a span of int8 rows, its basis int8 rows in counter order.
 
-    The span's one row reduction gives that basis in closed form: the
-    columns off its pivots are the dual's pivots from the high end (see
-    gf3._dual_rows).  Basis row i ends in a 1 at its pivot, where every
-    other basis row is 0, and the pivots fall strictly with i.  So member
-    number k, whose base-3 digit j is the coefficient of basis[t - 1 - j],
-    has f-value strictly rising in k: the coefficient counter is the f
-    order.  Exhaustive mode takes a prefix of that order in batches
-    (members)."""
+    The span's one row reduction gives that basis in closed form
+    (gf3._dual_rows): row j has a 1 at the j-th column off the span's
+    pivots, ascending, and is zero right of it and on the other rows' such
+    columns.  So member number k, combination k of the rows, has f-value
+    strictly rising in k: the coefficient counter is the f order."""
 
-    def __init__(self, span_rows: Sequence[Gf3Vector], width: int):
-        self.width = width
-        # pivot positions strictly descending
-        self.basis = _dual_rows(Code(width, list(span_rows)))[::-1]
+    def __init__(self, span: np.ndarray):
+        code = Code(span.shape[1], [Gf3Vector(r) for r in span.tolist()])
+        self.basis = np.array([v.entries() for v in _dual_rows(code)], np.int8).reshape(-1, code.n)
 
-    def member(self, k: int) -> Gf3Vector:
+    def member(self, k: int) -> np.ndarray:
         """Member number k, for 0 <= k < 3^len(basis)."""
-        v = Gf3Vector.zeros(self.width)
-        for u in reversed(self.basis):
-            k, c = divmod(k, 3)
-            v = v + u.scale(c)
-        return v
+        return _combination(self.basis, k)
 
     def count(self, limit: int) -> int:
         """How many members, the zero member among them, have f-value at
-        most limit >= 0: bisection over the counter, with exact f-values."""
+        most limit, 0 <= limit < 3^width: bisection over the counter, f
+        compared digit by digit (nega._at_least)."""
+        top = _digits(limit, self.basis.shape[1])
         lo, hi = 1, 3 ** len(self.basis)  # members below lo pass, from hi on fail
         while lo < hi:
             mid = (lo + hi) // 2
-            if f_value(self.member(mid)) <= limit:
+            if _at_least(top, self.member(mid)):
                 lo = mid + 1
             else:
                 hi = mid
@@ -236,22 +258,8 @@ class _DualSpace:
 
     def members(self, limit: int) -> Iterator[np.ndarray]:
         """The members with f-value at most limit, the zero member first,
-        in ascending f order, as (rows, width) int8 entry arrays of at most
-        weights._CHUNK rows each.
-
-        A table holds the combinations of the low basis rows, up to one
-        batch of them; each batch is that table plus one combination of
-        the high basis rows, the batches taken in counter order."""
-        count = self.count(limit)
-        low = np.zeros((1, self.width), np.int8)
-        for u in reversed(self.basis):  # least significant digit first
-            if len(low) >= count or 3 * len(low) > _CHUNK:
-                break
-            row = np.array(u.entries(), np.int8)
-            low = np.concatenate([(low + c * row) % 3 for c in range(3)])
-        for start in range(0, count, len(low)):
-            high = np.array(self.member(start).entries(), np.int8)  # low digits 0
-            yield (low[: count - start] + high) % 3
+        in ascending f order, in batches (_span)."""
+        return _span(self.basis, self.count(limit))
 
 
 def _weight_passes(w, d: int):
@@ -260,30 +268,26 @@ def _weight_passes(w, d: int):
     return (w % 3 == 2) & (w >= d - 1)
 
 
-def _admissible(vals: np.ndarray, d: int, limit: int, m: int) -> np.ndarray:
+def _admissible(vals: np.ndarray, d: int, m: int) -> np.ndarray:
     """Which rows of a (rows, 3m) entry array pass the row predicate: a
-    leading 1, the row-weight rule (_weight_passes), f-value at most limit
-    and the diagonal Gram identity nega._block_gram(v, v, m) = (2, 0, ...,
-    0).  f is compared digit by digit (_at_least); the Gram identity is
-    tested only on the rows that pass the rest."""
-    rows = np.arange(len(vals))
-    nz = vals != 0
-    lead = vals[rows, nz.argmax(axis=1)]
-    digits = np.array([limit // 3**i % 3 for i in range(vals.shape[1])], np.int8)
-    ok = (lead == 1) & _weight_passes(nz.sum(axis=1), d) & _at_least(digits, vals)
-    del rows, nz  # batch-sized: freed before the Gram products
+    leading 1, the row-weight rule (_weight_passes) and the diagonal Gram
+    identity nega._block_gram(v, v, m) = (2, 0, ..., 0), tested only on the
+    rows that pass the rest.  The f ceiling is the walk's (_unit_rows)."""
+    ok = (_lead(vals) == 1) & _weight_passes(np.count_nonzero(vals, axis=1), d)
     gram = _block_gram(vals[ok], vals[ok], m)
     ok[ok] = (gram[:, 0] == 2) & ~gram[:, 1:].any(axis=1)
     return ok
 
 
-def _d_prune_survives(spec_r1: Gf3Vector, m: int, d: int) -> bool:
-    """Whether the subcode spanned by the n full generator rows built from
-    r1 clears the target weight.  Those rows are (e_i | block row i), so the
-    subcode sits inside every completed code; a light word here dooms all of
-    them."""
-    subcode = _code_from_echelon(6 * m, _systematic_rows(m, [spec_r1]))
-    return _clears(subcode, d)
+def _d_prune_survives(row1: np.ndarray, m: int, d: int) -> bool:
+    """Whether the subcode spanned by the m full generator rows built from
+    the int8 r1 has no nonzero word lighter than d.  Those rows are (e_i |
+    block row i), so the subcode sits inside every completed code; a light
+    word here dooms all of them.  Its 3^m words are walked over the 4m
+    columns the rows touch (_span), up to the first batch with a light one."""
+    rows = np.concatenate((np.eye(m, dtype=np.int8), _block_rows(row1, m) % 3), axis=1)
+    batches = (np.count_nonzero(words, axis=1) for words in _span(rows, 3**m))
+    return not any(((0 < w) & (w < d)).any() for w in batches)  # only the zero word weighs 0
 
 
 # -- the ring draw of a sampled group -----------------------------------------
@@ -393,14 +397,14 @@ def _unit_rows(plan: SearchPlan, unit: int) -> np.ndarray:
     structural constraints, as int8 (specs, 3, 3n), in ascending
     (f(r2), f(r3)) order.
 
-    Exhaustive mode takes r1 = vector_from_f(3n, unit) and every admissible
-    r2, r3.  r1 passes the row predicate (_admissible, its f bounded by
-    itself) and the minimum-weight prune of its subcode (_d_prune_survives);
-    both only drop candidates that could never verify.  The r3 space of an
-    r2 is the dual D1 of r1's block rows cut down to the rows orthogonal to
-    r2's block rows, under the ceiling f(r2) <= f(r1), and r2 and r3 pass
-    the same row predicate.  So the r3 of an r2 are admissible r2
-    themselves: one batched walk over D1 (_DualSpace.members) lists those in
+    Exhaustive mode takes r1 = _digits(unit, 3n) and every admissible r2,
+    r3.  r1 passes the row predicate (_admissible) and the minimum-weight
+    prune of its subcode (_d_prune_survives); both only drop candidates
+    that could never verify.  The r3 space of an r2 is the dual D1 of r1's
+    block rows cut down to the rows orthogonal to r2's block rows, under
+    the ceiling f(r3) <= f(r2) <= f(r1), and r2 and r3 pass the same row
+    predicate.  So the r3 of an r2 are admissible r2 themselves: one
+    batched walk over D1 up to f(r1) (_DualSpace.members) lists those in
     ascending f, and the r3 of the i-th are those of the first i + 1 whose
     cross identity with it, nega._block_gram(r3, r2, m) = 0, holds.  Their
     indices fill one preallocated array.
@@ -408,12 +412,11 @@ def _unit_rows(plan: SearchPlan, unit: int) -> np.ndarray:
     m = plan.block_size
     width = 3 * m
     d = plan.target_min_weight
-    r1 = vector_from_f(width, unit)
-    row1 = np.array(r1.entries(), np.int8)
-    if not (_admissible(row1[None], d, unit, m)[0] and _d_prune_survives(r1, m, d)):
+    row1 = _digits(unit, width)
+    if not (_admissible(row1[None], d, m)[0] and _d_prune_survives(row1, m, d)):
         return np.empty((0, 3, width), np.int8)
-    rows = np.concatenate([vals[_admissible(vals, d, unit, m)] for vals
-                           in _DualSpace(block_row_vectors(m, r1), width).members(unit)])
+    rows = np.concatenate([vals[_admissible(vals, d, m)] for vals
+                           in _DualSpace(_block_rows(row1, m)).members(unit)])
     r3 = [np.flatnonzero(~_block_gram(rows[: i + 1], rows[i], m).any(axis=1))
           for i in range(len(rows))]
     r2 = np.repeat(np.arange(len(rows)), [len(k) for k in r3])
@@ -683,7 +686,8 @@ def run_search(
     r1 (exhaustive) or each trial (sampled).  A rerun with the same plan and
     file, and any worker count, replays the logged units and computes only
     the rest, so the stream is the uninterrupted one; a complete log
-    replays the finished stream without running a unit.  A checkpoint
+    replays the finished stream without running a unit.  The seed and
+    budget that an exhaustive plan ignores are not logged.  A checkpoint
     written for another plan, in an unknown format or by the rejection
     sampler, and workers < 1, are refused when run_search is called,
     before any work starts.

@@ -568,13 +568,6 @@ def _settle(stack: _Stack, d: int) -> list[int | None]:
     return [int(count) if kept and count else None for count, kept in zip(scan.count, scan.kept)]
 
 
-def _clears(code: Code, d: int) -> bool:
-    """Whether the code has no nonzero word of weight below d: a scan that
-    counts weight d - 1 with floor d, so it leaves at the first lighter word
-    and otherwise stops once its bound reaches d."""
-    return bool(_stack_counts(_code_stack(code), d - 1, floor=d).kept[0])
-
-
 class _Scan(NamedTuple):
     """What _stack_counts found, one entry per code of the stack."""
 

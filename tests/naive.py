@@ -168,17 +168,15 @@ def neighbor(basis, x):
 
 
 def codewords(basis):
-    """All 3^k words spanned by the basis, as tuples."""
+    """All 3^k words spanned by the basis, as tuples, in the order of
+    itertools.product over the coefficients: each word of the first j rows
+    plus 0, 1 and 2 times row j."""
     if not basis:
         return [()]
-    n = len(basis[0])
-    out = []
-    for coeffs in itertools.product(range(3), repeat=len(basis)):
-        v = [0] * n
-        for c, b in zip(coeffs, basis):
-            if c:
-                v = vadd(v, vscale(b, c))
-        out.append(tuple(v))
+    out = [tuple([0] * len(basis[0]))]
+    for b in basis:
+        multiples = [vscale(b, c) for c in range(3)]
+        out = [tuple(vadd(v, u)) for v in out for u in multiples]
     return out
 
 

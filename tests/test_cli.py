@@ -284,6 +284,18 @@ class TestSearch:
         assert resumed.splitlines() == whole.splitlines()
         assert len(whole.splitlines()) == 468
 
+    def test_exhaustive_resume_ignores_seed_and_budget(self, tmp_path, capsys):
+        # an exhaustive run ignores --seed and --budget, so its log records
+        # neither, and a rerun resumes it with other values or none
+        path = tmp_path / "ck.json"
+        argv = ["search", "--n", "2", "--checkpoint", str(path)]
+        rc, out, _ = run_cli(capsys, *argv, "--seed", "7", "--budget", "5")
+        assert rc == 0 and out
+        plan = json.loads(path.read_text())["plan"]
+        assert (plan["seed"], plan["budget"]) == (0, None)
+        for extra in ([], ["--seed", "3"], ["--budget", "9"]):
+            assert run_cli(capsys, *argv, *extra)[:2] == (0, out)
+
     @pytest.mark.parametrize("where", ["directory", "missing directory"])
     def test_unusable_checkpoint_path_is_usage(self, tmp_path, capsys, where):
         path = tmp_path if where == "directory" else tmp_path / "missing" / "ck.json"
@@ -489,6 +501,18 @@ class TestNeighbor:
         assert out == ""
         assert "budget of at least 1" in err
         assert "sweep complete" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--sweep", "3", "--seed", "1", "--x", "1,2"],
+        ["--sweep", "3", "--seed", "1", "--x-registry", "x1"],
+        ["--x-registry", "x1", "--x", "1,2"],
+    ])
+    def test_one_seed_source(self, capsys, argv):
+        # an invalid --x beside --sweep is refused, not ignored
+        rc, out, err = run_cli(capsys, "neighbor", "--registry", "C2", *argv)
+        assert (rc, out) == (2, "")
+        assert "not allowed with argument" in err
+        assert "complete" not in err
 
     def test_sweep_needs_seed(self, capsys):
         rc, _, err = run_cli(capsys, "neighbor", "--registry", "C2",

@@ -117,22 +117,21 @@ class TestEnumerationOrder:
 
     def test_dual_space_ascending(self):
         # orthogonal complement of one length-6 row, walked in f order
-        rows = [Gf3Vector([1, 1, 0, 2, 0, 2])]
-        space = _DualSpace(rows, 6)
-        got = [naive.f_value(v) for v in _nonzero_members(space, 3 ** 6)]
+        space = _DualSpace(np.array([[1, 1, 0, 2, 0, 2]], np.int8))
+        got = [naive.f_value(v) for v in _nonzero_members(space, 3 ** 6 - 1)]
         assert got == sorted(got)
         assert len(got) == 3 ** 5 - 1  # nonzero vectors only
 
     def test_dual_space_matches_brute_force(self):
-        rows = [Gf3Vector([1, 0, 1, 1, 0, 0]), Gf3Vector([0, 1, 2, 0, 1, 0])]
-        space = _DualSpace(rows, 6)
+        rows = [[1, 0, 1, 1, 0, 0], [0, 1, 2, 0, 1, 0]]
+        space = _DualSpace(np.array(rows, np.int8))
         ours = _nonzero_members(space, 200)
         brute = []
         for entries in itertools.product(range(3), repeat=6):
             w = list(entries)
             if w == [0] * 6 or naive.f_value(w) > 200:
                 continue
-            if all(naive.vdot(w, r.entries()) == 0 for r in rows):
+            if all(naive.vdot(w, r) == 0 for r in rows):
                 brute.append(w)
         brute.sort(key=naive.f_value)
         assert ours == brute
@@ -142,15 +141,15 @@ class TestEnumerationOrder:
         # batches of at most 100 members: an 81-member table of the low
         # basis rows plus each combination of the high ones in turn
         monkeypatch.setattr(search, "_CHUNK", 100)
-        rows = [Gf3Vector([1, 2, 0, 0, 1, 1, 0, 2]), Gf3Vector([0, 1, 1, 2, 0, 0, 1, 0])]
-        space = _DualSpace(rows, 8)
+        rows = [[1, 2, 0, 0, 1, 1, 0, 2], [0, 1, 1, 2, 0, 0, 1, 0]]
+        space = _DualSpace(np.array(rows, np.int8))
         batches = list(space.members(limit))
         assert all(0 < len(b) <= 100 and b.dtype == np.int8 for b in batches)
         got = np.concatenate(batches).tolist()
         every = (naive.vector_from_f(f, 8) for f in range(limit + 1))
-        want = [v for v in every if all(naive.vdot(v, r.entries()) == 0 for r in rows)]
+        want = [v for v in every if all(naive.vdot(v, r) == 0 for r in rows)]
         assert got == want
-        assert [space.member(k).entries() for k in range(len(got))] == want
+        assert [space.member(k).tolist() for k in range(len(got))] == want
         assert space.count(limit) == len(want)
 
 
@@ -380,13 +379,12 @@ def _reference_walk(m, unit):
     return list(naive.exhaustive_unit(m, r1, d))
 
 
-def _row_rule(d, limit, m):
-    """The row predicate on plain lists: a leading 1, the row-weight rule,
-    f-value at most limit and the diagonal Gram identity at block size m."""
+def _row_rule(d, m):
+    """The row predicate on plain lists: a leading 1, the row-weight rule
+    and the diagonal Gram identity at block size m."""
     def accept(v):
         w = naive.vweight(v)
         return (any(v) and naive.leads_with_one(v) and w % 3 == 2 and w >= d - 1
-                and naive.f_value(v) <= limit
                 and naive.row_pair_gram(m, v, v) == [2] + [0] * (m - 1))
     return accept
 
@@ -414,9 +412,9 @@ class TestExhaustiveWalk:
         built = []
 
         class Counted(_DualSpace):
-            def __init__(self, span_rows, width):
-                built.append(width)
-                super().__init__(span_rows, width)
+            def __init__(self, span):
+                built.append(span.shape[1])
+                super().__init__(span)
 
         monkeypatch.setattr(search, "_DualSpace", Counted)
         plan = SearchPlan(block_size=4, partition=(0, 256))
@@ -425,19 +423,26 @@ class TestExhaustiveWalk:
             specs = search._unit_rows(plan, unit)
             assert built == [12] or (not built and not len(specs))
 
+    def test_digits_past_int64(self):
+        rng = random.Random(3)
+        for value in (0, 1, 2**63 - 1, 2**63, 2**64 + 1, 3**42 - 1, rng.randrange(3**42)):
+            assert search._digits(value, 42).tolist() == naive.vector_from_f(value, 42)
+
     @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
     def test_count_past_int64(self, delta):
         # width 42: f-values pass 2^63 from 3^40 on, and the bisection
-        # compares them as Python ints
+        # compares them digit by digit, also against a limit that shares a
+        # member's high digits
         setup = random.Random(14)
         r = Gf3Vector(setup.randrange(3) for _ in range(42))
-        space = _DualSpace(block_row_vectors(14, r), 42)
-        for limit in (2**63 + delta, setup.randrange(2**62, 2**64)):
+        span = [u.entries() for u in block_row_vectors(14, r)]
+        space = _DualSpace(np.array(span, np.int8))
+        near = naive.f_value(space.member(setup.randrange(3 ** len(space.basis))).tolist())
+        for limit in (2**63 + delta, setup.randrange(2**62, 2**64), near + delta):
             count = space.count(limit)
-            below, above = space.member(count - 1).entries(), space.member(count).entries()
+            below, above = space.member(count - 1).tolist(), space.member(count).tolist()
             assert naive.f_value(below) <= limit < naive.f_value(above)
-            assert all(naive.vdot(v, u.entries()) == 0
-                       for v in (below, above) for u in block_row_vectors(14, r))
+            assert all(naive.vdot(v, u) == 0 for v in (below, above) for u in span)
 
     @pytest.mark.parametrize("m", [11, 12])
     def test_batched_grams_past_int8(self, m):
@@ -468,17 +473,43 @@ class TestExhaustiveWalk:
 
     @pytest.mark.parametrize("width", [3, 18, 39, 42, 60])
     def test_admissible_is_the_row_rule(self, width):
-        # f is compared exactly past int64 (3^40 > 2^63); half the rows
-        # share the limit's high digits, to test the comparison near it
         rng = random.Random(width)
-        top = [rng.randrange(3) for _ in range(width)]
-        vals = np.array([[rng.choice((0, 0, 1, 2)) for _ in range(width)] for _ in range(200)]
-                        + [top[:i] + [rng.randrange(3)] + top[i + 1:]
-                           for i in (rng.randrange(width) for _ in range(200))]
-                        + [top, [0] * width])
-        limit, d, m = naive.f_value(top), width // 2, width // 3
-        accept = _row_rule(d, limit, m)
-        assert search._admissible(vals, d, limit, m).tolist() == [accept(v) for v in vals.tolist()]
+        vals = np.array([[rng.choice((0, 0, 1, 2)) for _ in range(width)] for _ in range(400)]
+                        + [[0] * width], np.int8)
+        d, m = width // 2, width // 3
+        accept = _row_rule(d, m)
+        assert search._admissible(vals, d, m).tolist() == [accept(v) for v in vals.tolist()]
+
+    @pytest.mark.parametrize("m, target, first", [
+        (2, "near-extremal", None), (2, "extremal", None),
+        (4, "near-extremal", None), (4, "extremal", None), (6, "near-extremal", 4000),
+    ])
+    def test_d_prune_is_the_subcode_minimum(self, m, target, first):
+        # the r1 the walk prunes, those that pass the row rule, of every
+        # unit at n = 2 and 4 and of the first 4,000 at n = 6; at n = 4
+        # (extremal) and n = 6 some fail the prune, the rest pass
+        plan = SearchPlan(block_size=m, target=target)
+        d = plan.target_min_weight
+        rows = [search._digits(u, 3 * m) for u in itertools.islice(search._units(plan), first)]
+        rows = [r for r in rows if search._admissible(r[None], d, m)[0]]
+        assert rows
+        for row1 in rows:
+            r1 = row1.tolist()
+            subcode = [[int(j == i) for j in range(3 * m)] + u
+                       for i, u in enumerate(naive.block_rows(m, r1))]
+            assert search._d_prune_survives(row1, m, d) == (naive.min_weight(subcode) >= d), r1
+
+    def test_d_prune_memory_is_bounded(self):
+        # 3^12 words over 48 columns: 25.5 MB as one unbatched int8 table;
+        # the batched walk peaked at 9.1 MB
+        row1 = search._digits(random.Random(12).randrange(3**36), 36)
+        tracemalloc.start()
+        try:
+            assert search._d_prune_survives(row1, 12, 1)  # no word is lighter: all are walked
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestSampled:

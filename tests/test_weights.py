@@ -481,7 +481,7 @@ def _walked(monkeypatch, code, run, words=None):
 
 def _check_scan_against_naive(code, dist):
     """min_weight, its kept count, count_weight at d and d + 3, the count
-    scan itself at both weights, and the d-prune, against the distribution."""
+    scan itself at both weights, and its floor, against the distribution."""
     d = min(w for w in dist if w)
     assert min_weight(code) == d
     assert code._cache["count_at_min"] == dist[d]
@@ -489,8 +489,9 @@ def _check_scan_against_naive(code, dist):
         assert count_weight(code, w) == dist.get(w, 0), w
         scan = weights._stack_counts(weights._code_stack(code), w, floor=1)
         assert scan.count[0] == dist.get(w, 0), w
-    for t in (d - 1, d, d + 1):
-        assert weights._clears(code, t) == (t <= d), t
+    for t in (d - 1, d, d + 1):  # a code leaves the scan at a word below the floor
+        scan = weights._stack_counts(weights._code_stack(code), t - 1, floor=t)
+        assert scan.kept[0] == (t <= d), t
 
 
 _generic_rows = st.integers(6, 12).flatmap(lambda n: st.lists(
