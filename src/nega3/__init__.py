@@ -40,7 +40,6 @@ from .nega import (
     negashift,
     row_gram_is_two,
     self_dual_violations,
-    vector_from_f,
 )
 from .registry import (
     GammaSet,
@@ -134,6 +133,5 @@ __all__ = [
     "row_gram_is_two",
     "run_search",
     "self_dual_violations",
-    "vector_from_f",
     "verify_entry",
 ]

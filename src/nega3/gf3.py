@@ -81,14 +81,6 @@ class Gf3Vector:
     def is_zero(self) -> bool:
         return not (self._lo | self._hi)
 
-    def first_nonzero(self) -> tuple[int, Gf3] | None:
-        """Position and value of the leftmost nonzero entry, or None."""
-        nz = self._lo | self._hi
-        if not nz:
-            return None
-        i = (nz & -nz).bit_length() - 1
-        return i, (1 if (self._lo >> i) & 1 else 2)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Gf3Vector") -> "Gf3Vector":
@@ -153,22 +145,19 @@ class Gf3Vector:
         return f"Gf3Vector([{''.join(str(e) for e in self)}])"
 
 
-def _rref_rows(
-    rows: Sequence[Gf3Vector], column_order: Sequence[int] | None = None
-) -> tuple[list[Gf3Vector], list[int]]:
-    """Row-reduce, scanning columns in the given order (default left to right).
+def _rref_rows(rows: Sequence[Gf3Vector]) -> tuple[list[Gf3Vector], list[int]]:
+    """Row-reduce, scanning columns left to right.
 
-    Returns the reduced rows (zero rows last) and the pivot columns in the
-    order they were found.  Pivot entries are normalized to 1 and pivot
-    columns are cleared everywhere else, so the result is canonical for the
-    row space under the chosen column order.
+    Returns the reduced rows (zero rows last) and the pivot columns in
+    ascending order.  Pivot entries are normalized to 1 and pivot columns
+    are cleared everywhere else, so the result is canonical for the row
+    space.
     """
     work = list(rows)
     ncols = len(work[0]) if work else 0
-    order = range(ncols) if column_order is None else column_order
     pivots: list[int] = []
     top = 0
-    for col in order:
+    for col in range(ncols):
         pivot_row = None
         for i in range(top, len(work)):
             if work[i][col] != 0:

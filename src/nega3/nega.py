@@ -191,17 +191,6 @@ def f_value(v: Gf3Vector) -> int:
     return int(f"{v._lo:b}", 3) + 2 * int(f"{v._hi:b}", 3)
 
 
-def vector_from_f(n: int, f: int) -> Gf3Vector:
-    """Inverse of f_value for length n."""
-    entries = []
-    for _ in range(n):
-        f, e = divmod(f, 3)
-        entries.append(e)
-    if f:
-        raise ValueError("value out of range for this length")
-    return Gf3Vector(entries)
-
-
 def _f_keys(vals: np.ndarray) -> np.ndarray:
     """The f-values of int8 rows (..., w) as int32 chunks (..., c) of at
     most 19 digits (3^19 < 2^31), least significant first like the digits:

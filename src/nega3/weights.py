@@ -1,24 +1,23 @@
 """Exact minimum weights, counts at a given weight, and full distributions.
 
-Minimum-weight and counting queries run a covering enumeration over several
-systematic generator matrices on disjoint column blocks.  A self-dual code
-takes two in closed form: with its columns reordered pivots first, which
-keeps every weight, it is (I | A) with A A^T = -I, so (-A^T | I) spans it
-too (_tile_stack).  Other codes re-echelonize the basis on successive
-disjoint column blocks.
-Messages of support size 1, 2, ... are expanded for each matrix, level by
-level and within a level matrix by matrix.  Once matrix i of level j is
-done, every unseen codeword has weight at least
-sum_{s <= i} max(0, j + 1 - deficit_s) + sum_{s > i} max(0, j - deficit_s),
-where deficit_s is the rank the code falls short of full on block s, so the
-bound rises after every matrix, not only after every level.  The run stops
-as soon as that bound strictly passes the weight counted, which certifies
-the answer without visiting all 3^k words.  One scan settles both d and
-A_d: it keeps the least weight seen and the number of words of that weight,
-and restarts the count whenever the least weight falls (min_weight keeps
-both on the code, so count_weight at d reuses the count).  For a self-dual
-code of even d = 2j the two matrices give the bound 2j + 1 after the first
-matrix of level j, so the second, as costly, is never walked.
+Minimum-weight and counting queries on a self-dual code run a covering
+enumeration over two systematic generator matrices on complementary
+columns.  Both come in closed form: with its columns reordered pivots
+first, which keeps every weight, a self-dual code is (I | A) with
+A A^T = -I, so (-A^T | I) spans it too (_tile_stack).  Messages of support
+size 1, 2, ... are expanded for each matrix, level by level and within a
+level matrix by matrix.  Once matrix i of level j is done, every unseen
+codeword has weight at least 2j + i + 1: at least j + 1 on the pivots of
+each matrix done at level j and j on the other's, so the bound rises after
+every matrix, not only after every level.  The run stops as soon as that
+bound strictly passes the weight counted, which certifies the answer
+without visiting all 3^k words.  One scan settles both d and A_d: it keeps
+the least weight seen and the number of words of that weight, and restarts
+the count whenever the least weight falls (min_weight keeps both on the
+code, so count_weight at d reuses the count).  For an even d = 2j the bound
+reaches 2j + 1 after the first matrix of level j, so the second, as costly,
+is never walked.  A code that is not self-dual is answered from its full
+distribution, under that sweep's guard.
 
 The expansion is vectorized and visits each word the covering needs at
 most once up to sign:
@@ -39,10 +38,10 @@ most once up to sign:
 - Counts need no record of words seen.  A word's message support under a
   systematic matrix is its weight on that matrix's pivots, so a word is
   counted only at the first (level, matrix) pair that visits it: the
-  matrix, first in order, on whose pivots its weight is least.  With two
-  matrices on complementary columns, as for self-dual codes, that pair
-  follows from the level and the weight alone.  A batch is searched for
-  words of the weight counted only when its least weight reaches it.
+  matrix, first in order, on whose pivots its weight is least.  The two
+  pivot sets are complementary, so that pair follows from the level and
+  the weight alone.  A batch is searched for words of the weight counted
+  only when its least weight reaches it.
 - Orbit path: sigma, the simultaneous negashift of the six blocks, is an
   automorphism of every (I | M) code of negacirculant blocks, and the two
   matrices of a self-dual one have whole blocks as pivots, so sigma acts on
@@ -51,15 +50,15 @@ most once up to sign:
   comes from construction: nega.build_generator records it, the search
   passes it, and every other code, hand-built copies of (I | M) codes
   included, is scanned without orbits.
-- Stacks: codes that share n, k, the pivots of every matrix and the orbit
-  width share the support tables too, so the walk runs over their bases
-  stacked as (codes, k, lanes) planes, one numpy call per step for all of
-  them.  One closed form, _tile_stack, stacks the M of self-dual (I | M)
-  codes: the search's specs, a sweep's neighbors and, its columns reordered
-  pivots first, every self-dual Code (_code_stack, a stack of one).  _settle
-  settles d and the count at d of a stack in one scan, which runs until the
-  bound passes d and drops a code at its first word below d; the codes left
-  are moved up in the batch buffer in place.
+- Stacks: self-dual codes that share k and the orbit width share the
+  support tables too, so the walk runs over their bases stacked as
+  (codes, k, lanes) planes, one numpy call per step for all of them.  One
+  closed form, _tile_stack, stacks the M of self-dual (I | M) codes: the
+  search's specs, a sweep's neighbors and, its columns reordered pivots
+  first, every self-dual Code (_code_stack, a stack of one).  _settle
+  settles d and the count at d of a stack in one scan, which runs until
+  the bound passes d and drops a code at its first word below d; the codes
+  left are moved up in the batch buffer in place.
 
 Full distributions take a different route, a meet-in-the-middle sweep: the
 basis is split in half, all 3^(k - k//2) sums of the second half are
@@ -85,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError, InternalInconsistencyError
-from .gf3 import Code, _rref_rows
+from .gf3 import Code
 
 _LANE_BITS = 64
 
@@ -142,10 +141,6 @@ def _pack(planes: list[int], n: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(planes), lanes)
 
 
-def _pack_rows(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _pack([r._lo for r in rows], n), _pack([r._hi for r in rows], n)
-
-
 def _add_planes(alo, ahi, blo, bhi):
     t = (alo | bhi) ^ (ahi | blo)
     return t ^ (ahi | bhi), t ^ (alo | blo)
@@ -183,25 +178,7 @@ def _weights_of(support: np.ndarray) -> np.ndarray:
     return np.bitwise_count(support).sum(axis=-1, dtype=np.int64)
 
 
-# -- information sets ---------------------------------------------------------
-
-
-def _systematic_bases(code: Code):
-    """(rows, pivots, deficit) of each information set by the greedy rule:
-    the code's reduced basis, then the basis reduced again with the columns
-    not yet used scanned first, for as long as that finds new pivots."""
-    used: set[int] = set()
-    reduced, pivots = code.basis, code.pivots
-    while True:
-        new_pivots = [p for p in pivots if p not in used]
-        if not new_pivots:
-            return
-        yield reduced[: code.k], pivots, code.k - len(new_pivots)
-        used.update(new_pivots)
-        fresh = [c for c in range(code.n) if c not in used]
-        if not fresh:
-            return
-        reduced, pivots = _rref_rows(code.basis, fresh + sorted(used))
+# -- the covering bound -------------------------------------------------------
 
 
 def _orbit_shape(n: int, k: int) -> int:
@@ -216,31 +193,35 @@ def _orbit_shape(n: int, k: int) -> int:
     return 0 if n % 6 or b < 2 or k > 64 else b
 
 
-def _passes(deficits: list[int], k: int):
+def _passes(k: int):
     """The covering scan's passes in order, each as (j, i, floor): level
-    j = 1 .. k, and within a level the information sets i in order.  floor
-    is the least weight of a word that no pass up to this one has visited.
+    j = 1 .. k, and within a level the information sets i = 0, 1, (I | A)
+    then (-A^T | I).  floor is the least weight of a word that no pass up to
+    this one has visited.
 
     Such a word's message under set s has support at least j + 1 when set s
     is already done at level j (s <= i), and at least j otherwise.  Its
-    support under s is its weight on s's pivots, of which all but deficit_s
-    lie in no earlier set, so the word weighs at least
-    sum_s max(0, j + [s <= i] - deficit_s): the Brouwer-Zimmermann bound,
-    raised after every set rather than every level."""
+    support under s is its weight on s's pivots, and the two pivot sets
+    are complementary, so the word weighs at least (j + 1) + j + i: the
+    Brouwer-Zimmermann bound, raised after every set rather than every
+    level."""
     for j in range(1, k + 1):
-        for i in range(len(deficits)):
-            yield j, i, sum(max(0, j + (s <= i) - d) for s, d in enumerate(deficits))
+        for i in (0, 1):
+            yield j, i, 2 * j + i + 1
 
 
 def count_cost(code: Code, w: int) -> int:
-    """Codewords the covering certifies when counting weight-w words: the
-    C(k, j) 2^j words of message support j of every (level j, set) pass the
-    scan walks before its bound passes w (see _passes).
+    """Codewords certified when counting weight-w words: for a self-dual
+    code, the C(k, j) 2^j words of message support j of every (level j,
+    set) pass the covering scan walks before its bound passes w (see
+    _passes); for any other code, the 3^k words full_distribution sweeps.
 
     The scan evaluates fewer: one word of each pair c, -c, and on the orbit
     path one support per negashift orbit."""
+    if not code.is_self_dual():
+        return 3**code.k
     cost = 0
-    for j, _, floor in _passes(_code_stack(code).deficits, code.k):
+    for j, _, floor in _passes(code.k):
         cost += comb(code.k, j) << j
         if floor > w:
             break
@@ -462,7 +443,9 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
 
 
 def min_weight(code: Code, abort_below: int | None = None) -> int:
-    """Exact minimum weight, certified by the covering bound.
+    """Exact minimum weight: of a self-dual code certified by the covering
+    bound, of any other code read off its full distribution, which raises
+    GuardError past dimension FULL_DISTRIBUTION_GUARD_K before any work.
 
     With ``abort_below`` set, the scan may return early with any codeword
     weight strictly below the threshold (useful to reject candidates); the
@@ -482,11 +465,16 @@ def min_weight(code: Code, abort_below: int | None = None) -> int:
     if code.k == 0:
         raise ValueError("minimum weight of the zero code is undefined")
     if "min_weight" not in code._cache:
-        scan = _stack_counts(_code_stack(code), code.n, floor=abort_below or 1, least=True)
-        if not scan.kept[0]:
-            return int(scan.weight[0])
-        code._cache["min_weight"] = int(scan.weight[0])
-        code._cache["count_at_min"] = int(scan.count[0])
+        if code.is_self_dual():
+            scan = _stack_counts(_code_stack(code), code.n, floor=abort_below or 1, least=True)
+            if not scan.kept[0]:
+                return int(scan.weight[0])
+            d, count = int(scan.weight[0]), int(scan.count[0])
+        else:
+            counts = full_distribution(code).counts
+            d = min(w for w in counts if w)
+            count = counts[d]
+        code._cache["min_weight"], code._cache["count_at_min"] = d, count
     return code._cache["min_weight"]
 
 
@@ -494,10 +482,12 @@ def count_weight(code: Code, w: int) -> int:
     """Exact number of codewords of weight w.
 
     Once min_weight has settled w as the minimum weight, this is the count
-    its scan kept.  Otherwise it runs the covering enumeration until its bound strictly
-    exceeds w, so every weight-w word is visited (see _stack_counts), or,
-    when a straight sweep of all 3^k codewords is cheaper, delegates to
-    full_distribution instead (both routes are exact).
+    it kept.  Otherwise, on a self-dual code, it runs the covering
+    enumeration until its bound strictly exceeds w, so every weight-w word
+    is visited (see _stack_counts), or, when a straight sweep of all 3^k
+    codewords is cheaper, delegates to full_distribution instead (both
+    routes are exact).  Any other code is answered from full_distribution,
+    under its guard.
     """
     if w < 1:
         raise ValueError("count_weight takes a positive weight")
@@ -505,59 +495,49 @@ def count_weight(code: Code, w: int) -> int:
         return 0
     if code._cache.get("min_weight") == w:
         return code._cache["count_at_min"]
+    if not code.is_self_dual():
+        return full_distribution(code).counts.get(w, 0)
     if code.k <= 22 and 3**code.k < count_cost(code, w):
         return full_distribution(code, allow_long=True).counts.get(w, 0)
     return int(_stack_counts(_code_stack(code), w, floor=1).count[0])
 
 
 class _Stack(NamedTuple):
-    """Codes scanned together, sharing n, k, information-set pivots and orbit
-    width; lo and hi are shaped (sets, codes, k, lanes), pivot_masks (sets, lanes)."""
+    """Self-dual codes scanned together, sharing k and the orbit width; lo
+    and hi hold the information sets (I | M) and (-M^T | I) of each, shaped
+    (2, codes, k, lanes)."""
 
-    n: int
     lo: np.ndarray
     hi: np.ndarray
-    deficits: list[int]
-    pivot_masks: np.ndarray
     width: int  # see _orbit_shape; 0 for a scan without orbits
 
 
 def _code_stack(code: Code) -> _Stack:
-    """The stack of one code of dimension at least 1, kept in its cache.
+    """The stack of one self-dual code, kept in its cache.
 
-    A self-dual code, its columns reordered pivots first, which keeps every
-    weight, is (I | A): its stack is _tile_stack's, with the orbit width
-    that nega.build_generator recorded and 0 for other codes.  Any other
-    code takes the greedy sets of _systematic_bases, without orbits."""
+    Its columns reordered pivots first, which keeps every weight, the code
+    is (I | A): its stack is _tile_stack's, with the orbit width that
+    nega.build_generator recorded and 0 for other codes."""
     if "stack" not in code._cache:
-        if code.k and 2 * code.k == code.n and code.is_self_dual():  # no call for other shapes
-            pivots = set(code.pivots)
-            rows = np.array([r.entries() for r in code.basis], dtype=np.int8)
-            tiles = rows[None, :, [c for c in range(code.n) if c not in pivots]]
-            stack = _tile_stack(tiles, code._cache.get("orbit_width", 0))
-        else:
-            sets = list(_systematic_bases(code))
-            lo, hi = zip(*(_pack_rows(rows, code.n) for rows, _, _ in sets))
-            masks = _pack([sum(1 << p for p in pivots) for _, pivots, _ in sets], code.n)
-            stack = _Stack(code.n, np.stack(lo)[:, None], np.stack(hi)[:, None],
-                           [deficit for *_, deficit in sets], masks, 0)
-        code._cache["stack"] = stack
+        pivots = set(code.pivots)
+        rows = np.array([r.entries() for r in code.basis], dtype=np.int8)
+        tiles = rows[None, :, [c for c in range(code.n) if c not in pivots]]
+        code._cache["stack"] = _tile_stack(tiles, code._cache.get("orbit_width", 0))
     return code._cache["stack"]
 
 
 def _tile_stack(tiles: np.ndarray, width: int) -> _Stack:
     """The stack of the (I | M) codes of a (codes, k, k) array of M over
     {0, 1, 2} with M M^T = -I, in closed form: the information sets (I | M)
-    and (-M^T | I), as M^-1 = -M^T, no deficits, and the caller's orbit
-    width (see _orbit_shape), 0 when sigma may not be an automorphism."""
+    and (-M^T | I), as M^-1 = -M^T, and the caller's orbit width (see
+    _orbit_shape), 0 when sigma may not be an automorphism."""
     k = tiles.shape[1]
     eye = np.broadcast_to(np.eye(k, dtype=np.int8), tiles.shape)
     bases = np.stack([np.concatenate([eye, tiles], axis=2),
                       np.concatenate([-tiles.mT % 3, eye], axis=2)])
     bases = np.pad(bases, [(0, 0)] * 3 + [(0, -2 * k % _LANE_BITS)])  # whole lanes
     lo, hi = (np.packbits(bases == v, axis=-1, bitorder="little").view("<u8") for v in (1, 2))
-    halves = _pack([(1 << k) - 1, (1 << 2 * k) - (1 << k)], 2 * k)
-    return _Stack(2 * k, lo, hi, [0, 0], halves, width)
+    return _Stack(lo, hi, width)
 
 
 def _settle(stack: _Stack, d: int) -> list[int | None]:
@@ -588,20 +568,19 @@ def _stack_counts(stack: _Stack, w: int, floor: int, least: bool = False) -> _Sc
     its least weight falls.  A word is counted only at the first pass that
     visits it: its message support under set i is its weight on set i's
     pivots, so it is counted under the first set on whose pivots its weight
-    is least.  Each visited word stands for itself and its negation, and on
-    the orbit path for its whole negashift orbit (see _words), so no word is
-    kept or compared.
+    is least.  The two sets' pivots are complementary, so a word of weight
+    w met at level j under set i weighs w - j on the other set's pivots,
+    and set i is the first to meet it exactly when 2j + i <= w.  Each
+    visited word stands for itself and its negation, and on the orbit path
+    for its whole negashift orbit (see _words), so no word is kept or
+    compared.
     """
     _, size, k, _ = stack.lo.shape
     target = np.full(size, w, dtype=np.int64)
     total = np.zeros(size, dtype=np.int64)
     kept = np.ones(size, dtype=bool)
-    # two sets whose pivots split the columns, as for self-dual codes: a word
-    # of weight w met at level j under set i weighs w - j on the other set's
-    # pivots, so set i is the first to meet it exactly when 2j + i <= w
-    split = stack.deficits == [0, 0] and 2 * k == stack.n
     drops = floor > 1  # no nonzero word weighs less than 1
-    for j, i, unseen in _passes(stack.deficits, k):
+    for j, i, unseen in _passes(k):
         for pos, support, mult in _words(stack.lo[i], stack.hi[i], j, stack.width,
                                          kept if drops else None):
             batch = _weights_of(support)
@@ -618,11 +597,7 @@ def _stack_counts(stack: _Stack, w: int, floor: int, least: bool = False) -> _Sc
             if not (low <= aim).any():
                 continue
             c, r = np.divmod(np.flatnonzero(batch == aim.astype(batch.dtype)[:, None]), batch.shape[1])
-            if split:
-                first = 2 * j + i <= aim[c]
-            else:
-                on_pivots = np.bitwise_count(support[c, r][:, None, :] & stack.pivot_masks).sum(axis=-1)
-                first = on_pivots.argmin(axis=1) == i
+            first = 2 * j + i <= aim[c]
             np.add.at(total, pos[c[first]], mult[r[first]])
         support = None  # a view that holds the walk's buffer: free it before the next pass's
         if not kept.any() or unseen > target[kept].max():
@@ -744,7 +719,7 @@ def _span_planes(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     lo = np.zeros((1, _lanes(n)), dtype=np.uint64)
     hi = np.zeros((1, _lanes(n)), dtype=np.uint64)
     for r in rows:
-        rlo, rhi = _pack_rows([r], n)
+        rlo, rhi = _pack([r._lo, r._hi], n)
         l1, h1 = _add_planes(lo, hi, rlo, rhi)
         l2, h2 = _add_planes(l1, h1, rlo, rhi)
         lo = np.concatenate([lo, l1, l2])
@@ -754,7 +729,10 @@ def _span_planes(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def classify(code: Code) -> ExtremalityClass:
     """Extremality class of a self-dual code by its minimum weight (the
-    cached one, when min_weight has already run on this code)."""
+    cached one, when min_weight has already run on this code).  Any other
+    code is refused with ValueError before any scan."""
+    if not code.is_self_dual():
+        raise ValueError(f"{code!r} is not self-dual, so it has no extremality class")
     d = min_weight(code)
     bound = ms_bound(code.n)
     if d > bound:

@@ -109,20 +109,27 @@ def pivot(v):
     return next(c for c, x in enumerate(v) if x)
 
 
-def greedy_pivot_sets(basis):
-    """The pivots of the information sets the covering scan takes for a
-    code that is not self-dual: those of the reduced basis, then of
-    reductions with the columns not yet used scanned first, for as long as
-    that finds new pivots."""
+def greedy_sets(basis):
+    """The information sets of the code spanned by basis by the greedy rule,
+    as (rows, pivots, deficit): the reduced basis, then the reductions with
+    the columns not yet used scanned first, for as long as that finds new
+    pivots.  rows is that reduction, in the code's column order, pivots its
+    pivots in the order found, and deficit the number of them an earlier
+    set already used.  For a self-dual code these are the two systematic
+    forms on complementary columns that the covering scan takes."""
     n = len(basis[0])
     order, used, sets = list(range(n)), [], []
     while True:
         reduced = rref([[r[c] for c in order] for r in basis])
+        rows = [[0] * n for _ in reduced]
+        for row, r in zip(rows, reduced):
+            for c, x in zip(order, r):
+                row[c] = x
         pivots = [order[pivot(r)] for r in reduced]
         new = [p for p in pivots if p not in used]
         if not new:
             return sets
-        sets.append(pivots)
+        sets.append((rows, pivots, len(pivots) - len(new)))
         used += new
         fresh = [c for c in range(n) if c not in used]
         if not fresh:
@@ -150,7 +157,7 @@ def orbit_width(basis):
             return 0
     whole = all(len(s) % b == 0 and all(s[i] % b == 0 and s[i:i + b] == list(range(s[i], s[i] + b))
                                         for i in range(0, len(s), b))
-                for s in greedy_pivot_sets(rows))
+                for _, s, _ in greedy_sets(rows))
     return b if whole else 0
 
 

@@ -20,7 +20,6 @@ from nega3 import (
     is_self_dual,
     negashift,
     self_dual_violations,
-    vector_from_f,
 )
 from nega3.gf3 import Code, Gf3Vector, _code_from_echelon
 from nega3.nega import (_block_gram, _block_rows, _negashift_blocks, _systematic_rows,
@@ -218,22 +217,22 @@ class TestFValue:
     def test_roundtrip(self, v):
         f = f_value(Gf3Vector(v))
         assert f == naive.f_value(v)
-        assert vector_from_f(len(v), f).entries() == v
+        assert naive.vector_from_f(f, len(v)) == v
 
     @pytest.mark.parametrize("n", range(41))
     def test_zero_and_all_two_vectors(self, n):
         # every digit 0, then every digit 2, the least and the greatest value
         assert f_value(Gf3Vector.zeros(n)) == naive.f_value([0] * n) == 0
         assert f_value(Gf3Vector([2] * n)) == naive.f_value([2] * n) == 3**n - 1
-        assert vector_from_f(n, 3**n - 1) == Gf3Vector([2] * n)
+        assert naive.vector_from_f(3**n - 1, n) == [2] * n
 
     @given(st.integers(min_value=0, max_value=3**10 - 1))
     def test_inverse(self, f):
-        assert f_value(vector_from_f(10, f)) == f
+        assert f_value(Gf3Vector(naive.vector_from_f(f, 10))) == f
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            vector_from_f(2, 9)
+        # f_value maps the 9 vectors of length 2 onto 0 .. 8, none past
+        assert sorted(f_value(Gf3Vector(v)) for v in itertools.product(range(3), repeat=2)) == list(range(9))
 
 
 class TestConditions:

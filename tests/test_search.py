@@ -307,23 +307,24 @@ def _exhaustive_units(m):
 
 def _assert_closed_form(found):
     """The tile stack the search settles for int8 first rows (specs, 3, 3m)
-    holds what the greedy row reduction gives each spec's built Code
-    (weights._systematic_bases): both information sets' planes and pivots
-    and no deficits, with the orbit width build_generator records."""
+    holds what the greedy row reduction (naive.greedy_sets) gives each
+    spec's built Code: the planes of both information sets, whose pivots are
+    the two halves of the columns, with the orbit width build_generator
+    records."""
     assert found.dtype == np.int8 and found.shape[1] == 3
     m = found.shape[2] // 3
     stack = weights._tile_stack(search._tiles(found), weights._orbit_shape(6 * m, 3 * m))
     assert stack.lo.shape == stack.hi.shape == (2, len(found), 3 * m, 1)
-    assert stack.lo.dtype == stack.hi.dtype == stack.pivot_masks.dtype == np.uint64
+    assert stack.lo.dtype == stack.hi.dtype == np.uint64
+    halves = [(list(range(3 * m)), 0), (list(range(3 * m, 6 * m)), 0)]
     for c, rows in enumerate(found):
         code = build_generator(CodeSpec.from_entry_rows(rows.tolist()))
-        sets = list(weights._systematic_bases(code))
-        assert (stack.n, stack.deficits, stack.width) == (
-            code.n, [deficit for *_, deficit in sets], code._cache["orbit_width"])
-        for i, (basis, pivots, _) in enumerate(sets):
-            assert stack.lo[i, c, :, 0].tolist() == [r._lo for r in basis]
-            assert stack.hi[i, c, :, 0].tolist() == [r._hi for r in basis]
-            assert int(stack.pivot_masks[i, 0]) == sum(1 << p for p in pivots)
+        assert stack.width == code._cache["orbit_width"]
+        sets = naive.greedy_sets([r.entries() for r in code.basis])
+        assert [(pivots, deficit) for _, pivots, deficit in sets] == halves
+        for i, (basis, _, _) in enumerate(sets):
+            assert stack.lo[i, c, :, 0].tolist() == [Gf3Vector(r)._lo for r in basis]
+            assert stack.hi[i, c, :, 0].tolist() == [Gf3Vector(r)._hi for r in basis]
 
 
 class TestTileStacks:

@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 import naive
@@ -35,8 +35,6 @@ from nega3 import (
     pless_symmetry,
     weights,
 )
-from nega3.gf3 import _code_from_echelon, _rref_rows
-from nega3.nega import _systematic_rows
 from nega3.search import _trial_rows, _unit_rows, _units
 
 
@@ -91,6 +89,45 @@ class TestMinWeight:
         assert count_weight(c, 5) == 0
 
 
+def _guarded_code():
+    """A [44, 21] code that is not self-dual: past the full-distribution
+    guard."""
+    rng = random.Random(100)
+    rows = [Gf3Vector([1 if j == i else rng.randrange(3) if j > 21 else 0
+                       for j in range(44)]) for i in range(21)]
+    code = Code(44, rows)
+    assert code.k == 21 and not code.is_self_dual()
+    return code
+
+
+class TestOtherCodes:
+    """Codes that are not self-dual are answered from their full
+    distribution, under its guard."""
+
+    def test_guard_refuses_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started past the guard")
+
+        for name in ("_words", "_span_planes", "_sweep", "_tile_stack"):
+            monkeypatch.setattr(weights, name, refuse)
+        code = _guarded_code()
+        for query in (lambda: min_weight(code), lambda: min_weight(code, abort_below=9),
+                      lambda: count_weight(code, 9)):
+            with pytest.raises(GuardError) as exc:
+                query()
+            assert exc.value.estimate == 3**21
+        assert "min_weight" not in code._cache
+
+    def test_count_cost_is_the_full_sweep(self):
+        rng = random.Random(101)
+        # the last one is [4, 1, 3], self-orthogonal but not self-dual
+        codes = [_guarded_code(), *(_random_code(rng, n, n // 2)[0] for n in (6, 9, 12)),
+                 Code(4, [Gf3Vector([1, 1, 1, 0])])]
+        for code in codes:
+            assert not code.is_self_dual()
+            assert all(weights.count_cost(code, w) == 3**code.k for w in range(1, code.n + 1))
+
+
 class TestComboChunks:
     @pytest.mark.parametrize("chunk", [1, 7, 64, weights._CHUNK])
     def test_lexicographic_across_chunk_boundaries(self, chunk):
@@ -131,11 +168,13 @@ class TestWalk:
         monkeypatch.setattr(weights, "_CHUNK", chunk)
         code = build_generator(_EXTREMAL24)  # k = 12, orbit width 4
         stack = weights._code_stack(code)
-        generic = weights._code_stack(_random_code(random.Random(70), 70, 8)[0])  # two lanes
-        cases = [(stack, 0), (stack, stack.width), (generic, 0)]
-        assert stack.width == 4 and generic.lo.shape[-1] == 2
-        for s, width in cases:
-            lo, hi = s.lo[0], s.hi[0]
+        # eight random rows of 70 columns, packed by hand: two lanes
+        rng = random.Random(70)
+        vectors = [Gf3Vector([rng.randrange(3) for _ in range(70)]) for _ in range(8)]
+        planes = [weights._pack([getattr(v, p) for v in vectors], 70)[None] for p in ("_lo", "_hi")]
+        cases = [(stack.lo[0], stack.hi[0], 0), (stack.lo[0], stack.hi[0], 4), (*planes, 0)]
+        assert stack.width == 4 and planes[0].shape == (1, 8, 2)
+        for lo, hi, width in cases:
             rows = _plane_rows(lo[0], hi[0])
             for j in range(1, 7):
                 got = collections.Counter()
@@ -275,36 +314,61 @@ def _self_dual_pool(m):
     return tuple(_self_dual_specs(m, 0, 30))
 
 
+def _tetracode_sum(m, rng):
+    """A self-dual code of length 6m with words of weight 3: 3m/2 tetracodes
+    side by side, its columns shuffled (_permuted), so scanned without
+    orbits."""
+    tetra = [[1, 0, 1, 1], [0, 1, 1, 2]]
+    blocks = 6 * m // 4
+    rows = [Gf3Vector([0] * (4 * b) + r + [0] * (4 * (blocks - 1 - b)))
+            for b in range(blocks) for r in tetra]
+    return _permuted(Code(6 * m, rows), rng)
+
+
 def _mixed_stack(m, seed):
     """Codes of length 6m in a shuffled order: random (I | M) specs, most of
-    them not self-dual and with words below the near-extremal weight,
-    self-dual specs, and at length 24 the extremal spec."""
+    them not self-dual and with words below the near-extremal weight;
+    self-dual specs, and at length 24 the extremal spec, all with orbits;
+    and self-dual codes without orbits, neighbors of those specs and sums
+    of tetracodes, which have words of weight 3."""
     rng = random.Random(seed)
     specs = [CodeSpec.from_entry_rows([[rng.randrange(3) for _ in range(3 * m)]
                                        for _ in range(3)]) for _ in range(6)]
     specs += rng.sample(_self_dual_pool(m), 4)
     if m == 4:
         specs.append(_EXTREMAL24)
-    rng.shuffle(specs)
-    return [build_generator(spec) for spec in specs]
+    codes = [build_generator(spec) for spec in specs]
+    for base in codes[6:9]:  # three of the self-dual specs
+        while True:
+            x = Gf3Vector([rng.randrange(3) for _ in range(6 * m)])
+            if x.weight() % 3 == 0 and not base.contains(x):
+                break
+        codes.append(neighbor(base, x))
+    codes += [_tetracode_sum(m, rng) for _ in range(2)]
+    rng.shuffle(codes)
+    return codes
 
 
 def _stacked(codes):
-    """One stack of codes whose stacks of one (weights._code_stack) share n,
-    k, set pivots and orbit width: those stacks joined along the codes axis."""
+    """One stack of self-dual codes whose stacks of one (weights._code_stack)
+    share k and the orbit width: those stacks joined along the codes axis."""
     stacks = [weights._code_stack(code) for code in codes]
     return stacks[0]._replace(lo=np.concatenate([s.lo for s in stacks], axis=1),
                               hi=np.concatenate([s.hi for s in stacks], axis=1))
 
 
 def _settle_grouped(codes, d):
-    """weights._settle for codes of any shape: stacked by n, k, orbit width,
-    deficits and set pivots, at most weights._STACK codes to a stack (_stacked)."""
+    """weights._settle for the self-dual codes, stacked by k and orbit
+    width, at most weights._STACK codes to a stack (_stacked); every other
+    code settled alone (_one_by_one), since only self-dual codes stack."""
     stacks = collections.defaultdict(list)
-    for i, code in enumerate(codes):
-        s = weights._code_stack(code)
-        stacks[s.n, s.lo.shape, s.width, tuple(s.deficits), s.pivot_masks.tobytes()].append(i)
     out = {}
+    for i, code in enumerate(codes):
+        if code.is_self_dual():
+            s = weights._code_stack(code)
+            stacks[s.lo.shape, s.width].append(i)
+        else:
+            out[i] = _one_by_one(code, d)
     for members in stacks.values():
         for s in range(0, len(members), weights._STACK):
             part = members[s : s + weights._STACK]
@@ -313,7 +377,7 @@ def _settle_grouped(codes, d):
 
 
 def _one_by_one(code, d):
-    """What _settle_grouped promises for one code, from min_weight and
+    """What weights._settle promises for one code, from min_weight and
     count_weight."""
     return count_weight(code, d) if min_weight(code) == d else None
 
@@ -324,9 +388,10 @@ def _by_enumeration(dist, d):
 
 
 class TestStackedScan:
-    """weights._settle over stacks of mixed codes (_settle_grouped), which
-    settles d and A_d of many codes in stacked scans, against each code
-    scanned alone and against full enumeration."""
+    """weights._settle over stacks of mixed self-dual codes
+    (_settle_grouped), which settles d and A_d of many codes in stacked
+    scans, against each code scanned alone and against full enumeration;
+    the codes that are not self-dual are checked one at a time."""
 
     @given(st.sampled_from([2, 4]), st.integers(0, 2**32))
     def test_mixed_stacks_match_one_code_at_a_time(self, m, seed):
@@ -342,12 +407,15 @@ class TestStackedScan:
                 assert got == [_by_enumeration(dist, d) for dist in dists], d
 
     def test_a_stack_holds_every_outcome(self):
-        codes = _mixed_stack(4, 3)
+        # the stack without orbits holds codes that drop out, codes counted
+        # at 6, and a hand-built copy of the extremal spec: A_6 = 0, so no
+        # count either
+        codes = _mixed_stack(4, 3) + [Code(24, list(build_generator(_EXTREMAL24).basis))]
         got = _settle_grouped(codes, 6)
         d = [min_weight(c) for c in codes]
-        assert {w < 6 for w in d} == {True, False}  # some codes drop out
-        extremal = d.index(9)  # A_6 = 0, so no count either
-        assert got[extremal] is None
+        plain = [w for w, c in zip(d, codes) if c.is_self_dual() and not _width(c)]
+        assert {min(w, 7) for w in plain} == {3, 6, 7} and plain[-1] == 9
+        assert got[-1] is None
         assert all((a is not None) == (w == 6) for a, w in zip(got, d))
         assert sum(a is not None for a in got) >= 3
 
@@ -494,10 +562,6 @@ def _check_scan_against_naive(code, dist):
         assert scan.kept[0] == (t <= d), t
 
 
-_generic_rows = st.integers(6, 12).flatmap(lambda n: st.lists(
-    st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=2, max_size=7))
-
-
 class TestPerSetBound:
     """The covering scan stops once the bound, raised after every
     information set, passes the weight it counts; min_weight settles d and
@@ -525,12 +589,6 @@ class TestPerSetBound:
         # each pass's batches stand for every word of its level, no more
         assert all(words[pass_] == comb(code.k, pass_[0]) << pass_[0] for pass_ in walked)
 
-    @given(_generic_rows)
-    def test_generic_codes_with_deficits(self, rows):
-        code = Code(len(rows[0]), [Gf3Vector(r) for r in rows])
-        assume(code.k and any(weights._code_stack(code).deficits))
-        _check_scan_against_naive(code, naive.distribution([r.entries() for r in code.basis]))
-
     def test_self_dual_specs(self):
         for spec in _self_dual_pool(2):
             code = build_generator(spec)
@@ -554,38 +612,21 @@ class TestPerSetBound:
         _check_scan_against_naive(code, dist)
 
 
-def _greedy_sets(code):
-    """Information sets by the greedy rule alone: the reduced basis, then
-    reductions with the columns not yet used scanned first."""
-    out, used = [], set()
-    rows, pivots = list(code.basis), list(code.pivots)
-    while True:
-        fresh_pivots = [p for p in pivots if p not in used]
-        if not fresh_pivots:
-            return out
-        out.append((rows[: code.k], pivots, code.k - len(fresh_pivots)))
-        used.update(fresh_pivots)
-        fresh = [c for c in range(code.n) if c not in used]
-        if not fresh:
-            return out
-        rows, pivots = _rref_rows(code.basis, fresh + sorted(used))
-
-
 def _packed(code):
-    """The stack of one of _greedy_sets, packed by hand for a code of length
-    at most 64: the reference the closed form is checked against."""
+    """The greedy information sets of a code of length at most 64
+    (naive.greedy_sets), packed by hand as a stack of one without orbits:
+    the reference the closed form is checked against.  Returned with the
+    sets' pivots and deficits."""
     assert code.n <= 64
-    sets = _greedy_sets(code)
-    lo, hi = (np.array([[[[getattr(r, p)] for r in rows]] for rows, _, _ in sets], dtype=np.uint64)
-              for p in ("_lo", "_hi"))
-    masks = np.array([[sum(1 << p for p in pivots)] for _, pivots, _ in sets], dtype=np.uint64)
-    return weights._Stack(code.n, lo, hi, [deficit for *_, deficit in sets], masks, 0)
+    sets = naive.greedy_sets(_rows(code))
+    lo, hi = (np.array([[[[getattr(Gf3Vector(r), p)] for r in rows]] for rows, _, _ in sets],
+                       dtype=np.uint64) for p in ("_lo", "_hi"))
+    return weights._Stack(lo, hi, 0), ([pivots for _, pivots, _ in sets], [d for *_, d in sets])
 
 
 def _assert_same_sets(stack, want):
-    """Two stacks of one hold the same sets: planes, pivots and deficits."""
-    assert (stack.n, stack.deficits) == (want.n, want.deficits)
-    for got, ref in ((stack.lo, want.lo), (stack.hi, want.hi), (stack.pivot_masks, want.pivot_masks)):
+    """Two stacks of one hold the same sets' planes."""
+    for got, ref in ((stack.lo, want.lo), (stack.hi, want.hi)):
         assert np.array_equal(got, ref)
 
 
@@ -598,15 +639,23 @@ def _pivots_first(code):
 
 def _d_and_counts(stack):
     """d, A_d and A_{d+3} of a stack of one, by its covering scans alone."""
-    scan = weights._stack_counts(stack, stack.n, floor=1, least=True)
+    n = 2 * stack.lo.shape[2]
+    scan = weights._stack_counts(stack, n, floor=1, least=True)
     d = int(scan.weight[0])
     return d, int(scan.count[0]), int(weights._stack_counts(stack, d + 3, floor=1).count[0])
 
 
+def _halves(k):
+    """The pivots and deficits of the two closed-form sets of a self-dual
+    [2k, k] code with pivots 0 .. k - 1."""
+    return [list(range(k)), list(range(k, 2 * k))], [0, 0]
+
+
 class TestInformationSets:
     """The closed-form stack of self-dual codes (weights._code_stack through
-    weights._tile_stack) against the greedy row reduction (_greedy_sets),
-    which other codes still take."""
+    weights._tile_stack) against the greedy row reduction (_packed): the
+    greedy sets of a self-dual code are its two systematic forms on
+    complementary columns."""
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_self_dual_specs(self, m):
@@ -614,9 +663,8 @@ class TestInformationSets:
         for spec in _self_dual_pool(m):
             code = build_generator(spec)
             assert code.is_self_dual()
-            ref = _packed(code)
-            halves = [(1 << 3 * m) - 1, (1 << 6 * m) - (1 << 3 * m)]
-            assert ref.pivot_masks[:, 0].tolist() == halves
+            ref, sets = _packed(code)
+            assert sets == _halves(3 * m)
             _assert_same_sets(weights._code_stack(code), ref)
             assert weights._code_stack(code).width == m
 
@@ -630,9 +678,16 @@ class TestInformationSets:
                 break
         code = neighbor(base, x)
         stack = weights._code_stack(code)
-        assert stack.width == 0 and _packed(code).deficits == [0, 0]
-        _assert_same_sets(stack, _packed(_pivots_first(code)))
-        assert _d_and_counts(stack) == _d_and_counts(_packed(_permuted(code, rng)))
+        _, (_, deficits) = _packed(code)
+        assert stack.width == 0 and deficits == [0, 0]
+        ref, sets = _packed(_pivots_first(code))
+        assert sets == _halves(18)
+        _assert_same_sets(stack, ref)
+        # a column-permuted copy's greedy sets are complementary too, though
+        # not the halves, and its scan gives the same counts
+        other, (_, deficits) = _packed(_permuted(code, rng))
+        assert deficits == [0, 0]
+        assert _d_and_counts(stack) == _d_and_counts(other)
 
     @pytest.mark.parametrize("q", [None, 5, 11, 17, 23])
     def test_qr48_and_pless_codes(self, q):
@@ -641,26 +696,11 @@ class TestInformationSets:
         assert code.is_self_dual() and code.pivots == tuple(range(code.k))
         stack = weights._code_stack(code)
         assert stack.width == 0
-        _assert_same_sets(stack, _packed(code))
+        ref, sets = _packed(code)
+        assert sets == _halves(code.k)
+        _assert_same_sets(stack, ref)
         if code.n <= 24:
-            assert _d_and_counts(stack) == _d_and_counts(_packed(_permuted(code, random.Random(q))))
-
-    @pytest.mark.parametrize("m", [2, 4, 6])
-    def test_d_prune_subcodes_take_the_greedy_path(self, monkeypatch, m):
-        # the [6m, m] subcodes of the search's d-prune are not self-dual,
-        # which their shape shows without a self-duality check
-        def refuse(*args):
-            raise AssertionError("closed form tried on a code that is not self-dual")
-
-        monkeypatch.setattr(weights, "_tile_stack", refuse)
-        monkeypatch.setattr(Code, "is_self_dual", refuse)
-        rng = random.Random(m)
-        for _ in range(10):
-            r1 = Gf3Vector([rng.randrange(3) for _ in range(3 * m)])
-            code = _code_from_echelon(6 * m, _systematic_rows(m, [r1]))
-            stack = weights._code_stack(code)
-            assert stack.width == 0
-            _assert_same_sets(stack, _packed(code))
+            assert _d_and_counts(stack) == _d_and_counts(_packed(_permuted(code, random.Random(q)))[0])
 
     def test_self_dual_is_cached(self, registry):
         code = build_generator(registry.entry("C1").spec)
@@ -824,3 +864,13 @@ class TestBoundsAndClasses:
         c = Code(36, rows)
         assert c.is_self_dual()
         assert classify(c) is ExtremalityClass.NEITHER
+
+    @pytest.mark.parametrize("rows", [[[1] * 12], [[1, 1, 1, 0]],
+                                      [[1, 0, 1, 1], [0, 1, 1, 2], [1, 1, 0, 0]]])
+    def test_classify_refuses_codes_that_are_not_self_dual(self, monkeypatch, rows):
+        # [12, 1, 12] has d past the self-dual bound, [4, 1, 3] the extremal
+        # d of length 4, and a [4, 3] code fails on its shape alone
+        code = Code(len(rows[0]), [Gf3Vector(r) for r in rows])
+        monkeypatch.setattr(weights, "min_weight", lambda *args: pytest.fail("scanned"))
+        with pytest.raises(ValueError, match="not self-dual"):
+            classify(code)
