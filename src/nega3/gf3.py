@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import LengthMismatchError
 
 Gf3 = int  # field elements are plain ints 0, 1, 2
@@ -145,6 +147,32 @@ class Gf3Vector:
         return f"Gf3Vector([{''.join(str(e) for e in self)}])"
 
 
+def _entry_rows(rows: Sequence[Gf3Vector], n: int) -> np.ndarray:
+    """The entries of length-n vectors as a (len(rows), n) int8 array over
+    {0, 1, 2}, unpacked from their bit planes in one numpy pass."""
+    size = (n + 7) // 8
+    data = b"".join(p.to_bytes(size, "little") for r in rows for p in (r._lo, r._hi))
+    planes = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), 2, size)
+    bits = np.unpackbits(planes, axis=-1, count=n, bitorder="little")
+    return (bits[:, 0] + 2 * bits[:, 1]).view(np.int8)
+
+
+def _vectors(rows: np.ndarray) -> list[Gf3Vector]:
+    """The rows of an integer array shaped (count, n) over {0, 1, 2} as
+    vectors: their bit planes packed in one numpy pass, each read as 64-bit
+    lanes and joined into one Python integer, most significant lane first."""
+    n = rows.shape[-1]
+    lanes = max(1, (n + 63) // 64)
+    planes = np.zeros((len(rows), 2, 8 * lanes), dtype=np.uint8)
+    planes[..., : (n + 7) // 8] = np.packbits(np.stack([rows == 1, rows == 2], axis=1), axis=-1,
+                                              bitorder="little")
+    words = planes.view("<u8").astype(object)  # (count, plane, lane)
+    ints = words[..., -1]
+    for lane in range(lanes - 2, -1, -1):
+        ints = ints << 64 | words[..., lane]
+    return [_mk(n, lo, hi) for lo, hi in ints.tolist()]
+
+
 def _rref_rows(rows: Sequence[Gf3Vector]) -> tuple[list[Gf3Vector], list[int]]:
     """Row-reduce, scanning columns left to right.
 
@@ -214,11 +242,14 @@ class Code:
         return Code(self.n, _dual_rows(self))
 
     def is_self_dual(self) -> bool:
-        """Whether the code equals its dual; kept in the code's cache."""
+        """Whether the code equals its dual: 2k = n and R R^T = 0 mod 3 for
+        the basis R, one integer product; kept in the code's cache."""
         if "self_dual" not in self._cache:
-            rows = self.basis
-            self._cache["self_dual"] = 2 * self.k == self.n and all(
-                rows[i].dot(rows[j]) == 0 for i in range(len(rows)) for j in range(i, len(rows)))
+            square = 2 * self.k == self.n
+            if square:
+                rows = _entry_rows(self.basis, self.n)
+                square = not (np.matmul(rows, rows.T, dtype=np.int32) % 3).any()
+            self._cache["self_dual"] = square
         return self._cache["self_dual"]
 
     def __eq__(self, other: object) -> bool:

@@ -32,7 +32,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import LengthMismatchError
-from .gf3 import Code, Gf3Vector, _code_from_echelon, _mk
+from .gf3 import Code, Gf3Vector, _code_from_echelon, _entry_rows, _mk
 from .weights import _orbit_shape
 
 
@@ -158,7 +158,7 @@ def _block_gram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 def row_gram_is_two(block_size: int, r: Gf3Vector) -> bool:
     """Diagonal part of the self-duality identities for a single first row:
     its blockwise product with its own conjugate must be the constant 2."""
-    row = np.array(r.entries(), np.int8)
+    row = _entry_rows([r], len(r))[0]
     got = _block_gram(row, row, block_size)
     return bool(got[0] == 2) and not got[1:].any()
 
@@ -168,7 +168,7 @@ def self_dual_violations(spec: CodeSpec) -> list[tuple[int, int]]:
 
     Empty exactly when (I | M) generates a self-dual code.
     """
-    rows = np.array([r.entries() for r in spec.rows], np.int8)
+    rows = _entry_rows(spec.rows, 3 * spec.block_size)
     gram = _block_gram(rows[:, None], rows, spec.block_size)  # (i, j): r_i with r_j
     gram[..., 0] -= 2 * np.eye(3, dtype=gram.dtype)  # nonzero where an identity fails
     return [(i + 1, j + 1) for i in range(3) for j in range(i, 3) if gram[i, j].any()]

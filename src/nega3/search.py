@@ -64,7 +64,7 @@ from .errors import (
     NeighborWeightError,
     RegistryError,
 )
-from .gf3 import Code, Gf3Vector, _dual_rows
+from .gf3 import Code, Gf3Vector, _dual_rows, _entry_rows, _vectors
 from .nega import (CodeSpec, _at_least, _block_gram, _block_rows, _negashift_table, _walk_form,
                    f_value)
 from .registry import Registry, load_registry
@@ -235,8 +235,8 @@ class _DualSpace:
     strictly rising in k: the coefficient counter is the f order."""
 
     def __init__(self, span: np.ndarray):
-        code = Code(span.shape[1], [Gf3Vector(r) for r in span.tolist()])
-        self.basis = np.array([v.entries() for v in _dual_rows(code)], np.int8).reshape(-1, code.n)
+        code = Code(span.shape[1], _vectors(span % 3))
+        self.basis = _entry_rows(_dual_rows(code), code.n)
 
     def member(self, k: int) -> np.ndarray:
         """Member number k, for 0 <= k < 3^len(basis)."""
@@ -483,7 +483,8 @@ def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, 
     _trial_rows.  The group's specs are verified _STACK at a time from the
     M of their first rows (_tiles): one int16 product checks M M^T = -I,
     and one scan of their stack (weights._tile_stack) settles d and alpha,
-    split back per unit.  A spec is built only when it verifies."""
+    split back per unit.  A spec is built only when it verifies, its
+    vectors packed from the int8 rows in one pass (gf3._vectors)."""
     if plan.mode == "sampled":
         groups = _trial_rows(plan, units)[:, None]
     else:
@@ -496,10 +497,12 @@ def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, 
             raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
         alphas += _settle(_tile_stack(tiles, _orbit_shape(plan.length, tiles.shape[1])),
                           plan.target_min_weight)
+    kept = np.array([alpha is not None for alpha in alphas], dtype=bool)
+    rows = iter(_vectors(flat[kept].reshape(-1, flat.shape[-1])))
     found = iter(alphas)
-    vector = functools.cache(Gf3Vector)  # an exhaustive unit's specs share r1 and their r2
-    return [[(CodeSpec(plan.block_size, *map(vector, map(tuple, rows.tolist()))), alpha)
-             for rows, alpha in zip(group, found) if alpha is not None] for group in groups]
+    return [[(CodeSpec(plan.block_size, next(rows), next(rows), next(rows)), alpha)
+             for alpha in itertools.islice(found, len(group)) if alpha is not None]
+            for group in groups]
 
 
 def _map_units(plan: SearchPlan, units: Iterator[int], workers: int) -> Iterator[list]:
@@ -722,7 +725,7 @@ def _neighbors(c: Code, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and takes row p: the identity is now on P with p swapped for q.  A zero
     syndrome puts x in c, its own dual: NeighborMembershipError.  The
     identity and A A^T = -I (self-duality) are checked for the whole batch."""
-    basis = np.array([r.entries() for r in c.basis], np.int16).reshape(c.k, c.n)
+    basis = _entry_rows(c.basis, c.n).astype(np.int16)
     s = seeds @ basis.T % 3  # int16 sums of at most 4n
     if not s.any(axis=1).all():
         raise NeighborMembershipError("x lies in the code; the neighbor would be c itself")
@@ -756,8 +759,8 @@ def neighbor(c: Code, x: Gf3Vector) -> Code:
         raise NeighborWeightError(f"wt(x) = {x.weight()} is not divisible by 3")
     if not c.is_self_dual():
         raise NeighborCodeError("base code is not self-dual")
-    rows, _ = _neighbors(c, np.array([x.entries()], np.int16))
-    return Code(c.n, [Gf3Vector(r) for r in rows[0].tolist()])
+    rows, _ = _neighbors(c, _entry_rows([x], c.n).astype(np.int16))
+    return Code(c.n, _vectors(rows[0]))
 
 
 def neighbor_sweep(
@@ -825,7 +828,7 @@ def _neighbor_seeds(c: Code, rng: random.Random, count: int) -> np.ndarray:
     that loop leaves it.  Each round tests the peeked values of about four
     attempts per seed still wanted; _STALL rounds raise
     InternalInconsistencyError."""
-    basis = np.array([r.entries() for r in c.basis], np.int16).reshape(c.k, c.n)
+    basis = _entry_rows(c.basis, c.n).astype(np.int16)
     seeds = np.empty((0, c.n), np.int16)
     for _ in range(_STALL):
         want = count - len(seeds)

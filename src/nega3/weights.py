@@ -69,8 +69,11 @@ have the same histogram as those of its negashift.  So only sums whose
 first-block digits are least in their orbit are swept, each histogram scaled
 by the orbit size: 63 of the 729 first-block messages at length 36, 411 of
 6,561 at length 48.  The table is lane-major, so each sweep works on whole
-lanes against one word of the row, into reused buffers.  Counts use 64-bit
-integers throughout and are exact.
+lanes against one word of the row, into reused buffers.  Swept rows of
+equal orbit size go in pairs: the two rows' weights of each column are
+packed into one index, and one bincount over (n + 1)^2 bins gives both
+histograms as its marginals, so the histograms take about one bincount per
+two rows.  Counts use 64-bit integers throughout and are exact.
 """
 
 from __future__ import annotations
@@ -84,15 +87,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError, InternalInconsistencyError
-from .gf3 import Code
+from .gf3 import Code, _entry_rows
 
 _LANE_BITS = 64
 
 # full_distribution throughput on the generic path, in codewords per second,
 # used only for guard messages: the 3^18 words of a column-permuted copy of
-# the length-36 code C1 take 2.8-3.1 s on one core of a 2-vCPU Xeon VM
-# (1.26e8-1.39e8 words/s); the orbit path evaluates fewer words
-_EVALS_PER_SECOND = 1.3e8
+# the length-36 code C1 take 1.37-1.58 CPU-s on one core of a 2-vCPU Xeon VM
+# (2.5e8-2.8e8 words/s over ten runs in two processes); the orbit
+# path evaluates fewer words
+_EVALS_PER_SECOND = 2.6e8
 
 FULL_DISTRIBUTION_GUARD_K = 20
 
@@ -520,7 +524,7 @@ def _code_stack(code: Code) -> _Stack:
     nega.build_generator recorded and 0 for other codes."""
     if "stack" not in code._cache:
         pivots = set(code.pivots)
-        rows = np.array([r.entries() for r in code.basis], dtype=np.int8)
+        rows = _entry_rows(code.basis, code.n)
         tiles = rows[None, :, [c for c in range(code.n) if c not in pivots]]
         code._cache["stack"] = _tile_stack(tiles, code._cache.get("orbit_width", 0))
     return code._cache["stack"]
@@ -610,13 +614,14 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
 
     The basis is split in half: all 3^(k - k//2) sums of the second half are
     tabulated, and the table is swept once per sum of the first half, each
-    sweep a few whole-lane operations and one bincount (see _sweep).  On the
-    orbit path, for the codes nega.build_generator gave an orbit width (see
-    _orbit_shape), sigma maps the words whose first-block message is r onto
-    those whose first-block message is the negashift of r, so only sums of
-    the first half whose first-block digits are least in their negashift
-    orbit are swept, and each bincount is scaled by that orbit's size; on
-    other codes every sum is swept once.
+    sweep a few whole-lane operations, with one bincount per two sums of
+    equal orbit size (see _sweep).  On the orbit path, for the codes
+    nega.build_generator gave an orbit width (see _orbit_shape), sigma maps
+    the words whose first-block message is r onto those whose first-block
+    message is the negashift of r, so only sums of the first half whose
+    first-block digits are least in their negashift orbit are swept, and
+    each histogram is scaled by that orbit's size; on other codes every sum
+    is swept once.
     """
     if code.k == 0:
         return WeightProfile(code.n, {0: 1}, complete=True)
@@ -646,14 +651,22 @@ def _sweep(lo_a, hi_a, lo_b, hi_b, mult: np.ndarray, n: int) -> np.ndarray:
 
     Only weights are needed, so each lane of a sum's support is the two
     XORs and an OR of _sum_support against one lane of the row, a scalar,
-    into buffers reused for every row."""
+    into buffers reused for every row.  Rows of equal mult are swept in
+    pairs: the two rows' weights w0, w1 of each column are packed into one
+    index w0 (n + 1) + w1, which fits 16 bits up to n = 255, and one
+    bincount over (n + 1)^2 bins serves both rows, whose histograms are its
+    table's two marginals.  A class's one unpaired row, if any, gets a
+    bincount of its own."""
     columns = lo_b.shape[1]
+    bins = n + 1
+    index = np.min_scalar_type(bins * bins - 1)  # uint16 up to n = 255
     t = np.empty(columns, dtype=np.uint64)
     u = np.empty(columns, dtype=np.uint64)
     ones = np.empty(columns, dtype=np.uint8)
-    weight = ones if lo_b.shape[0] == 1 else np.empty(columns, dtype=np.int64)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for i in np.flatnonzero(mult):
+    weight = ones if lo_b.shape[0] == 1 else np.empty(columns, dtype=index)
+    pair = np.empty(columns, dtype=index)
+
+    def weigh(i):  # the weights of row i's sums, into weight
         for lane in range(lo_b.shape[0]):
             np.bitwise_count(_sum_support(lo_b[lane], hi_b[lane], lo_a[i, lane], hi_a[i, lane], t, u),
                              out=ones)
@@ -662,7 +675,20 @@ def _sweep(lo_a, hi_a, lo_b, hi_b, mult: np.ndarray, n: int) -> np.ndarray:
                     np.add(weight, ones, out=weight)
                 else:
                     weight[:] = ones
-        counts += mult[i] * np.bincount(weight, minlength=n + 1)
+        return weight
+
+    counts = np.zeros(bins, dtype=np.int64)
+    for m in np.unique(mult[mult != 0]):
+        rows = np.flatnonzero(mult == m)
+        table = np.zeros(bins * bins, dtype=np.int64)
+        for a, b in zip(rows[0::2], rows[1::2]):
+            np.multiply(weigh(a), index.type(bins), out=pair)
+            np.add(pair, weigh(b), out=pair)
+            table += np.bincount(pair, minlength=bins * bins)
+        table = table.reshape(bins, bins)
+        counts += m * (table.sum(axis=1) + table.sum(axis=0))
+        if len(rows) % 2:
+            counts += m * np.bincount(weigh(rows[-1]), minlength=bins)
     return counts
 
 

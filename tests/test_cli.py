@@ -127,7 +127,7 @@ class TestVerify:
         assert "--allow-long" in err
         assert "3^24" in err
         # priced over negashift orbits, as the sweep would run
-        assert "411 x 3^16" in err and "roughly 136s" in err
+        assert "411 x 3^16" in err and "roughly 68s" in err
 
     def test_deep_guard_prices_long_specs_generically(self, tmp_path, capsys, no_code_work):
         # a length-132 spec has k = 66, past the orbit path's 64-bit supports,

@@ -2,13 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import naive
-from nega3 import Code, Gf3Vector, LengthMismatchError
-from nega3.gf3 import _dual_rows, _rref_rows
+from nega3 import Code, Gf3Vector, LengthMismatchError, pless_symmetry
+from nega3.gf3 import _dual_rows, _entry_rows, _rref_rows, _vectors
 
 
 def _rref_from_the_right(rows):
@@ -163,3 +164,109 @@ class TestCode:
         want, pivots = _rref_from_the_right(code.dual().basis)
         assert dual[::-1] == want[: len(pivots)]
         assert sorted(pivots + list(code.pivots)) == list(range(w))
+
+
+def _naive_self_dual(code):
+    rows = [r.entries() for r in code.basis]
+    return 2 * len(rows) == code.n and all(naive.vdot(a, b) == 0 for a in rows for b in rows)
+
+
+def _column_permuted(code, seed):
+    """The code with its columns shuffled so that its pivots are no longer
+    the first k columns: the first such shuffle of a seeded generator."""
+    rng = random.Random(seed)
+    for _ in range(50):  # about half of all shuffles move a pivot
+        perm = list(range(code.n))
+        rng.shuffle(perm)
+        moved = Code(code.n, [Gf3Vector([r[p] for p in perm]) for r in code.basis])
+        if moved.pivots != tuple(range(code.k)):
+            return moved
+    raise AssertionError("no shuffle moved a pivot")
+
+
+def _direct_sum(a, b):
+    """The code of a on the first a.n columns beside b on the last b.n."""
+    n = a.n + b.n
+    return Code(n, [r.concat(Gf3Vector.zeros(b.n)) for r in a.basis]
+                + [Gf3Vector.zeros(a.n).concat(r) for r in b.basis])
+
+
+class TestEntryRows:
+    """The array reader (_entry_rows) and writer (_vectors) against the
+    per-entry loop, and Code.is_self_dual, one product of the read rows,
+    against naive.vdot over the basis."""
+
+    @given(st.integers(min_value=0, max_value=140).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4).map(
+            lambda rows: (n, rows))))
+    def test_roundtrip(self, case):
+        n, rows = case
+        vectors = [Gf3Vector(r) for r in rows]
+        got = _entry_rows(vectors, n)
+        assert got.dtype == np.int8 and got.shape == (len(rows), n)
+        assert got.tolist() == [v.entries() for v in vectors]
+        for dtype in (np.int8, np.int16):
+            assert _vectors(np.array(rows, dtype).reshape(len(rows), n)) == vectors
+
+    def test_lane_edges(self):
+        rng = random.Random(7)
+        for n in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129):
+            rows = [[rng.randrange(3) for _ in range(n)] for _ in range(3)]
+            rows.append([2] * n)
+            vectors = [Gf3Vector(r) for r in rows]
+            assert _entry_rows(vectors, n).tolist() == rows
+            assert _vectors(np.array(rows, np.int8)) == vectors
+
+    @pytest.fixture(scope="class")
+    def codes(self, registry):
+        c1 = registry.entry("C1").build()
+        c48 = registry.entry("C48").build()
+        p84 = pless_symmetry(41)  # (I | M), n = 84: two lanes
+        return {
+            "C1": c1,
+            "C48": c48,
+            "C1 permuted": _column_permuted(c1, 1),
+            "Pless 84": p84,
+            "Pless 84 permuted": _column_permuted(p84, 2),
+            "C1 + C1": _direct_sum(c1, _column_permuted(c1, 3)),
+        }
+
+    @pytest.mark.parametrize("label", ["C1", "C48", "C1 permuted", "Pless 84",
+                                       "Pless 84 permuted", "C1 + C1"])
+    def test_self_dual_codes(self, codes, label):
+        code = codes[label]
+        assert _entry_rows(code.basis, code.n).tolist() == [r.entries() for r in code.basis]
+        assert code.is_self_dual() is True
+        assert _naive_self_dual(code)
+
+    @pytest.mark.parametrize("label", ["C1", "Pless 84"])
+    def test_self_orthogonal_below_half_dimension(self, codes, label):
+        # every pair of rows is orthogonal, but 2k < n
+        code = Code(codes[label].n, list(codes[label].basis[:-1]))
+        assert all(naive.vdot(a.entries(), b.entries()) == 0 for a in code.basis for b in code.basis)
+        assert code.is_self_dual() is False
+        assert not _naive_self_dual(code)
+
+    @pytest.mark.parametrize("n", [4, 12, 36, 66, 84])
+    def test_half_dimension_not_self_dual(self, n):
+        rng = random.Random(n)
+        while True:
+            code = Code(n, [Gf3Vector([rng.randrange(3) for _ in range(n)]) for _ in range(n // 2)])
+            if code.k == n // 2:
+                break
+        assert code.is_self_dual() is _naive_self_dual(code) is False
+
+    def test_one_wrong_row(self, codes):
+        # C1 with one row replaced by a word outside it: 2k = n still
+        c1 = codes["C1"]
+        rows = list(c1.basis)
+        rows[5] = rows[5] + Gf3Vector([0] * 35 + [1])
+        code = Code(36, rows)
+        assert code.k == 18
+        assert code.is_self_dual() is _naive_self_dual(code) is False
+
+    @pytest.mark.parametrize("n", [0, 5, 64])
+    def test_zero_dimension(self, n):
+        code = Code(n, [])
+        assert _entry_rows(code.basis, n).shape == (0, n)
+        assert code.is_self_dual() is _naive_self_dual(code) is (n == 0)

@@ -787,6 +787,72 @@ class TestLaneEdges:
         assert weights._weights_of(lo[0] | hi[0]).tolist() == want[0].tolist()
 
 
+def _random_planes(gen, count, n):
+    """count random words of length n as (lo, hi) planes shaped (count, lanes)."""
+    lanes = weights._lanes(n)
+    used = np.array([(1 << min(64, n - 64 * t)) - 1 for t in range(lanes)], dtype=np.uint64)
+    lo = gen.integers(0, 2**64, size=(count, lanes), dtype=np.uint64) & used
+    hi = gen.integers(0, 2**64, size=(count, lanes), dtype=np.uint64) & used & ~lo
+    return lo, hi, used
+
+
+def _per_row_sweep(lo_a, hi_a, lo_b, hi_b, mult, n):
+    """_sweep's histogram with one plain bincount per row of nonzero mult."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for i in np.flatnonzero(mult):
+        support = (lo_a[i, :, None] ^ hi_b) | (hi_a[i, :, None] ^ lo_b)
+        counts += mult[i] * np.bincount(np.bitwise_count(support).sum(axis=0), minlength=n + 1)
+    return counts
+
+
+class TestSweepPairs:
+    """_sweep bins the weights of two rows of one mult as one index
+    w0 (n + 1) + w1 and reads both histograms off that table's marginals;
+    a class's unpaired row gets a bincount of its own.  Against one plain
+    bincount per row, at one lane (36, 63, 64) and two (70)."""
+
+    @pytest.mark.parametrize("n", [36, 63, 64, 70])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_mults(self, n, seed):
+        # classes of odd and even size, mult-0 rows interleaved among them
+        gen = np.random.default_rng([n, seed])
+        lo_a, hi_a, _ = _random_planes(gen, 29, n)
+        lo_b, hi_b, _ = _random_planes(gen, 40, n)
+        mult = gen.choice([0, 1, 2, 3, 7, 12], size=len(lo_a)).astype(np.int64)
+        lo_b, hi_b = lo_b.T.copy(), hi_b.T.copy()
+        got = weights._sweep(lo_a, hi_a, lo_b, hi_b, mult, n)
+        assert got.tolist() == _per_row_sweep(lo_a, hi_a, lo_b, hi_b, mult, n).tolist()
+
+    @pytest.mark.parametrize("n", [36, 63, 64, 70])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_weights_zero_and_n(self, n, size):
+        # a class of size rows in which every row is all 1s or all 2s, so
+        # against a zero column each sum weighs n, the largest index
+        # n (n + 1) + n for a pair, and against the column of all 2s each
+        # all-1s row sums to weight 0, index 0 for a pair of them; mult-0
+        # rows sit between the class's rows
+        gen = np.random.default_rng(n + size)
+        lo_a, hi_a, used = _random_planes(gen, 2 * size + 1, n)
+        lo_b, hi_b, _ = _random_planes(gen, 6, n)
+        mult = np.zeros(len(lo_a), dtype=np.int64)
+        for r in range(size):
+            at = 2 * r + 1
+            mult[at] = 5
+            lo_a[at], hi_a[at] = (used, 0) if r % 3 < 2 else (0, used)
+        lo_b[2], hi_b[2] = 0, 0
+        lo_b[4], hi_b[4] = 0, used
+        lo_b, hi_b = lo_b.T.copy(), hi_b.T.copy()
+        got = weights._sweep(lo_a, hi_a, lo_b, hi_b, mult, n)
+        want = _per_row_sweep(lo_a, hi_a, lo_b, hi_b, mult, n)
+        assert got.tolist() == want.tolist()
+        assert got[0] and got[n] and got.sum() == 5 * size * 6
+
+    def test_no_rows(self):
+        lo, hi, _ = _random_planes(np.random.default_rng(0), 4, 36)
+        got = weights._sweep(lo, hi, lo.T.copy(), hi.T.copy(), np.zeros(4, dtype=np.int64), 36)
+        assert got.tolist() == [0] * 37
+
+
 def _negashift_orbits(b):
     """Every negashift orbit of F_3^b, enumerated one message at a time."""
     orbits = {}
@@ -829,7 +895,7 @@ class TestOrbitSweep:
         code = registry.entry("C48").build()
         assert _width(code) == 8
         with pytest.raises(GuardError, match=r"411 x 3\^16 = 1\.77e\+10 of its 3\^24 "
-                           r"codewords \(roughly 136s\)") as exc:
+                           r"codewords \(roughly 68s\)") as exc:
             full_distribution(code)
         assert exc.value.estimate == 411 * 3**16
 
