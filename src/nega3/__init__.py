@@ -30,14 +30,11 @@ from .gleason import (
     near_extremal_family,
 )
 from .nega import (
-    BlockTransform,
     CodeSpec,
-    apply_transform,
     block_row_vectors,
     build_generator,
     f_value,
     is_self_dual,
-    negashift,
     row_gram_is_two,
     self_dual_violations,
 )
@@ -78,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaConstraint",
     "BetaStatus",
-    "BlockTransform",
     "Code",
     "CodeSpec",
     "EnumeratorFamily",
@@ -105,7 +101,6 @@ __all__ = [
     "VerifyReport",
     "WeightProfile",
     "alpha_constraint",
-    "apply_transform",
     "beta_set_matches",
     "block_row_vectors",
     "build_generator",
@@ -124,7 +119,6 @@ __all__ = [
     "ms_bound",
     "near_extremal_family",
     "near_extremal_weight",
-    "negashift",
     "neighbor",
     "neighbor_sweep",
     "novelty_report",

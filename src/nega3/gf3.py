@@ -118,22 +118,7 @@ class Gf3Vector:
         twos = (self._lo & other._hi) | (self._hi & other._lo)
         return (ones.bit_count() + 2 * twos.bit_count()) % 3
 
-    # -- structure ----------------------------------------------------------
-
-    def concat(self, other: "Gf3Vector") -> "Gf3Vector":
-        return _mk(
-            self._n + other._n,
-            self._lo | (other._lo << self._n),
-            self._hi | (other._hi << self._n),
-        )
-
-    def block(self, index: int, width: int) -> "Gf3Vector":
-        """The contiguous sub-vector [index*width, (index+1)*width)."""
-        if (index + 1) * width > self._n:
-            raise IndexError(f"block {index} of width {width} exceeds length {self._n}")
-        mask = (1 << width) - 1
-        s = index * width
-        return _mk(width, (self._lo >> s) & mask, (self._hi >> s) & mask)
+    # -- identity -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf3Vector):

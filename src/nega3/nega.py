@@ -14,12 +14,13 @@ the Gram matrix of (I | M) is determined by its first row.  The
 self-duality test below exploits that: it checks nine first-row polynomial
 identities instead of multiplying out full matrices.
 
-Specs hold their rows in the two bit planes of Gf3Vector, where one
-blockwise negashift builds the block rows and the generator rows
-(e_i | block row i).  The ring arithmetic is stated once, on int8 entry
-arrays batched over leading axes, for the identities here and the search,
-and so are f order (_f_keys, _at_least) and the block moves that bring a
-batch of sampled specs into the exhaustive walk's row form (_walk_form).
+Specs hold their rows in the two bit planes of Gf3Vector, the form that
+findings, the registry and vector files read.  The ring arithmetic is
+stated once, on int8 entry arrays batched over leading axes: the block
+rows (_block_rows), and from them the generator (I | M), the identities
+here and the search's.  So are f order (_f_keys, _at_least) and the block
+moves that bring a batch of sampled specs into the exhaustive walk's row
+form (_walk_form).
 """
 
 from __future__ import annotations
@@ -27,27 +28,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import LengthMismatchError
-from .gf3 import Code, Gf3Vector, _code_from_echelon, _entry_rows, _mk
+from .gf3 import Code, Gf3Vector, _code_from_echelon, _entry_rows, _vectors
 from .weights import _orbit_shape
-
-
-def _negashift_blocks(v: Gf3Vector, b: int) -> Gf3Vector:
-    """Negashift every width-b block of v at once; b must divide len(v)."""
-    top = ((1 << v._n) - 1) // ((1 << b) - 1) << (b - 1)  # last bit of each block
-    lo, hi = v._lo, v._hi
-    # a block's last entry re-enters at its first position with planes swapped
-    return _mk(v._n, ((lo & ~top) << 1) | ((hi & top) >> (b - 1)),
-               ((hi & ~top) << 1) | ((lo & top) >> (b - 1)))
-
-
-def negashift(v: Gf3Vector) -> Gf3Vector:
-    """Shift right by one position; the wrapped entry is negated."""
-    return _negashift_blocks(v, len(v))
 
 
 @dataclass(frozen=True)
@@ -85,36 +72,6 @@ class CodeSpec:
         return cls(len(vecs[0]) // 3, vecs[0], vecs[1], vecs[2])
 
 
-def block_row_vectors(block_size: int, r: Gf3Vector) -> list[Gf3Vector]:
-    """The n rows of the 1 x 3 block matrix expanded from r.
-
-    Row j is the j-fold blockwise negashift of r, i.e. row j of (A | B | C)
-    where A, B, C are the negacirculant blocks of r.
-    """
-    rows = [r]
-    for _ in range(block_size - 1):
-        rows.append(_negashift_blocks(rows[-1], block_size))
-    return rows
-
-
-def _systematic_rows(block_size: int, first_rows: Sequence[Gf3Vector]) -> list[Gf3Vector]:
-    """The rows (e_i | block row i) of (I | M) for the block rows expanded
-    from the given first rows, in order."""
-    k = 3 * block_size
-    rights = [v for r in first_rows for v in block_row_vectors(block_size, r)]
-    return [_mk(2 * k, (1 << i) | (v._lo << k), v._hi << k) for i, v in enumerate(rights)]
-
-
-def build_generator(spec: CodeSpec) -> Code:
-    """The code spanned by (I | M); always of dimension 3n.  Its rows are
-    already the reduced echelon basis, so no row reduction runs, and its
-    cache records the orbit width of weights._orbit_shape: the simultaneous
-    negashift of the six blocks is an automorphism of every such code."""
-    code = _code_from_echelon(spec.length, _systematic_rows(spec.block_size, spec.rows))
-    code._cache["orbit_width"] = _orbit_shape(spec.length, code.k)
-    return code
-
-
 # -- the ring R_n, on int8 entry arrays ---------------------------------------
 #
 # A first row of width 3n holds three elements of R_n = F_3[x]/(x^n + 1),
@@ -136,10 +93,31 @@ def _negashift_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """The block rows of int8 first rows (..., 3n), as (..., n, 3n): those of
-    block_row_vectors up to multiples of 3, which Gram sums need not reduce."""
+    """The block rows of int8 first rows (..., 3n), as (..., n, 3n): row j
+    is the j-fold blockwise negashift, its entries up to multiples of 3,
+    which Gram sums need not reduce."""
     index, sign = _negashift_table(n)
     return rows[..., index] * sign
+
+
+def block_row_vectors(block_size: int, r: Gf3Vector) -> list[Gf3Vector]:
+    """The n rows of the 1 x 3 block matrix (A | B | C) of the negacirculant
+    blocks of r: row j is the j-fold blockwise negashift of r."""
+    return _vectors(_block_rows(_entry_rows([r], len(r))[0], block_size) % 3)
+
+
+def build_generator(spec: CodeSpec) -> Code:
+    """The code spanned by (I | M); always of dimension 3n.  Its rows
+    (e_i | block row i) are already the reduced echelon basis, so no row
+    reduction runs, and its cache records the orbit width of
+    weights._orbit_shape: the simultaneous negashift of the six blocks is
+    an automorphism of every such code."""
+    k = 3 * spec.block_size
+    m = _block_rows(_entry_rows(spec.rows, k), spec.block_size).reshape(k, k) % 3
+    code = _code_from_echelon(spec.length,
+                              _vectors(np.concatenate((np.eye(k, dtype=np.int8), m), axis=1)))
+    code._cache["orbit_width"] = _orbit_shape(spec.length, code.k)
+    return code
 
 
 def _block_gram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -209,54 +187,6 @@ def _at_least(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.broadcast_arrays(a, b)
     top = a.shape[-1] - 1 - (a != b)[..., ::-1].argmax(-1)
     return np.take_along_axis(a - b, top[..., None], -1)[..., 0] >= 0
-
-
-# -- weight-preserving block transforms --------------------------------------
-
-TransformKind = Literal["scale_columns", "scale_rows", "permute_columns", "permute_rows"]
-
-
-@dataclass(frozen=True)
-class BlockTransform:
-    """One generating transform of the block-equivalence group.
-
-    Scaling transforms carry three units (1 or 2), one per block column or
-    block row; permutations carry an image tuple on block indices 0..2.
-    All four kinds send self-dual specs to self-dual specs and preserve the
-    weight distribution of the generated code.
-    """
-
-    kind: TransformKind
-    units: tuple[int, int, int] | None = None
-    perm: tuple[int, int, int] | None = None
-
-    def __post_init__(self):
-        if self.kind in ("scale_columns", "scale_rows"):
-            if self.units is None or any(u not in (1, 2) for u in self.units):
-                raise ValueError("scaling needs three units from {1, 2}")
-            if self.perm is not None:
-                raise ValueError("scaling takes no permutation")
-        else:
-            if self.perm is None or sorted(self.perm) != [0, 1, 2]:
-                raise ValueError("permutation must rearrange (0, 1, 2)")
-            if self.units is not None:
-                raise ValueError("permutation takes no units")
-
-
-def apply_transform(spec: CodeSpec, t: BlockTransform) -> CodeSpec:
-    n = spec.block_size
-    rows = spec.rows
-    if t.kind == "scale_rows":
-        new = [r.scale(u) for r, u in zip(rows, t.units)]
-    elif t.kind == "permute_rows":
-        new = [rows[p] for p in t.perm]
-    else:  # a column move acts on the blocks of every row alike
-        if t.kind == "scale_columns":
-            parts = [[r.block(j, n).scale(u) for j, u in enumerate(t.units)] for r in rows]
-        else:
-            parts = [[r.block(p, n) for p in t.perm] for r in rows]
-        new = [a.concat(b).concat(c) for a, b, c in parts]
-    return CodeSpec(n, *new)
 
 
 def _walk_form(rows: np.ndarray) -> np.ndarray:

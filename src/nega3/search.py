@@ -681,6 +681,10 @@ def run_search(
     regardless of mode or worker count; exhaustive findings stream as each
     r1 is merged.
 
+    Exhaustive mode exhausts the paper's reduced space, the first-row
+    triples in the walk's row form, not every self-dual M: at length 12
+    that space misses the extended Golay code.
+
     Block sizes with no self-dual codes at all (odd sizes: the code length
     is then 6 mod 12, and self-dual codes need length 0 mod 4) return an
     empty stream immediately.

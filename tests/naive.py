@@ -405,17 +405,27 @@ def reduced_space_findings(m, d):
     return structural, verified
 
 
+def column_move(m, rows, units=(1, 1, 1), perm=(0, 1, 2)):
+    """Three first rows with block column p scaled by units[p], then the
+    columns reordered so that column q is old column perm[q]."""
+    return [sum((vscale(r[p * m:(p + 1) * m], units[p]) for p in perm), []) for r in rows]
+
+
+def row_move(rows, units=(1, 1, 1), perm=(0, 1, 2)):
+    """Three first rows with row k scaled by units[k], then reordered so
+    that row q is old row perm[q]."""
+    return [vscale(rows[k], units[k]) for k in perm]
+
+
 def block_moves(m, rows):
-    """The images of three first rows under all 2,304 block moves: the
-    three block columns scaled by units and permuted, then the rows scaled
-    by units and permuted."""
+    """The images of three first rows under all 2,304 block moves: a
+    column move, then a row move."""
     for col_units in itertools.product((1, 2), repeat=3):
         for col_perm in itertools.permutations(range(3)):
-            cols = [sum((vscale(r[p * m:(p + 1) * m], col_units[p]) for p in col_perm), [])
-                    for r in rows]
+            cols = column_move(m, rows, col_units, col_perm)
             for row_units in itertools.product((1, 2), repeat=3):
                 for row_perm in itertools.permutations(range(3)):
-                    yield [vscale(cols[k], row_units[k]) for k in row_perm]
+                    yield row_move(cols, row_units, row_perm)
 
 
 def in_walk_form(m, rows):

@@ -10,20 +10,16 @@ from hypothesis import strategies as st
 
 import naive
 from nega3 import (
-    BlockTransform,
     CodeSpec,
     LengthMismatchError,
-    apply_transform,
     block_row_vectors,
     build_generator,
     f_value,
     is_self_dual,
-    negashift,
     self_dual_violations,
 )
-from nega3.gf3 import Code, Gf3Vector, _code_from_echelon
-from nega3.nega import (_block_gram, _block_rows, _negashift_blocks, _systematic_rows,
-                        row_gram_is_two)
+from nega3.gf3 import Code, Gf3Vector
+from nega3.nega import _block_gram, _block_rows, row_gram_is_two
 
 
 def _rand_vec(rng, n):
@@ -39,40 +35,59 @@ def _norm_two_row(rng, m):
     return row
 
 
+def _rows_of(v, b):
+    """The block rows of v, of width 3b, by _block_rows, over {0, 1, 2}."""
+    return (_block_rows(np.array(v, np.int8), b) % 3).tolist()
+
+
+def _shift(v, b):
+    """v with each width-b block negashifted once, by naive.negashift."""
+    return [e for i in range(0, len(v), b) for e in naive.negashift(v[i:i + b])]
+
+
 class TestNegashift:
+    """The blockwise negashift, as _block_rows states it: block row j of a
+    first row is its j-fold negashift, block by block."""
+
     def test_reference_example(self):
-        rows = [Gf3Vector([0, 1, 2])]
-        for _ in range(2):
-            rows.append(negashift(rows[-1]))
-        assert [r.entries() for r in rows] == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        rows = _rows_of([0, 1, 2] * 3, 3)
+        assert [r[:3] for r in rows] == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
     def test_against_reference(self, v):
-        assert negashift(Gf3Vector(v)).entries() == naive.negashift(v)
+        # v as the first block of a first row whose other blocks are zero
+        n, want = len(v), v
+        for row in _rows_of(v + [0] * 2 * n, n):
+            assert row == want + [0] * 2 * n
+            want = naive.negashift(want)
 
     @given(st.sampled_from([3, 6]), st.integers(1, 8), st.data())
     def test_blocks_against_reference(self, blocks, b, data):
         v = data.draw(st.lists(st.integers(0, 2), min_size=blocks * b, max_size=blocks * b))
-        want = [e for i in range(0, len(v), b) for e in naive.negashift(v[i:i + b])]
-        assert _negashift_blocks(Gf3Vector(v), b).entries() == want
+        # six blocks are two first rows side by side
+        got = [_rows_of(v[i:i + 3 * b], b) for i in range(0, len(v), 3 * b)]
+        want = v
+        for j in range(b):
+            assert [e for half in got for e in half[j]] == want
+            want = _shift(want, b)
 
-    @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.integers(0, 2), min_size=3 * n, max_size=3 * n)))
     def test_period_2n(self, v):
-        # n shifts negate the vector, 2n shifts restore it
-        out = Gf3Vector(v)
-        for _ in range(len(v)):
-            out = negashift(out)
-        assert out.entries() == naive.vneg(v)
-        for _ in range(len(v)):
-            out = negashift(out)
-        assert out.entries() == v
+        # the block rows of v, then of -v, are 2n successive shifts: n
+        # shifts negate the vector, 2n shifts restore it
+        n = len(v) // 3
+        chain = _rows_of(v, n) + _rows_of(naive.vneg(v), n)
+        for i in range(2 * n):
+            assert _shift(chain[i], n) == chain[(i + 1) % (2 * n)]
 
     def test_preserves_dot(self):
         rng = random.Random(3)
         for _ in range(100):
             n = rng.randrange(1, 9)
-            a, b = _rand_vec(rng, n), _rand_vec(rng, n)
-            assert naive.vdot(a, b) == negashift(Gf3Vector(a)).dot(negashift(Gf3Vector(b)))
+            a, b = _rand_vec(rng, 3 * n), _rand_vec(rng, 3 * n)
+            assert all(naive.vdot(a, b) == naive.vdot(u, w)
+                       for u, w in zip(_rows_of(a, n), _rows_of(b, n)))
 
 
 class TestSpec:
@@ -95,30 +110,36 @@ class TestSpec:
             left = r.entries()[:18]
             assert left == [1 if j == i else 0 for j in range(18)]
 
-    def test_systematic_rows_match_reference(self):
+    @staticmethod
+    def _random_specs():
         rng = random.Random(29)
-        for _ in range(50):
-            m = rng.randrange(1, 6)
-            rows = [_rand_vec(rng, 3 * m) for _ in range(3)]
-            want = naive.spec_generator_rows(m, *rows)
-            for count in (1, 3):
-                got = _systematic_rows(m, [Gf3Vector(r) for r in rows[:count]])
-                assert [v.entries() for v in got] == want[: count * m]
+        for m in range(1, 15):  # 6m > 64 from m = 11: two-lane vectors
+            for _ in range(4):
+                yield CodeSpec.from_entry_rows([_rand_vec(rng, 3 * m) for _ in range(3)])
 
-    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32))
-    def test_systematic_code_skips_only_the_reduction(self, m, count, seed):
-        # build_generator and the d-prune take the rows (e_i | block row i)
-        # as the reduced basis as they are
-        rng = random.Random(seed)
-        rows = [Gf3Vector(_rand_vec(rng, 3 * m)) for _ in range(count)]
-        built = _code_from_echelon(6 * m, _systematic_rows(m, rows))
-        reduced = Code(6 * m, _systematic_rows(m, rows))
-        assert (built.n, built.k) == (reduced.n, reduced.k) == (6 * m, count * m)
-        assert built.basis == reduced.basis
-        assert built.pivots == reduced.pivots == tuple(range(count * m))
-        assert built == reduced and hash(built) == hash(reduced)
-        if count == 3:
-            assert build_generator(CodeSpec(m, *rows)) == reduced
+    def test_systematic_rows_match_reference(self, registry):
+        # build_generator's basis is the rows (e_i | block row i) of (I | M)
+        specs = [e.spec for e in registry.entries.values() if e.spec is not None]
+        assert len(specs) > 20
+        for spec in specs + list(self._random_specs()):
+            want = naive.spec_generator_rows(spec.block_size, *[r.entries() for r in spec.rows])
+            basis = build_generator(spec).basis
+            assert [v.entries() for v in basis] == want
+            # the same values as vectors built entry by entry, hash included
+            assert basis == tuple(Gf3Vector(r) for r in want)
+            assert [hash(v) for v in basis] == [hash(Gf3Vector(r)) for r in want]
+
+    def test_systematic_code_skips_only_the_reduction(self, registry):
+        # build_generator takes the rows (e_i | block row i) as the reduced
+        # basis as they are
+        specs = [e.spec for e in registry.entries.values() if e.spec is not None]
+        for spec in specs + list(self._random_specs()):
+            built = build_generator(spec)
+            reduced = Code(spec.length, list(built.basis))
+            assert (built.n, built.k) == (reduced.n, reduced.k) == (spec.length, spec.length // 2)
+            assert built.basis == reduced.basis
+            assert built.pivots == reduced.pivots == tuple(range(built.k))
+            assert built == reduced and hash(built) == hash(reduced)
 
     def test_block_rows_match_reference(self):
         rng = random.Random(7)
@@ -250,28 +271,20 @@ class TestTransforms:
         return naive.distribution(rows)
 
     def test_transforms_preserve_self_duality_and_weights(self, registry):
-        length12 = CodeSpec.from_entry_rows([
+        length12 = [
             [1, 1, 1, 1, 0, 1],
             [1, 2, 1, 2, 2, 0],
             [1, 0, 2, 0, 0, 0],
-        ])
-        assert is_self_dual(length12)
-        transforms = [
-            BlockTransform("scale_rows", units=(2, 1, 2)),
-            BlockTransform("scale_columns", units=(1, 2, 2)),
-            BlockTransform("permute_rows", perm=(1, 2, 0)),
-            BlockTransform("permute_columns", perm=(2, 0, 1)),
         ]
-        base = self._distribution(length12)
-        for t in transforms:
-            out = apply_transform(length12, t)
-            assert is_self_dual(out), t
-            assert self._distribution(out) == base, t
-
-    def test_transform_validation(self):
-        with pytest.raises(ValueError):
-            BlockTransform("scale_rows", units=(0, 1, 1))
-        with pytest.raises(ValueError):
-            BlockTransform("permute_rows", perm=(0, 0, 2))
-        with pytest.raises(ValueError):
-            BlockTransform("permute_rows", units=(1, 1, 1), perm=(0, 1, 2))
+        assert is_self_dual(CodeSpec.from_entry_rows(length12))
+        moves = [
+            naive.row_move(length12, units=(2, 1, 2)),
+            naive.column_move(2, length12, units=(1, 2, 2)),
+            naive.row_move(length12, perm=(1, 2, 0)),
+            naive.column_move(2, length12, perm=(2, 0, 1)),
+        ]
+        base = self._distribution(CodeSpec.from_entry_rows(length12))
+        for move in moves:
+            out = CodeSpec.from_entry_rows(move)
+            assert is_self_dual(out), move
+            assert self._distribution(out) == base, move

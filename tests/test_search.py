@@ -22,7 +22,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nega3 import (
-    BlockTransform,
     Code,
     CodeSpec,
     Finding,
@@ -37,7 +36,6 @@ from nega3 import (
     Registry,
     RegistryError,
     SearchPlan,
-    apply_transform,
     block_row_vectors,
     build_generator,
     is_self_dual,
@@ -51,7 +49,7 @@ from nega3 import (
     run_search,
 )
 from nega3 import search, weights
-from nega3.nega import _at_least, _block_gram, _f_keys
+from nega3.nega import _at_least, _block_gram, _block_rows, _f_keys
 from nega3.search import _block_pool, _DualSpace
 
 
@@ -193,6 +191,27 @@ class TestExhaustive:
     def test_extremal_target_empty_at_n2(self, registry):
         plan = SearchPlan(block_size=2, target="extremal")
         assert list(run_search(plan, registry=registry)) == []
+
+    def test_reduced_space_misses_the_golay_code_at_n2(self, registry, n2_results):
+        # exhaustive mode exhausts the paper's reduced space, not the whole
+        # family: of the 24,192 self-dual M at n = 2, 4,608 reach the walk
+        # form by block moves, and none of the 12,288 that generate the
+        # extended Golay code (d = 6) is among them
+        every = np.array(sorted(_self_dual_ms_n2()), np.int8)
+        assert len(every) == 24_192
+        reached = np.array([naive.in_walk_form(2, rows)
+                            for rows in search._walk_form(every).tolist()])
+        assert reached.sum() == 4_608
+        # d by brute force: the codewords (u | u M) of the 728 nonzero u
+        msgs = np.array(list(itertools.product(range(3), repeat=6))[1:], np.int16)
+        ms = _block_rows(every, 2).reshape(-1, 6, 6).astype(np.int16)
+        d = np.concatenate([((msgs != 0).sum(-1) + (msgs @ chunk % 3 != 0).sum(-1)).min(-1)
+                            for chunk in np.array_split(ms, 8)])
+        assert (d == 6).sum() == 12_288
+        assert not (reached & (d == 6)).any()
+        assert list(run_search(SearchPlan(block_size=2, target="extremal"),
+                               registry=registry)) == []
+        assert len(n2_results) == 6 and {f.alpha for f in n2_results} == {8}
 
     def test_shard_union_equals_whole(self, registry, n2_results):
         merged = []
@@ -808,15 +827,12 @@ def _self_dual_ms_n2():
     return out
 
 
-def _moved(spec, rng):
-    """spec under one random block move of each kind."""
-    for kind in ("scale_columns", "permute_columns", "scale_rows", "permute_rows"):
-        if kind.startswith("scale"):
-            move = BlockTransform(kind, units=tuple(rng.choice((1, 2)) for _ in range(3)))
-        else:
-            move = BlockTransform(kind, perm=tuple(rng.sample(range(3), 3)))
-        spec = apply_transform(spec, move)
-    return spec
+def _moved(m, rows, rng):
+    """First rows under one random block move of each kind."""
+    rows = naive.column_move(m, rows, units=tuple(rng.choice((1, 2)) for _ in range(3)))
+    rows = naive.column_move(m, rows, perm=tuple(rng.sample(range(3), 3)))
+    rows = naive.row_move(rows, units=tuple(rng.choice((1, 2)) for _ in range(3)))
+    return naive.row_move(rows, perm=tuple(rng.sample(range(3), 3)))
 
 
 class TestRingDraw:
@@ -905,8 +921,7 @@ class TestRingDraw:
         for rows, form in zip(drawn, search._walk_form(drawn)):
             if (form != rows).any() or naive.in_walk_form(4, rows.tolist()):
                 reached += 1
-                moved = _moved(CodeSpec.from_entry_rows(rows.tolist()), rng)
-                moved = np.array([[r.entries() for r in moved.rows]], np.int8)
+                moved = np.array([_moved(4, rows.tolist(), rng)], np.int8)
                 assert np.array_equal(search._walk_form(moved)[0], form)
         assert reached > 5
 
