@@ -27,10 +27,12 @@ most once up to sign:
   words of at most 65,536 supports for one code, and at most 8,192 shared
   out among the codes still in a larger stack.
 - Each message's first coefficient is fixed to 1.  The last t = min(2,
-  j - 1) rows of each support are summed once per run of supports, up to
-  sign: b, or a + b and a - b.  The first j - t coefficients walk their sign
-  patterns in Gray-code order, one bit-sliced vector addition per pattern
-  into a head h, done in place in buffers held per chunk.  Only weights
+  j - 1) rows of each support give its tail sums up to sign: b, or a + b
+  and a - b.  The first j - t coefficients walk their sign patterns in
+  Gray-code order into a head h, one bit-sliced addition in place per
+  pattern.  From level 3 on, the tail sums and the head's first pair are
+  read from a table of a + b and a - b for every pair of basis rows, built
+  once per pass, so up to level 4 no word is added at all.  Only weights
   are needed, and the support of h + s or h - s takes three bitwise
   operations (_sum_support), so each pattern yields the supports of its
   2^t words against the tail sums, and no word is ever built.  A word c
@@ -242,8 +244,9 @@ _STACK = 64
 # among the codes still in the stack, and at this size they still share out
 # the numpy call overhead, while the buffer of 2j + 5 planes (four for the
 # batch's words) stays near a megabyte for one-lane words up to j = 6
-# (_settle over 64 neighbors of a length-36 code held 1.1 MB at most at
-# once, against 10 MB with batches of _CHUNK supports)
+# (_settle over 64 neighbors of a length-36 code held 1.56 MB at most at
+# once, 0.4 MB of it the pair table of _pair_sums, against 10 MB with
+# batches of _CHUNK supports)
 _STACK_ROWS = 1 << 13
 
 
@@ -312,7 +315,8 @@ def _orbit_reps(combos: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.
 
 
 def _supports(k: int, j: int, width: int):
-    """The j-subsets of range(k) that _words walks, as chunks (combos, mult).
+    """The j-subsets of range(k) that _words walks, as chunks (combos, mult,
+    pairs), pairs from j = 3 on as _pair_index gives them, else None.
 
     Tables that keep at most about one chunk of rows are cached: all codes
     of one length share them, and building a table costs more than walking
@@ -324,21 +328,65 @@ def _supports(k: int, j: int, width: int):
 
 @functools.lru_cache(maxsize=32)
 def _cached_supports(k: int, j: int, width: int) -> tuple:
-    chunks = tuple((combos.astype(np.min_scalar_type(k)), mult)
-                   for combos, mult in _support_chunks(k, j, width))
-    for combos, mult in chunks:  # shared by every later caller
+    chunks = tuple((combos.astype(np.min_scalar_type(k)), mult, pairs)
+                   for combos, mult, pairs in _support_chunks(k, j, width))
+    for combos, mult, pairs in chunks:  # shared by every later caller
         combos.flags.writeable = mult.flags.writeable = False
+        if pairs is not None:
+            pairs.flags.writeable = False
     return chunks
 
 
 def _support_chunks(k: int, j: int, width: int):
     for combos in _combo_chunks(k, j):
-        if not width:
-            yield combos, np.ones(len(combos), dtype=np.uint8)
-            continue
-        combos, mult = _orbit_reps(combos, k, width)
+        if width:
+            combos, mult = _orbit_reps(combos, k, width)
+        else:
+            mult = np.ones(len(combos), dtype=np.uint8)
         if len(combos):
-            yield combos, mult
+            yield combos, mult, _pair_index(k, combos) if j > 2 else None
+
+
+def _pair_sums(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The planes of a + b and a - b, low then high, for every pair of rows
+    a < b of a stack (codes, k, lanes), as (4, codes, C(k, 2), lanes), the
+    pairs in lexicographic order.  Built in place with one scratch plane:
+    with X = a_lo | b_hi, Y = a_hi | b_lo, Z = a_hi | b_hi, W = a_lo | b_lo
+    and T their XOR, _add_planes gives a + b = (T ^ W, T ^ Z), and with b's
+    planes swapped a - b = (T ^ X, T ^ Y)."""
+    a, b = _pair_rows(lo.shape[1])
+    table = np.empty((4, lo.shape[0], len(a), lo.shape[2]), dtype=np.uint64)
+    plo, phi, mlo, mhi = table
+    for src, rows, out in ((lo, a, plo), (hi, b, phi), (lo, b, mlo), (hi, a, mhi)):
+        np.take(src, rows, axis=1, out=out, mode="clip")
+    x = plo | phi
+    np.bitwise_or(mhi, phi, out=phi)  # Z
+    np.bitwise_or(plo, mlo, out=plo)  # W
+    np.bitwise_or(mhi, mlo, out=mhi)  # Y
+    np.bitwise_xor(x, mhi, out=mlo)
+    mlo ^= phi
+    mlo ^= plo  # T
+    for plane in (plo, phi, mhi):
+        plane ^= mlo
+    mlo ^= x
+    return table
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows a < b of every pair of k rows in lexicographic order, the
+    order of _pair_sums: (a, b) is number a k - a (a + 1) / 2 + b - a - 1."""
+    rows = np.triu_indices(k, 1)
+    for r in rows:  # shared by every later caller
+        r.flags.writeable = False
+    return rows
+
+
+def _pair_index(k: int, combos: np.ndarray) -> np.ndarray:
+    """The _pair_rows number of each subset's first two rows, then of its
+    last two, as (2, subsets)."""
+    a, b = combos[:, [0, -2]].T.astype(np.intp), combos[:, [1, -1]].T
+    return (a * (2 * k - a - 1) // 2 + b - a - 1).astype(np.min_scalar_type(comb(k, 2)))
 
 
 def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
@@ -351,11 +399,13 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
     serves them all.  Each message's first nonzero coefficient is fixed to
     1, so the walk visits one word of each pair c, -c, which share their
     weight and pivot weights.  Per run of supports, the last t = min(2,
-    j - 1) rows are summed once into their 2^(t-1) sums s up to sign (b,
-    or a + b and a - b).  The first j - t coefficients walk their sign
-    patterns in Gray-code order, one bit-sliced addition in place into the
-    head h per step, and each pattern yields one batch: the supports of
-    h + s and h - s for every s (_sum_support).
+    j - 1) rows give their 2^(t-1) sums s up to sign (b, or a + b and
+    a - b), from j = 3 on read from a table built once per call
+    (_pair_sums).  The first j - t coefficients walk their sign patterns in
+    Gray-code order into the head h, which starts from its first pair's
+    a + b (at j = 4 both patterns are read, so up to j = 4 nothing is
+    added), one bit-sliced addition in place per step; each pattern yields
+    one batch: the supports of h + s and h - s for every s (_sum_support).
 
     A batch's support is shaped (len(codes), 2^t * supports, lanes), the
     2^t words of each support in turn, for the listed stack positions.  A
@@ -371,23 +421,32 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
     batch before asking for the next.
     """
     codes = np.arange(lo.shape[0])
+    k, lanes = lo.shape[1:]
     rows = _CHUNK if len(codes) == 1 else min(_CHUNK, _STACK_ROWS)
     tail = min(2, j - 1)
     head = j - tail
     words = 1 << tail  # per support and batch
     # planes: the head rows' low planes, then their high ones (row 0 becomes
-    # the running head h), the tail sums as low, high pairs in the tail rows'
-    # place, and a scratch plane; the batch's supports, which also serve as
-    # scratch for the additions, are held apart, codes first
+    # the running head h; at j = 4 row 1 holds a - b of the head pair), the
+    # tail sums as low, high pairs in the tail rows' place, and a scratch
+    # plane; the batch's supports, which also serve as scratch for the
+    # additions, are held apart, codes first
     held = 2 * j
-    slots = [(t, head + t) for t in range(head)] + [(2 * head + 2 * u, 2 * head + 2 * u + 1)
-                                                   for u in range(tail)]
+    # rows gathered per run, as (support column, low plane, high plane)
+    gathered = [(0, 0, 1)] * (head == 1) + [(1, 2, 3)] * (j == 2) + [
+        (t, t, head + t) for t in range(1, head) if head > 2]
+    # pair sums read per run, as (head or tail pair, [(table planes, low
+    # plane, high plane)]): a + b, and a - b for the tail and at j = 4
+    read = [(0, [(0, 0, head)] + [(2, 1, 3)] * (j == 4))] * (head > 1) + [
+        (1, [(0, held - 4, held - 3), (2, held - 2, held - 1)])] * (tail == 2)
+    if read:  # code c's pair p at c C(k, 2) + p, so live codes need no copy
+        pairs = _pair_sums(lo, hi).reshape(4, -1, lanes)
     # the (low, high) planes of the words added to h, each tail sum s then
     # -s, its planes swapped; for j = 1 the word is h itself
     signs = [(at + swap, at + 1 - swap) for at in range(2 * head, held, 2) for swap in (0, 1)]
     slo, shi = lo, hi
     store = np.empty(0, dtype=np.uint64)
-    for combos, mult in _supports(lo.shape[1], j, width):
+    for combos, mult, index in _supports(k, j, width):
         s = 0
         while s < len(combos):
             if alive is not None and not alive[codes].all():
@@ -396,30 +455,34 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
                     return
                 slo, shi = lo[codes], hi[codes]
             step = max(1, rows // len(codes))
-            piece, m = combos[s : s + step], np.concatenate([mult[s : s + step]] * words)
+            run = slice(s, s + step)
+            piece, m = combos[run], np.concatenate([mult[run]] * words)
             s += step
-            plane = len(codes) * len(piece) * lo.shape[2]
+            plane = len(codes) * len(piece) * lanes
             if store.size < (held + 1 + words) * plane:
                 # room for the largest run of this chunk at once: a store
                 # grown run by run as codes leave would be allocated while
                 # the caller still holds a batch of the one it replaces
-                most = min(max(rows, len(codes)), len(codes) * len(combos)) * lo.shape[2]
+                most = min(max(rows, len(codes)), len(codes) * len(combos)) * lanes
                 store = np.empty((held + 1 + words) * most, dtype=np.uint64)
             buf = store[: (held + 1) * plane].reshape(held + 1, len(codes), len(piece), -1)
             out = store[(held + 1) * plane : (held + 1 + words) * plane].reshape(
                 len(codes), words, len(piece), -1)
             scratch = out[:, :2].swapaxes(0, 1)  # free until the batch is formed
-            for t, (lo_at, hi_at) in enumerate(slots):
+            for t, lo_at, hi_at in gathered:
                 r = piece[:, t].astype(np.intp)  # each column cast once, for both planes
                 np.take(slo, r, axis=1, out=buf[lo_at], mode="clip")
                 np.take(shi, r, axis=1, out=buf[hi_at], mode="clip")
-            if tail == 2:  # the tail rows a, b become a + b, then (a + b) + b = a - b
-                _add_into(buf[held - 4], buf[held - 3], buf[held - 2], buf[held - 1], scratch)
-                _add_into(buf[held - 2], buf[held - 1], buf[held - 4], buf[held - 3], scratch)
-            for t in range(1, head):
+            for p, planes in read:
+                at = (codes * comb(k, 2))[:, None] + index[p, run]
+                for plane_at, lo_at, hi_at in planes:
+                    np.take(pairs[plane_at], at, axis=0, out=buf[lo_at], mode="clip")
+                    np.take(pairs[plane_at + 1], at, axis=0, out=buf[hi_at], mode="clip")
+            for t in range(2, head):
                 _add_into(buf[0], buf[head], buf[t], buf[head + t], scratch)
             for i in range(1 << (head - 1)):
-                if i:
+                h = i if head == 2 else 0  # h's low plane: at j = 4 a + b, then a - b
+                if i and head > 2:
                     # flipping pattern bit t - 1 takes coefficient t from 1
                     # to 2 (add the row) or back (add its negation, i.e. the
                     # row with planes swapped)
@@ -440,10 +503,10 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
                     buf, out = buf[:, : len(codes)], out[: len(codes)]  # both still contiguous
                     scratch = out[:, :2].swapaxes(0, 1)
                 if not tail:
-                    np.bitwise_or(buf[0], buf[head], out=out[:, 0])
+                    np.bitwise_or(buf[h], buf[head + h], out=out[:, 0])
                 for u, (a, b) in enumerate(signs):
-                    _sum_support(buf[0], buf[head], buf[a], buf[b], out[:, u], buf[held])
-                yield codes, out.reshape(len(codes), -1, lo.shape[2]), m
+                    _sum_support(buf[h], buf[head + h], buf[a], buf[b], out[:, u], buf[held])
+                yield codes, out.reshape(len(codes), -1, lanes), m
 
 
 def min_weight(code: Code, abort_below: int | None = None) -> int:

@@ -595,14 +595,29 @@ class TestSampled:
     def test_survey36_stdout_pinned(self, capsys, monkeypatch):
         # the script and seed the survey-36 benchmark workload runs, whose
         # own check pins no digest: the sampled survey, then the sweep
-        script = Path(__file__).resolve().parents[1] / "scripts" / "survey36.py"
-        monkeypatch.setattr(sys, "argv", [str(script), "--seed", "0", "--budget", "300",
-                                          "--sweep", "200", "--base", "C2"])
-        assert runpy.run_path(str(script), run_name="survey36")["main"]() == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) == 408
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "fe05d80464d25455a0192daf9ab5158a5984869d193c8bd71eaf37a02f8d0c5d")
+        _check_survey36_stdout(capsys, monkeypatch)
+
+    def test_survey36_makes_no_plane_addition(self, capsys, monkeypatch):
+        # at length 36 the covering scan stops by level 4, where the walk
+        # reads every sum it needs from its pair table (weights._pair_sums)
+        def refuse(*args):
+            raise AssertionError("a bit-sliced addition in the covering walk")
+
+        monkeypatch.setattr(weights, "_add_into", refuse)
+        _check_survey36_stdout(capsys, monkeypatch)
+
+
+def _check_survey36_stdout(capsys, monkeypatch):
+    """scripts/survey36.py at the survey-36 workload's seed and sizes gives
+    its pinned stdout."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "survey36.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--seed", "0", "--budget", "300",
+                                      "--sweep", "200", "--base", "C2"])
+    assert runpy.run_path(str(script), run_name="survey36")["main"]() == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 408
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fe05d80464d25455a0192daf9ab5158a5984869d193c8bd71eaf37a02f8d0c5d")
 
 
 def _per_trial_reference(plan, registry):

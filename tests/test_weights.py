@@ -158,31 +158,68 @@ def _plane_rows(lo, hi):
     return rows
 
 
+def _packed_rows(rng, count, n):
+    """count random rows of n columns, packed by hand: planes shaped
+    (1, count, lanes)."""
+    vectors = [Gf3Vector([rng.randrange(3) for _ in range(n)]) for _ in range(count)]
+    return [weights._pack([getattr(v, p) for v in vectors], n)[None] for p in ("_lo", "_hi")]
+
+
+@functools.cache
+def _naive_walk(rows, j, width):
+    """naive.walk_supports, computed once for every chunk size tested."""
+    return naive.walk_supports(rows, j, width)
+
+
 class TestWalk:
     """weights._words against tests/naive.py: the supports a level's
     batches yield, with their mults, are the words of the messages with
-    first coefficient 1."""
+    first coefficient 1; and the pair sums the walk reads from j = 3 on."""
 
     @pytest.mark.parametrize("chunk", [5, weights._CHUNK])
     def test_supports_against_naive(self, monkeypatch, chunk):
         monkeypatch.setattr(weights, "_CHUNK", chunk)
         code = build_generator(_EXTREMAL24)  # k = 12, orbit width 4
         stack = weights._code_stack(code)
-        # eight random rows of 70 columns, packed by hand: two lanes
-        rng = random.Random(70)
-        vectors = [Gf3Vector([rng.randrange(3) for _ in range(70)]) for _ in range(8)]
-        planes = [weights._pack([getattr(v, p) for v in vectors], 70)[None] for p in ("_lo", "_hi")]
-        cases = [(stack.lo[0], stack.hi[0], 0), (stack.lo[0], stack.hi[0], 4), (*planes, 0)]
+        # eight random rows of 70 columns: two lanes, and j = k at the end
+        planes = _packed_rows(random.Random(70), 8, 70)
+        cases = [(stack.lo[0], stack.hi[0], 0, 24), (stack.lo[0], stack.hi[0], 4, 24),
+                 (*planes, 0, 70)]
         assert stack.width == 4 and planes[0].shape == (1, 8, 2)
-        for lo, hi, width in cases:
-            rows = _plane_rows(lo[0], hi[0])
-            for j in range(1, 7):
+        for lo, hi, width, n in cases:
+            rows = tuple(tuple(row[:n]) for row in _plane_rows(lo[0], hi[0]))
+            # heads of 1 to 6 rows: the head pair's two patterns read from
+            # the pair table at j = 4, Gray steps after it from j = 5
+            for j in range(1, 9):
                 got = collections.Counter()
                 for codes, support, mult in weights._words(lo, hi, j, width):
                     assert codes.tolist() == [0]
                     for lanes, m in zip(support[0], mult.tolist()):
                         got[int.from_bytes(lanes.tobytes(), "little"), m] += 1
-                assert got == naive.walk_supports(rows, j, width), (width, j)
+                assert got == _naive_walk(rows, j, width), (width, j)
+
+    def test_pair_sums_against_naive(self, registry):
+        # stacks of several codes: C1 to C4 under both information sets
+        # (k = 18, one lane), and three sets of eight random rows of 70
+        # columns (two lanes)
+        stack = _stacked([build_generator(registry.entry(f"C{i}").spec) for i in range(1, 5)])
+        rng = random.Random(8)
+        sets = [_packed_rows(rng, 8, 70) for _ in range(3)]
+        cases = [(stack.lo[0], stack.hi[0]), (stack.lo[1], stack.hi[1]),
+                 tuple(np.concatenate(p) for p in zip(*sets))]
+        assert [lo.shape for lo, _ in cases] == [(4, 18, 1), (4, 18, 1), (3, 8, 2)]
+        for lo, hi in cases:
+            codes, k, lanes = lo.shape
+            pairs = list(itertools.combinations(range(k), 2))
+            assert weights._pair_index(k, np.array(pairs)).tolist() == [list(range(len(pairs)))] * 2
+            table = weights._pair_sums(lo, hi)
+            assert table.shape == (4, codes, len(pairs), lanes)
+            for c in range(codes):
+                rows = _plane_rows(lo[c], hi[c])
+                plus, minus = (_plane_rows(table[s, c], table[s + 1, c]) for s in (0, 2))
+                for p, (a, b) in enumerate(pairs):
+                    assert plus[p] == naive.vadd(rows[a], rows[b]), (c, a, b)
+                    assert minus[p] == naive.vadd(rows[a], naive.vneg(rows[b])), (c, a, b)
 
 
 def _permuted(code, rng):
@@ -504,7 +541,8 @@ class TestStackedScan:
     def test_stacked_neighbors_keep_memory_small(self, registry):
         # 64 neighbors of C2, in one stack of (I | A) forms without orbits,
         # walk levels of C(18, 4) supports: with batches of _CHUNK rows the
-        # scan held about 10 MB at once, with the row cap about 1.1 MB
+        # scan held about 10 MB at once, with the row cap about 1.2 MB, and
+        # with the pair table beside the batches about 1.6 MB
         base = build_generator(registry.entry("C2").spec)
         rng = random.Random(64)
         codes = []
