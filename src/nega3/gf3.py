@@ -1,15 +1,17 @@
-"""Exact arithmetic and linear algebra over GF(3).
+"""Exact linear algebra over GF(3), on int8 rows.
 
-Vectors are stored in two bit planes: plane one holds a set bit wherever the
-entry is 1, plane two wherever it is 2.  Both planes live in arbitrary-size
-Python integers, so addition, negation, Hamming weight and inner products are
-word-parallel bitwise operations whatever the length.  The packing is an
-implementation detail; code outside this package should stick to the
-entry-level API.
+A Code keeps its reduced basis, from one column loop (_echelon), as an
+int8 (k, n) array over {0, 1, 2}; membership, the dual basis and the
+self-duality product are a few array operations on it.
 
-All types here are immutable values: every operation returns a fresh object,
-and instances hash by content, so they are safe to use as dict keys and to
-ship between worker processes.
+Gf3Vector is the packed, hashable value that specs, findings and the
+registry hold: one bit plane set where an entry is 1 and one where it is
+2, each an arbitrary-size Python integer, so weight is one popcount.  One
+packer (_planes) turns int8 rows into such planes as 64-bit lanes, for
+vectors (_vectors) and for the weight kernel; _entry_rows reads vectors
+back as rows.  Code outside this package should stick to the entry-level
+API.  All types here are immutable values that hash by content, safe as
+dict keys and to ship between worker processes.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ import numpy as np
 from .errors import LengthMismatchError
 
 Gf3 = int  # field elements are plain ints 0, 1, 2
-
-
-def _mk(n: int, lo: int, hi: int) -> "Gf3Vector":
-    v = object.__new__(Gf3Vector)
-    v._n = n
-    v._lo = lo
-    v._hi = hi
-    return v
 
 
 class Gf3Vector:
@@ -54,10 +48,6 @@ class Gf3Vector:
         self._lo = lo
         self._hi = hi
 
-    @classmethod
-    def zeros(cls, n: int) -> "Gf3Vector":
-        return _mk(n, 0, 0)
-
     # -- element access ----------------------------------------------------
 
     def __len__(self) -> int:
@@ -80,43 +70,8 @@ class Gf3Vector:
     def entries(self) -> list[Gf3]:
         return list(self)
 
-    def is_zero(self) -> bool:
-        return not (self._lo | self._hi)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Gf3Vector") -> "Gf3Vector":
-        if self._n != other._n:
-            raise LengthMismatchError(f"{self._n} != {other._n}")
-        # bit-sliced GF(3) addition on the (lo, hi) encoding
-        t = (self._lo | other._hi) ^ (self._hi | other._lo)
-        lo = t ^ (self._hi | other._hi)
-        hi = t ^ (self._lo | other._lo)
-        return _mk(self._n, lo, hi)
-
-    def __neg__(self) -> "Gf3Vector":
-        return _mk(self._n, self._hi, self._lo)
-
-    def __sub__(self, other: "Gf3Vector") -> "Gf3Vector":
-        return self + (-other)
-
-    def scale(self, c: Gf3) -> "Gf3Vector":
-        c = c % 3
-        if c == 0:
-            return _mk(self._n, 0, 0)
-        if c == 1:
-            return self
-        return _mk(self._n, self._hi, self._lo)
-
     def weight(self) -> int:
         return (self._lo | self._hi).bit_count()
-
-    def dot(self, other: "Gf3Vector") -> Gf3:
-        if self._n != other._n:
-            raise LengthMismatchError(f"{self._n} != {other._n}")
-        ones = (self._lo & other._lo) | (self._hi & other._hi)
-        twos = (self._lo & other._hi) | (self._hi & other._lo)
-        return (ones.bit_count() + 2 * twos.bit_count()) % 3
 
     # -- identity -----------------------------------------------------------
 
@@ -142,89 +97,97 @@ def _entry_rows(rows: Sequence[Gf3Vector], n: int) -> np.ndarray:
     return (bits[:, 0] + 2 * bits[:, 1]).view(np.int8)
 
 
+def _planes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two bit planes of integer rows (..., n) over {0, 1, 2}, each as
+    64-bit lanes (..., lanes), at least one, least significant lane first:
+    bit i of lane t of the first plane is set where entry 64 t + i is 1,
+    of the second where it is 2."""
+    n = rows.shape[-1]
+    out = np.zeros((2, *rows.shape[:-1], 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    for plane, value in zip(out, (1, 2)):
+        plane[..., : -(-n // 8)] = np.packbits(rows == value, axis=-1, bitorder="little")
+    lo, hi = out.view("<u8")
+    return lo, hi
+
+
 def _vectors(rows: np.ndarray) -> list[Gf3Vector]:
     """The rows of an integer array shaped (count, n) over {0, 1, 2} as
-    vectors: their bit planes packed in one numpy pass, each read as 64-bit
-    lanes and joined into one Python integer, most significant lane first."""
-    n = rows.shape[-1]
-    lanes = max(1, (n + 63) // 64)
-    planes = np.zeros((len(rows), 2, 8 * lanes), dtype=np.uint8)
-    planes[..., : (n + 7) // 8] = np.packbits(np.stack([rows == 1, rows == 2], axis=1), axis=-1,
-                                              bitorder="little")
-    words = planes.view("<u8").astype(object)  # (count, plane, lane)
+    vectors: their planes packed in one pass (_planes), each plane's lanes
+    joined into one Python integer, most significant lane first."""
+    words = np.stack(_planes(rows), axis=1).astype(object)  # (count, plane, lane)
     ints = words[..., -1]
-    for lane in range(lanes - 2, -1, -1):
+    for lane in range(words.shape[-1] - 2, -1, -1):
         ints = ints << 64 | words[..., lane]
-    return [_mk(n, lo, hi) for lo, hi in ints.tolist()]
+    vectors = []
+    for lo, hi in ints.tolist():
+        v = object.__new__(Gf3Vector)
+        v._n, v._lo, v._hi = rows.shape[-1], lo, hi
+        vectors.append(v)
+    return vectors
 
 
-def _rref_rows(rows: Sequence[Gf3Vector]) -> tuple[list[Gf3Vector], list[int]]:
-    """Row-reduce, scanning columns left to right.
-
-    Returns the reduced rows (zero rows last) and the pivot columns in
-    ascending order.  Pivot entries are normalized to 1 and pivot columns
-    are cleared everywhere else, so the result is canonical for the row
-    space.
-    """
-    work = list(rows)
-    ncols = len(work[0]) if work else 0
+def _echelon(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The reduced echelon form of integer rows (count, n), columns scanned
+    left to right: its nonzero rows as int8 (k, n) over {0, 1, 2}, each
+    pivot entry 1 and each pivot column clear in the other rows, and the k
+    pivot columns ascending.  It is canonical for the row space, so any
+    row with a nonzero entry in the column may serve as the pivot row."""
+    work = (rows % 3).astype(np.int8)
     pivots: list[int] = []
-    top = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(top, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[top], work[pivot_row] = work[pivot_row], work[top]
-        if work[top][col] == 2:
-            work[top] = -work[top]
-        for i in range(len(work)):
-            if i != top:
-                c = work[i][col]
-                if c:
-                    work[i] = work[i] + work[top].scale(3 - c)
-        pivots.append(col)
-        top += 1
+    for col in range(work.shape[1]):
+        top = len(pivots)
         if top == len(work):
             break
-    return work, pivots
+        r = top + int(work[top:, col].argmax())
+        c = int(work[r, col])
+        if not c:
+            continue
+        row = work[r] * c % 3  # c c = 1 for c = 1, 2
+        work[r] = work[top]
+        work -= np.multiply.outer(work[:, col], row)
+        work %= 3
+        work[top] = row
+        pivots.append(col)
+    return work[: len(pivots)], pivots
 
 
 class Code:
     """A linear code over GF(3), held as a reduced-echelon row basis.
 
-    Construction reduces whatever spanning rows are supplied, so two Code
-    objects compare equal exactly when they are the same subspace.
+    Construction reduces whatever spanning rows are supplied (_echelon), so
+    two Code objects compare equal exactly when they are the same subspace.
+    basis holds the reduced rows as vectors and _rows the same rows as an
+    int8 (k, n) array, which every computation on the code reads.
     """
 
-    __slots__ = ("n", "k", "basis", "pivots", "_cache")
+    __slots__ = ("n", "k", "basis", "pivots", "_rows", "_cache")
 
     def __init__(self, n: int, rows: Sequence[Gf3Vector]):
         for r in rows:
             if len(r) != n:
                 raise LengthMismatchError(f"row of length {len(r)} in a length-{n} code")
-        reduced, pivots = _rref_rows(rows)
-        self.n = n
-        self.k = len(pivots)
-        self.basis = tuple(reduced[: self.k])
+        self._set(*_echelon(_entry_rows(rows, n)))
+
+    def _set(self, rows: np.ndarray, pivots: Iterable[int]) -> None:
+        self.n = rows.shape[1]
+        self._rows = rows
+        self.basis = tuple(_vectors(rows))
         self.pivots = tuple(pivots)
+        self.k = len(self.pivots)
         self._cache: dict = {}
 
     def contains(self, v: Gf3Vector) -> bool:
+        """Whether v is a codeword: v equals the sum of the basis rows, each
+        times v's entry at its pivot."""
         if len(v) != self.n:
             raise LengthMismatchError(f"{len(v)} != {self.n}")
-        for p, row in zip(self.pivots, self.basis):
-            c = v[p]
-            if c:
-                v = v + row.scale(3 - c)
-        return v.is_zero()
+        x = _entry_rows([v], self.n)[0]
+        span = np.matmul(x[list(self.pivots)], self._rows, dtype=np.int32)
+        return not ((x - span) % 3).any()
 
     def dual(self) -> "Code":
         """The dual code under the standard inner product."""
-        return Code(self.n, _dual_rows(self))
+        return _code(_dual_rows(self._rows, self.pivots))
 
     def is_self_dual(self) -> bool:
         """Whether the code equals its dual: 2k = n and R R^T = 0 mod 3 for
@@ -232,7 +195,7 @@ class Code:
         if "self_dual" not in self._cache:
             square = 2 * self.k == self.n
             if square:
-                rows = _entry_rows(self.basis, self.n)
+                rows = self._rows
                 square = not (np.matmul(rows, rows.T, dtype=np.int32) % 3).any()
             self._cache["self_dual"] = square
         return self._cache["self_dual"]
@@ -249,38 +212,32 @@ class Code:
         return f"Code(n={self.n}, k={self.k})"
 
 
-def _code_from_echelon(n: int, rows: Sequence[Gf3Vector]) -> Code:
-    """Code(n, rows) for rows already in reduced echelon form with pivots
-    0, ..., len(rows) - 1, such as the rows (e_i | block row i) of an
-    (I | M) generator, without the row reduction."""
+def _code(rows: np.ndarray, pivots: Iterable[int] | None = None) -> Code:
+    """The Code spanned by integer rows (count, n), row-reduced (_echelon);
+    with pivots given, the Code whose reduced basis the rows, over {0, 1,
+    2}, already are, such as the rows (e_i | block row i) of an (I | M)
+    generator with pivots 0, ..., k - 1, without the row reduction."""
     code = object.__new__(Code)
-    code.n = n
-    code.k = len(rows)
-    code.basis = tuple(rows)
-    code.pivots = tuple(range(len(rows)))
-    code._cache = {}
+    code._set(*(_echelon(rows) if pivots is None else (rows, pivots)))
     return code
 
 
-def _dual_rows(code: Code) -> list[Gf3Vector]:
-    """A basis of the dual of code: for each non-pivot column f, ascending,
-    the row with 1 at f and -basis[p][f] at each pivot column p.
+def _dual_rows(rows: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+    """A basis of the dual of the span of reduced echelon rows (k, n) with
+    these pivots, as int8 rows (n - k, n): for each non-pivot column f,
+    ascending, the row with 1 at f and -rows[i][f] at each pivot column
+    pivots[i].
 
     The non-pivot columns are an information set of the dual, and these
     rows are already its reduced echelon form with pivots scanned from the
-    right: basis row p is zero left of p and on the other pivots, so row f
-    is zero right of f and on the other non-pivot columns.  Read in
-    reverse, the rows are in that scan's pivot order.
+    right: basis row i is zero left of pivots[i] and on the other pivots,
+    so row f is zero right of f and on the other non-pivot columns.  Read
+    in reverse, the rows are in that scan's pivot order.
     """
-    pivots = set(code.pivots)
-    rows = []
-    for f in range(code.n):
-        if f in pivots:
-            continue
-        # -basis[p][f] is 2 where that entry is 1 (plane two) and 1 where it is 2
-        lo, hi = 1 << f, 0
-        for p, row in zip(code.pivots, code.basis):
-            lo |= (row._hi >> f & 1) << p
-            hi |= (row._lo >> f & 1) << p
-        rows.append(_mk(code.n, lo, hi))
-    return rows
+    on = np.zeros(rows.shape[1], dtype=bool)
+    on[list(pivots)] = True
+    free = np.flatnonzero(~on)
+    out = np.zeros((len(free), rows.shape[1]), dtype=np.int8)
+    out[np.arange(len(free)), free] = 1
+    out[:, on] = -rows[:, free].T % 3
+    return out

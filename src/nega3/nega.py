@@ -14,11 +14,12 @@ the Gram matrix of (I | M) is determined by its first row.  The
 self-duality test below exploits that: it checks nine first-row polynomial
 identities instead of multiplying out full matrices.
 
-Specs hold their rows in the two bit planes of Gf3Vector, the form that
-findings, the registry and vector files read.  The ring arithmetic is
-stated once, on int8 entry arrays batched over leading axes: the block
-rows (_block_rows), and from them the generator (I | M), the identities
-here and the search's.  So are f order (_f_keys, _at_least) and the block
+Specs hold their rows as Gf3Vector, the packed value that findings, the
+registry and vector files read; only f_value reads its bit planes.  The
+ring arithmetic is stated once, on int8 entry arrays batched over leading
+axes: the block rows (_block_rows), and from them the generator (I | M),
+whose int8 rows the Code keeps as its reduced basis, the identities here
+and the search's.  So are f order (_f_keys, _at_least) and the block
 moves that bring a batch of sampled specs into the exhaustive walk's row
 form (_walk_form).
 """
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatchError
-from .gf3 import Code, Gf3Vector, _code_from_echelon, _entry_rows, _vectors
+from .gf3 import Code, Gf3Vector, _code, _entry_rows, _vectors
 from .weights import _orbit_shape
 
 
@@ -114,8 +115,7 @@ def build_generator(spec: CodeSpec) -> Code:
     an automorphism of every such code."""
     k = 3 * spec.block_size
     m = _block_rows(_entry_rows(spec.rows, k), spec.block_size).reshape(k, k) % 3
-    code = _code_from_echelon(spec.length,
-                              _vectors(np.concatenate((np.eye(k, dtype=np.int8), m), axis=1)))
+    code = _code(np.concatenate((np.eye(k, dtype=np.int8), m), axis=1), range(k))
     code._cache["orbit_width"] = _orbit_shape(spec.length, code.k)
     return code
 

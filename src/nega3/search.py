@@ -64,7 +64,7 @@ from .errors import (
     NeighborWeightError,
     RegistryError,
 )
-from .gf3 import Code, Gf3Vector, _dual_rows, _entry_rows, _vectors
+from .gf3 import Code, Gf3Vector, _code, _dual_rows, _echelon, _entry_rows, _vectors
 from .nega import (CodeSpec, _at_least, _block_gram, _block_rows, _negashift_table, _walk_form,
                    f_value)
 from .registry import Registry, load_registry
@@ -228,15 +228,14 @@ def _block_pool(m: int) -> tuple[tuple[int, int], ...]:
 class _DualSpace:
     """Dual of a span of int8 rows, its basis int8 rows in counter order.
 
-    The span's one row reduction gives that basis in closed form
-    (gf3._dual_rows): row j has a 1 at the j-th column off the span's
+    The span's one row reduction (gf3._echelon) gives that basis in closed
+    form (gf3._dual_rows): row j has a 1 at the j-th column off the span's
     pivots, ascending, and is zero right of it and on the other rows' such
     columns.  So member number k, combination k of the rows, has f-value
     strictly rising in k: the coefficient counter is the f order."""
 
     def __init__(self, span: np.ndarray):
-        code = Code(span.shape[1], _vectors(span % 3))
-        self.basis = _entry_rows(_dual_rows(code), code.n)
+        self.basis = _dual_rows(*_echelon(span))
 
     def member(self, k: int) -> np.ndarray:
         """Member number k, for 0 <= k < 3^len(basis)."""
@@ -553,9 +552,10 @@ class _CheckpointLog:
     the units not yet merged.  A finished run's log is
     replaced by the one line {"version": 2, "plan": ..., "complete": true,
     "findings": [...]} holding the merged stream.  Reading validates the
-    header and each unit line, a bad one refused with ValueError naming the
-    file and line; a final line torn by a kill is dropped, and cut off
-    before the next append.
+    header and each unit line and parses every finding record
+    (Finding.from_record), a bad one refused with ValueError naming the
+    file and line before any unit runs; a final line torn by a kill is
+    dropped, and cut off before the next append.
     """
 
     def __init__(self, path: Path | None, plan: SearchPlan):
@@ -563,8 +563,8 @@ class _CheckpointLog:
         self.header = {"version": 2, "plan": plan.to_dict()}
         if plan.mode == "sampled":
             self.header["draw"] = "ring"
-        self.done: dict[int, list[dict]] = {}
-        self.complete: list[dict] | None = None
+        self.done: dict[int, tuple[list[Finding], list[dict]]] = {}
+        self.complete: list[Finding] | None = None
         self._end = 0  # bytes up to the end of the last whole line
         self._file = None
         if path is None or not path.exists():
@@ -587,11 +587,16 @@ class _CheckpointLog:
         if header.get("complete"):
             if "findings" not in header:
                 raise ValueError(f"checkpoint {path}, line 1: complete, but with no findings")
-            self.complete = header["findings"]
+            try:
+                self.complete = [Finding.from_record(r) for r in header["findings"]]
+            except (ValueError, TypeError, KeyError):
+                raise ValueError(f"checkpoint {path}, line 1: complete, but its findings "
+                                 "are not finding records") from None
         for number, line in enumerate(lines[1:], start=2):
             try:
                 rec = json.loads(line)
-                self.done[rec["unit"]] = rec["findings"]
+                records = rec["findings"]
+                self.done[rec["unit"]] = [Finding.from_record(r) for r in records], records
             except (ValueError, TypeError, KeyError):
                 raise ValueError(f"checkpoint {path}, line {number}: not a unit record "
                                  '{"unit": ..., "findings": [...]}') from None
@@ -637,7 +642,7 @@ def _merge(
     units feeds both the pool and the merge, which trails it by at most the
     pool's window; each finding keeps the record logged or replayed."""
     if ckpt.complete is not None:
-        yield from map(Finding.from_record, ckpt.complete)
+        yield from ckpt.complete
         return
     stream: list[tuple[Finding, dict | None]] = []
     sampled = plan.mode == "sampled"
@@ -646,8 +651,7 @@ def _merge(
     with ckpt, contextlib.closing(_map_units(plan, pending, workers)) as results:
         for unit in units:
             if unit in ckpt.done:
-                records = ckpt.done[unit]
-                findings = [Finding.from_record(r) for r in records]
+                findings, records = ckpt.done[unit]
             else:
                 findings = [
                     make_finding(registry, "spec", plan.length, plan.target_min_weight,
@@ -729,7 +733,7 @@ def _neighbors(c: Code, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and takes row p: the identity is now on P with p swapped for q.  A zero
     syndrome puts x in c, its own dual: NeighborMembershipError.  The
     identity and A A^T = -I (self-duality) are checked for the whole batch."""
-    basis = _entry_rows(c.basis, c.n).astype(np.int16)
+    basis = c._rows.astype(np.int16)
     s = seeds @ basis.T % 3  # int16 sums of at most 4n
     if not s.any(axis=1).all():
         raise NeighborMembershipError("x lies in the code; the neighbor would be c itself")
@@ -764,7 +768,7 @@ def neighbor(c: Code, x: Gf3Vector) -> Code:
     if not c.is_self_dual():
         raise NeighborCodeError("base code is not self-dual")
     rows, _ = _neighbors(c, _entry_rows([x], c.n).astype(np.int16))
-    return Code(c.n, _vectors(rows[0]))
+    return _code(rows[0])
 
 
 def neighbor_sweep(
@@ -832,7 +836,7 @@ def _neighbor_seeds(c: Code, rng: random.Random, count: int) -> np.ndarray:
     that loop leaves it.  Each round tests the peeked values of about four
     attempts per seed still wanted; _STALL rounds raise
     InternalInconsistencyError."""
-    basis = _entry_rows(c.basis, c.n).astype(np.int16)
+    basis = c._rows.astype(np.int16)
     seeds = np.empty((0, c.n), np.int16)
     for _ in range(_STALL):
         want = count - len(seeds)

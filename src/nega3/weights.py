@@ -89,9 +89,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError, InternalInconsistencyError
-from .gf3 import Code, _entry_rows
-
-_LANE_BITS = 64
+from .gf3 import Code, _planes
 
 # full_distribution throughput on the generic path, in codewords per second,
 # used only for guard messages: the 3^18 words of a column-permuted copy of
@@ -132,19 +130,7 @@ class WeightProfile:
         return sum(self.counts.values())
 
 
-# -- packing -----------------------------------------------------------------
-
-
-def _lanes(n: int) -> int:
-    return (n + _LANE_BITS - 1) // _LANE_BITS
-
-
-def _pack(planes: list[int], n: int) -> np.ndarray:
-    """Bit planes of length n as rows of 64-bit lanes, least significant
-    lane first: shape (len(planes), lanes)."""
-    lanes = _lanes(n)
-    data = b"".join(x.to_bytes(8 * lanes, "little") for x in planes)
-    return np.frombuffer(data, dtype="<u8").reshape(len(planes), lanes)
+# -- bit-plane arithmetic -----------------------------------------------------
 
 
 def _add_planes(alo, ahi, blo, bhi):
@@ -587,8 +573,7 @@ def _code_stack(code: Code) -> _Stack:
     nega.build_generator recorded and 0 for other codes."""
     if "stack" not in code._cache:
         pivots = set(code.pivots)
-        rows = _entry_rows(code.basis, code.n)
-        tiles = rows[None, :, [c for c in range(code.n) if c not in pivots]]
+        tiles = code._rows[None, :, [c for c in range(code.n) if c not in pivots]]
         code._cache["stack"] = _tile_stack(tiles, code._cache.get("orbit_width", 0))
     return code._cache["stack"]
 
@@ -602,9 +587,7 @@ def _tile_stack(tiles: np.ndarray, width: int) -> _Stack:
     eye = np.broadcast_to(np.eye(k, dtype=np.int8), tiles.shape)
     bases = np.stack([np.concatenate([eye, tiles], axis=2),
                       np.concatenate([-tiles.mT % 3, eye], axis=2)])
-    bases = np.pad(bases, [(0, 0)] * 3 + [(0, -2 * k % _LANE_BITS)])  # whole lanes
-    lo, hi = (np.packbits(bases == v, axis=-1, bitorder="little").view("<u8") for v in (1, 2))
-    return _Stack(lo, hi, width)
+    return _Stack(*_planes(bases), width)
 
 
 def _settle(stack: _Stack, d: int) -> list[int | None]:
@@ -691,8 +674,8 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
     half = code.k // 2
     width = code._cache.get("orbit_width", 0)
     _full_distribution_guard(code.k, width, allow_long)
-    lo_a, hi_a = _span_planes(code.basis[:half], code.n)
-    lo_b, hi_b = (np.ascontiguousarray(p.T) for p in _span_planes(code.basis[half:], code.n))
+    lo_a, hi_a = _span_planes(code._rows[:half])
+    lo_b, hi_b = (np.ascontiguousarray(p.T) for p in _span_planes(code._rows[half:]))
     # row i of the first table has first-block digits i mod 3^width
     mult = np.resize(_negashift_orbit_sizes(width), lo_a.shape[0])
     counts = _sweep(lo_a, hi_a, lo_b, hi_b, mult, code.n)
@@ -803,12 +786,12 @@ def _full_distribution_guard(k: int, width: int, allow_long: bool) -> None:
     )
 
 
-def _span_planes(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Planes of every linear combination of the given rows (3^len rows)."""
-    lo = np.zeros((1, _lanes(n)), dtype=np.uint64)
-    hi = np.zeros((1, _lanes(n)), dtype=np.uint64)
-    for r in rows:
-        rlo, rhi = _pack([r._lo, r._hi], n)
+def _span_planes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Planes of every linear combination of int8 rows (t, n), 3^t of them,
+    shaped (3^t, lanes): coefficient i is digit i of the index in base 3."""
+    row_lo, row_hi = _planes(rows)
+    lo = hi = np.zeros((1, row_lo.shape[1]), dtype=np.uint64)
+    for rlo, rhi in zip(row_lo, row_hi):
         l1, h1 = _add_planes(lo, hi, rlo, rhi)
         l2, h2 = _add_planes(l1, h1, rlo, rhi)
         lo = np.concatenate([lo, l1, l2])

@@ -59,6 +59,12 @@ def row_pair_gram(m, a, b):
     return acc
 
 
+def plane(v, value):
+    """The bit plane of v for one entry value, as an integer: bit i is set
+    where entry i equals value."""
+    return sum(1 << i for i, x in enumerate(v) if x == value)
+
+
 def f_value(v):
     return sum(x * 3**i for i, x in enumerate(v))
 

@@ -14,7 +14,7 @@ import naive
 import pytest
 
 from nega3 import build_generator, is_self_dual, min_weight, read_findings
-from nega3 import verify
+from nega3 import search, verify
 from nega3.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -309,8 +309,20 @@ class TestSearch:
         ({}, "[0, []]", "line 2: not a unit record"),
         ({}, "{", "line 2: not a unit record"),
         ({"complete": True}, "", "line 1: complete, but with no findings"),
+        # unit 4 is the first r1 at n = 2, so a replay would read its line
+        # first; every finding record is parsed when the log is read
+        ({}, '{"unit": 4, "findings": 3}', "line 2: not a unit record"),
+        ({}, '{"unit": 4, "findings": [{"kind": "spec"}]}', "line 2: not a unit record"),
+        ({"complete": True, "findings": [{"kind": "x"}]}, "",
+         "line 1: complete, but its findings are not finding records"),
     ])
-    def test_checkpoint_without_its_records_is_usage(self, tmp_path, capsys, header, line, want):
+    def test_checkpoint_without_its_records_is_usage(self, tmp_path, capsys, monkeypatch, header,
+                                                     line, want):
+        def refuse(*args):
+            raise AssertionError("a unit ran past a malformed checkpoint")
+
+        monkeypatch.setattr(search, "_run_units", refuse)
+        assert next(search._units(search.SearchPlan(block_size=2))) == 4
         path = tmp_path / "ck.json"
         plan = {"block_size": 2, "target": "near-extremal", "mode": "exhaustive", "seed": 0,
                 "partition": [0, 1], "budget": None}

@@ -1,4 +1,5 @@
-"""Packed GF(3) arithmetic against the plain-list reference."""
+"""GF(3) vectors and the int8 linear algebra of Code against the plain-list
+reference."""
 
 import random
 
@@ -8,16 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import naive
-from nega3 import Code, Gf3Vector, LengthMismatchError, pless_symmetry
-from nega3.gf3 import _dual_rows, _entry_rows, _rref_rows, _vectors
+from nega3 import Code, Gf3Vector, LengthMismatchError, extended_qr48, pless_symmetry
+from nega3.gf3 import _dual_rows, _echelon, _entry_rows, _planes, _vectors
+
+
+def _array(rows, width):
+    return np.array(rows, dtype=np.int8).reshape(len(rows), width)
 
 
 def _rref_from_the_right(rows):
-    """The row reduction with columns scanned right to left: _rref_rows of
+    """The row reduction with columns scanned right to left: _echelon of
     the rows with their columns reversed, the rows and pivots read back."""
-    out, pivots = _rref_rows([Gf3Vector(r.entries()[::-1]) for r in rows])
     n = len(rows[0]) if rows else 0
-    return [Gf3Vector(r.entries()[::-1]) for r in out], [n - 1 - p for p in pivots]
+    out, pivots = _echelon(_array([r.entries()[::-1] for r in rows], n))
+    return [Gf3Vector(r[::-1]) for r in out.tolist()], [n - 1 - p for p in pivots]
 
 
 entry = st.integers(min_value=0, max_value=2)
@@ -29,43 +34,38 @@ spans = st.integers(min_value=1, max_value=13).flatmap(
         lambda rows: (w, [Gf3Vector(r) for r in rows])))
 
 
-def pairs(draw_len=st.integers(min_value=1, max_value=40)):
-    return draw_len.flatmap(
-        lambda n: st.tuples(
-            st.lists(entry, min_size=n, max_size=n),
-            st.lists(entry, min_size=n, max_size=n),
-        )
-    )
+@st.composite
+def small_spans(draw):
+    """(width, rows): widths on one lane (1..13) and across the lane edge
+    (60..70), up to six drawn rows with zero, repeated and dependent rows
+    mixed in, so the span has at most 3^6 words to list."""
+    w = draw(st.one_of(st.integers(min_value=1, max_value=13),
+                       st.integers(min_value=60, max_value=70)))
+    rows = draw(st.lists(st.lists(entry, min_size=w, max_size=w), max_size=6))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "sum"]), max_size=3)):
+        if kind == "zero":
+            rows.append([0] * w)
+        elif rows and kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif rows:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(entry)
+            rows.append(naive.vadd(a, naive.vscale(b, c)))
+    return w, draw(st.permutations(rows))
 
 
 class TestVector:
-    def test_exhaustive_small_ops(self):
-        # every pair of length-2 vectors: add, sub, dot against the reference
-        all2 = [[a, b] for a in range(3) for b in range(3)]
-        for x in all2:
-            for y in all2:
-                vx, vy = Gf3Vector(x), Gf3Vector(y)
-                assert (vx + vy).entries() == naive.vadd(x, y)
-                assert (vx - vy).entries() == naive.vadd(x, naive.vneg(y))
-                assert vx.dot(vy) == naive.vdot(x, y)
-
-    @given(pairs())
-    def test_random_ops(self, ab):
-        a, b = ab
-        va, vb = Gf3Vector(a), Gf3Vector(b)
-        assert (va + vb).entries() == naive.vadd(a, b)
-        assert va.dot(vb) == naive.vdot(a, b)
+    @given(vec_lists)
+    def test_random_ops(self, a):
+        # what a vector offers: length, weight, indexing, iteration, and
+        # equality and hashing by content
+        va = Gf3Vector(a)
+        assert len(va) == len(a)
         assert va.weight() == naive.vweight(a)
-        assert va.scale(2).entries() == naive.vscale(a, 2)
-        assert va.scale(2).entries() == naive.vneg(a)
-
-    @given(pairs())
-    def test_dot_bilinear(self, ab):
-        a, b = ab
-        va, vb = Gf3Vector(a), Gf3Vector(b)
-        assert (va + vb).dot(va + vb) == (
-            va.dot(va) + 2 * va.dot(vb) + vb.dot(vb)
-        ) % 3
+        assert [va[i] for i in range(len(a))] == list(va) == a
+        assert va == Gf3Vector(list(a)) and hash(va) == hash(Gf3Vector(list(a)))
+        assert va != Gf3Vector(a + [0])
+        with pytest.raises(IndexError):
+            va[len(a)]
 
     @given(vec_lists)
     def test_entries_roundtrip(self, a):
@@ -78,7 +78,9 @@ class TestVector:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            Gf3Vector([1]) + Gf3Vector([1, 0])
+            Code(2, [Gf3Vector([1, 0]), Gf3Vector([1])])
+        with pytest.raises(LengthMismatchError):
+            Code(2, [Gf3Vector([1, 0])]).contains(Gf3Vector([1, 0, 0]))
 
 
 class TestMatrixAndRref:
@@ -108,6 +110,18 @@ class TestMatrixAndRref:
                 assert ent[p] == 1
                 assert all(e == 0 for e in ent[p + 1:])
 
+    @given(small_spans())
+    def test_echelon_against_naive(self, span):
+        # any integer rows, reduced mod 3 first, of any width
+        w, rows = span
+        want = naive.rref(rows)
+        for shift in (0, 3, -3):
+            out, pivots = _echelon(np.array(rows, dtype=np.int16).reshape(len(rows), w) + shift)
+            assert out.dtype == np.int8 and out.shape == (len(want), w)
+            assert out.tolist() == want
+            assert pivots == [naive.pivot(r) for r in want]
+            assert len(pivots) == naive.rank(rows)
+
 
 class TestCode:
     tetra = [[1, 0, 1, 1], [0, 1, 1, 2]]
@@ -126,7 +140,7 @@ class TestCode:
             c = Code(n, rows)
             d = c.dual()
             assert c.k + d.k == n
-            assert all(a.dot(b) == 0 for a in c.basis for b in d.basis)
+            assert all(naive.vdot(a.entries(), b.entries()) == 0 for a in c.basis for b in d.basis)
             assert d.dual() == c
 
     def test_contains(self):
@@ -147,12 +161,51 @@ class TestCode:
         # the dual with columns scanned from the right
         w, rows = span
         code = Code(w, rows)
-        dual = _dual_rows(code)
+        dual = [Gf3Vector(r) for r in _dual_rows(code._rows, code.pivots).tolist()]
         assert len(dual) == w - code.k
-        assert all(a.dot(b) == 0 for a in code.basis for b in dual)
+        assert all(naive.vdot(a.entries(), b.entries()) == 0 for a in code.basis for b in dual)
         want, pivots = _rref_from_the_right(code.dual().basis)
         assert dual[::-1] == want[: len(pivots)]
         assert sorted(pivots + list(code.pivots)) == list(range(w))
+
+    @given(small_spans())
+    def test_code_against_naive(self, span):
+        # k, the basis both as vectors and as int8 rows, the pivots, the
+        # dual and membership, against the textbook reduction, the dual
+        # basis and the listed words of the span
+        w, rows = span
+        code = Code(w, [Gf3Vector(r) for r in rows])
+        want = naive.rref(rows)
+        assert code.k == naive.rank(rows) == len(want)
+        assert [r.entries() for r in code.basis] == code._rows.tolist() == want
+        assert code._rows.dtype == np.int8 and code._rows.shape == (code.k, w)
+        assert code.pivots == tuple(naive.pivot(r) for r in want)
+        dual_rows = naive.dual_basis(rows, w)
+        assert _dual_rows(code._rows, code.pivots)[::-1].tolist() == dual_rows
+        dual = code.dual()
+        assert [r.entries() for r in dual.basis] == naive.rref(dual_rows)
+        assert dual.k == w - code.k and dual.dual() == code
+        words = set(naive.codewords(want)) if want else {(0,) * w}
+        rng = random.Random(len(words))
+        probes = rng.sample(sorted(words), min(len(words), 20))
+        probes += [tuple(rng.randrange(3) for _ in range(w)) for _ in range(20)]
+        for v in probes:
+            assert code.contains(Gf3Vector(v)) == (v in words)
+
+    @pytest.mark.parametrize("label", ["pless5", "pless11", "pless17", "pless23", "pless29",
+                                       "qr48"])
+    def test_classical_bases_are_the_reference_rref(self, label):
+        # the reduced echelon form is canonical, so the textbook reduction
+        # of any spanning set, here the basis mixed and with a dependent
+        # row added, must give back the stored basis and pivots
+        code = pless_symmetry(int(label[5:])) if label.startswith("pless") else extended_qr48()
+        rows = [r.entries() for r in code.basis][::-1]
+        mixed = [naive.vadd(a, naive.vscale(b, 2)) for a, b in zip(rows, rows[1:])] + rows[-1:]
+        mixed.append(naive.vadd(mixed[0], mixed[1]))
+        want = naive.rref(mixed)
+        assert [r.entries() for r in code.basis] == code._rows.tolist() == want
+        assert code.pivots == tuple(naive.pivot(r) for r in want)
+        assert code.is_self_dual() and 2 * code.k == code.n
 
 
 def _naive_self_dual(code):
@@ -205,6 +258,20 @@ class TestEntryRows:
             assert _entry_rows(vectors, n).tolist() == rows
             assert _vectors(np.array(rows, np.int8)) == vectors
 
+    def test_packer_roundtrip(self):
+        # every width up to two full lanes and past them: the packer's
+        # lanes bit by bit, and rows through vectors and back
+        rng = random.Random(13)
+        for n in range(1, 131):
+            rows = [[rng.randrange(3) for _ in range(n)] for _ in range(3)] + [[1] * n, [2] * n]
+            array = np.array(rows, np.int8)
+            assert _entry_rows(_vectors(array), n).tolist() == rows
+            lanes = -(-n // 64)
+            for plane, value in zip(_planes(array), (1, 2)):
+                assert plane.dtype == np.uint64 and plane.shape == (len(rows), lanes)
+                got = [sum(int(x) << 64 * t for t, x in enumerate(r)) for r in plane]
+                assert got == [naive.plane(r, value) for r in rows]
+
     @pytest.fixture(scope="class")
     def codes(self, registry):
         c1 = registry.entry("C1").build()
@@ -223,7 +290,7 @@ class TestEntryRows:
                                        "Pless 84 permuted", "C1 + C1"])
     def test_self_dual_codes(self, codes, label):
         code = codes[label]
-        assert _entry_rows(code.basis, code.n).tolist() == [r.entries() for r in code.basis]
+        assert code._rows.tolist() == [r.entries() for r in code.basis]
         assert code.is_self_dual() is True
         assert _naive_self_dual(code)
 
@@ -248,7 +315,7 @@ class TestEntryRows:
         # C1 with one row replaced by a word outside it: 2k = n still
         c1 = codes["C1"]
         rows = list(c1.basis)
-        rows[5] = rows[5] + Gf3Vector([0] * 35 + [1])
+        rows[5] = Gf3Vector(naive.vadd(rows[5].entries(), [0] * 35 + [1]))
         code = Code(36, rows)
         assert code.k == 18
         assert code.is_self_dual() is _naive_self_dual(code) is False
@@ -256,5 +323,5 @@ class TestEntryRows:
     @pytest.mark.parametrize("n", [0, 5, 64])
     def test_zero_dimension(self, n):
         code = Code(n, [])
-        assert _entry_rows(code.basis, n).shape == (0, n)
+        assert code._rows.shape == (0, n) and code.basis == ()
         assert code.is_self_dual() is _naive_self_dual(code) is (n == 0)

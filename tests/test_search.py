@@ -342,8 +342,8 @@ def _assert_closed_form(found):
         sets = naive.greedy_sets([r.entries() for r in code.basis])
         assert [(pivots, deficit) for _, pivots, deficit in sets] == halves
         for i, (basis, _, _) in enumerate(sets):
-            assert stack.lo[i, c, :, 0].tolist() == [Gf3Vector(r)._lo for r in basis]
-            assert stack.hi[i, c, :, 0].tolist() == [Gf3Vector(r)._hi for r in basis]
+            assert stack.lo[i, c, :, 0].tolist() == [naive.plane(r, 1) for r in basis]
+            assert stack.hi[i, c, :, 0].tolist() == [naive.plane(r, 2) for r in basis]
 
 
 class TestTileStacks:
@@ -1375,7 +1375,7 @@ class TestNeighbor:
 
     def test_length_clause(self, parent):
         with pytest.raises(LengthMismatchError):
-            neighbor(parent, Gf3Vector.zeros(12))
+            neighbor(parent, Gf3Vector([0] * 12))
 
     def test_weight_clause(self, parent):
         x = Gf3Vector([1] + [0] * 35)
@@ -1474,10 +1474,11 @@ class TestNeighborWindows:
 
     def test_sweep_builds_no_code_per_neighbor(self, registry, parent, monkeypatch):
         # the windows are settled from arrays: no Code is built in a sweep,
-        # where neighbor() builds one, the canonical code it returns
+        # where neighbor() builds one, the canonical code it returns; every
+        # Code, from vectors or from int8 rows, is set up by Code._set
         built = []
-        real = Code.__init__
-        monkeypatch.setattr(Code, "__init__", lambda self, *args: built.append(1) or real(self, *args))
+        real = Code._set
+        monkeypatch.setattr(Code, "_set", lambda self, *args: built.append(1) or real(self, *args))
         found = list(neighbor_sweep(parent, 130, 5, registry=registry))
         assert len(found) > 2 and not built
         neighbor(parent, registry.entry("x1").x)
@@ -1523,8 +1524,7 @@ class TestNovelty:
 
 def _fake_finding(length, d, alpha, beta):
     m = length // 6
-    spec = CodeSpec(m, Gf3Vector.zeros(3 * m), Gf3Vector.zeros(3 * m),
-                    Gf3Vector.zeros(3 * m))
+    spec = CodeSpec(m, *[Gf3Vector([0] * (3 * m))] * 3)
     return Finding(kind="spec", n=length, spec=spec, d=d, alpha=alpha,
                    beta=beta, novelty=False, sets=())
 

@@ -158,11 +158,18 @@ def _plane_rows(lo, hi):
     return rows
 
 
+def _planes_by_hand(rows, lanes):
+    """The two bit planes of entry lists (naive.plane), cut into 64-bit
+    lanes: uint64 arrays shaped (len(rows), lanes)."""
+    return [np.array([[naive.plane(r, v) >> 64 * t & (1 << 64) - 1 for t in range(lanes)]
+                      for r in rows], dtype=np.uint64).reshape(len(rows), lanes) for v in (1, 2)]
+
+
 def _packed_rows(rng, count, n):
     """count random rows of n columns, packed by hand: planes shaped
     (1, count, lanes)."""
-    vectors = [Gf3Vector([rng.randrange(3) for _ in range(n)]) for _ in range(count)]
-    return [weights._pack([getattr(v, p) for v in vectors], n)[None] for p in ("_lo", "_hi")]
+    rows = [[rng.randrange(3) for _ in range(n)] for _ in range(count)]
+    return [p[None] for p in _planes_by_hand(rows, -(-n // 64))]
 
 
 @functools.cache
@@ -657,8 +664,8 @@ def _packed(code):
     sets' pivots and deficits."""
     assert code.n <= 64
     sets = naive.greedy_sets(_rows(code))
-    lo, hi = (np.array([[[[getattr(Gf3Vector(r), p)] for r in rows]] for rows, _, _ in sets],
-                       dtype=np.uint64) for p in ("_lo", "_hi"))
+    lo, hi = (np.stack([p[None] for p in planes]) for planes
+              in zip(*(_planes_by_hand(rows, 1) for rows, _, _ in sets)))
     return weights._Stack(lo, hi, 0), ([pivots for _, pivots, _ in sets], [d for *_, d in sets])
 
 
@@ -805,8 +812,8 @@ class TestLaneEdges:
         rng = random.Random(n)
         first = [[rng.randrange(3) for _ in range(n)] for _ in range(3)]
         second = [[rng.randrange(3) for _ in range(n)] for _ in range(3)]
-        lo_a, hi_a = weights._span_planes([Gf3Vector(r) for r in first], n)
-        lo_b, hi_b = weights._span_planes([Gf3Vector(r) for r in second], n)
+        lo_a, hi_a = weights._span_planes(np.array(first, np.int8))
+        lo_b, hi_b = weights._span_planes(np.array(second, np.int8))
         mult = np.array([rng.choice([0, 1, 2, 5]) for _ in range(len(lo_a))], dtype=np.int64)
         got = weights._sweep(lo_a, hi_a, lo_b.T.copy(), hi_b.T.copy(), mult, n)
         want = [0] * (n + 1)
@@ -827,7 +834,7 @@ class TestLaneEdges:
 
 def _random_planes(gen, count, n):
     """count random words of length n as (lo, hi) planes shaped (count, lanes)."""
-    lanes = weights._lanes(n)
+    lanes = -(-n // 64)
     used = np.array([(1 << min(64, n - 64 * t)) - 1 for t in range(lanes)], dtype=np.uint64)
     lo = gen.integers(0, 2**64, size=(count, lanes), dtype=np.uint64) & used
     hi = gen.integers(0, 2**64, size=(count, lanes), dtype=np.uint64) & used & ~lo
