@@ -1,17 +1,16 @@
 """Exact linear algebra over GF(3), on int8 rows.
 
 A Code keeps its reduced basis, from one column loop (_echelon), as an
-int8 (k, n) array over {0, 1, 2}; membership, the dual basis and the
-self-duality product are a few array operations on it.
+int8 (k, n) array over {0, 1, 2}; membership, the dual basis, the
+self-duality product, == and hash read that one copy.
 
-Gf3Vector is the packed, hashable value that specs, findings and the
-registry hold: one bit plane set where an entry is 1 and one where it is
-2, each an arbitrary-size Python integer, so weight is one popcount.  One
-packer (_planes) turns int8 rows into such planes as 64-bit lanes, for
-vectors (_vectors) and for the weight kernel; _entry_rows reads vectors
-back as rows.  Code outside this package should stick to the entry-level
-API.  All types here are immutable values that hash by content, safe as
-dict keys and to ship between worker processes.
+Gf3Vector is the hashable value that specs, findings and the registry
+hold: its entries as one immutable bytes of digits 0, 1, 2, which are
+also the bytes of its int8 row.  So _entry_rows reads vectors as rows in
+one np.frombuffer, and _vectors cuts rows' bytes into vectors.  Code
+outside this package should stick to the entry-level API.  All types here
+are immutable values that hash by content, safe as dict keys and to ship
+between worker processes.
 """
 
 from __future__ import annotations
@@ -26,102 +25,62 @@ Gf3 = int  # field elements are plain ints 0, 1, 2
 
 
 class Gf3Vector:
-    """A fixed-length vector over GF(3), packed in two bit planes.
+    """A fixed-length vector over GF(3), its entries reduced mod 3 and held
+    as one bytes of digits, entry 0 (the leftmost) first."""
 
-    Bit i of the low plane is set when entry i equals 1, bit i of the high
-    plane when it equals 2.  Entry index 0 is the leftmost (first) position.
-    """
-
-    __slots__ = ("_n", "_lo", "_hi")
+    __slots__ = ("_digits",)
 
     def __init__(self, entries: Iterable[int]):
-        lo = hi = 0
-        n = 0
-        for e in entries:
-            e = e % 3
-            if e == 1:
-                lo |= 1 << n
-            elif e == 2:
-                hi |= 1 << n
-            n += 1
-        self._n = n
-        self._lo = lo
-        self._hi = hi
+        self._digits = bytes([e % 3 for e in entries])
 
     # -- element access ----------------------------------------------------
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._digits)
 
     def __getitem__(self, i: int) -> Gf3:
-        if not 0 <= i < self._n:
+        if i < 0:
             raise IndexError(i)
-        if (self._lo >> i) & 1:
-            return 1
-        if (self._hi >> i) & 1:
-            return 2
-        return 0
+        return self._digits[i]
 
     def __iter__(self) -> Iterator[Gf3]:
-        lo, hi = self._lo, self._hi
-        for i in range(self._n):
-            yield ((lo >> i) & 1) + 2 * ((hi >> i) & 1)
+        return iter(self._digits)
 
     def entries(self) -> list[Gf3]:
-        return list(self)
+        return list(self._digits)
 
     def weight(self) -> int:
-        return (self._lo | self._hi).bit_count()
+        return len(self._digits) - self._digits.count(0)
 
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf3Vector):
             return NotImplemented
-        return self._n == other._n and self._lo == other._lo and self._hi == other._hi
+        return self._digits == other._digits
 
     def __hash__(self) -> int:
-        return hash((self._n, self._lo, self._hi))
+        return hash(self._digits)
 
     def __repr__(self) -> str:
-        return f"Gf3Vector([{''.join(str(e) for e in self)}])"
+        return f"Gf3Vector([{''.join(map(str, self._digits))}])"
 
 
 def _entry_rows(rows: Sequence[Gf3Vector], n: int) -> np.ndarray:
-    """The entries of length-n vectors as a (len(rows), n) int8 array over
-    {0, 1, 2}, unpacked from their bit planes in one numpy pass."""
-    size = (n + 7) // 8
-    data = b"".join(p.to_bytes(size, "little") for r in rows for p in (r._lo, r._hi))
-    planes = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), 2, size)
-    bits = np.unpackbits(planes, axis=-1, count=n, bitorder="little")
-    return (bits[:, 0] + 2 * bits[:, 1]).view(np.int8)
-
-
-def _planes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two bit planes of integer rows (..., n) over {0, 1, 2}, each as
-    64-bit lanes (..., lanes), at least one, least significant lane first:
-    bit i of lane t of the first plane is set where entry 64 t + i is 1,
-    of the second where it is 2."""
-    n = rows.shape[-1]
-    out = np.zeros((2, *rows.shape[:-1], 8 * max(1, -(-n // 64))), dtype=np.uint8)
-    for plane, value in zip(out, (1, 2)):
-        plane[..., : -(-n // 8)] = np.packbits(rows == value, axis=-1, bitorder="little")
-    lo, hi = out.view("<u8")
-    return lo, hi
+    """The entries of length-n vectors as a read-only (len(rows), n) int8
+    array over {0, 1, 2}: their digits joined, read in place."""
+    return np.frombuffer(b"".join(r._digits for r in rows), np.int8).reshape(len(rows), n)
 
 
 def _vectors(rows: np.ndarray) -> list[Gf3Vector]:
     """The rows of an integer array shaped (count, n) over {0, 1, 2} as
-    vectors: their planes packed in one pass (_planes), each plane's lanes
-    joined into one Python integer, most significant lane first."""
-    words = np.stack(_planes(rows), axis=1).astype(object)  # (count, plane, lane)
-    ints = words[..., -1]
-    for lane in range(words.shape[-1] - 2, -1, -1):
-        ints = ints << 64 | words[..., lane]
+    vectors, cut from the bytes of the rows as int8."""
+    n = rows.shape[-1]
+    data = rows.astype(np.int8, copy=False).tobytes()
     vectors = []
-    for lo, hi in ints.tolist():
+    for i in range(len(rows)):
         v = object.__new__(Gf3Vector)
-        v._n, v._lo, v._hi = rows.shape[-1], lo, hi
+        v._digits = data[i * n : i * n + n]
         vectors.append(v)
     return vectors
 
@@ -156,11 +115,12 @@ class Code:
 
     Construction reduces whatever spanning rows are supplied (_echelon), so
     two Code objects compare equal exactly when they are the same subspace.
-    basis holds the reduced rows as vectors and _rows the same rows as an
-    int8 (k, n) array, which every computation on the code reads.
+    _rows holds the reduced rows as a contiguous int8 (k, n) array, the one
+    copy that every computation, == and hash read; basis gives them as
+    vectors.
     """
 
-    __slots__ = ("n", "k", "basis", "pivots", "_rows", "_cache")
+    __slots__ = ("n", "k", "pivots", "_rows", "_cache")
 
     def __init__(self, n: int, rows: Sequence[Gf3Vector]):
         for r in rows:
@@ -170,11 +130,15 @@ class Code:
 
     def _set(self, rows: np.ndarray, pivots: Iterable[int]) -> None:
         self.n = rows.shape[1]
-        self._rows = rows
-        self.basis = tuple(_vectors(rows))
+        self._rows = np.ascontiguousarray(rows, dtype=np.int8)
         self.pivots = tuple(pivots)
         self.k = len(self.pivots)
         self._cache: dict = {}
+
+    @property
+    def basis(self) -> tuple[Gf3Vector, ...]:
+        """The reduced basis rows as vectors, built from _rows on each call."""
+        return tuple(_vectors(self._rows))
 
     def contains(self, v: Gf3Vector) -> bool:
         """Whether v is a codeword: v equals the sum of the basis rows, each
@@ -203,10 +167,10 @@ class Code:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
             return NotImplemented
-        return self.n == other.n and self.basis == other.basis
+        return self.n == other.n and self._rows.tobytes() == other._rows.tobytes()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.basis))
+        return hash((self.n, self._rows.tobytes()))
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, k={self.k})"

@@ -14,8 +14,8 @@ the Gram matrix of (I | M) is determined by its first row.  The
 self-duality test below exploits that: it checks nine first-row polynomial
 identities instead of multiplying out full matrices.
 
-Specs hold their rows as Gf3Vector, the packed value that findings, the
-registry and vector files read; only f_value reads its bit planes.  The
+Specs hold their rows as Gf3Vector, the hashable value that findings, the
+registry and vector files read, whose digits f_value reads as a numeral.  The
 ring arithmetic is stated once, on int8 entry arrays batched over leading
 axes: the block rows (_block_rows), and from them the generator (I | M),
 whose int8 rows the Code keeps as its reduced basis, the identities here
@@ -158,15 +158,17 @@ def is_self_dual(spec: CodeSpec) -> bool:
 
 # -- f-values: the search order on rows ------------------------------------
 
+_NUMERAL = bytes.maketrans(b"\0\1\2", b"012")
+
 
 def f_value(v: Gf3Vector) -> int:
     """The integer whose little-endian base-3 digits are the entries of v.
 
     This is a bijection between GF(3)^len and {0, ..., 3^len - 1}; entry 0
-    (the leftmost) is the least significant digit.  Each bit plane, written
-    in binary and read in base 3, is the numeral of its own digits.
+    (the leftmost) is the least significant digit.  The digits, reversed
+    and spelled as characters, are its base-3 numeral.
     """
-    return int(f"{v._lo:b}", 3) + 2 * int(f"{v._hi:b}", 3)
+    return int(v._digits[::-1].translate(_NUMERAL) or b"0", 3)
 
 
 def _f_keys(vals: np.ndarray) -> np.ndarray:

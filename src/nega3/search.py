@@ -169,10 +169,27 @@ class Finding:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Finding":
-        spec = CodeSpec.from_entry_rows([rec["r1"], rec["r2"], rec["r3"]]) if "r1" in rec else None
-        return cls(kind=rec["kind"], n=rec["n"], d=rec["d"], alpha=rec["alpha"], beta=rec["beta"],
-                   novelty=rec["novelty"], sets=tuple(rec.get("sets", ())), spec=spec,
-                   x=tuple(rec["x"]) if "x" in rec else None, parent=rec.get("parent"))
+        """The finding of a to_record record: a spec record reads r1, r2
+        and r3, a neighbor record x; another kind is a ValueError."""
+        kind = rec["kind"]
+        if kind == "spec":
+            rows = [_digit_row(rec, r) for r in ("r1", "r2", "r3")]
+            spec, x = CodeSpec.from_entry_rows(rows), None
+        elif kind == "neighbor":
+            spec, x = None, tuple(_digit_row(rec, "x"))
+        else:
+            raise ValueError(f"unknown finding kind {kind!r}")
+        return cls(kind=kind, n=rec["n"], d=rec["d"], alpha=rec["alpha"], beta=rec["beta"],
+                   novelty=rec["novelty"], sets=tuple(rec.get("sets", ())), spec=spec, x=x,
+                   parent=rec.get("parent"))
+
+
+def _digit_row(rec: dict, key: str) -> list[int]:
+    """rec[key], a list of ints 0, 1 and 2 (bools are not), or ValueError."""
+    row = rec.get(key)
+    if not isinstance(row, list) or not all(type(e) is int and 0 <= e <= 2 for e in row):
+        raise ValueError(f"finding record: {key} is not a row of digits 0, 1, 2: {row!r}")
+    return row
 
 
 def read_findings(lines) -> list[Finding]:
@@ -483,7 +500,7 @@ def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, 
     M of their first rows (_tiles): one int16 product checks M M^T = -I,
     and one scan of their stack (weights._tile_stack) settles d and alpha,
     split back per unit.  A spec is built only when it verifies, its
-    vectors packed from the int8 rows in one pass (gf3._vectors)."""
+    vectors cut from the bytes of the int8 rows (gf3._vectors)."""
     if plan.mode == "sampled":
         groups = _trial_rows(plan, units)[:, None]
     else:

@@ -89,7 +89,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError, InternalInconsistencyError
-from .gf3 import Code, _planes
+from .gf3 import Code
 
 # full_distribution throughput on the generic path, in codewords per second,
 # used only for guard messages: the 3^18 words of a column-permuted copy of
@@ -131,6 +131,19 @@ class WeightProfile:
 
 
 # -- bit-plane arithmetic -----------------------------------------------------
+
+
+def _planes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two bit planes of integer rows (..., n) over {0, 1, 2}, each as
+    64-bit lanes (..., lanes), at least one, least significant lane first:
+    bit i of lane t of the first plane is set where entry 64 t + i is 1,
+    of the second where it is 2.  Only this module packs rows as planes."""
+    n = rows.shape[-1]
+    out = np.zeros((2, *rows.shape[:-1], 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    for plane, value in zip(out, (1, 2)):
+        plane[..., : -(-n // 8)] = np.packbits(rows == value, axis=-1, bitorder="little")
+    lo, hi = out.view("<u8")
+    return lo, hi
 
 
 def _add_planes(alo, ahi, blo, bhi):

@@ -148,6 +148,47 @@ class TestVerify:
         assert "3^24" in err
 
 
+_SPEC_RECORD = {"kind": "spec", "n": 12, "r1": [1, 0, 0, 1, 1, 0], "r2": [0, 1, 0, 1, 0, 1],
+                "r3": [0, 0, 1, 0, 1, 1], "d": 3, "alpha": 8, "beta": 1, "novelty": True,
+                "sets": []}
+_NEIGHBOR_RECORD = {"kind": "neighbor", "n": 12, "x": [1, 1, 1] + [0] * 9, "parent": "C2",
+                    "d": 3, "alpha": 8, "beta": 1, "novelty": True, "sets": []}
+# finding records that Finding.from_record refuses with ValueError
+_BAD_RECORDS = [
+    {**_SPEC_RECORD, "r1": [1.5, 0, 0, 1, 1, 0]},
+    {**_SPEC_RECORD, "r2": [True, 1, 0, 1, 0, 1]},
+    {**_SPEC_RECORD, "kind": "bogus"},
+    {k: v for k, v in _SPEC_RECORD.items() if k != "r3"},
+    {**_NEIGHBOR_RECORD, "x": "abc"},
+    {**_NEIGHBOR_RECORD, "x": [5, -1, 7]},
+    {k: v for k, v in _NEIGHBOR_RECORD.items() if k != "x"},
+]
+
+
+def test_read_findings_refuses_malformed_records():
+    good = read_findings([json.dumps(_SPEC_RECORD), json.dumps(_NEIGHBOR_RECORD)])
+    assert [f.to_record() for f in good] == [_SPEC_RECORD, _NEIGHBOR_RECORD]
+    for rec in _BAD_RECORDS:
+        with pytest.raises(ValueError):
+            read_findings([json.dumps(rec)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "4", "--mode", "sampled", "--seed", "3", "--budget", "64"],
+    ["verify", "--registry", "C1"],
+])
+def test_output_independent_of_hash_seed(argv):
+    # vectors and codes hash their bytes, which Python salts per process
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-m", "nega3.cli", *argv], env=env,
+                               capture_output=True, check=True, timeout=300)
+        outs.append(child.stdout)
+    assert outs[0] == outs[1] and outs[0]
+
+
 class TestSearch:
     def test_refuses_odd_block_size(self, capsys):
         rc, out, err = run_cli(capsys, "search", "--n", "1")
@@ -315,7 +356,10 @@ class TestSearch:
         ({}, '{"unit": 4, "findings": [{"kind": "spec"}]}', "line 2: not a unit record"),
         ({"complete": True, "findings": [{"kind": "x"}]}, "",
          "line 1: complete, but its findings are not finding records"),
-    ])
+    ] + [({}, json.dumps({"unit": 4, "findings": [rec]}), "line 2: not a unit record")
+         for rec in _BAD_RECORDS]
+      + [({"complete": True, "findings": [rec]}, "",
+          "line 1: complete, but its findings are not finding records") for rec in _BAD_RECORDS])
     def test_checkpoint_without_its_records_is_usage(self, tmp_path, capsys, monkeypatch, header,
                                                      line, want):
         def refuse(*args):

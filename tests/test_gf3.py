@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import naive
 from nega3 import Code, Gf3Vector, LengthMismatchError, extended_qr48, pless_symmetry
-from nega3.gf3 import _dual_rows, _echelon, _entry_rows, _planes, _vectors
+from nega3.gf3 import _dual_rows, _echelon, _entry_rows, _vectors
+from nega3.weights import _planes
 
 
 def _array(rows, width):
@@ -75,6 +76,14 @@ class TestVector:
         # the constructor canonicalizes into the field; strict digit
         # validation is the vector-file parser's job
         assert Gf3Vector([0, 3, 4, 5]).entries() == [0, 0, 1, 2]
+
+    def test_negative_index_and_non_integer_entry(self):
+        # entries are indexed from 0 only, and a float is no digit
+        v = Gf3Vector([1, 2])
+        with pytest.raises(IndexError):
+            v[-1]
+        with pytest.raises(TypeError):
+            Gf3Vector([0, 1.5])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -293,6 +302,18 @@ class TestEntryRows:
         assert code._rows.tolist() == [r.entries() for r in code.basis]
         assert code.is_self_dual() is True
         assert _naive_self_dual(code)
+
+    @pytest.mark.parametrize("label", ["C1", "C48", "C1 permuted", "Pless 84 permuted"])
+    def test_basis_is_read_from_rows(self, codes, label):
+        # _rows is the one copy: contiguous int8, which == and hash read,
+        # and basis builds vectors from it and cannot be assigned
+        code = codes[label]
+        assert code._rows.dtype == np.int8 and code._rows.flags.c_contiguous
+        assert code.basis == tuple(_vectors(code._rows))
+        with pytest.raises(AttributeError):
+            code.basis = ()
+        copy = Code(code.n, list(code.basis))
+        assert copy == code and hash(copy) == hash(code)
 
     @pytest.mark.parametrize("label", ["C1", "Pless 84"])
     def test_self_orthogonal_below_half_dimension(self, codes, label):

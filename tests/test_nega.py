@@ -16,6 +16,7 @@ from nega3 import (
     build_generator,
     f_value,
     is_self_dual,
+    neighbor,
     self_dual_violations,
 )
 from nega3.gf3 import Code, Gf3Vector
@@ -141,6 +142,17 @@ class TestSpec:
             assert built.pivots == reduced.pivots == tuple(range(built.k))
             assert built == reduced and hash(built) == hash(reduced)
 
+    def test_neighbor_equals_its_reduced_basis(self, registry):
+        # neighbor's echelon update and Code's row reduction give the same
+        # int8 bytes, so the codes compare and hash alike
+        entries = [e for e in registry.entries.values() if e.x is not None]
+        assert entries
+        for e in entries:
+            moved = neighbor(registry.entry(e.parent).build(), e.x)
+            reduced = Code(e.length, list(moved.basis))
+            assert moved == reduced and hash(moved) == hash(reduced)
+            assert moved._rows.dtype == reduced._rows.dtype == np.int8
+
     def test_block_rows_match_reference(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -240,9 +252,10 @@ class TestFValue:
         assert f == naive.f_value(v)
         assert naive.vector_from_f(f, len(v)) == v
 
-    @pytest.mark.parametrize("n", range(41))
+    @pytest.mark.parametrize("n", range(131))
     def test_zero_and_all_two_vectors(self, n):
-        # every digit 0, then every digit 2, the least and the greatest value
+        # every digit 0, then every digit 2, the least and the greatest
+        # value, exact past int64 (3^41 > 2^64) and past two 64-bit lanes
         assert f_value(Gf3Vector([0] * n)) == naive.f_value([0] * n) == 0
         assert f_value(Gf3Vector([2] * n)) == naive.f_value([2] * n) == 3**n - 1
         assert naive.vector_from_f(3**n - 1, n) == [2] * n

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import random
 import runpy
 import subprocess
@@ -1536,6 +1537,20 @@ class TestFindingSerialization:
         lines = [json.dumps(f.to_record()) for f in found]
         back = read_findings(lines)
         assert [f.to_record() for f in back] == [f.to_record() for f in found]
+
+    def test_neighbor_round_trip(self, parent, registry):
+        found = list(neighbor_sweep(parent, budget=64, seed=5, registry=registry,
+                                    parent_label="C2"))
+        assert found
+        assert read_findings([json.dumps(f.to_record()) for f in found]) == found
+
+    def test_pickle_round_trip(self, parent, registry):
+        # as the worker pool ships specs and findings: equal, hashes too
+        found = list(run_search(SearchPlan(block_size=2), registry=registry))[:2]
+        found += list(neighbor_sweep(parent, budget=64, seed=5, registry=registry))[:1]
+        for value in [found[0].spec, *found]:
+            back = pickle.loads(pickle.dumps(value))
+            assert back == value and hash(back) == hash(value)
 
     def test_record_fields(self, registry):
         found = list(run_search(SearchPlan(block_size=2), registry=registry))
