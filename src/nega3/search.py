@@ -170,18 +170,29 @@ class Finding:
     @classmethod
     def from_record(cls, rec: dict) -> "Finding":
         """The finding of a to_record record: a spec record reads r1, r2
-        and r3, a neighbor record x; another kind is a ValueError."""
+        and r3, a neighbor record x and its parent's label.  Another kind,
+        or a field that to_record would not have written, is a ValueError:
+        n, d and alpha positive ints, n the rows' length, beta as beta_of
+        gives it, sets a list of strings and novelty whether it is empty."""
         kind = rec["kind"]
         if kind == "spec":
             rows = [_digit_row(rec, r) for r in ("r1", "r2", "r3")]
-            spec, x = CodeSpec.from_entry_rows(rows), None
+            spec, x, length = CodeSpec.from_entry_rows(rows), None, 2 * len(rows[0])
         elif kind == "neighbor":
             spec, x = None, tuple(_digit_row(rec, "x"))
+            length = len(x)
         else:
             raise ValueError(f"unknown finding kind {kind!r}")
-        return cls(kind=kind, n=rec["n"], d=rec["d"], alpha=rec["alpha"], beta=rec["beta"],
-                   novelty=rec["novelty"], sets=tuple(rec.get("sets", ())), spec=spec, x=x,
-                   parent=rec.get("parent"))
+        n, d, alpha, beta, novelty, sets, parent = (
+            rec.get(key) for key in ("n", "d", "alpha", "beta", "novelty", "sets", "parent"))
+        if not (all(type(v) is int and v > 0 for v in (n, d, alpha)) and n == length
+                and beta == beta_of(alpha) and type(beta) is type(beta_of(alpha))
+                and isinstance(sets, list) and all(type(g) is str for g in sets)
+                and novelty is (not sets)
+                and ("parent" not in rec if kind == "spec" else type(parent) is str)):
+            raise ValueError(f"finding record: fields that to_record does not write: {rec!r}")
+        return cls(kind=kind, n=n, d=d, alpha=alpha, beta=beta, novelty=novelty,
+                   sets=tuple(sets), spec=spec, x=x, parent=parent)
 
 
 def _digit_row(rec: dict, key: str) -> list[int]:

@@ -22,10 +22,10 @@ distribution, under that sweep's guard.
 The expansion is vectorized and visits each word the covering needs at
 most once up to sign:
 
-- Supports come from numpy tables of row combinations, streamed in
-  lexicographic order in chunks of at most 65,536 rows.  A batch holds the
-  words of at most 65,536 supports for one code, and at most 8,192 shared
-  out among the codes still in a larger stack.
+- Supports are unranked from their lexicographic ranks (_unrank) in
+  chunks of at most 65,536 rows, so no larger table is built.  A batch
+  holds the words of at most 65,536 supports for one code, and at most
+  8,192 shared out among the codes still in a larger stack.
 - Each message's first coefficient is fixed to 1.  The last t = min(2,
   j - 1) rows of each support give its tail sums up to sign: b, or a + b
   and a - b.  The first j - t coefficients walk their sign patterns in
@@ -249,50 +249,29 @@ _STACK = 64
 _STACK_ROWS = 1 << 13
 
 
-def _lex_table(m: int, j: int) -> np.ndarray:
-    """All j-subsets of range(m) in lexicographic order, one per row."""
-    # the subsets with first element a are a followed by the last
-    # C(m - 1 - a, j - 1) rows of the (j - 1)-subsets of range(m - 1), plus 1;
-    # so the table grows from the 0-subsets of range(m - j) one column at a
-    # time, and no intermediate table is larger than the result
-    table = np.zeros((1, 0), dtype=np.intp)
-    for t in range(1, j + 1):
-        span = m - j + t  # the table holds the (t - 1)-subsets of range(span - 1)
-        size = len(table)
-        counts = [comb(span - 1 - a, t - 1) for a in range(span - t + 1)]
-        rows = np.concatenate([np.arange(size - c, size) for c in counts])
-        first = np.repeat(np.arange(len(counts)), counts)
-        table = np.column_stack([first, table[rows] + 1])
-    return table
-
-
-def _lex_pieces(k: int, j: int, start: int, limit: int):
-    """Consecutive runs, of at most limit rows each, of the lexicographic
-    j-subsets of range(start, k)."""
-    if comb(k - start, j) <= limit:
-        yield _lex_table(k - start, j) + start
-        return
-    for a in range(start, k - j + 1):
-        for piece in _lex_pieces(k, j - 1, a + 1, limit):
-            yield np.column_stack([np.full(len(piece), a), piece])
+def _unrank(k: int, j: int, ranks: np.ndarray) -> np.ndarray:
+    """The j-subsets of range(k) of lexicographic ranks `ranks`, one per row,
+    as np.min_scalar_type(k): lex rank r is colex rank C(k, j) - 1 - r of
+    the image under x -> k - 1 - x, which unranks greedily, its largest
+    element first (Buckles and Lybanon, ACM TOMS 3, 1977)."""
+    total = comb(k, j)
+    rest = total - 1 - ranks
+    rows = np.empty((len(ranks), j), dtype=np.min_scalar_type(k))
+    for t in range(j, 0, -1):
+        # clipped at C(k, j), above every rank, so that it fits in int64
+        binom = np.array([min(comb(c, t), total) for c in range(k)], dtype=np.int64)
+        c = binom.searchsorted(rest, side="right") - 1
+        rest -= binom[c]
+        rows[:, j - t] = k - 1 - c
+    return rows
 
 
 def _combo_chunks(k: int, j: int, chunk: int = _CHUNK):
     """The j-subsets of range(k) in itertools.combinations order, as index
-    arrays of at most chunk rows; the whole table is never built."""
-    pending: list[np.ndarray] = []
-    size = 0
-    for piece in _lex_pieces(k, j, 0, chunk):
-        pending.append(piece)
-        size += len(piece)
-        if size >= chunk:
-            block = np.concatenate(pending)
-            whole = size - size % chunk
-            for s in range(0, whole, chunk):
-                yield block[s : s + chunk]
-            pending, size = [block[whole:]], size - whole
-    if size:
-        yield np.concatenate(pending)
+    arrays of at most chunk rows, each unranked from its run of ranks."""
+    total = comb(k, j)
+    for start in range(0, total, chunk):
+        yield _unrank(k, j, np.arange(start, min(start + chunk, total), dtype=np.int64))
 
 
 def _orbit_reps(combos: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +293,9 @@ def _orbit_reps(combos: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.
 
 
 def _supports(k: int, j: int, width: int):
-    """The j-subsets of range(k) that _words walks, as chunks (combos, mult,
-    pairs), pairs from j = 3 on as _pair_index gives them, else None.
+    """The j-subsets of range(k) that _words walks: the chunks of
+    _combo_chunks, cut to orbit representatives given a width, as (combos,
+    mult, pairs), pairs from j = 3 on as _pair_index gives them, else None.
 
     Tables that keep at most about one chunk of rows are cached: all codes
     of one length share them, and building a table costs more than walking
@@ -327,8 +307,7 @@ def _supports(k: int, j: int, width: int):
 
 @functools.lru_cache(maxsize=32)
 def _cached_supports(k: int, j: int, width: int) -> tuple:
-    chunks = tuple((combos.astype(np.min_scalar_type(k)), mult, pairs)
-                   for combos, mult, pairs in _support_chunks(k, j, width))
+    chunks = tuple(_support_chunks(k, j, width))
     for combos, mult, pairs in chunks:  # shared by every later caller
         combos.flags.writeable = mult.flags.writeable = False
         if pairs is not None:

@@ -7,6 +7,7 @@ fast, so a disagreement with the packed implementations points at them.
 
 import collections
 import itertools
+from math import comb
 
 
 def vadd(a, b):
@@ -203,6 +204,20 @@ def distribution(basis):
 
 def min_weight(basis):
     return min(vweight(w) for w in codewords(basis) if any(w))
+
+
+def unrank_combination(k, j, rank):
+    """The j-subset of range(k) of lexicographic rank rank, element by
+    element: while rank is at least the C(k - 1 - a, j - 1 - i) subsets that
+    hold a at position i, skip them and try a + 1."""
+    out, a = [], 0
+    for i in range(j):
+        while rank >= comb(k - 1 - a, j - 1 - i):
+            rank -= comb(k - 1 - a, j - 1 - i)
+            a += 1
+        out.append(a)
+        a += 1
+    return tuple(out)
 
 
 def walk_supports(rows, j, width):

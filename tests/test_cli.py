@@ -163,12 +163,37 @@ _BAD_RECORDS = [
     {**_NEIGHBOR_RECORD, "x": [5, -1, 7]},
     {k: v for k, v in _NEIGHBOR_RECORD.items() if k != "x"},
 ]
+# and the fields beside the rows that to_record would not have written
+_BAD_FIELDS = [
+    {**_SPEC_RECORD, "n": 99},
+    {**_SPEC_RECORD, "n": 12.0},
+    {**_NEIGHBOR_RECORD, "n": 6},
+    {**_SPEC_RECORD, "d": "x"},
+    {**_SPEC_RECORD, "d": True},
+    {**_SPEC_RECORD, "d": 0},
+    {**_SPEC_RECORD, "alpha": -5},
+    {k: v for k, v in _SPEC_RECORD.items() if k != "alpha"},
+    {**_SPEC_RECORD, "beta": "b"},
+    {**_SPEC_RECORD, "beta": 2},
+    {**_SPEC_RECORD, "beta": True},
+    {**_SPEC_RECORD, "beta": None},
+    {**_SPEC_RECORD, "alpha": 12},
+    {**_SPEC_RECORD, "novelty": "yes"},
+    {**_SPEC_RECORD, "novelty": False},
+    {**_SPEC_RECORD, "sets": ["C1"]},
+    {**_SPEC_RECORD, "sets": "abc"},
+    {**_SPEC_RECORD, "sets": [7], "novelty": False},
+    {k: v for k, v in _SPEC_RECORD.items() if k != "sets"},
+    {**_SPEC_RECORD, "parent": "C2"},
+    {**_NEIGHBOR_RECORD, "parent": 7},
+    {k: v for k, v in _NEIGHBOR_RECORD.items() if k != "parent"},
+]
 
 
 def test_read_findings_refuses_malformed_records():
     good = read_findings([json.dumps(_SPEC_RECORD), json.dumps(_NEIGHBOR_RECORD)])
     assert [f.to_record() for f in good] == [_SPEC_RECORD, _NEIGHBOR_RECORD]
-    for rec in _BAD_RECORDS:
+    for rec in _BAD_RECORDS + _BAD_FIELDS:
         with pytest.raises(ValueError):
             read_findings([json.dumps(rec)])
 
@@ -359,7 +384,11 @@ class TestSearch:
     ] + [({}, json.dumps({"unit": 4, "findings": [rec]}), "line 2: not a unit record")
          for rec in _BAD_RECORDS]
       + [({"complete": True, "findings": [rec]}, "",
-          "line 1: complete, but its findings are not finding records") for rec in _BAD_RECORDS])
+          "line 1: complete, but its findings are not finding records") for rec in _BAD_RECORDS]
+      + [({}, json.dumps({"unit": 4, "findings": [rec]}), "line 2: not a unit record")
+         for rec in _BAD_FIELDS]
+      + [({"complete": True, "findings": [rec]}, "",
+          "line 1: complete, but its findings are not finding records") for rec in _BAD_FIELDS])
     def test_checkpoint_without_its_records_is_usage(self, tmp_path, capsys, monkeypatch, header,
                                                      line, want):
         def refuse(*args):

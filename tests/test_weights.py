@@ -147,6 +147,44 @@ class TestComboChunks:
         want = itertools.islice(itertools.combinations(range(30), 9), len(first))
         assert [tuple(int(x) for x in row) for row in first] == list(want)
 
+    def test_binomials_clipped_to_the_table(self):
+        # C(67, 33) > 2^63 is in the binomials of (68, 66), whose table
+        # holds only C(68, 66) = 2,278 subsets
+        got = [tuple(int(x) for x in row) for c in weights._combo_chunks(68, 66) for row in c]
+        assert got == list(itertools.combinations(range(68), 66))
+
+    @pytest.mark.parametrize("k,j,ranks", [
+        (64, 32, [0, 2**32 - 1, 2**32, 2**32 + 1, comb(64, 32) - 2, comb(64, 32) - 1]),
+        (66, 33, [2**62 - 1, 2**62, 2**62 + 1, comb(66, 33) - 1]),
+    ])
+    def test_unrank_against_naive(self, k, j, ranks):
+        rows = weights._unrank(k, j, np.array(ranks, dtype=np.int64))
+        assert rows.dtype == np.min_scalar_type(k)
+        assert [tuple(int(x) for x in row) for row in rows] == [
+            naive.unrank_combination(k, j, r) for r in ranks]
+
+    @pytest.mark.parametrize("k,width,top", [(12, 4, 8), (18, 6, 8), (24, 8, 8), (30, 10, 4)])
+    def test_orbit_sums(self, k, width, top):
+        # the representatives' orbit sizes cover every support once
+        for j in range(1, top + 1):
+            chunks = list(weights._supports(k, j, width))
+            assert sum(int(mult.sum()) for _, mult, _ in chunks) == comb(k, j), (k, j)
+            rows = np.concatenate([combos for combos, _, _ in chunks]).astype(np.intp)
+            assert (np.diff(rows, axis=1) > 0).all()
+            assert len(np.unique(rows, axis=0)) == len(rows)
+
+    def test_table_build_peak(self):
+        # C48's level-7 table: 43,263 orbit representatives of 346,104
+        # subsets, unranked a chunk at a time
+        weights._cached_supports.cache_clear()
+        tracemalloc.start()
+        try:
+            weights._cached_supports(24, 7, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 
 def _plane_rows(lo, hi):
     """The rows of one code's planes, shaped (k, lanes), as entry lists
