@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import LengthMismatchError, RegistryError, VectorFileError
-from .gf3 import Code, Gf3Vector
-from .nega import CodeSpec, build_generator, is_self_dual
+from .gf3 import Gf3Vector
+from .nega import CodeSpec, is_self_dual
 
 _DATA_ENV = "NEGA3_DATA"
 
@@ -62,11 +62,6 @@ class RegistryEntry:
                 raise RegistryError(f"{self.label}: vector/parent missing or wrong length")
         else:
             raise RegistryError(f"{self.label}: unknown kind {self.kind!r}")
-
-    def build(self) -> Code:
-        if self.spec is None:
-            raise RegistryError(f"{self.label} is not a code spec")
-        return build_generator(self.spec)
 
 
 @dataclass(frozen=True)
@@ -122,12 +117,6 @@ class Registry:
             return self.entries[label]
         except KeyError:
             raise RegistryError(f"no registry entry named {label!r}") from None
-
-    def gamma(self, name: str) -> GammaSet:
-        try:
-            return self.gamma_sets[name]
-        except KeyError:
-            raise RegistryError(f"no beta set named {name!r}") from None
 
     def sets_for_length(self, length: int) -> list[GammaSet]:
         return [g for g in self.gamma_sets.values() if g.length == length]

@@ -804,14 +804,15 @@ def neighbor_sweep(
     budget: int,
     seed: int,
     *,
+    parent_label: str,
     target: str = "near-extremal",
     registry: Registry | None = None,
-    parent_label: str | None = None,
 ) -> Iterator[Finding]:
     """Try budget >= 1 random neighbor seeds and yield the findings in
     the target class.  Seeds are drawn uniformly over vectors with weight
     divisible by 3 and outside c, by rejection; the stream is a pure
-    function of (c, budget, seed).
+    function of (c, budget, seed).  Each finding names c by parent_label,
+    which its record needs to read back (Finding.from_record).
 
     Seeds are drawn a window of _STACK at a time, tested as one batch of
     peeked generator values (_neighbor_seeds).  A window's neighbors are
@@ -900,9 +901,6 @@ class NoveltyReport:
     statuses: tuple[BetaStatus, ...]
     partial_knowledge: bool
     unclassified: int  # findings whose alpha is not a multiple of 8
-
-    def new_betas(self) -> list[int]:
-        return [s.beta for s in self.statuses if not s.known]
 
     def summary(self) -> str:
         lines = [f"novelty at length {self.length}:"]

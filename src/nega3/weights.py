@@ -59,8 +59,8 @@ most once up to sign:
   search's specs, a sweep's neighbors and, its columns reordered pivots
   first, every self-dual Code (_code_stack, a stack of one).  _settle
   settles d and the count at d of a stack in one scan, which runs until
-  the bound passes d and drops a code at its first word below d; the codes
-  left are moved up in the batch buffer in place.
+  the bound passes d and drops a code at its first word below d; the walk
+  sheds it at the start of its next run of supports.
 
 Full distributions take a different route, a meet-in-the-middle sweep: the
 basis is split in half, all 3^(k - k//2) sums of the second half are
@@ -118,16 +118,11 @@ def near_extremal_weight(n: int) -> int:
 
 @dataclass
 class WeightProfile:
-    """Weight information about one code.  ``counts`` maps weight to the
-    exact number of codewords of that weight; ``complete`` says whether the
-    map covers every weight."""
+    """The weight distribution of one code: ``counts`` maps each weight to
+    the exact number of codewords of that weight."""
 
     n: int
     counts: dict[int, int] = field(default_factory=dict)
-    complete: bool = False
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 # -- bit-plane arithmetic -----------------------------------------------------
@@ -278,7 +273,9 @@ def _orbit_reps(combos: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.
     """The rows of combos whose support, as a bit mask, is least among its
     rotations within each width-wide block, with the size of each one's
     rotation orbit."""
-    masks = np.bitwise_or.reduce(np.uint64(1) << combos.astype(np.uint64), axis=1)
+    masks = np.zeros(len(combos), dtype=np.uint64)
+    for column in combos.T:  # one column at a time: no (rows, j) masks at once
+        masks |= np.uint64(1) << column.astype(np.uint64)
     top = np.uint64(sum(1 << (g * width + width - 1) for g in range(k // width)))
     rest = ~top
     one, wrap = np.uint64(1), np.uint64(width - 1)
@@ -392,8 +389,8 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
     least one each.  With a width (see _orbit_shape) only supports least
     among their rotations are walked, and mult holds each word's orbit
     size; otherwise mult is all ones.  A stack position the caller clears
-    in alive leaves the walk at the next batch, the codes left moved up in
-    the buffer in place.
+    in alive leaves the walk at the start of the next run, so the rest of
+    the current run's batches still hold its rows.
 
     The support is a buffer that the next step overwrites, so read each
     batch before asking for the next.
@@ -469,17 +466,6 @@ def _words(lo: np.ndarray, hi: np.ndarray, j: int, width: int,
                         _add_into(buf[0], buf[head], buf[t], buf[head + t], scratch)
                     else:
                         _add_into(buf[0], buf[head], buf[head + t], buf[t], scratch)
-                if alive is not None and not alive[codes].all():
-                    keep = np.flatnonzero(alive[codes])
-                    if not len(keep):
-                        return
-                    for p, q in enumerate(keep):  # p <= q: no slot is read after it is written
-                        if p != q:
-                            buf[:held, p] = buf[:held, q]
-                    codes = codes[keep]
-                    slo, shi = lo[codes], hi[codes]
-                    buf, out = buf[:, : len(codes)], out[: len(codes)]  # both still contiguous
-                    scratch = out[:, :2].swapaxes(0, 1)
                 if not tail:
                     np.bitwise_or(buf[h], buf[head + h], out=out[:, 0])
                 for u, (a, b) in enumerate(signs):
@@ -505,7 +491,9 @@ def min_weight(code: Code, abort_below: int | None = None) -> int:
     self-dual code of even d = 2j that pass is level j of the first
     matrix, the costliest one walked (about 4 ms to 14 ms of CPU for
     B280).  Every caller in this package follows min_weight with
-    count_weight(code, d), and for them one scan is cheaper than two.
+    count_weight(code, d), and for them one scan is cheaper than two:
+    count_weight alone would walk the same passes again, since a self-dual
+    code's count always comes from the scan.
     """
     if code.k == 0:
         raise ValueError("minimum weight of the zero code is undefined")
@@ -529,10 +517,8 @@ def count_weight(code: Code, w: int) -> int:
     Once min_weight has settled w as the minimum weight, this is the count
     it kept.  Otherwise, on a self-dual code, it runs the covering
     enumeration until its bound strictly exceeds w, so every weight-w word
-    is visited (see _stack_counts), or, when a straight sweep of all 3^k
-    codewords is cheaper, delegates to full_distribution instead (both
-    routes are exact).  Any other code is answered from full_distribution,
-    under its guard.
+    is visited (see _stack_counts).  Any other code is answered from
+    full_distribution, under its guard.
     """
     if w < 1:
         raise ValueError("count_weight takes a positive weight")
@@ -542,8 +528,6 @@ def count_weight(code: Code, w: int) -> int:
         return code._cache["count_at_min"]
     if not code.is_self_dual():
         return full_distribution(code).counts.get(w, 0)
-    if code.k <= 22 and 3**code.k < count_cost(code, w):
-        return full_distribution(code, allow_long=True).counts.get(w, 0)
     return int(_stack_counts(_code_stack(code), w, floor=1).count[0])
 
 
@@ -602,7 +586,9 @@ def _stack_counts(stack: _Stack, w: int, floor: int, least: bool = False) -> _Sc
     """The number of weight-w words of each code of a stack, or with least
     set, its least weight up to w and the number of words of that weight.
     A code with a word of weight below floor leaves the stack there, with
-    that weight.
+    that weight: the walk drops it at its next run of supports, and until
+    then its rows of the batches are skipped, so that weight is the first
+    one below floor.
 
     The covering scan walks its (level, set) passes in order (see _passes)
     until the bound passes the weight counted, so every word of that weight
@@ -626,6 +612,10 @@ def _stack_counts(stack: _Stack, w: int, floor: int, least: bool = False) -> _Sc
         for pos, support, mult in _words(stack.lo[i], stack.hi[i], j, stack.width,
                                          kept if drops else None):
             batch = _weights_of(support)
+            if drops and not kept[pos].all():
+                pos, batch = pos[kept[pos]], batch[kept[pos]]
+                if not len(pos):
+                    continue
             low = batch.min(axis=1)
             if drops:
                 out = low < floor
@@ -662,7 +652,7 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
     is swept once.
     """
     if code.k == 0:
-        return WeightProfile(code.n, {0: 1}, complete=True)
+        return WeightProfile(code.n, {0: 1})
     half = code.k // 2
     width = code._cache.get("orbit_width", 0)
     _full_distribution_guard(code.k, width, allow_long)
@@ -671,12 +661,8 @@ def full_distribution(code: Code, allow_long: bool = False) -> WeightProfile:
     # row i of the first table has first-block digits i mod 3^width
     mult = np.resize(_negashift_orbit_sizes(width), lo_a.shape[0])
     counts = _sweep(lo_a, hi_a, lo_b, hi_b, mult, code.n)
-    profile = WeightProfile(
-        code.n,
-        {w: int(c) for w, c in enumerate(counts) if c},
-        complete=True,
-    )
-    if profile.total() != 3**code.k:
+    profile = WeightProfile(code.n, {w: int(c) for w, c in enumerate(counts) if c})
+    if sum(profile.counts.values()) != 3**code.k:
         raise InternalInconsistencyError("distribution total is not 3^k")
     return profile
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import naive
 import pytest
 
-from nega3 import build_generator, is_self_dual, min_weight, read_findings
+from nega3 import build_generator, is_self_dual, min_weight, neighbor_sweep, read_findings
 from nega3 import search, verify
 from nega3.cli import main
 
@@ -577,6 +577,15 @@ class TestNeighbor:
         assert len(out.splitlines()) == 33
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4e429023865aad2fd76a798e5cc4dc22652369e18ab9de5a4b280d5d5d3b50ed")
+
+    def test_sweep_stream_reads_back(self, capsys, registry):
+        # each finding names its parent, so the printed stream is the sweep's
+        rc, out, _ = run_cli(capsys, "neighbor", "--registry", "C2", "--sweep", "50",
+                             "--seed", "3")
+        want = list(neighbor_sweep(build_generator(registry.entry("C2").spec), 50, 3,
+                                   registry=registry, parent_label="C2"))
+        assert rc == 0 and want
+        assert read_findings(out.splitlines()) == want
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_sweep_budget_below_one(self, capsys, budget):

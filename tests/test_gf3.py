@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import naive
-from nega3 import Code, Gf3Vector, LengthMismatchError, extended_qr48, pless_symmetry
+from nega3 import Code, Gf3Vector, LengthMismatchError, build_generator, extended_qr48, pless_symmetry
 from nega3.gf3 import _dual_rows, _echelon, _entry_rows, _vectors
 from nega3.weights import _planes
 
@@ -283,8 +283,8 @@ class TestEntryRows:
 
     @pytest.fixture(scope="class")
     def codes(self, registry):
-        c1 = registry.entry("C1").build()
-        c48 = registry.entry("C48").build()
+        c1 = build_generator(registry.entry("C1").spec)
+        c48 = build_generator(registry.entry("C48").spec)
         p84 = pless_symmetry(41)  # (I | M), n = 84: two lanes
         return {
             "C1": c1,

@@ -148,7 +148,7 @@ class TestSpec:
         entries = [e for e in registry.entries.values() if e.x is not None]
         assert entries
         for e in entries:
-            moved = neighbor(registry.entry(e.parent).build(), e.x)
+            moved = neighbor(build_generator(registry.entry(e.parent).spec), e.x)
             reduced = Code(e.length, list(moved.basis))
             assert moved == reduced and hash(moved) == hash(reduced)
             assert moved._rows.dtype == reduced._rows.dtype == np.int8

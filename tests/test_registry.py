@@ -33,8 +33,6 @@ class TestLoad:
     def test_unknown_label(self, registry):
         with pytest.raises(RegistryError):
             registry.entry("C99")
-        with pytest.raises(RegistryError):
-            registry.gamma("Gamma99")
 
     def test_spot_vector_c1(self, registry):
         # first row of the first stored length-36 build, frozen digit by digit
@@ -97,17 +95,17 @@ class TestGammaSets:
         assert {180, 217, 271, 281} <= g
 
     def test_gamma48_1_multiplier(self, registry):
-        g = registry.gamma("Gamma48,1")
+        g = registry.gamma_sets["Gamma48,1"]
         assert g.alpha_multiplier == 48
         # rescaled into alpha/8 units for cross-set comparison
         assert g.beta8_members() == frozenset(6 * b for b in g.members)
 
     def test_origins(self, registry):
-        assert registry.gamma("Gamma36").origin == "found"
-        assert registry.gamma("Gamma48,5").origin == "found"
-        assert registry.gamma("Gamma60,3").origin == "found"
-        assert registry.gamma("Prior36A").origin == "prior"
-        assert registry.gamma("Gamma48,3").origin == "prior"
+        assert registry.gamma_sets["Gamma36"].origin == "found"
+        assert registry.gamma_sets["Gamma48,5"].origin == "found"
+        assert registry.gamma_sets["Gamma60,3"].origin == "found"
+        assert registry.gamma_sets["Prior36A"].origin == "prior"
+        assert registry.gamma_sets["Gamma48,3"].origin == "prior"
 
     def test_all_members_inside_admissible_range(self, registry):
         for g in registry.gamma_sets.values():

@@ -1416,15 +1416,20 @@ class TestNeighbor:
     @pytest.mark.parametrize("budget", [0, -5])
     def test_sweep_refuses_budget_below_one(self, parent, registry, budget):
         with pytest.raises(ValueError, match="budget of at least 1"):
-            neighbor_sweep(parent, budget, 1, registry=registry)
+            neighbor_sweep(parent, budget, 1, registry=registry, parent_label="C2")
 
     def test_sweep_refuses_at_the_call(self, parent, registry):
         # like the budget, before the first next()
         not_sd = Code(4, [Gf3Vector([1, 0, 0, 0]), Gf3Vector([0, 1, 0, 0])])
         with pytest.raises(NeighborCodeError):
-            neighbor_sweep(not_sd, 1, 1, registry=registry)
+            neighbor_sweep(not_sd, 1, 1, registry=registry, parent_label="not-sd")
         with pytest.raises(ValueError, match="unknown target"):
-            neighbor_sweep(parent, 1, 1, target="best", registry=registry)
+            neighbor_sweep(parent, 1, 1, target="best", registry=registry, parent_label="C2")
+
+    def test_sweep_needs_a_parent_label(self, parent, registry):
+        # without it, a finding's record would not read back
+        with pytest.raises(TypeError, match="parent_label"):
+            neighbor_sweep(parent, 1, 1, registry=registry)
 
 
 def _sweep_reference(c, budget, seed, target, registry):
@@ -1480,7 +1485,7 @@ class TestNeighborWindows:
         built = []
         real = Code._set
         monkeypatch.setattr(Code, "_set", lambda self, *args: built.append(1) or real(self, *args))
-        found = list(neighbor_sweep(parent, 130, 5, registry=registry))
+        found = list(neighbor_sweep(parent, 130, 5, registry=registry, parent_label="C2"))
         assert len(found) > 2 and not built
         neighbor(parent, registry.entry("x1").x)
         assert len(built) == 1
@@ -1495,14 +1500,14 @@ class TestNovelty:
         assert status.beta == 6
         assert "Gamma36" in status.found_sets
         assert status.known
-        assert report.new_betas() == []
+        assert [s.beta for s in report.statuses if not s.known] == []
 
     def test_new_beta(self, registry):
         report = novelty_report([_fake_finding(36, 9, 64, 8)], 36,
                                 registry=registry)
         (status,) = report.statuses
         assert not status.known
-        assert report.new_betas() == [8]
+        assert [s.beta for s in report.statuses if not s.known] == [8]
         assert not report.partial_knowledge
 
     def test_partial_knowledge_at_60(self, registry):
@@ -1547,7 +1552,8 @@ class TestFindingSerialization:
     def test_pickle_round_trip(self, parent, registry):
         # as the worker pool ships specs and findings: equal, hashes too
         found = list(run_search(SearchPlan(block_size=2), registry=registry))[:2]
-        found += list(neighbor_sweep(parent, budget=64, seed=5, registry=registry))[:1]
+        found += list(neighbor_sweep(parent, budget=64, seed=5, registry=registry,
+                                     parent_label="C2"))[:1]
         for value in [found[0].spec, *found]:
             back = pickle.loads(pickle.dumps(value))
             assert back == value and hash(back) == hash(value)
