@@ -24,7 +24,6 @@ from .gf3 import Code, Gf3Vector
 from .gleason import (
     AlphaConstraint,
     EnumeratorFamily,
-    IntPoly,
     alpha_constraint,
     gleason_basis,
     near_extremal_family,
@@ -84,7 +83,6 @@ __all__ = [
     "GammaSet",
     "Gf3Vector",
     "GuardError",
-    "IntPoly",
     "InternalInconsistencyError",
     "LengthMismatchError",
     "Nega3Error",

@@ -10,6 +10,9 @@ Exit codes are part of the interface and stay stable:
     3  resource guard: the request implies a computation past the default
        budget; the printed message carries the estimate and the flag that
        overrides it
+  141  stdout was closed before all of it was written (a reader such as
+       `head` exited); nothing is printed, the status a shell gives a
+       writer ended by SIGPIPE
 
 Machine-readable output (one JSON object per line) goes to stdout; all
 human-facing summaries go to stderr, so pipelines can consume findings
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -149,17 +153,14 @@ def cmd_gleason(args) -> int:
     exponents = range(0, args.n + 1, 3)
     if args.alpha is None:
         for e in exponents:
-            print(f"{e} {family.base.coefficient(e)} {family.direction.coefficient(e)}")
+            print(f"{e} {family.base.get(e, 0)} {family.direction.get(e, 0)}")
         return 0
-    poly = family.at(args.alpha)
+    counts = family.at(args.alpha)
     for e in exponents:
-        print(f"{e} {poly.coefficient(e)}")
-    negative = poly.negative_exponents()
+        print(f"{e} {counts.get(e, 0)}")
+    negative = ", ".join(str(e) for e in exponents if counts.get(e, 0) < 0)
     if negative:
-        _say(
-            f"alpha={args.alpha} is infeasible: negative coefficients at weights "
-            + ", ".join(str(e) for e in negative)
-        )
+        _say(f"alpha={args.alpha} is infeasible: negative coefficients at weights {negative}")
     try:
         rng = alpha_constraint(args.n)
         _say(
@@ -309,7 +310,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:  # the reader of stdout has gone, as under | head
+        devnull = os.open(os.devnull, os.O_WRONLY)  # so the exit's own flush stays quiet
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except _Usage as exc:
         _say(f"usage error: {exc}")
         return 2

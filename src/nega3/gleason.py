@@ -13,92 +13,59 @@ base + alpha * direction, alpha being the number of words of weight n/4.
 The basis is unit lower-triangular at weights 0, 3, ..., 3m (m = n/12), so
 the family comes by forward substitution over the integers; no floating
 point or division enters anywhere.
+
+Every enumerator here is a dict weight -> coefficient with the zero
+coefficients dropped, the form of WeightProfile.counts, so a measured
+distribution matches a member of the family exactly when the two dicts are
+equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import InternalInconsistencyError
 
 
-class IntPoly:
-    """A sparse univariate polynomial with exact integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        c = {e: int(v) for e, v in (coeffs or {}).items() if v}
-        self.coeffs = c
-
-    def coefficient(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self.coeffs.items())
-
-    def negative_exponents(self) -> list[int]:
-        return sorted(e for e, v in self.coeffs.items() if v < 0)
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        out = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            out[e] = out.get(e, 0) + v
-        return IntPoly(out)
-
-    def scale(self, c: int) -> "IntPoly":
-        return IntPoly({e: c * v for e, v in self.coeffs.items()})
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        out: dict[int, int] = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + v1 * v2
-        return IntPoly(out)
-
-    def __pow__(self, k: int) -> "IntPoly":
-        out = IntPoly({0: 1})
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "IntPoly(0)"
-        parts = [f"{v}*y^{e}" for e, v in self.items()]
-        return "IntPoly(" + " + ".join(parts) + ")"
+G4 = {0: 1, 3: 8}
+G12 = {3: 1, 6: -3, 9: 3, 12: -1}
 
 
-G4 = IntPoly({0: 1, 3: 8})
-G12 = IntPoly({3: 1}) * (IntPoly({0: 1, 3: -1}) ** 3)
+def _times(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """The product p * q of two enumerators."""
+    out: dict[int, int] = {}
+    for e1, v1 in p.items():
+        for e2, v2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
 
 
-def gleason_basis(n: int) -> list[IntPoly]:
+def _plus(p: dict[int, int], c: int, q: dict[int, int]) -> dict[int, int]:
+    """The enumerator p + c * q, a new dict."""
+    out = dict(p)
+    for e, v in q.items():
+        out[e] = out.get(e, 0) + c * v
+    return {e: v for e, v in out.items() if v}
+
+
+def gleason_basis(n: int) -> list[dict[int, int]]:
     """The products g4^a * g12^b with 4a + 12b = n, b ascending."""
     if n <= 0 or n % 4:
         raise ValueError(f"length {n} does not support ternary self-dual codes")
-    return [(G4 ** ((n - 12 * b) // 4)) * (G12**b) for b in range(n // 12 + 1)]
+    return [reduce(_times, [G4] * ((n - 12 * b) // 4) + [G12] * b, {0: 1})
+            for b in range(n // 12 + 1)]
 
 
-def _fit(basis: list[IntPoly], want: list[int]) -> IntPoly:
+def _fit(basis: list[dict[int, int]], want: list[int]) -> dict[int, int]:
     """The basis combination whose coefficients at y^0, y^3, ..., y^(3m) are
     want, by forward substitution: basis[b] is y^(3b) plus higher terms, so
     adding a multiple of it fixes the coefficient at y^(3b) and leaves the
     lower ones alone."""
-    out = IntPoly()
+    out: dict[int, int] = {}
     for b, p in enumerate(basis):
-        out = out + p.scale(want[b] - out.coefficient(3 * b))
-    if [out.coefficient(3 * b) for b in range(len(basis))] != want:
+        out = _plus(out, want[b] - out.get(3 * b, 0), p)
+    if [out.get(3 * b, 0) for b in range(len(basis))] != want:
         raise InternalInconsistencyError("forward substitution missed its targets")
     return out
 
@@ -106,14 +73,17 @@ def _fit(basis: list[IntPoly], want: list[int]) -> IntPoly:
 @dataclass(frozen=True)
 class EnumeratorFamily:
     """The one-parameter enumerator family base + alpha * direction for
-    length-n codes whose smallest nonzero weight is n/4."""
+    length-n codes whose smallest nonzero weight is n/4.  near_extremal_family
+    hands the same base and direction to every caller, so they are read,
+    not changed; at(alpha) returns a new dict."""
 
     n: int
-    base: IntPoly
-    direction: IntPoly
+    base: dict[int, int]
+    direction: dict[int, int]
 
-    def at(self, alpha: int) -> IntPoly:
-        return self.base + self.direction.scale(alpha)
+    def at(self, alpha: int) -> dict[int, int]:
+        """The enumerator at this count of minimum-weight words."""
+        return _plus(self.base, alpha, self.direction)
 
 
 @lru_cache(maxsize=None)

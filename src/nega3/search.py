@@ -581,9 +581,10 @@ class _CheckpointLog:
     replaced by the one line {"version": 2, "plan": ..., "complete": true,
     "findings": [...]} holding the merged stream.  Reading validates the
     header and each unit line and parses every finding record
-    (Finding.from_record), a bad one refused with ValueError naming the
-    file and line before any unit runs; a final line torn by a kill is
-    dropped, and cut off before the next append.
+    (Finding.from_record), a bad one, or a unit that is not an int or is
+    logged twice, refused with ValueError naming the file and line before
+    any unit runs; a final line torn by a kill is dropped, and cut off
+    before the next append.
     """
 
     def __init__(self, path: Path | None, plan: SearchPlan):
@@ -623,11 +624,14 @@ class _CheckpointLog:
         for number, line in enumerate(lines[1:], start=2):
             try:
                 rec = json.loads(line)
-                records = rec["findings"]
-                self.done[rec["unit"]] = [Finding.from_record(r) for r in records], records
+                unit, records = rec["unit"], rec["findings"]
+                findings = [Finding.from_record(r) for r in records]
             except (ValueError, TypeError, KeyError):
+                unit = None
+            if type(unit) is not int or unit in self.done:  # no float, bool or repeat
                 raise ValueError(f"checkpoint {path}, line {number}: not a unit record "
-                                 '{"unit": ..., "findings": [...]}') from None
+                                 '{"unit": ..., "findings": [...]}')
+            self.done[unit] = findings, records
 
     def __enter__(self) -> "_CheckpointLog":
         if self.path is None:

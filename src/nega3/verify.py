@@ -160,12 +160,9 @@ def _gleason_check(code: Code, d: int, alpha: int, cls: ExtremalityClass,
     family = near_extremal_family(n)
     if deep:
         dist = full_distribution(code, allow_long=allow_long)
-        poly = family.at(0 if cls is ExtremalityClass.EXTREMAL else alpha)
-        return all(dist.counts.get(e, 0) == c for e, c in poly.items()) and all(
-            c == 0 for w, c in dist.counts.items() if w not in poly.coeffs
-        )
+        return dist.counts == family.at(0 if cls is ExtremalityClass.EXTREMAL else alpha)
     if cls is ExtremalityClass.EXTREMAL:
-        return alpha == family.at(0).coefficient(d)
+        return alpha == family.base.get(d, 0)
     try:
         rng = alpha_constraint(n)
     except ValueError:

@@ -13,7 +13,14 @@ from pathlib import Path
 import naive
 import pytest
 
-from nega3 import build_generator, is_self_dual, min_weight, neighbor_sweep, read_findings
+from nega3 import (
+    WeightProfile,
+    build_generator,
+    is_self_dual,
+    min_weight,
+    neighbor_sweep,
+    read_findings,
+)
 from nega3 import search, verify
 from nega3.cli import main
 
@@ -112,6 +119,41 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify", "--deep", "--registry", "C1")
         assert rc == 0
         assert "Gleason-consistent (full distribution)" in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda counts: counts.update({12: counts[12] + 1}),  # one count off by one
+        lambda counts: counts.update({12: counts[12] - 1}),
+        lambda counts: counts.update({10: 1}),  # a weight the family lacks
+        lambda counts: counts.pop(36),  # a weight of the family missing
+    ], ids=["plus-one", "minus-one", "extra-weight", "missing-weight"])
+    def test_deep_mismatch(self, capsys, monkeypatch, edit):
+        real = verify.full_distribution
+
+        def tampered(code, allow_long=False):
+            profile = real(code, allow_long=allow_long)
+            counts = dict(profile.counts)
+            edit(counts)
+            return WeightProfile(profile.n, counts)
+
+        monkeypatch.setattr(verify, "full_distribution", tampered)
+        rc, out, _ = run_cli(capsys, "verify", "--deep", "--registry", "C1")
+        assert rc == 1
+        assert out == ("C1: self-dual, d=9, alpha=48, beta=6, near-extremal, "
+                       "GLEASON MISMATCH\n")
+
+    @pytest.mark.parametrize("label, alpha, consistent", [
+        # the near-extremal check: alpha = 8 beta, beta in [1, 111] at n = 36
+        ("C1", 8 * 111, True), ("C1", 8 * 112, False), ("C1", 8 * 6 + 1, False),
+        # the extremal check: the family forces A_12 = 42840 at n = 36
+        ("C36", 42840, True), ("C36", 42840 + 8, False), ("C36", 42840 - 8, False),
+    ])
+    def test_cheap_check_against_the_family(self, capsys, monkeypatch, label, alpha,
+                                            consistent):
+        monkeypatch.setattr(verify, "count_weight", lambda code, w: alpha)
+        rc, out, _ = run_cli(capsys, "verify", "--registry", label)
+        assert out.endswith(", Gleason-consistent\n" if consistent else ", GLEASON MISMATCH\n")
+        if not consistent:
+            assert rc == 1
 
     @pytest.mark.long
     def test_deep_allow_long_c48(self, capsys):
@@ -350,6 +392,23 @@ class TestSearch:
         assert resumed.splitlines() == whole.splitlines()
         assert len(whole.splitlines()) == 468
 
+    def test_closed_pipe_and_resume(self, tmp_path, capsys):
+        # the same shard's 468 findings overflow a pipe's buffer, so the
+        # writes after the first line meet a pipe with no reader: exit 141,
+        # nothing on stderr, and the log resumes to the whole stream
+        path = tmp_path / "ck.json"
+        argv = ["search", "--n", "4", "--partition", "0/256"]
+        first, rc, err = _cut_after_one_line([*argv, "--checkpoint", str(path)])
+        assert (rc, err) == (141, "")
+        assert "complete" not in json.loads(path.read_text().splitlines()[0])
+
+        rc, resumed, _ = run_cli(capsys, *argv, "--checkpoint", str(path))
+        assert rc == 0
+        rc, whole, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert resumed == whole
+        assert first == whole.splitlines(keepends=True)[0]
+
     def test_exhaustive_resume_ignores_seed_and_budget(self, tmp_path, capsys):
         # an exhaustive run ignores --seed and --budget, so its log records
         # neither, and a rerun resumes it with other values or none
@@ -388,7 +447,16 @@ class TestSearch:
       + [({}, json.dumps({"unit": 4, "findings": [rec]}), "line 2: not a unit record")
          for rec in _BAD_FIELDS]
       + [({"complete": True, "findings": [rec]}, "",
-          "line 1: complete, but its findings are not finding records") for rec in _BAD_FIELDS])
+          "line 1: complete, but its findings are not finding records") for rec in _BAD_FIELDS]
+      + [
+        # a unit is an int, logged once: 4.0 or true would replay as a unit
+        # number, and a second line would replace the first one's findings
+        ({}, '{"unit": 4.0, "findings": []}', "line 2: not a unit record"),
+        ({}, '{"unit": true, "findings": []}', "line 2: not a unit record"),
+        ({}, '{"unit": "4", "findings": []}', "line 2: not a unit record"),
+        ({}, '{"unit": 4, "findings": []}\n{"unit": 4, "findings": []}',
+         "line 3: not a unit record"),
+    ])
     def test_checkpoint_without_its_records_is_usage(self, tmp_path, capsys, monkeypatch, header,
                                                      line, want):
         def refuse(*args):
@@ -436,15 +504,32 @@ class TestSearch:
         assert whole
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+
+def _cut_after_one_line(argv):
+    """Run nega3 with argv in a child process and close the read end of its
+    stdout pipe once the first line is read; return that line, the exit
+    status and stderr."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "nega3.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    ) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+    return first.decode(), child.returncode, err.decode()
+
+
 def _killed_run(path, argv):
     """Run nega3 with argv and a checkpoint at path in a child process,
     SIGKILL it once a unit is logged, and return the whole logged unit
     lines (a line torn by the kill is left out)."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), os.environ.get("PYTHONPATH", "")]))
     with subprocess.Popen(
         [sys.executable, "-m", "nega3.cli", *argv, "--checkpoint", str(path)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=_child_env(),
     ) as child:
         try:
             deadline = time.monotonic() + 60
@@ -458,6 +543,9 @@ def _killed_run(path, argv):
     header, *units = map(json.loads, text[: text.rfind("\n")].splitlines())
     assert "complete" not in header
     return units
+
+
+_EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
 
 
 def _whole_lines(path):
@@ -506,6 +594,50 @@ class TestGleason:
         rc, _, err = run_cli(capsys, "gleason", "--n", "35")
         assert rc == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize("argv, out_digest, err_digest", [
+        (["--n", str(12 * (i + 1))], digest, _EMPTY_DIGEST) for i, digest in enumerate([
+            "78f114af44ca343baab0eb5a0afdb2793e6b1a65d6d85e57e92ee1fe1171723d",
+            "1fc5df8cdc1b55ee1ddd0edb7b47442da04af77429165fb2778a7c160619110a",
+            "5f9e1439a0ffdb4b3864a57c4fc5bf971f81fa2b349f2a6ac78631160df9a224",
+            "6ca9a957e8778907c341fc5166202b20ccc2d04a1ee782726516483659536815",
+            "c950157632f00d788546ed4f7216c7e8ff1d2b6c0e1102568edbe5b20555391a",
+            "f5d72fea0fda9644dedf5843e2c8fd65f24a02febe7a1a7ac212216611391593",
+            "2e8b60697cafb2004625306022af1cd8119cf1ca32f476c19b82d5989db1b686",
+            "badb2b51ba94dc6c15ef985caed68299aee69c83f299da13df3e92630f7d1dd8",
+            "5170d7d6dec0d8b1f2608e04f3b132fa141280a158a292bf0c15063a6526d09d",
+            "f1033db1c3c92b066a8191239e897463c8a4996bdfd854d2ba5f949e93cfa858",
+            "75cf14e988a5e02185f508db54491cb3cfc4b57d407e7309ee21514a479032b5",
+            "0f6f8ed423d0d4dfb088ca0ec11650c0a44747cd11bf23abb0b8664a1f6534a1",
+        ])
+    ] + [
+        (["--n", "36", "--alpha", "0"],
+         "4014a308ce03294a201fd040825ca121cd9a9c0473a5bd79f6243fa0a9109b45",
+         "f6cd25cf66f5c35eee102087f21446ac1bd0605a34f1dc56e75c16dc3283cec0"),
+        (["--n", "36", "--alpha", "8"],
+         "55b4c09648f5ea1279af46eb0172b6f311f7479bea4ac43cc5cb05284fc70a1f",
+         "f6cd25cf66f5c35eee102087f21446ac1bd0605a34f1dc56e75c16dc3283cec0"),
+        (["--n", "36", "--alpha", "48"],
+         "fce9b4d4a74f46fd2c6d6ab6e018af4899211fb8206c1b5bf2c4cd7744900437",
+         "f6cd25cf66f5c35eee102087f21446ac1bd0605a34f1dc56e75c16dc3283cec0"),
+        (["--n", "36", "--alpha", "8880"],
+         "0892f618644aed7f4eaa7013f5a82e791ad15ac48c8ac736291f6278b67a1e97",
+         "213f71c2bee2967946c8ce7037f7c6388eabdea53cbdce90d7d2d271a1b5bd50"),
+        (["--n", "48", "--alpha", "8"],
+         "ce79a037432dd193d7b2e5b8734280665bafa4d4d6fa2ac9116081f4295d4271",
+         "c66d767efc6346d8d378fc148b10b10f75642297a4dfeb1d3df58de4ac4b2316"),
+        (["--n", "72", "--alpha", "115728"],
+         "0e5fba59b9cdda19a2420cc3a6a309e0cce10af0ac913d0199cfa726abb9ecd2",
+         "b035b3347391a5c6194a26b5a74309d552f3b9ccf46d7d98b3adea9533b788b0"),
+    ])
+    def test_output_pinned(self, capsys, argv, out_digest, err_digest):
+        # the sha256 of stdout and of stderr, byte for byte: the table mode
+        # at every length from 12 to 144, and the instances whose stderr
+        # carries the admissible range or the infeasibility note
+        rc, out, err = run_cli(capsys, "gleason", *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(err.encode()).hexdigest() == err_digest
 
 
 class TestNeighbor:
@@ -620,6 +752,28 @@ class TestPlumbing:
         rc, _, err = run_cli(capsys)
         assert rc == 2
         assert "usage" in err
+
+    def test_closed_pipe_after_one_line(self, capsys):
+        # nega3 search ... | head -1: 141, the status of a writer ended by
+        # SIGPIPE, and no error message
+        argv = ["search", "--n", "4", "--partition", "0/256"]
+        first, rc, err = _cut_after_one_line(argv)
+        assert (rc, err) == (141, "")
+        assert first == run_cli(capsys, *argv)[1].splitlines(keepends=True)[0]
+
+    @pytest.mark.parametrize("argv", [["verify", "--all"], ["gleason", "--n", "144"]])
+    def test_pipe_without_a_reader(self, argv):
+        # these outputs fit a pipe's buffer, so the read end is closed before
+        # the child starts: the first write fails, or for gleason, whose
+        # stdout is block-buffered, the flush before exit
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run([sys.executable, "-m", "nega3.cli", *argv], stdout=write,
+                                   stderr=subprocess.PIPE, env=_child_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (141, b"")
 
     def test_console_script(self):
         proc = subprocess.run(

@@ -86,30 +86,30 @@ class TestFamilies:
     def test_reference_coefficients(self, n, table, complete):
         fam = near_extremal_family(n)
         for e, (base, direction) in table.items():
-            assert fam.base.coefficient(e) == base, (n, e)
-            assert fam.direction.coefficient(e) == direction, (n, e)
+            assert fam.base.get(e, 0) == base, (n, e)
+            assert fam.direction.get(e, 0) == direction, (n, e)
         if complete:
             # nothing outside the frozen support
-            assert set(fam.base.coeffs) <= set(table)
-            assert set(fam.direction.coeffs) <= set(table)
+            assert set(fam.base) <= set(table)
+            assert set(fam.direction) <= set(table)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_coefficient_sums(self, n):
         fam = near_extremal_family(n)
-        assert sum(fam.base.coeffs.values()) == 3 ** (n // 2)
-        assert sum(fam.direction.coeffs.values()) == 0
+        assert sum(fam.base.values()) == 3 ** (n // 2)
+        assert sum(fam.direction.values()) == 0
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_support_is_multiples_of_three(self, n):
         fam = near_extremal_family(n)
-        for e in sorted(fam.base.coeffs) + sorted(fam.direction.coeffs):
+        for e in sorted(fam.base) + sorted(fam.direction):
             assert e % 3 == 0
             assert 0 <= e <= n
         # no weights strictly between 0 and the class minimum
         low = 3 * (n // 12)
-        for e in sorted(fam.base.coeffs):
+        for e in sorted(fam.base):
             assert e == 0 or e >= low
-        for e in sorted(fam.direction.coeffs):
+        for e in sorted(fam.direction):
             assert e >= low
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -118,8 +118,8 @@ class TestFamilies:
         # direction (0, ..., 0, 1)
         m = n // 12
         fam = near_extremal_family(n)
-        assert [fam.base.coefficient(3 * j) for j in range(m + 1)] == [1] + [0] * m
-        assert [fam.direction.coefficient(3 * j) for j in range(m + 1)] == [0] * m + [1]
+        assert [fam.base.get(3 * j, 0) for j in range(m + 1)] == [1] + [0] * m
+        assert [fam.direction.get(3 * j, 0) for j in range(m + 1)] == [0] * m + [1]
 
     def test_unsupported_length(self):
         with pytest.raises(ValueError):
@@ -129,30 +129,30 @@ class TestFamilies:
 
     def test_distribution_from_alpha(self):
         poly = near_extremal_family(36).at(48)
-        assert poly.coefficient(9) == 48
-        assert poly.coefficient(12) == 42840 - 9 * 48
-        assert poly.negative_exponents() == []
+        assert poly.get(9, 0) == 48
+        assert poly.get(12, 0) == 42840 - 9 * 48
+        assert min(poly.values()) >= 0
 
 
 class TestBasis:
     def test_length4_is_the_tetracode_enumerator(self):
         (g,) = gleason_basis(4)
         tetra = naive.distribution([[1, 0, 1, 1], [0, 1, 1, 2]])
-        assert {e: c for e, c in g.items()} == tetra
+        assert g == tetra
 
     def test_length12_spans_golay(self):
         # the base of the length-12 family is the unique enumerator with no
         # weight-3 words: the extended Golay one
         fam = near_extremal_family(12)
         golay = fam.at(0)
-        assert {e: c for e, c in golay.items()} == {0: 1, 6: 264, 9: 440, 12: 24}
+        assert golay == {0: 1, 6: 264, 9: 440, 12: 24}
 
     @pytest.mark.parametrize("n", range(4, 145, 4))
     def test_unit_lower_triangular(self, n):
         # basis[b] is y^(3b) plus higher terms, which forward substitution needs
         basis = gleason_basis(n)
         for b, p in enumerate(basis):
-            assert [p.coefficient(3 * j) for j in range(b + 1)] == [0] * b + [1], (n, b)
+            assert [p.get(3 * j, 0) for j in range(b + 1)] == [0] * b + [1], (n, b)
 
     def test_basis_dimensions(self):
         assert len(gleason_basis(12)) == 2
@@ -180,11 +180,11 @@ class TestAlphaConstraint:
         # the ends; one step past each end a coefficient goes negative
         fam = near_extremal_family(n)
         c = alpha_constraint(n)
-        assert fam.at(8 * c.beta_min).negative_exponents() == []
-        assert fam.at(8 * c.beta_max).negative_exponents() == []
-        assert fam.at(8 * (c.beta_max + 1)).negative_exponents() != []
+        assert min(fam.at(8 * c.beta_min).values()) >= 0
+        assert min(fam.at(8 * c.beta_max).values()) >= 0
+        assert min(fam.at(8 * (c.beta_max + 1)).values()) < 0
         if c.beta_min > 1:  # a lower bound above 1 must also be forced
-            assert fam.at(8 * (c.beta_min - 1)).negative_exponents() != []
+            assert min(fam.at(8 * (c.beta_min - 1)).values()) < 0
 
     def test_unsupported_length(self):
         with pytest.raises(ValueError):
@@ -196,4 +196,4 @@ class TestAgainstRealCodes:
         c = Code(4, [Gf3Vector([1, 0, 1, 1]), Gf3Vector([0, 1, 1, 2])])
         wp = full_distribution(c)
         (g,) = gleason_basis(4)
-        assert wp.counts == {e: v for e, v in g.items()}
+        assert wp.counts == g
