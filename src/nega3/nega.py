@@ -82,6 +82,13 @@ class CodeSpec:
 # sum_t a_t * b_t^*, whose coefficient j is a dotted with block row j of b.
 # (I | M) generates a self-dual code iff the block Gram matrix of M is -I:
 #   sum_t r_{i,t} * r_{j,t}^*  =  2 * [i == j]   for 1 <= i <= j <= 3.
+# Two such rows fix the third up to a ring multiple.  The blockwise cross
+# product a x b has sum_t a_t (a x b)_t = 0, and the Binet-Cauchy identity
+# gives it the norm <a, a><b, b> - <a, b><b, a> = 2 * 2 - 0 = 1 (mod 3),
+# so g = conj(r1 x r2), conjugated block by block, completes r1, r2 to an
+# orthogonal basis of R_n^3 with unit norms, and the rows orthogonal to r1
+# and r2 are exactly the u * g, of norm u u^*.  So the third rows are the
+# u * g for u in V_n = {u in R_n : u u^* = 2 = -1}, none at odd n.
 
 
 @functools.cache
@@ -125,12 +132,47 @@ def _block_gram(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     broadcast over the leading axes, as coefficients mod 3 of shape (..., n).
 
     Sums of 3n products up to 4 overflow int8 past n = 10, so they run in
-    int16, or in float32 for a single row b, to use one BLAS product: both
-    are exact below n = 2730."""
-    rows = _block_rows(b, n)
-    if b.ndim == 1:
-        return np.matmul(a, rows.T, dtype=np.float32).astype(np.int16) % 3
-    return np.matmul(rows, a[..., None], dtype=np.int16)[..., 0] % 3
+    int16, exact below n = 2730."""
+    return np.matmul(_block_rows(b, n), a[..., None], dtype=np.int16)[..., 0] % 3
+
+
+def _block_conj(rows: np.ndarray, n: int) -> np.ndarray:
+    """b^*(x) = b(x^-1) for each width-n block b of int8 first rows (...,
+    3n): coefficient j of b^* is b_0 at j = 0 and -b_(n-j) past it, mod 3."""
+    j = np.arange(n)
+    sign = np.where(j > 0, -1, 1).astype(np.int8)
+    return (rows.reshape(*rows.shape[:-1], 3, n)[..., -j % n] * sign).reshape(rows.shape) % 3
+
+
+def _block_cross(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The cross product a x b over R_n of int8 first rows of shape (...,
+    3n), broadcast over the leading axes, mod 3: block t is a_(t+1)
+    b_(t+2) - a_(t+2) b_(t+1), block indices mod 3.  The product a_s b_t is
+    a_s dotted with block t of b's block rows."""
+    blocks = _block_rows(b, n).reshape(*b.shape[:-1], n, 3, n).swapaxes(-3, -2)
+    a = a.reshape(*a.shape[:-1], 3, 1, 1, n)
+    prod = np.matmul(a, blocks[..., None, :, :, :], dtype=np.int16)[..., 0, :]  # (..., s, t, n)
+    s, t = [1, 2, 0], [2, 0, 1]
+    cross = prod[..., s, t, :] - prod[..., t, s, :]
+    return (cross.reshape(*cross.shape[:-2], 3 * n) % 3).astype(np.int8)
+
+
+@functools.cache
+def _norm_two_elements(n: int) -> np.ndarray:
+    """V_n = {u in R_n : u u^* = 2 = -1} as read-only int8 rows (|V_n|, n)
+    in ascending f order: 4, 8, 36, 80 and 320 elements at n = 2, 4, 6, 8
+    and 10, none at odd n.  Brute force over the 3^n elements, 4096 at a
+    time, each as the first row (u, 0, 0) of _block_gram."""
+    out = []
+    for start in range(0, 3**n, 4096):
+        f = np.arange(start, min(start + 4096, 3**n))
+        u = (f[:, None] // 3 ** np.arange(n) % 3).astype(np.int8)
+        row = np.pad(u, ((0, 0), (0, 2 * n)))
+        gram = _block_gram(row, row, n)
+        out.append(u[(gram[:, 0] == 2) & ~gram[:, 1:].any(axis=1)])
+    table = np.concatenate(out)
+    table.flags.writeable = False
+    return table
 
 
 def row_gram_is_two(block_size: int, r: Gf3Vector) -> bool:

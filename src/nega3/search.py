@@ -9,11 +9,14 @@ hard before any code is settled:
   with 1, in non-increasing f-value order (f reads a vector as a base-3
   integer, first entry least significant), and the 3^n words of its
   generator rows (e_i | block row i) must clear the target weight;
-- r2 is taken from the dual of the block rows of r1, r3 from the dual of
-  the block rows of r1 and r2 (_DualSpace, listed in ascending f order up
-  to the f-value of the row above);
-- r1, r2 and r3 pass one batched row predicate, _admissible: a leading 1,
-  weight 2 mod 3 and at least d - 1, and the diagonal Gram identity.
+- r2 is taken from the dual of the block rows of r1 (_DualSpace, listed in
+  ascending f order up to f(r1)), and r3 from the ring multiples u * g of
+  g = conj(r1 x r2) with u u^* = -1, which are exactly the norm-2 rows
+  orthogonal to r1 and r2 (nega._block_cross, nega._norm_two_elements),
+  kept below f(r2);
+- r1 and r2 pass one batched row predicate, _admissible: a leading 1,
+  weight 2 mod 3 and at least d - 1, and the diagonal Gram identity; r3
+  has that identity by construction and is tested for the rest.
 
 A sampled group of trials draws one self-dual M per trial uniformly in the
 ring R_n, the group's batches tested together (_ring_draws), and moves each
@@ -65,8 +68,8 @@ from .errors import (
     RegistryError,
 )
 from .gf3 import Code, Gf3Vector, _code, _dual_rows, _echelon, _entry_rows, _vectors
-from .nega import (CodeSpec, _at_least, _block_gram, _block_rows, _negashift_table, _walk_form,
-                   f_value)
+from .nega import (CodeSpec, _at_least, _block_conj, _block_cross, _block_gram, _block_rows,
+                   _f_keys, _negashift_table, _norm_two_elements, _walk_form, f_value)
 from .registry import Registry, load_registry
 from .weights import (_CHUNK, _STACK, _orbit_shape, _settle, _tile_stack, ms_bound,
                       near_extremal_weight)
@@ -427,31 +430,45 @@ def _unit_rows(plan: SearchPlan, unit: int) -> np.ndarray:
     Exhaustive mode takes r1 = _digits(unit, 3n) and every admissible r2,
     r3.  r1 passes the row predicate (_admissible) and the minimum-weight
     prune of its subcode (_d_prune_survives); both only drop candidates
-    that could never verify.  The r3 space of an r2 is the dual D1 of r1's
-    block rows cut down to the rows orthogonal to r2's block rows, under
-    the ceiling f(r3) <= f(r2) <= f(r1), and r2 and r3 pass the same row
-    predicate.  So the r3 of an r2 are admissible r2 themselves: one
-    batched walk over D1 up to f(r1) (_DualSpace.members) lists those in
-    ascending f, and the r3 of the i-th are those of the first i + 1 whose
-    cross identity with it, nega._block_gram(r3, r2, m) = 0, holds.  Their
-    indices fill one preallocated array.
+    that could never verify.  r2 runs over the dual D1 of r1's block rows
+    up to f(r1), in one batched walk (_DualSpace.members) that keeps the
+    admissible rows in ascending f.  The rows orthogonal to r1 and r2 with
+    norm 2 are the u * g for u in V_n, g = conj(r1 x r2) (the ring comment
+    in nega), so the r3 of an r2 are those with a leading 1, the row-weight
+    rule and f(r3) < f(r2), ordered by f.  The r2 go in slices of at most
+    _CHUNK / (4 |V_n|), so that at most _CHUNK / 4 candidates are held.
     """
     m = plan.block_size
     width = 3 * m
     d = plan.target_min_weight
     row1 = _digits(unit, width)
-    if not (_admissible(row1[None], d, m)[0] and _d_prune_survives(row1, m, d)):
+    scalars = _norm_two_elements(m)  # V_n, empty at odd n
+    if not (len(scalars) and _admissible(row1[None], d, m)[0]
+            and _d_prune_survives(row1, m, d)):
         return np.empty((0, 3, width), np.int8)
     rows = np.concatenate([vals[_admissible(vals, d, m)] for vals
                            in _DualSpace(_block_rows(row1, m)).members(unit)])
-    r3 = [np.flatnonzero(~_block_gram(rows[: i + 1], rows[i], m).any(axis=1))
-          for i in range(len(rows))]
-    r2 = np.repeat(np.arange(len(rows)), [len(k) for k in r3])
-    r3 = np.concatenate(r3) if r3 else r2  # both empty when no row is admissible
-    out = np.empty((len(r2), 3, width), np.int8)
+    keys = _f_keys(rows)
+    step = max(1, _CHUNK // (4 * len(scalars)))
+    parts = []  # per slice: the r2 indices and the r3 of their specs
+    for s in range(0, len(rows), step):
+        g = _block_conj(_block_cross(row1, rows[s : s + step], m), m)
+        r3 = np.matmul(scalars, _block_rows(g, m), dtype=np.int16).reshape(-1, width) % 3
+        r3 = r3.astype(np.int8)
+        r2 = np.repeat(np.arange(s, s + len(g)), len(scalars))
+        ok = (_lead(r3) == 1) & _weight_passes(np.count_nonzero(r3, axis=1), d)
+        r2, r3 = r2[ok], r3[ok]
+        r3_keys = _f_keys(r3)
+        ok = ~_at_least(r3_keys, keys[r2])
+        order = np.lexsort(np.vstack((r3_keys[ok].T, r2[ok])))  # by r2, then f(r3)
+        parts.append((r2[ok][order], r3[ok][order]))
+    out = np.empty((sum(len(r2) for r2, _ in parts), 3, width), np.int8)
     out[:, 0] = row1
-    out[:, 1] = rows[r2]
-    out[:, 2] = rows[r3]
+    pos = 0
+    for r2, r3 in parts:  # filled slice by slice, so no whole-unit temporaries
+        out[pos : pos + len(r2), 1] = rows[r2]
+        out[pos : pos + len(r2), 2] = r3
+        pos += len(r2)
     return out
 
 

@@ -60,6 +60,28 @@ def row_pair_gram(m, a, b):
     return acc
 
 
+def row_conj(m, a):
+    """Each width-m block of a first row conjugated (nega_conj)."""
+    return [e for t in range(3) for e in nega_conj(a[t * m:(t + 1) * m])]
+
+
+def ring_cross(m, a, b):
+    """The cross product a x b of two first rows over F_3[x]/(x^m + 1):
+    block t is a_(t+1) b_(t+2) - a_(t+2) b_(t+1), block indices mod 3."""
+    blocks_a = [a[t * m:(t + 1) * m] for t in range(3)]
+    blocks_b = [b[t * m:(t + 1) * m] for t in range(3)]
+    out = []
+    for t in range(3):
+        s, u = (t + 1) % 3, (t + 2) % 3
+        out += vadd(nega_mul(blocks_a[s], blocks_b[u]), vneg(nega_mul(blocks_a[u], blocks_b[s])))
+    return out
+
+
+def ring_scale(m, u, a):
+    """The ring element u times each width-m block of a first row."""
+    return [e for t in range(3) for e in nega_mul(u, a[t * m:(t + 1) * m])]
+
+
 def plane(v, value):
     """The bit plane of v for one entry value, as an integer: bit i is set
     where entry i equals value."""

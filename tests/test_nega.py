@@ -20,7 +20,9 @@ from nega3 import (
     self_dual_violations,
 )
 from nega3.gf3 import Code, Gf3Vector
-from nega3.nega import _block_gram, _block_rows, row_gram_is_two
+from nega3.nega import (_block_conj, _block_cross, _block_gram, _block_rows, _norm_two_elements,
+                        row_gram_is_two)
+from nega3.search import _ring_draws
 
 
 def _rand_vec(rng, n):
@@ -243,6 +245,51 @@ class TestSelfDuality:
                 pairs = itertools.product(naive.block_rows(m, rows[j]),
                                           naive.block_rows(m, rows[j - 1]))
                 assert (not any(want[j][j - 1])) == all(naive.vdot(u, v) == 0 for u, v in pairs)
+
+
+class TestThirdRow:
+    """The third row in closed form: g = conj(r1 x r2) has norm 1 and is
+    orthogonal to r1 and r2, so the third rows are the u * g for u in V_n =
+    {u : u u^* = -1}, against the list versions in naive."""
+
+    def test_cross_and_conj_match_reference(self):
+        # all pairs by broadcasting, one row with a batch, row with row
+        rng = random.Random(29)
+        for m in range(1, 13):
+            rows = [[2] * 3 * m, [1] * 3 * m, [0] * 3 * m]
+            rows += [_rand_vec(rng, 3 * m) for _ in range(6)]
+            a = np.array(rows, np.int8)
+            assert _block_conj(a, m).tolist() == [naive.row_conj(m, v) for v in rows]
+            want = [[naive.ring_cross(m, u, v) for v in rows] for u in rows]
+            assert _block_cross(a[:, None], a, m).tolist() == want
+            assert _block_cross(a[1], a, m).tolist() == want[1]
+            assert _block_cross(a[4], a[5], m).tolist() == want[4][5]
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+    def test_ring_draws_are_completed_by_the_cross_product(self, m):
+        rows = _ring_draws([random.Random(1000 * m + t) for t in range(40)], m)
+        scalars = _norm_two_elements(m).tolist()
+        g_all = _block_conj(_block_cross(rows[:, 0], rows[:, 1], m), m).tolist()
+        for (r1, r2, r3), g in zip(rows.tolist(), g_all):
+            assert g == naive.row_conj(m, naive.ring_cross(m, r1, r2))
+            assert naive.row_pair_gram(m, g, g) == [1] + [0] * (m - 1)
+            assert naive.row_pair_gram(m, r1, g) == naive.row_pair_gram(m, r2, g) == [0] * m
+            u = naive.row_pair_gram(m, r3, g)  # r3 = <r3, g> g, as N(g) = 1
+            assert u in scalars and naive.ring_scale(m, u, g) == r3
+
+    @pytest.mark.parametrize("m, size", [(2, 4), (4, 8), (6, 36)])
+    def test_norm_two_elements_brute_force(self, m, size):
+        # every element of R_m, ascending f
+        want = [u for u in (naive.vector_from_f(f, m) for f in range(3**m))
+                if naive.nega_mul(u, naive.nega_conj(u)) == [2] + [0] * (m - 1)]
+        assert len(want) == size
+        assert _norm_two_elements(m).tolist() == want
+
+    def test_norm_two_elements_sizes(self):
+        # none at odd m: u(-1)^2 = -1 has no root in F_3
+        sizes = [len(_norm_two_elements(m)) for m in range(1, 11)]
+        assert sizes == [0, 4, 0, 8, 0, 36, 0, 80, 0, 320]
+        assert not _norm_two_elements(4).flags.writeable
 
 
 class TestFValue:

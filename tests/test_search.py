@@ -400,6 +400,22 @@ def _reference_walk(m, unit):
     return list(naive.exhaustive_unit(m, r1, d))
 
 
+def _pairwise_rows(plan, unit):
+    """The first rows of an exhaustive unit by the per-r2 pairwise filter
+    that the closed form replaced: the admissible r2 of the dual of r1's
+    block rows in ascending f, as search._unit_rows walks them, and the r3
+    of the i-th the first i + 1 whose cross identity with it,
+    _block_gram(r3, r2, m) = 0, holds."""
+    m, d = plan.block_size, plan.target_min_weight
+    row1 = search._digits(unit, 3 * m)
+    if not (search._admissible(row1[None], d, m)[0] and search._d_prune_survives(row1, m, d)):
+        return []
+    rows = np.concatenate([vals[search._admissible(vals, d, m)] for vals
+                           in _DualSpace(_block_rows(row1, m)).members(unit)])
+    return [[row1.tolist(), rows[i].tolist(), rows[j].tolist()] for i in range(len(rows))
+            for j in np.flatnonzero(~_block_gram(rows[: i + 1], rows[i], m).any(axis=1))]
+
+
 def _row_rule(d, m):
     """The row predicate on plain lists: a leading 1, the row-weight rule
     and the diagonal Gram identity at block size m."""
@@ -428,6 +444,36 @@ class TestExhaustiveWalk:
     ])
     def test_length36_units_match_reference_walk(self, unit):
         assert _walk(6, unit) == _reference_walk(6, unit)
+
+    def test_length24_shard_matches_pairwise_filter(self):
+        # every unit of the benchmark's shard: the r3 of each r2 listed in
+        # closed form, in the filter's order
+        plan = SearchPlan(block_size=4, partition=(0, 64))
+        total = 0
+        for unit in search._units(plan):
+            found = _walk(4, unit)
+            assert found == _pairwise_rows(plan, unit), unit
+            total += len(found)
+        assert total == 1547  # specs, 1,470 of them findings
+
+    @pytest.mark.parametrize("unit, specs", [
+        (43191379, 734),
+        pytest.param(366142422, 69823, marks=pytest.mark.long),
+        pytest.param(370927567, 70377, marks=pytest.mark.long),
+        pytest.param(382102432, 76154, marks=pytest.mark.long),
+    ])
+    def test_length36_units_match_pairwise_filter(self, unit, specs):
+        found = _walk(6, unit)
+        assert len(found) == specs
+        assert found == _pairwise_rows(SearchPlan(block_size=6), unit)
+
+    @pytest.mark.parametrize("step", [1, 7])
+    def test_slices_of_r2_match_pairwise_filter(self, monkeypatch, step):
+        # the unit's 910 admissible r2 go in slices of _CHUNK // (4 |V_6|)
+        # = step, 36 elements in V_6, where the default size takes two
+        monkeypatch.setattr(search, "_CHUNK", 4 * 36 * step)
+        plan = SearchPlan(block_size=6)
+        assert _walk(6, 43191379) == _pairwise_rows(plan, 43191379)
 
     def test_one_dual_space_per_unit(self, monkeypatch):
         built = []
