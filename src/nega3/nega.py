@@ -73,6 +73,24 @@ class CodeSpec:
         return cls(len(vecs[0]) // 3, vecs[0], vecs[1], vecs[2])
 
 
+def _specs(rows: np.ndarray) -> list[CodeSpec]:
+    """The specs of int8 first rows (specs, 3, 3n), their vectors cut from
+    the rows' bytes (gf3._vectors).  The batch's shape is checked once, so
+    each spec is made through CodeSpec.__new__ without the row-length loop
+    of __post_init__."""
+    _, three, width = rows.shape
+    if three != 3 or width % 3:
+        raise LengthMismatchError(f"first rows shaped {rows.shape}, not (specs, 3, 3n)")
+    vectors = iter(_vectors(rows.reshape(-1, width)))
+    specs = []
+    for r1, r2, r3 in zip(vectors, vectors, vectors):
+        spec = CodeSpec.__new__(CodeSpec)
+        for name, value in (("block_size", width // 3), ("r1", r1), ("r2", r2), ("r3", r3)):
+            object.__setattr__(spec, name, value)  # in __init__'s order: shared dict keys
+        specs.append(spec)
+    return specs
+
+
 # -- the ring R_n, on int8 entry arrays ---------------------------------------
 #
 # A first row of width 3n holds three elements of R_n = F_3[x]/(x^n + 1),
@@ -220,7 +238,8 @@ def _f_keys(vals: np.ndarray) -> np.ndarray:
     np.lexsort), exactly at every width."""
     c = -(-vals.shape[-1] // 19)
     size = -(-vals.shape[-1] // c)
-    digits = np.pad(vals, [(0, 0)] * (vals.ndim - 1) + [(0, c * size - vals.shape[-1])])
+    digits = np.zeros((*vals.shape[:-1], c * size), vals.dtype)
+    digits[..., : vals.shape[-1]] = vals
     return digits.reshape(*vals.shape[:-1], c, size) @ 3 ** np.arange(size, dtype=np.int32)
 
 

@@ -10,13 +10,15 @@ hard before any code is settled:
   integer, first entry least significant), and the 3^n words of its
   generator rows (e_i | block row i) must clear the target weight;
 - r2 is taken from the dual of the block rows of r1 (_DualSpace, listed in
-  ascending f order up to f(r1)), and r3 from the ring multiples u * g of
-  g = conj(r1 x r2) with u u^* = -1, which are exactly the norm-2 rows
-  orthogonal to r1 and r2 (nega._block_cross, nega._norm_two_elements),
+  ascending f order up to f(r1), counted in closed form), and r3 from the
+  ring multiples u * g of g = conj(r1 x r2) with u u^* = -1, which are
+  exactly the norm-2 rows orthogonal to r1 and r2 (nega._block_cross,
+  nega._norm_two_elements), one of each pair +-u scaled to lead with 1,
   kept below f(r2);
-- r1 and r2 pass one batched row predicate, _admissible: a leading 1,
-  weight 2 mod 3 and at least d - 1, and the diagonal Gram identity; r3
-  has that identity by construction and is tested for the rest.
+- r1 and r2 pass one batched row predicate, _admissible, r1 for a run of
+  units at once (_r1_screen): a leading 1, weight 2 mod 3 and at least
+  d - 1, and the diagonal Gram identity; r3 has that identity by
+  construction and is tested for the rest.
 
 A sampled group of trials draws one self-dual M per trial uniformly in the
 ring R_n, the group's batches tested together (_ring_draws), and moves each
@@ -32,14 +34,16 @@ spec that verifies.
 A run is a sequence of work units: one r1 in exhaustive mode, keyed by
 f(r1), one trial in sampled mode, each trial drawing from its own generator
 seeded by (plan seed, trial index).  A partition (index, total) takes every
-total-th unit.  Units run in groups, one r1 or weights._STACK consecutive
-trials, whose specs are settled _STACK at a time; groups run inline with
-one worker or in a process pool with more, and one merge builds the
-findings in unit order, so the output is the same for any worker count.  A
-run in either mode can keep an append-only checkpoint log of its merged
-units, one line per unit, which a rerun with any worker count resumes.  A
-neighbor sweep settles its neighbors a window of weights._STACK seeds at a
-time, from one echelon update of the base code's basis (_neighbors).
+total-th unit.  With one worker the whole stream runs inline, its specs
+settled weights._STACK at a time in stacks that run on from one unit to
+the next; with more, a process pool runs groups, one r1 or _STACK
+consecutive trials, each group's specs settled apart.  One merge builds
+the findings in unit order, so the output is the same for any worker
+count.  A run in either mode can keep an append-only checkpoint log of its
+merged units, one line per unit, which a rerun with any worker count
+resumes.  A neighbor sweep settles its neighbors a window of
+weights._STACK seeds at a time, from one echelon update of the base code's
+basis (_neighbors).
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,9 +71,9 @@ from .errors import (
     NeighborWeightError,
     RegistryError,
 )
-from .gf3 import Code, Gf3Vector, _code, _dual_rows, _echelon, _entry_rows, _vectors
+from .gf3 import Code, Gf3Vector, _code, _dual_rows, _echelon, _entry_rows
 from .nega import (CodeSpec, _at_least, _block_conj, _block_cross, _block_gram, _block_rows,
-                   _f_keys, _negashift_table, _norm_two_elements, _walk_form, f_value)
+                   _f_keys, _negashift_table, _norm_two_elements, _specs, _walk_form, f_value)
 from .registry import Registry, load_registry
 from .weights import (_CHUNK, _STACK, _orbit_shape, _settle, _tile_stack, ms_bound,
                       near_extremal_weight)
@@ -260,31 +264,37 @@ class _DualSpace:
     """Dual of a span of int8 rows, its basis int8 rows in counter order.
 
     The span's one row reduction (gf3._echelon) gives that basis in closed
-    form (gf3._dual_rows): row j has a 1 at the j-th column off the span's
-    pivots, ascending, and is zero right of it and on the other rows' such
-    columns.  So member number k, combination k of the rows, has f-value
-    strictly rising in k: the coefficient counter is the f order."""
+    form (gf3._dual_rows): row j has a 1 at its lead column, the j-th
+    column off the span's pivots, ascending, and is zero right of it and
+    on the other rows' lead columns.  So member number k, combination k of
+    the rows, has f-value strictly rising in k: the coefficient counter is
+    the f order."""
 
     def __init__(self, span: np.ndarray):
-        self.basis = _dual_rows(*_echelon(span))
-
-    def member(self, k: int) -> np.ndarray:
-        """Member number k, for 0 <= k < 3^len(basis)."""
-        return _combination(self.basis, k)
+        rows, pivots = _echelon(span)
+        self.basis = _dual_rows(rows, pivots)
+        free = np.ones(span.shape[1], bool)
+        free[pivots] = False
+        self.lead = np.flatnonzero(free)
 
     def count(self, limit: int) -> int:
         """How many members, the zero member among them, have f-value at
-        most limit, 0 <= limit < 3^width: bisection over the counter, f
-        compared digit by digit (nega._at_least)."""
+        most limit, 0 <= limit < 3^width, in exact Python ints.  Down from
+        the top column, row j's lead column puts limit's digit there times
+        3^j members below limit, and fixes row j's coefficient to that
+        digit; best, the combination so fixed, is limit down to the first
+        other column where it parts from limit, and there all 3^j members
+        left lie below limit, or none.  If best is limit, it counts too."""
         top = _digits(limit, self.basis.shape[1])
-        lo, hi = 1, 3 ** len(self.basis)  # members below lo pass, from hi on fail
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _at_least(top, self.member(mid)):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        coef = top[self.lead]
+        best = np.matmul(coef, self.basis, dtype=np.int16) % 3
+        part = np.flatnonzero(best != top)
+        if len(part):
+            j = int(np.searchsorted(self.lead, part[-1]))  # rows j and up lead above it
+            rest = 3**j if best[part[-1]] < top[part[-1]] else 0
+        else:
+            j, rest = 0, 1
+        return sum(c * 3**i for i, c in enumerate(coef.tolist()[j:], j)) + rest
 
     def members(self, limit: int) -> Iterator[np.ndarray]:
         """The members with f-value at most limit, the zero member first,
@@ -422,30 +432,40 @@ def _units(plan: SearchPlan) -> Iterator[int]:
         rank += 1
 
 
+def _r1_screen(plan: SearchPlan, units: list[int]) -> list[bool]:
+    """Which of a run of exhaustive units may have specs: r1 = _digits(unit,
+    3n) passes the row predicate, one _admissible call over the run's r1,
+    and then the minimum-weight prune of its subcode (_d_prune_survives).
+    Both only drop r1 that could never verify.  None passes at odd n,
+    where V_n is empty."""
+    m, d = plan.block_size, plan.target_min_weight
+    rows = np.array([_digits(unit, 3 * m) for unit in units])
+    ok = _admissible(rows, d, m) & (len(_norm_two_elements(m)) > 0)
+    return [live and _d_prune_survives(row1, m, d) for live, row1 in zip(ok.tolist(), rows)]
+
+
 def _unit_rows(plan: SearchPlan, unit: int) -> np.ndarray:
-    """The first rows of the specs of one exhaustive unit that pass the
-    structural constraints, as int8 (specs, 3, 3n), in ascending
-    (f(r2), f(r3)) order.
+    """The first rows of the specs of one exhaustive unit whose r1 passed
+    _r1_screen, as int8 (specs, 3, 3n), in ascending (f(r2), f(r3)) order.
 
     Exhaustive mode takes r1 = _digits(unit, 3n) and every admissible r2,
-    r3.  r1 passes the row predicate (_admissible) and the minimum-weight
-    prune of its subcode (_d_prune_survives); both only drop candidates
-    that could never verify.  r2 runs over the dual D1 of r1's block rows
-    up to f(r1), in one batched walk (_DualSpace.members) that keeps the
-    admissible rows in ascending f.  The rows orthogonal to r1 and r2 with
-    norm 2 are the u * g for u in V_n, g = conj(r1 x r2) (the ring comment
-    in nega), so the r3 of an r2 are those with a leading 1, the row-weight
-    rule and f(r3) < f(r2), ordered by f.  The r2 go in slices of at most
-    _CHUNK / (4 |V_n|), so that at most _CHUNK / 4 candidates are held.
+    r3.  r2 runs over the dual D1 of r1's block rows up to f(r1), in one
+    batched walk (_DualSpace.members) that keeps the admissible rows in
+    ascending f.  The rows orthogonal to r1 and r2 with norm 2 are the u *
+    g for u in V_n, g = conj(r1 x r2) (the ring comment in nega).  As V_n =
+    -V_n and u * g is nonzero, exactly one of u * g and -u * g leads with 1,
+    so the walk forms u * g for the u of V_n that lead with 1 and scales
+    each by its leading entry.  The r3 of an r2 are those with the
+    row-weight rule and f(r3) < f(r2), ordered by f.  The r2 go in slices
+    of at most _CHUNK / (4 |V_n| / 2), so that at most _CHUNK / 4
+    candidates are held.
     """
     m = plan.block_size
     width = 3 * m
     d = plan.target_min_weight
     row1 = _digits(unit, width)
-    scalars = _norm_two_elements(m)  # V_n, empty at odd n
-    if not (len(scalars) and _admissible(row1[None], d, m)[0]
-            and _d_prune_survives(row1, m, d)):
-        return np.empty((0, 3, width), np.int8)
+    scalars = _norm_two_elements(m)
+    scalars = scalars[_lead(scalars) == 1]  # one of each pair +-u
     rows = np.concatenate([vals[_admissible(vals, d, m)] for vals
                            in _DualSpace(_block_rows(row1, m)).members(unit)])
     keys = _f_keys(rows)
@@ -455,8 +475,9 @@ def _unit_rows(plan: SearchPlan, unit: int) -> np.ndarray:
         g = _block_conj(_block_cross(row1, rows[s : s + step], m), m)
         r3 = np.matmul(scalars, _block_rows(g, m), dtype=np.int16).reshape(-1, width) % 3
         r3 = r3.astype(np.int8)
+        r3 = r3 * _lead(r3)[:, None] % 3  # u * g or -u * g, whichever leads with 1
         r2 = np.repeat(np.arange(s, s + len(g)), len(scalars))
-        ok = (_lead(r3) == 1) & _weight_passes(np.count_nonzero(r3, axis=1), d)
+        ok = _weight_passes(np.count_nonzero(r3, axis=1), d)
         r2, r3 = r2[ok], r3[ok]
         r3_keys = _f_keys(r3)
         ok = ~_at_least(r3_keys, keys[r2])
@@ -517,71 +538,106 @@ def _tiles(rows: np.ndarray) -> np.ndarray:
     return (_block_rows(rows, k // 3) % 3).reshape(len(rows), k, k)
 
 
-def _run_units(plan: SearchPlan, units: list[int]) -> list[list[tuple[CodeSpec, int]]]:
-    """For each of a group of units, (spec, alpha) for each of its specs
-    that verifies.  beta sets and novelty are left to the merge, which holds
-    the caller's registry.
+def _run_units(plan: SearchPlan, units: Iterable[int]) -> Iterator[list[tuple[CodeSpec, int]]]:
+    """For each unit of a stream, in order, (spec, alpha) for each of its
+    specs that verifies, yielded once its last spec has settled.  beta sets
+    and novelty are left to the merge, which holds the caller's registry.
 
-    Each unit's specs are int8 first rows (specs, 3, 3n): an exhaustive
-    unit's from _unit_rows, a sampled trial's one draw from the group's
-    _trial_rows.  The group's specs are verified _STACK at a time from the
-    M of their first rows (_tiles): one int16 product checks M M^T = -I,
-    and one scan of their stack (weights._tile_stack) settles d and alpha,
-    split back per unit.  A spec is built only when it verifies, its
-    vectors cut from the bytes of the int8 rows (gf3._vectors)."""
+    The units are taken _STACK at a time: an exhaustive run has its r1
+    screened at once (_r1_screen) and each survivor's specs listed
+    (_unit_rows); a sampled run is drawn as one group, a spec per trial
+    (_trial_rows).  The specs, int8 first rows (specs, 3, 3n), are verified
+    in stacks of _STACK that run on from unit to unit: one int16 product of
+    their M (_tiles) checks M M^T = -I, and one scan (weights._tile_stack)
+    settles d and alpha.  So the stream holds one unit's rows, the open
+    stack and the results of the units with specs in it.  A spec is built
+    only when it verifies (nega._specs)."""
+    width = 3 * plan.block_size
+    shape = _orbit_shape(plan.length, width)
+    units = iter(units)
+    groups = iter(lambda: list(itertools.islice(units, _STACK)), [])
+    none = np.empty((0, 3, width), np.int8)
     if plan.mode == "sampled":
-        groups = _trial_rows(plan, units)[:, None]
+        stream = (rows[None] for group in groups for rows in _trial_rows(plan, group))
     else:
-        groups = [_unit_rows(plan, unit) for unit in units]
-    flat = np.concatenate(groups)
-    alphas: list[int | None] = []
-    for s in range(0, len(flat), _STACK):
-        tiles = _tiles(flat[s : s + _STACK])
+        stream = (_unit_rows(plan, unit) if live else none
+                  for group in groups for unit, live in zip(group, _r1_screen(plan, group)))
+    pending: collections.deque = collections.deque()  # per unit: [results, specs unsettled]
+
+    def settle(stack: np.ndarray) -> None:
+        tiles = _tiles(stack)
         if (np.matmul(tiles, tiles.mT, dtype=np.int16) % 3 != 2 * np.eye(tiles.shape[1])).any():
             raise InternalInconsistencyError("candidate passed all identities but is not self-dual")
-        alphas += _settle(_tile_stack(tiles, _orbit_shape(plan.length, tiles.shape[1])),
-                          plan.target_min_weight)
-    kept = np.array([alpha is not None for alpha in alphas], dtype=bool)
-    rows = iter(_vectors(flat[kept].reshape(-1, flat.shape[-1])))
-    found = iter(alphas)
-    return [[(CodeSpec(plan.block_size, next(rows), next(rows), next(rows)), alpha)
-             for alpha in itertools.islice(found, len(group)) if alpha is not None]
-            for group in groups]
+        alphas = _settle(_tile_stack(tiles, shape), plan.target_min_weight)
+        specs = iter(_specs(stack[[alpha is not None for alpha in alphas]]))
+        found, left = iter(alphas), len(alphas)
+        for entry in pending:
+            take = min(entry[1], left)
+            entry[0] += [(next(specs), a) for a in itertools.islice(found, take) if a is not None]
+            entry[1] -= take
+            left -= take
+
+    def stacks() -> Iterator[np.ndarray]:
+        tail = none  # the open stack
+        for rows in stream:
+            pending.append([[], len(rows)])
+            cut = min(_STACK - len(tail), len(rows))
+            tail = np.concatenate((tail, rows[:cut]))
+            if len(tail) == _STACK:
+                yield tail
+                end = len(rows) - (len(rows) - cut) % _STACK
+                yield from (rows[s : s + _STACK] for s in range(cut, end, _STACK))
+                tail = rows[end:].copy()
+            del rows  # not held while the next unit's rows are listed
+        if len(tail):
+            yield tail
+
+    for stack in stacks():
+        settle(stack)
+        while pending and not pending[0][1]:
+            yield pending.popleft()[0]
+    for results, _ in pending:
+        yield results
+
+
+def _run_group(plan: SearchPlan, group: list[int]) -> list[list[tuple[CodeSpec, int]]]:
+    """_run_units over one group, as a pool worker returns it."""
+    return list(_run_units(plan, group))
 
 
 def _map_units(plan: SearchPlan, units: Iterator[int], workers: int) -> Iterator[list]:
     """The results of _run_units over the units, one per unit, in unit
     order.
 
-    Units run in groups: one r1 (exhaustive), or _STACK consecutive trials
-    (sampled), whose specs share one stacked scan.  The pool holds at most
-    one process per worker, per core and per pending group; with one
-    process the groups run inline.  It runs a window of four groups per
-    process ahead of the merge, where Executor.map would submit every group
-    up front: one future per r1, millions at length 36.
+    With one process, one _run_units call runs the whole stream inline.  A
+    pool runs groups, one r1 (exhaustive) or _STACK consecutive trials
+    (sampled), as a group's results come back as one list (_run_group):
+    about 69,000 for a late length-36 unit.  The pool holds at most one
+    process per worker, per core and per pending group; it runs a window
+    of four groups per process ahead of the merge, where Executor.map
+    would submit every group up front: one future per r1, millions at
+    length 36.
     """
     size = _STACK if plan.mode == "sampled" else 1
     groups = iter(lambda: list(itertools.islice(units, size)), [])
     head = list(itertools.islice(groups, min(workers, os.cpu_count() or 1)))
-    groups = itertools.chain(head, groups)
     if len(head) <= 1:
-        for group in groups:
-            yield from _run_units(plan, group)
+        yield from _run_units(plan, itertools.chain(*head, units))
         return
     with ProcessPoolExecutor(max_workers=len(head)) as pool:
         window: collections.deque = collections.deque()
-        for group in groups:
-            window.append(pool.submit(_run_units, plan, group))
+        for group in itertools.chain(head, groups):
+            window.append(pool.submit(_run_group, plan, group))
             if len(window) == 4 * len(head):
                 yield from window.popleft().result()
         while window:
             yield from window.popleft().result()
 
 
-def _write_line(path: Path, doc: dict) -> None:
-    """Replace path atomically by one JSON line."""
+def _write_line(path: Path, line: str) -> None:
+    """Replace path atomically by one line."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc) + "\n")
+    tmp.write_text(line + "\n")
     os.replace(tmp, path)
 
 
@@ -609,7 +665,7 @@ class _CheckpointLog:
         self.header = {"version": 2, "plan": plan.to_dict()}
         if plan.mode == "sampled":
             self.header["draw"] = "ring"
-        self.done: dict[int, tuple[list[Finding], list[dict]]] = {}
+        self.done: dict[int, tuple[list[Finding], list[str]]] = {}
         self.complete: list[Finding] | None = None
         self._end = 0  # bytes up to the end of the last whole line
         self._file = None
@@ -648,7 +704,7 @@ class _CheckpointLog:
             if type(unit) is not int or unit in self.done:  # no float, bool or repeat
                 raise ValueError(f"checkpoint {path}, line {number}: not a unit record "
                                  '{"unit": ..., "findings": [...]}')
-            self.done[unit] = findings, records
+            self.done[unit] = findings, [json.dumps(r) for r in records]
 
     def __enter__(self) -> "_CheckpointLog":
         if self.path is None:
@@ -657,7 +713,7 @@ class _CheckpointLog:
             self._file = open(self.path, "a")
             self._file.truncate(self._end)  # cut a torn last line
         else:
-            _write_line(self.path, self.header)
+            _write_line(self.path, json.dumps(self.header))
             self._file = open(self.path, "a")
         return self
 
@@ -665,21 +721,25 @@ class _CheckpointLog:
         if self._file is not None:
             self._file.close()
 
-    def append(self, unit: int, findings: list[Finding]) -> list[dict | None]:
-        """Log a unit; the records written, or None each with no log."""
+    def append(self, unit: int, findings: list[Finding]) -> list[str | None]:
+        """Log a unit; the records written, each as its JSON text, or None
+        each with no log."""
         if self._file is None:
             return [None] * len(findings)
-        records = [f.to_record() for f in findings]
-        self._file.write(json.dumps({"unit": unit, "findings": records}) + "\n")
+        records = [json.dumps(f.to_record()) for f in findings]
+        self._file.write('{"unit": %d, "findings": [%s]}\n' % (unit, ", ".join(records)))
         self._file.flush()
         return records
 
-    def finish(self, records: list[dict | None]) -> None:
-        """Replace the log by the merged stream's records."""
+    def finish(self, records: list[str | None]) -> None:
+        """Replace the log by the merged stream's records, joined as the
+        JSON text that append wrote or the replay encoded: the line is
+        json.dumps({**header, "complete": true, "findings": [...]})."""
         if self._file is None:
             return
         self._file.close()
-        _write_line(self.path, {**self.header, "complete": True, "findings": records})
+        head = json.dumps({**self.header, "complete": True})
+        _write_line(self.path, '%s, "findings": [%s]}' % (head[:-1], ", ".join(records)))
 
 
 def _merge(
@@ -693,7 +753,7 @@ def _merge(
     if ckpt.complete is not None:
         yield from ckpt.complete
         return
-    stream: list[tuple[Finding, dict | None]] = []
+    stream: list[tuple[Finding, str | None]] = []
     sampled = plan.mode == "sampled"
     units, pending = itertools.tee(_units(plan))
     pending = (u for u in pending if u not in ckpt.done)

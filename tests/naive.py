@@ -381,6 +381,30 @@ def ascending_dual(rows, width, limit):
         yield v
 
 
+def combination(rows, k, width):
+    """Combination number k of the rows: digit j of k, least significant
+    first, is the coefficient of rows[j]."""
+    v = [0] * width
+    for row in rows:
+        v = vadd(v, vscale(row, k % 3))
+        k //= 3
+    return v
+
+
+def bisect_count(f_of, size, limit):
+    """How many counter values 0 <= k < size have f_of(k) <= limit, for
+    f_of strictly rising in k with f_of(0) <= limit: bisection over the
+    counter, the search's count of dual members before its closed form."""
+    lo, hi = 1, size  # values below lo pass, from hi on fail
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f_of(mid) <= limit:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def exhaustive_unit(m, r1, d):
     """The (r1, r2, r3) triples of one exhaustive search unit, in order:
     r2 runs over the dual of r1's block rows and r3 over the dual of r1's

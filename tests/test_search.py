@@ -49,15 +49,22 @@ from nega3 import (
     read_findings,
     run_search,
 )
-from nega3 import search, weights
+from nega3 import nega, search, weights
 from nega3.nega import _at_least, _block_gram, _block_rows, _f_keys
 from nega3.search import _block_pool, _DualSpace
 
 
+def _unit_rows(plan, unit):
+    """The first rows of one exhaustive unit as the search takes them:
+    search._unit_rows when its r1 passes search._r1_screen, else none."""
+    if search._r1_screen(plan, [unit])[0]:
+        return search._unit_rows(plan, unit)
+    return np.empty((0, 3, 3 * plan.block_size), np.int8)
+
+
 def _specs(plan, unit):
-    """The specs of one exhaustive unit, built from the first rows that
-    search._unit_rows lists."""
-    return [CodeSpec.from_entry_rows(rows.tolist()) for rows in search._unit_rows(plan, unit)]
+    """The specs of one exhaustive unit, built from its first rows."""
+    return [CodeSpec.from_entry_rows(rows.tolist()) for rows in _unit_rows(plan, unit)]
 
 
 class TestPlan:
@@ -148,8 +155,58 @@ class TestEnumerationOrder:
         every = (naive.vector_from_f(f, 8) for f in range(limit + 1))
         want = [v for v in every if all(naive.vdot(v, r) == 0 for r in rows)]
         assert got == want
-        assert [space.member(k).tolist() for k in range(len(got))] == want
+        assert [naive.combination(space.basis.tolist(), k, 8) for k in range(len(got))] == want
         assert space.count(limit) == len(want)
+
+    def test_count_at_every_limit_of_every_span_at_n2(self):
+        # the spans of the block rows of every width-6 r1, each dual once:
+        # the closed form against the bisection, at all 729 limits
+        duals = {}
+        for f in range(1, 3**6):
+            space = _DualSpace(_block_rows(search._digits(f, 6), 2) % 3)
+            duals.setdefault(space.basis.tobytes(), space)
+        assert len(duals) > 50
+        for space in duals.values():
+            basis = space.basis.tolist()
+            fs = [naive.f_value(naive.combination(basis, k, 6)) for k in range(3 ** len(basis))]
+            assert [space.count(limit) for limit in range(3**6)] == [
+                naive.bisect_count(fs.__getitem__, len(fs), limit) for limit in range(3**6)]
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_count_of_random_pairs(self, m):
+        rng = random.Random(m)
+        width = 3 * m
+        for _ in range(150):
+            row1 = search._digits(rng.randrange(3**width), width)
+            space = _DualSpace(_block_rows(row1, m) % 3)
+            basis = space.basis.tolist()
+            limit = rng.randrange(3 ** rng.randrange(1, width + 1))
+            assert space.count(limit) == _bisect_count(basis, width, limit)
+
+    @pytest.mark.parametrize("width", [6, 12, 18])
+    def test_count_above_the_top_lead_column(self, width):
+        # spans holding the top unit vectors, so the dual's rows lead below
+        # them: every member has f-value below 3^(top lead column + 1), and
+        # any limit from there on counts them all
+        rng = random.Random(width)
+        for _ in range(20):
+            top = rng.randrange(1, width // 2)
+            span = [[rng.randrange(3) for _ in range(width)] for _ in range(rng.randrange(3))]
+            span += [[int(i == c) for i in range(width)] for c in range(width - top, width)]
+            space = _DualSpace(np.array(span, np.int8))
+            assert space.lead[-1] < width - top
+            basis = space.basis.tolist()
+            edge = 3 ** (int(space.lead[-1]) + 1)
+            for limit in (edge - 1, edge, rng.randrange(edge, 3**width), 3**width - 1):
+                assert space.count(limit) == _bisect_count(basis, width, limit)
+            assert space.count(edge) == 3 ** len(basis)
+
+
+def _bisect_count(basis, width, limit):
+    """The members of the span of basis rows, in counter order, with
+    f-value at most limit, by the reference bisection."""
+    return naive.bisect_count(
+        lambda k: naive.f_value(naive.combination(basis, k, width)), 3 ** len(basis), limit)
 
 
 def _nonzero_members(space, limit):
@@ -287,14 +344,23 @@ class TestExhaustive:
             assert not is_self_dual(CodeSpec.from_entry_rows(fed[at].tolist()))
             monkeypatch.setattr(search, "_unit_rows", lambda *args: fed)
             with pytest.raises(InternalInconsistencyError, match="not self-dual"):
-                search._run_units(plan, [43191379])
+                list(search._run_units(plan, [43191379]))
 
     def test_one_code_spec_per_finding(self, registry, monkeypatch):
         # the length-24 shard of the benchmark builds a CodeSpec for each of
-        # its 1,470 findings and for no spec that fails to verify
+        # its 1,470 findings and for no spec that fails to verify, counted
+        # at the __new__ of the CodeSpec that nega and search name, which
+        # the dataclass's own construction and the search's batch of
+        # verified specs (nega._specs) both call
         built = []
-        real = CodeSpec.__post_init__
-        monkeypatch.setattr(CodeSpec, "__post_init__", lambda spec: built.append(1) or real(spec))
+
+        class Counted(CodeSpec):
+            def __new__(cls, *args, **kwargs):
+                built.append(cls)
+                return super().__new__(cls)
+
+        monkeypatch.setattr(nega, "CodeSpec", Counted)
+        monkeypatch.setattr(search, "CodeSpec", Counted)
         plan = SearchPlan(block_size=4, partition=(0, 64))
         assert len(list(run_search(plan, registry=registry))) == len(built) == 1470
 
@@ -353,7 +419,7 @@ class TestTileStacks:
 
     def test_every_length12_spec(self):
         plan = SearchPlan(block_size=2)
-        found = np.concatenate([search._unit_rows(plan, u) for u in search._units(plan)])
+        found = np.concatenate([_unit_rows(plan, u) for u in search._units(plan)])
         assert len(found) == 6
         _assert_closed_form(found)
 
@@ -362,7 +428,7 @@ class TestTileStacks:
         plan = SearchPlan(block_size=4, partition=(0, 64))
         found = np.empty((0, 3, 12), np.int8)
         for unit in search._units(plan):
-            found = np.concatenate((found, search._unit_rows(plan, unit)))
+            found = np.concatenate((found, _unit_rows(plan, unit)))
             if len(found) > 100:
                 break
         assert len(found) == 106
@@ -390,8 +456,94 @@ class TestTileStacks:
         assert len(got) > 100
 
 
+_SHARD_DIGEST = "9c7b19f02402ba3da4fa2853c9481b6ffd64d420004762a1312a415e619751e9"
+
+
+def _lines(findings):
+    return [json.dumps(f.to_record()) for f in findings]
+
+
+class TestStacksAcrossUnits:
+    """An inline run settles its specs _STACK at a time, in stacks that run
+    on from one unit to the next."""
+
+    @pytest.mark.parametrize("stack", [1, 5, 64])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_stream_for_any_stack(self, tmp_path, registry, monkeypatch, workers, stack):
+        # shard 0/64 at n = 4 gives its pinned stream; inline, every tile
+        # stack but the last holds _STACK specs; and a checkpointed run
+        # stopped after 30 of its 64 units resumes to the same stream
+        monkeypatch.setattr(search, "_STACK", stack)
+        sizes = []
+        real = search._tile_stack
+        monkeypatch.setattr(search, "_tile_stack",
+                            lambda tiles, width: sizes.append(len(tiles)) or real(tiles, width))
+        plan = SearchPlan(block_size=4, partition=(0, 64))
+        lines = _lines(run_search(plan, registry=registry, workers=workers))
+        assert hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest() == (
+            _SHARD_DIGEST)
+        if workers == 1:
+            assert sum(sizes) == 1547 and len(sizes) == -(-1547 // stack)
+            assert set(sizes[:-1]) == {stack} and 0 < sizes[-1] <= stack
+        path = tmp_path / "ck.json"
+        with monkeypatch.context() as m:
+            m.setattr(search, "_run_units", _runs_then_stops(30))
+            m.setattr(search, "ProcessPoolExecutor", _RecordingPool([], []))
+            with pytest.raises(_Stopped):
+                list(run_search(plan, registry=registry, checkpoint=path, workers=workers))
+        assert len(_log_lines(path)) == 1 + 30
+        assert _lines(run_search(plan, registry=registry, checkpoint=path,
+                                 workers=workers)) == lines
+
+    @pytest.mark.parametrize("stack", [5, 64])
+    def test_units_without_specs_merge_in_order(self, monkeypatch, stack):
+        # the shard's units in one stream give what each gives alone, where
+        # units with no spec sit between units whose specs share a stack
+        monkeypatch.setattr(search, "_STACK", stack)
+        plan = SearchPlan(block_size=4, partition=(0, 64))
+        units = list(search._units(plan))
+        counts = [len(_unit_rows(plan, unit)) for unit in units]
+        before = list(itertools.accumulate(counts, initial=0))
+        assert any(not count and before[i] % stack and before[i] < before[-1]
+                   for i, count in enumerate(counts))
+        alone = [results for unit in units for results in search._run_units(plan, [unit])]
+        assert list(search._run_units(plan, units)) == alone
+        assert sum(map(len, alone)) == 1470
+
+    @pytest.mark.long
+    def test_late_length36_units_in_one_stream(self):
+        # the late units' specs run on across stacks of 64 between units
+        plan = SearchPlan(block_size=6)
+        units = [43191379, 366142422, 370927567, 382102432]
+        assert all(len(_unit_rows(plan, unit)) % search._STACK for unit in units)
+        stream = search._run_units(plan, units)
+        for unit, results in zip(units, stream, strict=True):  # one unit's results at a time
+            assert results == next(search._run_units(plan, [unit])), unit
+
+    @pytest.mark.long
+    def test_stream_memory_is_one_unit_and_one_stack(self):
+        # the late unit 382102432 (76,154 specs) after 43191379, whose last
+        # 30 specs wait for its first stack, and before its successor in
+        # unit order: the stream holds the late unit's rows and results,
+        # the open stack and the results of the units with specs in it
+        plan = SearchPlan(block_size=6)
+
+        def peak(units):
+            tracemalloc.start()
+            try:
+                for results in search._run_units(plan, units):
+                    del results
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = peak([382102432])
+        stack = search._STACK * (3 * 18 + 18 * 18)  # a stack's first rows and its M
+        assert peak([43191379, 382102432, 383697481]) <= alone + stack
+
+
 def _walk(m, unit):
-    return search._unit_rows(SearchPlan(block_size=m), unit).tolist()
+    return _unit_rows(SearchPlan(block_size=m), unit).tolist()
 
 
 def _reference_walk(m, unit):
@@ -469,9 +621,10 @@ class TestExhaustiveWalk:
 
     @pytest.mark.parametrize("step", [1, 7])
     def test_slices_of_r2_match_pairwise_filter(self, monkeypatch, step):
-        # the unit's 910 admissible r2 go in slices of _CHUNK // (4 |V_6|)
-        # = step, 36 elements in V_6, where the default size takes two
-        monkeypatch.setattr(search, "_CHUNK", 4 * 36 * step)
+        # the unit's 910 admissible r2 go in slices of _CHUNK // (4 |V_6| / 2)
+        # = step, 18 of the 36 elements of V_6 leading with 1, where the
+        # default size takes one
+        monkeypatch.setattr(search, "_CHUNK", 4 * 18 * step)
         plan = SearchPlan(block_size=6)
         assert _walk(6, 43191379) == _pairwise_rows(plan, 43191379)
 
@@ -487,7 +640,7 @@ class TestExhaustiveWalk:
         plan = SearchPlan(block_size=4, partition=(0, 256))
         for unit in search._units(plan):
             del built[:]
-            specs = search._unit_rows(plan, unit)
+            specs = _unit_rows(plan, unit)
             assert built == [12] or (not built and not len(specs))
 
     def test_digits_past_int64(self):
@@ -497,17 +650,18 @@ class TestExhaustiveWalk:
 
     @pytest.mark.parametrize("delta", [-2, -1, 0, 1, 2])
     def test_count_past_int64(self, delta):
-        # width 42: f-values pass 2^63 from 3^40 on, and the bisection
-        # compares them digit by digit, also against a limit that shares a
-        # member's high digits
+        # width 42: f-values pass 2^63 from 3^40 on, and the count reads
+        # them digit by digit, also against a limit that shares a member's
+        # high digits
         setup = random.Random(14)
         r = Gf3Vector(setup.randrange(3) for _ in range(42))
         span = [u.entries() for u in block_row_vectors(14, r)]
         space = _DualSpace(np.array(span, np.int8))
-        near = naive.f_value(space.member(setup.randrange(3 ** len(space.basis))).tolist())
+        basis = space.basis.tolist()
+        near = naive.f_value(naive.combination(basis, setup.randrange(3 ** len(basis)), 42))
         for limit in (2**63 + delta, setup.randrange(2**62, 2**64), near + delta):
             count = space.count(limit)
-            below, above = space.member(count - 1).tolist(), space.member(count).tolist()
+            below, above = (naive.combination(basis, k, 42) for k in (count - 1, count))
             assert naive.f_value(below) <= limit < naive.f_value(above)
             assert all(naive.vdot(v, u) == 0 for v in (below, above) for u in span)
 
@@ -1097,6 +1251,21 @@ class TestCheckpoint:
         (doc,) = _log_lines(fresh)
         assert doc["findings"] == [to_record(f) for f in stream]
 
+    @pytest.mark.parametrize("plan", [
+        SearchPlan(block_size=2),
+        SearchPlan(block_size=2, target="extremal"),  # no finding
+        SearchPlan(block_size=2, mode="sampled", seed=7, budget=400),
+    ], ids=["exhaustive", "empty", "sampled"])
+    def test_finished_log_is_one_json_document(self, tmp_path, registry, plan):
+        # the finished log joins the record texts that append encoded
+        path = tmp_path / "ck.json"
+        records = _records(run_search(plan, registry=registry, checkpoint=path))
+        header = {"version": 2, "plan": plan.to_dict()}
+        if plan.mode == "sampled":
+            header["draw"] = "ring"
+        doc = {**header, "complete": True, "findings": records}
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+
     def test_log_is_header_then_one_line_per_unit(self, tmp_path, registry):
         path = tmp_path / "ck.json"
         plan = SearchPlan(block_size=2)
@@ -1191,8 +1360,8 @@ class TestCheckpoint:
         path.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
         ran = []
         run_units = search._run_units
-        monkeypatch.setattr(search, "_run_units",
-                            lambda plan, group: ran.extend(group) or run_units(plan, group))
+        monkeypatch.setattr(search, "_run_units", lambda plan, units: run_units(
+            plan, (ran.append(unit) or unit for unit in units)))
         resumed = run_search(plan, registry=registry, checkpoint=path)
         assert _records(resumed) == _records(reference)
         assert ran == units[4:]
@@ -1212,9 +1381,10 @@ class TestCheckpoint:
                 list(run_search(plan, registry=registry, checkpoint=path, workers=workers))
         header, *units = _log_lines(path)
         assert header == {"version": 2, "plan": plan.to_dict(), "draw": "ring"}
-        # the group holding trial 150 stopped midway, so the whole groups
-        # before it are logged and it is not
-        assert len(units) == 150 // search._STACK * search._STACK
+        # inline, each trial is merged once its stack settles, so the first
+        # 150 are logged; in a pool, the group holding trial 150 stopped
+        # midway, so the whole groups before it are logged and it is not
+        assert len(units) == (150 if workers == 1 else 150 // search._STACK * search._STACK)
         assert [u["unit"] for u in units] == list(range(len(units)))  # a line per trial
 
         resumed = _records(run_search(plan, registry=registry, checkpoint=path,
@@ -1269,17 +1439,20 @@ class _Stopped(Exception):
 
 
 def _runs_then_stops(count):
-    """A _run_units that runs groups of units while at most count units
-    have run, then raises _Stopped on the first group that would pass it."""
+    """A _run_units that gives the results of count units, over all its
+    calls, then raises _Stopped where the next would come, as a kill
+    would: inline, after count units; in a pool, whose worker returns a
+    group's results as one list, with the group that would pass count."""
     run_units = search._run_units
     done = 0
 
     def run(plan, units):
         nonlocal done
-        if done + len(units) > count:
-            raise _Stopped(units)
-        done += len(units)
-        return run_units(plan, units)
+        for results in run_units(plan, units):
+            if done == count:
+                raise _Stopped(done)
+            done += 1
+            yield results
     return run
 
 
